@@ -63,11 +63,8 @@ def cubic_cutoff():
 
 def apply_F(model, w):
     """Nodewise flow section: dw/ds + grad f(w)."""
-    dw = differentiate(w).samples
-    g = np.empty_like(dw)
-    for j in range(w.grid.n_nodes):
-        g[j] = model.grad(w.samples[j])
-    return DiscretePath(w.grid, dw + g)
+    return DiscretePath(w.grid,
+                        differentiate(w).samples + model.grad(w.samples))
 
 
 def _half_samples_on(grid_T, half, T, side):
@@ -520,8 +517,7 @@ def tangent_convergence_sweep(model, cutoff, seeds, tangent_seeds, T_list,
             return l2_norm(DiscretePath(grid, v.reshape(-1, model.dim)))
 
         def dF(x):
-            xs = x.reshape(-1, model.dim)
-            jac = np.stack([model.dgrad_tensor(z, 1) for z in xs])
+            jac = model.dgrad_tensor(x.reshape(-1, model.dim), 1)
 
             def apply(v):
                 vs = v.reshape(-1, model.dim)

@@ -80,8 +80,13 @@ class ExperimentConfig:
         self.C_decay = float(raw["C_decay"]) if "C_decay" in raw else None
         self.debug_scale_q = float(raw.get("debug_scale_q", "1"))
         for k in ("h", "tol_zero"):
-            if getattr(self, "h" if k == "h" else "tol_zero") <= 0:
+            if getattr(self, k) <= 0:
                 raise ConfigError("%s must be positive" % k)
+        for k, want in (("seed_plus", self.model.n_stable),
+                        ("seed_minus", self.model.index)):
+            if len(getattr(self, k)) != want:
+                raise ConfigError("%s needs %d value(s) for this model"
+                                  % (k, want))
 
     def rng(self):
         return np.random.default_rng(self.rng_seed)

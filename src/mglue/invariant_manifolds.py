@@ -12,11 +12,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, identity, kron, lil_matrix
+from scipy.sparse import csr_matrix, identity, kron
 from scipy.sparse.linalg import splu
 
-from .path_space import (DiscretePath, Grid, diff_matrix, differentiate,
-                         make_grid, norms)
+from .path_space import (DiscretePath, diff_matrix, differentiate, make_grid,
+                         replace_rows_by_identity)
 
 TOL_FLOW = 1e-9
 MAX_ITER = 50
@@ -143,31 +143,15 @@ def _flow_system(model, grid, side):
     return Dk, bc0, bc1
 
 
-def _grad_all(model, w):
-    out = np.empty_like(w)
-    for j in range(w.shape[0]):
-        out[j] = model.grad(w[j])
-    return out
-
-
-def _jac_blocks(model, w):
-    N, n = w.shape
-    blocks = np.empty((N, n, n))
-    for j in range(N):
-        blocks[j] = model.dgrad_tensor(w[j], 1)
-    return blocks
-
-
 def _assemble_system(Dk, jac_blocks, bc_rows):
     """Collocation Jacobian: stencil + block-diagonal Jacobian of grad, with
     the boundary rows replaced by identity rows."""
     N, n, _ = jac_blocks.shape
-    from scipy.sparse import block_diag
-    J = (Dk + block_diag(jac_blocks, format="csr")).tolil()
-    for r in bc_rows:
-        J.rows[r] = [r]
-        J.data[r] = [1.0]
-    return csr_matrix(J)
+    # CSR of the block diagonal: row j*n + a holds columns j*n .. j*n + n-1
+    cols = np.arange(N * n).reshape(N, n, 1) // n * n + np.arange(n)
+    B = csr_matrix((jac_blocks.ravel(), cols.ravel(),
+                    np.arange(0, N * n * n + 1, n)), shape=Dk.shape)
+    return replace_rows_by_identity(Dk + B, bc_rows)
 
 
 def _interior_residual(res_flat, n, bc_rows):
@@ -198,8 +182,7 @@ def _shoot(model, seed, S, side, h_max, tol_flow, max_iter):
     else:
         if seed.shape != (n - ns,):
             raise ValueError("unstable seed must have dimension k")
-        for idx, i in enumerate(range(ns, n)):
-            bc_vals[(N - 1) * n + i] = seed[idx]
+        bc_vals[(N - 1) * n + ns:] = seed
         s_rel = grid.nodes
         init = np.zeros((N, n))
         init[:, ns:] = np.exp(np.outer(s_rel, model.a_minus)) * seed
@@ -210,7 +193,7 @@ def _shoot(model, seed, S, side, h_max, tol_flow, max_iter):
     for it in range(max_iter):
         if _interior_residual(res, n, bc_rows) < tol_flow:
             break
-        J = _assemble_system(Dk, _jac_blocks(model, w), bc_rows)
+        J = _assemble_system(Dk, model.dgrad_tensor(w, 1), bc_rows)
         step = splu(J.tocsc()).solve(-res)
         lam = 1.0
         for _ in range(MAX_HALVINGS):
@@ -240,7 +223,7 @@ def _shoot(model, seed, S, side, h_max, tol_flow, max_iter):
 
 
 def _flow_res_with_bc(model, grid, w, Dk, bc_rows, bc_vals):
-    res = Dk @ w.reshape(-1) + _grad_all(model, w).reshape(-1)
+    res = Dk @ w.reshape(-1) + model.grad(w).reshape(-1)
     res[bc_rows] = w.reshape(-1)[bc_rows] - bc_vals[bc_rows]
     return res
 
@@ -275,10 +258,10 @@ def solve_tangent_lift(model, base, sys_spec, seeds, tol_lin=1e-8):
     side = base.side
     Dk, bc0, bc1 = _flow_system(model, grid, side)
     bc_rows = bc0 + bc1
-    J = _assemble_system(Dk, _jac_blocks(model, base.head.samples), bc_rows)
+    W = {0: base.head.samples}
+    J = _assemble_system(Dk, model.dgrad_tensor(W[0], 1), bc_rows)
     lu = splu(J.tocsc())
 
-    W = {0: base.head.samples}
     out = []
     for k in range(1, sys_spec.n_components):
         terms = sys_spec.components[k - 1]
@@ -286,11 +269,8 @@ def solve_tangent_lift(model, base, sys_spec, seeds, tol_lin=1e-8):
         for ell, args in terms:
             if ell == 1:
                 continue  # the order-1 term is the system operator itself
-            for j in range(N):
-                v = model.dgrad_tensor(base.head.samples[j], ell)
-                for a in args:
-                    v = np.tensordot(v, W[a][j], axes=([v.ndim - 1], [0]))
-                forcing[j] += v
+            forcing += _tensor_forcing(model.dgrad_tensor(W[0], ell),
+                                       [W[a] for a in args])
         rhs = -forcing.reshape(-1)
         seed = np.atleast_1d(np.asarray(seeds[k - 1], dtype=float))
         bc_vals = np.zeros(N * n)
@@ -306,12 +286,20 @@ def solve_tangent_lift(model, base, sys_spec, seeds, tol_lin=1e-8):
     return out
 
 
+def _tensor_forcing(tensors, args):
+    """Nodewise contraction of tensors (N, n, n, ..., n) with one (N, n)
+    array per trailing axis: the last axis takes args[0], the one before it
+    args[1], and so on."""
+    v = tensors
+    for arg in args:
+        v = np.einsum("j...b,jb->j...", v, arg)
+    return v
+
+
 def linearized_residual(model, base, xi):
     """Sup over interior nodes of xi' + dgrad(base) xi (central stencils)."""
-    dxi = differentiate(xi).samples
-    res = dxi.copy()
-    for j in range(base.grid.n_nodes):
-        res[j] += model.dgrad_tensor(base.head.samples[j], 1) @ xi.samples[j]
+    res = differentiate(xi).samples + _tensor_forcing(
+        model.dgrad_tensor(base.head.samples, 1), [xi.samples])
     return float(np.max(np.abs(res[1:-1])))
 
 

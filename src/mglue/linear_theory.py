@@ -11,11 +11,12 @@ the infinitesimal gluing map, and measured/analytic norm bounds.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, identity, kron
+from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import splu
 
 from .path_space import (DiscretePath, Grid, diff_matrix, differentiate,
-                         symmetric_grid, trapezoid_weights, zero_path)
+                         replace_rows_by_identity, symmetric_grid,
+                         trapezoid_weights, zero_path)
 from .morse_model import compute_constants
 
 
@@ -121,16 +122,11 @@ def _d_system_matrix(lt):
     N = lt.grid.n_nodes
     D1 = diff_matrix(lt.grid)  # (N, N), per component
     A = kron(identity(N, format="csr"), diags(m.a), format="csr")
-    M = (kron(D1, identity(n, format="csr"), format="csr") + A).tolil()
-    # boundary replacements: unknown ordering is node-major, component-minor
-    for i in range(ns):           # stable BC rows at node 0
-        M.rows[i] = [i]
-        M.data[i] = [1.0]
-    base = (N - 1) * n
-    for i in range(ns, n):        # unstable BC rows at node N-1
-        M.rows[base + i] = [base + i]
-        M.data[base + i] = [1.0]
-    return csr_matrix(M)
+    M = kron(D1, identity(n, format="csr"), format="csr") + A
+    # unknown ordering is node-major, component-minor: stable BC rows at
+    # node 0, unstable BC rows at node N-1
+    bc_rows = list(range(ns)) + list(range((N - 1) * n + ns, N * n))
+    return replace_rows_by_identity(M, bc_rows)
 
 
 def d_system_rhs(lt, eta, v_plus=None, v_minus=None):

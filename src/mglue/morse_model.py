@@ -81,6 +81,7 @@ class MorseModel:
         return np.asarray(z)[..., self.n_stable:]
 
     def grad(self, z):
+        """Gradient of f at each point of z, of shape (..., n) like z."""
         z = np.asarray(z, dtype=float)
         return self.a * z + self._tensor_fns[0](z)
 
@@ -88,7 +89,9 @@ class MorseModel:
         """Derivative tensor of grad of the given order (1..tensor_order).
 
         Order 1 returns the (n, n) Jacobian of grad; order m returns the
-        symmetric (n,)*(m+1) array T with T[i, j1.. jm] = d^m (grad_i)."""
+        symmetric (n,)*(m+1) array T with T[i, j1.. jm] = d^m (grad_i).
+        z has shape (..., n), a batch of points, and the result has shape
+        z.shape[:-1] + (n,)*(m+1)."""
         if not 1 <= order <= self.tensor_order:
             raise ValueError("unsupported tensor order")
         z = np.asarray(z, dtype=float)
@@ -108,17 +111,16 @@ def _compile_tensors(model):
         fns = [sp.lambdify(xs, e, modules="numpy") for e in entries]
 
         def fn(z):
+            # z has shape (..., n); a 1-D z runs as a batch of one, so a
+            # point gives the same bits alone and inside a batch
             z = np.asarray(z, dtype=float)
-            if z.ndim == 1:
-                vals = np.array([float(f(*z)) for f in fns])
-                return vals.reshape(shape)
-            # batched: z has shape (m, n); broadcast constant entries
-            m = z.shape[0]
-            cols = [z[:, i] for i in range(z.shape[1])]
+            cols = z.reshape(-1, z.shape[-1]).T
+            m = cols.shape[1]
+            # constant entries come back as scalars: broadcast them
             vals = np.stack(
                 [np.broadcast_to(np.asarray(f(*cols), dtype=float), (m,))
                  for f in fns], axis=-1)
-            return vals.reshape((m,) + shape)
+            return vals.reshape(z.shape[:-1] + shape)
 
         return fn
 

@@ -10,6 +10,7 @@ from math import ceil
 
 import numpy as np
 from scipy.interpolate import CubicSpline
+from scipy.sparse import csr_matrix, diags
 
 
 @dataclass(frozen=True)
@@ -69,6 +70,8 @@ class DiscretePath:
         s = np.asarray(self.samples, dtype=float)
         if s.ndim == 1:
             s = s[:, None]
+        if s.ndim != 2:
+            raise ValueError("samples must be 1-D or 2-D")
         if s.shape[0] != self.grid.n_nodes:
             raise ValueError("sample count does not match grid")
         if not np.all(np.isfinite(s)):
@@ -92,30 +95,38 @@ def zero_path(grid, dim):
 
 
 def path_from_function(grid, fn, dim=None):
-    """Sample a vector-valued callable fn(s) -> R^dim at the grid nodes."""
-    vals = np.array([np.atleast_1d(fn(s)) for s in grid.nodes], dtype=float)
+    """Sample a vector-valued callable fn(s) -> R^dim at the grid nodes.
+    Each value is flattened, so fn may return shape (dim,) or (1, dim)."""
+    vals = np.array([np.ravel(fn(s)) for s in grid.nodes], dtype=float)
     if dim is not None and vals.shape[1] != dim:
         raise ValueError("function dimension mismatch")
     return DiscretePath(grid, vals)
 
 
 def diff_matrix(grid):
-    """Sparse second-order differentiation matrix acting on each component.
-
-    Central differences at interior nodes, second-order one-sided stencils at
-    the two endpoints.  Returned as a dense banded-structure array of stencil
-    rows is avoided; we build a scipy sparse matrix once per grid size."""
-    from scipy.sparse import lil_matrix
-
+    """Sparse (n_nodes, n_nodes) CSR matrix of the second-order stencils of
+    differentiate: central differences at interior nodes, one-sided at the
+    two endpoints.  Built from index arrays on every call."""
     n = grid.n_nodes
     h = grid.h
-    M = lil_matrix((n, n))
-    M[0, 0], M[0, 1], M[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    for j in range(1, n - 1):
-        M[j, j - 1] = -0.5 / h
-        M[j, j + 1] = 0.5 / h
-    M[n - 1, n - 3], M[n - 1, n - 2], M[n - 1, n - 1] = 0.5 / h, -2.0 / h, 1.5 / h
-    return M.tocsr()
+    indptr = np.concatenate([[0], 3 + 2 * np.arange(n - 1), [2 * n + 2]])
+    indices = np.concatenate([[0, 1, 2],
+                              (np.arange(n - 2)[:, None] + [0, 2]).ravel(),
+                              [n - 3, n - 2, n - 1]])
+    data = np.concatenate([[-1.5 / h, 2.0 / h, -0.5 / h],
+                           np.tile([-0.5 / h, 0.5 / h], n - 2),
+                           [0.5 / h, -2.0 / h, 1.5 / h]])
+    return csr_matrix((data, indices, indptr), shape=(n, n))
+
+
+def replace_rows_by_identity(M, rows):
+    """CSR copy of the square matrix M with the given rows replaced by the
+    matching identity rows (row r becomes e_r), by row masking:
+    diag(keep) @ M + E."""
+    keep = np.ones(M.shape[0])
+    keep[rows] = 0.0
+    E = csr_matrix((np.ones(len(rows)), (rows, rows)), shape=M.shape)
+    return diags(keep) @ M + E
 
 
 def differentiate(p):

@@ -47,6 +47,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, cutoff="boxcar"))
 
+    @pytest.mark.parametrize("key", ["h", "tol_zero"])
+    def test_nonpositive_step_or_tolerance_rejected(self, tmp_path, key):
+        with pytest.raises(ConfigError, match="%s must be positive" % key):
+            load_config(write_cfg(tmp_path, **{key: "0"}))
+
+    @pytest.mark.parametrize("key", ["seed_plus", "seed_minus"])
+    def test_seed_dimension_rejected(self, tmp_path, key):
+        # c1 has one stable and one unstable direction
+        with pytest.raises(ConfigError, match=key):
+            load_config(write_cfg(tmp_path, **{key: "0.3,0.1"}))
+
     def test_overrides(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path), out_override="/tmp/x",
                           seed_override=99)
@@ -141,6 +152,13 @@ class TestCommands:
         a = open(os.path.join(out1, "verify_report.txt"), "rb").read()
         b = open(os.path.join(out2, "verify_report.txt"), "rb").read()
         assert a == b
+
+    def test_glue_wrong_seed_dimension_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, seed_plus="0.3,0.1")
+        assert main(["glue", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: seed_plus") and err.count("\n") == 1
 
     def test_bad_usage_exits_nonzero(self, capsys):
         assert main(["frobnicate", "--config", "x"]) == 1

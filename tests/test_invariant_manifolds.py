@@ -4,14 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
+from scipy.sparse import block_diag, csr_matrix
 
-from mglue.invariant_manifolds import (build_tangent_system, decay_fit,
+from mglue.invariant_manifolds import (_assemble_system, _flow_system,
+                                       _tensor_forcing, build_tangent_system,
+                                       decay_fit,
                                        digit_inverse, digit_map,
                                        hamming_weight, partitions,
                                        shoot_stable, shoot_unstable,
                                        solve_tangent_lift,
                                        theta_identification, theta_inverse)
 from mglue.path_space import DiscretePath, make_grid, path_from_function
+
+from test_path_space import assert_same_csr
 
 
 class TestDigits:
@@ -271,3 +276,81 @@ class TestDecayFit:
         fit = decay_fit(p, (12.0, 23.0))
         assert fit.rate >= 0.5 * (1 - 0.02)
         assert fit.rate <= 0.6
+
+
+def assemble_system_lil_reference(Dk, jac_blocks, bc_rows):
+    """The former collocation Jacobian: block_diag, then lil row surgery."""
+    J = (Dk + block_diag(jac_blocks, format="csr")).tolil()
+    for r in bc_rows:
+        J.rows[r] = [r]
+        J.data[r] = [1.0]
+    return csr_matrix(J)
+
+
+class TestAssembly:
+    @pytest.mark.parametrize("S", [1.0, 4.0, 14.0])
+    @pytest.mark.parametrize("shoot", [shoot_stable, shoot_unstable])
+    @pytest.mark.parametrize("seed", [0.0, 0.3])
+    def test_collocation_jacobian_matches_lil_reference(self, c1, S, shoot,
+                                                        seed):
+        # seed 0 gives the zero trajectory: the Jacobian blocks hold exact
+        # zeros, which the sparse sum must drop as the reference does
+        base = shoot(c1, [seed], S)
+        Dk, bc0, bc1 = _flow_system(c1, base.grid, base.side)
+        w = base.head.samples
+        blocks = np.stack([c1.dgrad_tensor(z, 1) for z in w])
+        assert_same_csr(
+            _assemble_system(Dk, c1.dgrad_tensor(w, 1), bc0 + bc1),
+            assemble_system_lil_reference(Dk, blocks, bc0 + bc1))
+
+
+def tangent_forcing_references(model, w, W, ell, args):
+    """Per-node loops for one forcing term: the former tensordot form, and the
+    same contractions as plain unfused multiply-adds in Python floats."""
+    dotted = np.empty_like(w)
+    plain = np.empty_like(w)
+    for j in range(len(w)):
+        v = model.dgrad_tensor(w[j], ell)
+        t = v.tolist()
+        for a in args:
+            v = np.tensordot(v, W[a][j], axes=([v.ndim - 1], [0]))
+            t = _contract_last(t, W[a][j].tolist())
+        dotted[j] = v
+        plain[j] = t
+    return dotted, plain
+
+
+def _contract_last(t, x):
+    if not isinstance(t[0], list):
+        acc = 0.0
+        for tb, xb in zip(t, x):
+            acc = acc + tb * xb
+        return acc
+    return [_contract_last(row, x) for row in t]
+
+
+class TestTangentForcing:
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("shoot", [shoot_stable, shoot_unstable])
+    def test_einsum_forcing_matches_per_node_loops(self, c1, m, shoot):
+        base = shoot(c1, [0.3], 8.0)
+        spec = build_tangent_system(m)
+        seeds = [[1.0], [0.5], [0.2], [-0.7], [0.3], [0.1], [0.4]]
+        lifts = solve_tangent_lift(c1, base, spec, seeds[:2 ** m - 1])
+        w = base.head.samples
+        W = {k + 1: lift.samples for k, lift in enumerate(lifts)}
+        eps = np.finfo(float).eps
+        for k in range(1, spec.n_components):
+            for ell, args in spec.components[k - 1]:
+                if ell == 1:
+                    continue
+                got = _tensor_forcing(c1.dgrad_tensor(w, ell),
+                                      [W[a] for a in args])
+                dotted, plain = tangent_forcing_references(c1, w, W, ell,
+                                                           args)
+                assert np.array_equal(got, plain)
+                # tensordot goes through BLAS, which may fuse a multiply-add:
+                # each of the ell two-term dots may round differently
+                scale = _tensor_forcing(np.abs(c1.dgrad_tensor(w, ell)),
+                                        [np.abs(W[a]) for a in args])
+                assert np.all(np.abs(got - dotted) <= 2 * ell * eps * scale)

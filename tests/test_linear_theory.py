@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix, diags, identity, kron
 
-from mglue.linear_theory import (KernelElement, LinearTheory, apply_D,
+from mglue.linear_theory import (KernelElement, LinearTheory, _d_system_matrix,
+                                 apply_D,
                                  apply_Q, apply_Q_exact,
                                  d_restricted_min_sv,
                                  euclidean_ev_reference,
@@ -9,10 +11,10 @@ from mglue.linear_theory import (KernelElement, LinearTheory, apply_D,
                                  gamma_infinitesimal, gamma_svd_bounds,
                                  kernel_path, measured_projection_norm,
                                  measured_q_norm, project_E)
-from mglue.path_space import (DiscretePath, l2_norm, norms,
+from mglue.path_space import (DiscretePath, diff_matrix, l2_norm, norms,
                               path_from_function, sup_norm, zero_path)
 
-from test_path_space import fourier_path
+from test_path_space import assert_same_csr, fourier_path
 
 
 def interior_sup(p):
@@ -237,3 +239,29 @@ class TestUniformity:
             kinvs.append(1.0 / gmin)
         for vals in (pis, qs, kinvs):
             assert (max(vals) - min(vals)) / min(vals) < 0.05
+
+
+def d_system_matrix_lil_reference(lt):
+    """The former builder of _d_system_matrix: tolil, then row surgery."""
+    m = lt.model
+    n = m.dim
+    ns = m.n_stable
+    N = lt.grid.n_nodes
+    D1 = diff_matrix(lt.grid)
+    A = kron(identity(N, format="csr"), diags(m.a), format="csr")
+    M = (kron(D1, identity(n, format="csr"), format="csr") + A).tolil()
+    for i in range(ns):
+        M.rows[i] = [i]
+        M.data[i] = [1.0]
+    base = (N - 1) * n
+    for i in range(ns, n):
+        M.rows[base + i] = [base + i]
+        M.data[base + i] = [1.0]
+    return csr_matrix(M)
+
+
+@pytest.mark.parametrize("T,h", [(3.0, 0.02), (4.08, 0.02), (3.0, 0.1),
+                                 (8.0, 0.05)])
+def test_d_system_matrix_matches_lil_reference(c1, cc, T, h):
+    lt = LinearTheory(c1, T, h, cc)
+    assert_same_csr(_d_system_matrix(lt), d_system_matrix_lil_reference(lt))

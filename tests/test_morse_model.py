@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import sympy as sp
 
 from mglue.morse_model import (MorseModel, compute_constants,
                                c_rightinv_formula, d_proj_formula,
@@ -141,3 +142,73 @@ class TestConfig:
 
 def test_sup_deviation_linear_model_zero(e1):
     assert sup_dgrad_deviation(e1, 1.0, np.random.default_rng(0)) <= 1e-14
+
+
+# A cubic 3-D model: its Hessian entries are linear in z, so the derivative
+# tensors involve no powers, while grad carries the squares.
+def model_3d():
+    return MorseModel(dim=3, index=1, eig=(2.0, 1.0, -1.5),
+                      nonlinearity="0.1*x1^2*x2 + 0.05*x1*x2*x3 - 0.07*x3^3")
+
+
+def scalar_tensor_reference(model, order):
+    """The former per-point evaluation, as a function of one point z: every
+    lambdified entry of the order-`order` derivative of grad f_nl called on
+    the scalar coordinates of z."""
+    xs = sp.symbols("x1:%d" % (model.dim + 1))
+    expr = sp.sympify(model.nonlinearity, locals={s.name: s for s in xs},
+                      convert_xor=True)
+    entries = [sp.diff(expr, x) for x in xs]
+    for _ in range(order):
+        entries = [sp.diff(e, x) for e in entries for x in xs]
+    fns = [sp.lambdify(xs, e, modules="numpy") for e in entries]
+    shape = (model.dim,) * (order + 1)
+    return lambda z: np.array([float(f(*z)) for f in fns]).reshape(shape)
+
+
+# grad's rounding changed (scalar pow for x**2 against the array square), so
+# the loop reference is matched within a few units of float64 roundoff
+GRAD_TOL = 4 * np.finfo(float).eps
+
+
+@pytest.mark.parametrize("make", [model_e1, model_c1, model_3d])
+class TestBatchedEvaluation:
+    def points(self, model):
+        return np.random.default_rng(5).uniform(-1.0, 1.0, (200, model.dim))
+
+    def test_grad_matches_per_point_loop(self, make):
+        model = make()
+        Z = self.points(model)
+        nonlinear = scalar_tensor_reference(model, 0)
+        ref = np.stack([model.a * z + nonlinear(z) for z in Z])
+        np.testing.assert_allclose(model.grad(Z), ref, rtol=GRAD_TOL,
+                                   atol=GRAD_TOL)
+        # one point alone gives the same bits as inside the batch
+        assert np.array_equal(np.stack([model.grad(z) for z in Z]),
+                              model.grad(Z))
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_dgrad_tensor_equals_per_point_loop(self, make, order):
+        model = make()
+        Z = self.points(model)
+        lin = model.A if order == 1 else 0.0
+        tensor = scalar_tensor_reference(model, order)
+        ref = np.stack([lin + tensor(z) for z in Z])
+        assert np.array_equal(model.dgrad_tensor(Z, order), ref)
+        assert np.array_equal(
+            np.stack([model.dgrad_tensor(z, order) for z in Z]),
+            model.dgrad_tensor(Z, order))
+
+    def test_batch_shapes(self, make):
+        model = make()
+        n = model.dim
+        Z = self.points(model)[:12].reshape(3, 4, n)
+        assert model.grad(Z[0, 0]).shape == (n,)
+        assert model.grad(Z).shape == (3, 4, n)
+        for order in (1, 2, 3):
+            assert model.dgrad_tensor(Z[0, 0], order).shape == \
+                (n,) * (order + 1)
+            assert model.dgrad_tensor(Z, order).shape == \
+                (3, 4) + (n,) * (order + 1)
+            assert np.array_equal(model.dgrad_tensor(Z, order)[1, 2],
+                                  model.dgrad_tensor(Z[1, 2], order))

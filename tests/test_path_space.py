@@ -3,8 +3,9 @@ import io
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.sparse import lil_matrix
 
-from mglue.path_space import (DiscretePath, Grid, differentiate,
+from mglue.path_space import (DiscretePath, Grid, diff_matrix, differentiate,
                               evaluate_ends, l2_norm, make_grid, norms,
                               path_from_function, path_to_csv, resample,
                               sup_norm, symmetric_grid, zero_path)
@@ -197,3 +198,54 @@ def test_csv_dump_format():
     assert len(lines) == g.n_nodes + 2 and lines[-1] == ""
     first = lines[1].split(",")
     assert float(first[0]) == -1.0 and float(first[2]) == 1.0
+
+
+class TestPathShapes:
+    def test_row_vector_callable_gives_2d_samples(self):
+        a = np.array([1.0, -1.0])
+        z0 = np.array([0.3, 0.7])
+        g = symmetric_grid(1.0, 0.05)
+        p = path_from_function(g, lambda s: np.exp(-np.outer(s, a)) * z0)
+        assert p.samples.shape == (g.n_nodes, 2)
+        assert p.dim == 2
+        np.testing.assert_allclose(p.samples,
+                                   np.exp(-np.outer(g.nodes, a)) * z0,
+                                   rtol=1e-15, atol=0)
+
+    def test_samples_of_rank_three_rejected(self):
+        g = symmetric_grid(1.0, 0.05)
+        with pytest.raises(ValueError, match="1-D or 2-D"):
+            DiscretePath(g, np.zeros((g.n_nodes, 1, 2)))
+
+
+def assert_same_csr(a, b):
+    """Same CSR arrays, bit for bit: splu then orders and factors alike."""
+    for x, y in ((a.indptr, b.indptr), (a.indices, b.indices),
+                 (a.data, b.data)):
+        assert x.dtype == y.dtype
+        assert np.array_equal(x, y)
+
+
+def diff_matrix_lil_reference(grid):
+    """The former element-by-element lil builder of diff_matrix."""
+    n = grid.n_nodes
+    h = grid.h
+    M = lil_matrix((n, n))
+    M[0, 0], M[0, 1], M[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
+    for j in range(1, n - 1):
+        M[j, j - 1] = -0.5 / h
+        M[j, j + 1] = 0.5 / h
+    M[n - 1, n - 3], M[n - 1, n - 2], M[n - 1, n - 1] = \
+        0.5 / h, -2.0 / h, 1.5 / h
+    return M.tocsr()
+
+
+@pytest.mark.parametrize("grid", [Grid(0.0, 1.0, 9), symmetric_grid(1.0, 0.05),
+                                  symmetric_grid(4.08, 0.02),
+                                  make_grid(-22.0, 0.0, 0.02)])
+def test_diff_matrix_matches_lil_reference(grid):
+    D = diff_matrix(grid)
+    assert_same_csr(D, diff_matrix_lil_reference(grid))
+    p = fourier_path(grid, np.random.default_rng(3))
+    np.testing.assert_allclose(D @ p.samples, differentiate(p).samples,
+                               rtol=1e-12, atol=1e-9)
