@@ -7,17 +7,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .path_space import (DiscretePath, differentiate, norms, symmetric_grid,
+from .path_space import (DiscretePath, differentiate, kt_rows, l2_norm,
+                         norms, sup_norm, symmetric_grid, w12_inner,
                          zero_path)
 from .invariant_manifolds import (HalfTrajectory, build_tangent_system,
-                                  decay_fit, shoot_stable, shoot_unstable,
-                                  solve_tangent_lift, theta_inverse)
-from .linear_theory import (LinearTheory, apply_D, apply_Q, apply_Q_exact,
-                            gamma_infinitesimal, kernel_path, KernelElement,
-                            w12_gram)
+                                  log_linear_fit, shoot_stable,
+                                  shoot_unstable, solve_tangent_lift,
+                                  theta_inverse)
+from .linear_theory import (LinearTheory, apply_D, apply_Q_exact,
+                            gamma_infinitesimal)
 from .newton_picard import NPProblem, np_solve, np_tangent_solve, \
     PreconditionError, ift_certificate
-from .path_space import l2_norm, sup_norm, w12_inner
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +85,7 @@ def _half_samples_on(grid_T, half, T, side):
             raise ValueError("half-trajectory head does not cover the "
                              "shifted range")
         return head.samples[idx]
-    from .path_space import resample, Grid, make_grid
+    from .path_space import resample, make_grid
     target = make_grid(0.0, 2.0 * T, grid_T.h) if side == "stable" \
         else make_grid(-2.0 * T, 0.0, grid_T.h)
     return resample(head, target).samples
@@ -138,19 +138,16 @@ def certify_approx_zero(model, cutoff, w_plus, w_minus, T_list, h_max=0.02):
             "resid_l2": l2_norm(res),
             "support_violation": residual_support_violation(res),
         })
-    Ts = np.array([r["T"] for r in rows])
-    vals = np.array([r["resid_l2"] for r in rows])
-    mask = vals > 1e-14
-    if np.count_nonzero(mask) >= 2:
-        slope, intercept = np.polyfit(Ts[mask], np.log(vals[mask]), 1)
-        pred = slope * Ts[mask] + intercept
-        y = np.log(vals[mask])
-        ss = float(np.sum((y - np.mean(y)) ** 2))
-        r2 = 1.0 if ss == 0 else 1.0 - float(np.sum((y - pred) ** 2)) / ss
-        rate_fit, C_fit = -float(slope), float(np.exp(intercept))
-    else:
-        rate_fit, C_fit, r2 = float("inf"), 0.0, 1.0
+    rate_fit, C_fit, r2 = _rate_over_T(rows, "resid_l2")
     return {"rows": rows, "rate_fit": rate_fit, "C_fit": C_fit, "r2": r2}
+
+
+def _rate_over_T(rows, key):
+    """Exponential rate fit of rows[key] against rows["T"]: (rate, C, r2),
+    with (inf, 0, 1) when fewer than two values lie above the floor."""
+    fit = log_linear_fit(np.array([r["T"] for r in rows]),
+                         np.array([r[key] for r in rows]))
+    return fit if fit is not None else (float("inf"), 0.0, 1.0)
 
 
 def estimate_decay_constant(model, cutoff, seed_box, T_list, h_max=0.02,
@@ -196,8 +193,51 @@ def _interior_flow_residual(model, w):
     return float(np.max(np.linalg.norm(res, axis=1)))
 
 
+def flow_problem(model, lt, tol_zero=1e-12):
+    """Newton-Picard problem of the flow section on the grid of lt, on
+    flattened node-major samples: F = apply_F, D = apply_D (the linearization
+    at 0_T), Q = apply_Q_exact (the exact discrete right inverse with K_T
+    boundary structure), the W^{1,2} and L^2 norms, and dF the nodewise
+    linearization of F."""
+    grid = lt.grid
+    n = model.dim
+
+    def path(v):
+        return DiscretePath(grid, v.reshape(-1, n))
+
+    def F(v):
+        return apply_F(model, path(v)).samples.reshape(-1)
+
+    def Dop(v):
+        return apply_D(lt, path(v)).samples.reshape(-1)
+
+    def Qop(v):
+        return apply_Q_exact(lt, path(v)).samples.reshape(-1)
+
+    def norm_dom(v):
+        return norms(path(v)).w12
+
+    def norm_cod(v):
+        return l2_norm(path(v))
+
+    def dF(x):
+        jac = model.dgrad_tensor(x.reshape(-1, n), 1)
+
+        def apply(v):
+            lin = np.einsum("jab,jb->ja", jac, v.reshape(-1, n))
+            return (differentiate(path(v)).samples + lin).reshape(-1)
+
+        return apply
+
+    consts = lt.constants
+    return NPProblem(F=F, apply_D=Dop, apply_Q=Qop,
+                     x0=np.zeros(grid.n_nodes * n), c=consts.c_rightinv,
+                     delta=consts.delta4, norm_dom=norm_dom,
+                     norm_cod=norm_cod, dF=dF, tol_zero=tol_zero)
+
+
 def glue(model, cutoff, w_plus, w_minus, T, lt, strict=False,
-         tol_zero=1e-12, h_max=None):
+         tol_zero=1e-12):
     """Glued flow line: Newton-Picard correction of the pre-glued path,
     with x0 = 0_T, D the linearization at 0_T and the exact discrete right
     inverse with K_T boundary structure."""
@@ -206,33 +246,7 @@ def glue(model, cutoff, w_plus, w_minus, T, lt, strict=False,
     grid = lt.grid
     wt = preglue(model, cutoff, w_plus, w_minus, T, grid=grid)
     consts = lt.constants
-    c = consts.c_rightinv
-    delta = consts.delta4
-
-    nflat = grid.n_nodes * model.dim
-
-    def F(v):
-        return apply_F(model, DiscretePath(grid, v.reshape(-1, model.dim))
-                       ).samples.reshape(-1)
-
-    def Dop(v):
-        return apply_D(lt, DiscretePath(grid, v.reshape(-1, model.dim))
-                       ).samples.reshape(-1)
-
-    def Qop(v):
-        return apply_Q_exact(lt, DiscretePath(grid, v.reshape(-1, model.dim))
-                             ).samples.reshape(-1)
-
-    def norm_dom(v):
-        return norms(DiscretePath(grid, v.reshape(-1, model.dim))).w12
-
-    def norm_cod(v):
-        return l2_norm(DiscretePath(grid, v.reshape(-1, model.dim)))
-
-    prob = NPProblem(F=F, apply_D=Dop, apply_Q=Qop,
-                     x0=np.zeros(nflat), c=c, delta=delta,
-                     norm_dom=norm_dom, norm_cod=norm_cod,
-                     tol_zero=tol_zero)
+    prob = flow_problem(model, lt, tol_zero)
     x1 = wt.samples.reshape(-1)
     pre_resid = l2_norm(apply_F(model, wt))
     if not strict:
@@ -246,11 +260,8 @@ def glue(model, cutoff, w_plus, w_minus, T, lt, strict=False,
     res = np_solve(prob, x1, check=strict)
     gamma = DiscretePath(grid, res.x.reshape(-1, model.dim))
     corr = res.x - x1
-    ns = model.n_stable
-    bdefect = max(
-        float(np.max(np.abs(corr.reshape(-1, model.dim)[0][:ns]))) if ns else 0.0,
-        float(np.max(np.abs(corr.reshape(-1, model.dim)[-1][ns:])))
-        if ns < model.dim else 0.0)
+    bdefect = float(np.max(np.abs(
+        corr[kt_rows(grid.n_nodes, model.dim, model.n_stable)])))
     ev_err = ev_error(model, gamma, w_plus, w_minus)
     return GlueReport(
         T=float(T), path=gamma, preglue_path=wt,
@@ -258,7 +269,7 @@ def glue(model, cutoff, w_plus, w_minus, T, lt, strict=False,
         np_iterations=res.iterations,
         residual_final=_interior_flow_residual(model, gamma),
         correction_norm=res.correction_norm,
-        bound_2c_F=2.0 * c * pre_resid,
+        bound_2c_F=2.0 * prob.c * pre_resid,
         contraction_ratio_max=res.contraction_ratio_max,
         ev_error=ev_err,
         cond1_resid_ok=res.precond["fx_ok"],
@@ -338,18 +349,7 @@ def convergence_sweep(model, cutoff, seeds, T_list, h_max=0.02, S=None,
             "corr_norm": rep.correction_norm, "bound_2cF": rep.bound_2c_F,
             "ev_error": rep.ev_error,
         })
-    Ts = np.array([r["T"] for r in rows])
-    errs = np.array([r["ev_error"] for r in rows])
-    mask = errs > 1e-14
-    if np.count_nonzero(mask) >= 2:
-        slope, intercept = np.polyfit(Ts[mask], np.log(errs[mask]), 1)
-        y = np.log(errs[mask])
-        pred = slope * Ts[mask] + intercept
-        ss = float(np.sum((y - np.mean(y)) ** 2))
-        r2 = 1.0 if ss == 0 else 1.0 - float(np.sum((y - pred) ** 2)) / ss
-        rate_fit = -float(slope)
-    else:
-        rate_fit, r2 = float("inf"), 1.0
+    rate_fit, _, r2 = _rate_over_T(rows, "ev_error")
     return {"rows": rows, "rate_fit": rate_fit, "r2": r2}
 
 
@@ -496,44 +496,10 @@ def tangent_convergence_sweep(model, cutoff, seeds, tangent_seeds, T_list,
         grid = lt.grid
         wt = preglue(model, cutoff, wp, wm, T, grid=grid)
         xt = preglue(model, cutoff, lift_p, lift_m, T, grid=grid)
-
-        def F(v):
-            return apply_F(model, DiscretePath(grid, v.reshape(-1, model.dim))
-                           ).samples.reshape(-1)
-
-        def Dop(v):
-            return apply_D(lt, DiscretePath(grid, v.reshape(-1, model.dim))
-                           ).samples.reshape(-1)
-
-        def Qop(v):
-            return apply_Q_exact(
-                lt, DiscretePath(grid, v.reshape(-1, model.dim))
-            ).samples.reshape(-1)
-
-        def norm_dom(v):
-            return norms(DiscretePath(grid, v.reshape(-1, model.dim))).w12
-
-        def norm_cod(v):
-            return l2_norm(DiscretePath(grid, v.reshape(-1, model.dim)))
-
-        def dF(x):
-            jac = model.dgrad_tensor(x.reshape(-1, model.dim), 1)
-
-            def apply(v):
-                vs = v.reshape(-1, model.dim)
-                lin = np.einsum("jab,jb->ja", jac, vs)
-                return (differentiate(DiscretePath(grid, vs)).samples
-                        + lin).reshape(-1)
-
-            return apply
-
-        prob = NPProblem(F=F, apply_D=Dop, apply_Q=Qop,
-                         x0=np.zeros(grid.n_nodes * model.dim),
-                         c=constants.c_rightinv, delta=constants.delta4,
-                         norm_dom=norm_dom, norm_cod=norm_cod, dF=dF)
+        prob = flow_problem(model, lt)
         (x, xi), res = np_tangent_solve(
             prob, wt.samples.reshape(-1), xt.samples.reshape(-1),
-            c2=1.0 / (4.0 * constants.c_rightinv * constants.delta4),
+            c2=1.0 / (4.0 * prob.c * prob.delta),
             check=False)
         gamma = DiscretePath(grid, x.reshape(-1, model.dim))
         tgamma = DiscretePath(grid, xi.reshape(-1, model.dim))
@@ -544,12 +510,5 @@ def tangent_convergence_sweep(model, cutoff, seeds, tangent_seeds, T_list,
         rows.append({"T": float(T), "ev_error": base_ev,
                      "tangent_ev_error": float(tev),
                      "np_iters": res.iterations})
-    Ts = np.array([r["T"] for r in rows])
-    errs = np.array([max(r["tangent_ev_error"], 1e-300) for r in rows])
-    mask = errs > 1e-14
-    if np.count_nonzero(mask) >= 2:
-        slope, _ = np.polyfit(Ts[mask], np.log(errs[mask]), 1)
-        rate_fit = -float(slope)
-    else:
-        rate_fit = float("inf")
+    rate_fit, _, _ = _rate_over_T(rows, "tangent_ev_error")
     return {"rows": rows, "rate_fit": rate_fit}

@@ -1,11 +1,11 @@
 """Command-line harness: configuration ingestion, experiment orchestration,
 result persistence, and the verification suite runner.
 
-Exit codes: 0 pass, 1 usage/IO error, 2 verification failure.
+Exit codes: 0 pass, 1 usage/IO/config error, 2 verification failure or a
+failed hypothesis of the construction (precondition, contraction, shooting).
 """
 
 import argparse
-import concurrent.futures
 import json
 import os
 import sys
@@ -18,11 +18,12 @@ from .morse_model import (compute_constants, model_c1, model_e1,
 from .linear_theory import (LinearTheory, euclidean_gluing_reference,
                             gamma_svd_bounds, measured_projection_norm,
                             measured_q_norm)
-from .invariant_manifolds import (decay_fit, digit_map, partitions,
-                                  shoot_stable, shoot_unstable)
+from .invariant_manifolds import (ShootError, decay_fit, digit_map,
+                                  partitions, shoot_stable, shoot_unstable)
 from .gluing import (certify_approx_zero, convergence_sweep, cubic_cutoff,
                      glue, measured_tangent_projection_norms, preglue,
                      quintic_cutoff, tangent_convergence_sweep)
+from .newton_picard import ContractionError, PreconditionError
 
 FMT = "%.17g"
 
@@ -36,16 +37,26 @@ class ConfigError(Exception):
 
 _BUILTIN_MODELS = {"e1": model_e1, "c1": model_c1}
 
+_CONFIG_KEYS = ("model", "cutoff", "seed_plus", "seed_minus", "T_list", "h",
+                "out", "seed", "tol_zero", "S", "C_decay")
+
+
+def _read_flat_config(path):
+    with open(path, encoding="utf-8") as f:
+        return parse_flat_config(f.read())
+
 
 class ExperimentConfig:
     """Flat key = value experiment description.
 
     Keys: model (builtin name or path to a model config file), cutoff
     (quintic|cubic), seed_plus, seed_minus (comma lists), T_list, h, out,
-    seed (rng), tol_zero, S, C_decay, debug_scale_q."""
+    seed (rng), tol_zero, S, C_decay.  Any other key is a ConfigError."""
 
     def __init__(self, raw, base_dir="."):
-        self.raw = raw
+        unknown = sorted(set(raw) - set(_CONFIG_KEYS))
+        if unknown:
+            raise ConfigError("unknown config key(s): %s" % ", ".join(unknown))
         model_key = raw.get("model", "c1").strip()
         self.epsilon = None
         self.delta_max = 1.0
@@ -56,7 +67,7 @@ class ExperimentConfig:
             if not os.path.exists(path):
                 raise ConfigError("model file not found: %s" % path)
             self.model, self.epsilon, self.delta_max = model_from_config(
-                parse_flat_config(open(path, encoding="utf-8").read()))
+                _read_flat_config(path))
         cname = raw.get("cutoff", "quintic").strip().lower()
         if cname == "quintic":
             self.cutoff = quintic_cutoff()
@@ -78,7 +89,6 @@ class ExperimentConfig:
         self.tol_zero = float(raw.get("tol_zero", "1e-12"))
         self.S = float(raw["S"]) if "S" in raw else 2.0 * max(self.T_list) + 6.0
         self.C_decay = float(raw["C_decay"]) if "C_decay" in raw else None
-        self.debug_scale_q = float(raw.get("debug_scale_q", "1"))
         for k in ("h", "tol_zero"):
             if getattr(self, k) <= 0:
                 raise ConfigError("%s must be positive" % k)
@@ -99,8 +109,8 @@ class ExperimentConfig:
 def load_config(path, out_override=None, seed_override=None):
     if not os.path.exists(path):
         raise ConfigError("config file not found: %s" % path)
-    raw = parse_flat_config(open(path, encoding="utf-8").read())
-    cfg = ExperimentConfig(raw, base_dir=os.path.dirname(path) or ".")
+    cfg = ExperimentConfig(_read_flat_config(path),
+                           base_dir=os.path.dirname(path) or ".")
     if out_override is not None:
         cfg.out = out_override
     if seed_override is not None:
@@ -150,25 +160,6 @@ def path_csv_rows(p):
     return header, rows
 
 
-def _n_workers():
-    raw = os.environ.get("MGLUE_THREADS", "")
-    try:
-        n = int(raw)
-    except ValueError:
-        n = 0
-    return max(1, n) if n else 1
-
-
-def _map_ordered(fn, items):
-    """Apply fn across items with the configured worker cap; results are
-    returned in submission order regardless of completion order."""
-    workers = _n_workers()
-    if workers == 1:
-        return [fn(it) for it in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -177,20 +168,15 @@ def cmd_constants(cfg):
     consts = cfg.constants()
     slack = 1.0 + 5.0 * cfg.h
     master = cfg.rng()
-
-    jobs = [(T, int(master.integers(2**63))) for T in cfg.T_list]
-
-    def one(job):
-        T, sub_seed = job
-        rng = np.random.default_rng(sub_seed)
+    rows = []
+    for T in cfg.T_list:
+        rng = np.random.default_rng(int(master.integers(2**63)))
         lt = LinearTheory(model, T, cfg.h, consts)
         pi = measured_projection_norm(lt, rng)
-        q = measured_q_norm(lt, rng) * cfg.debug_scale_q
+        q = measured_q_norm(lt, rng)
         gmax, gmin = gamma_svd_bounds(lt)
-        return [T, pi, consts.d_proj, q, consts.c_rightinv,
-                gmax, gmin, consts.k_gamma_inv]
-
-    rows = _map_ordered(one, jobs)
+        rows.append([T, pi, consts.d_proj, q, consts.c_rightinv,
+                     gmax, gmin, consts.k_gamma_inv])
     write_csv(os.path.join(cfg.out, "constants.csv"),
               ["T", "norm_Pi_measured", "d_bound", "norm_Q_measured",
                "c_bound", "gamma_opnorm", "gamma_minsv", "k_bound"], rows)
@@ -225,7 +211,7 @@ def cmd_glue(cfg):
     return 0
 
 
-def _decay_prefactor(cfg, consts):
+def _decay_prefactor(cfg):
     if cfg.C_decay is not None:
         return cfg.C_decay
     T_fit = cfg.T_list if len(cfg.T_list) >= 2 else [3.0, 5.0, 7.0]
@@ -242,7 +228,7 @@ def _decay_prefactor(cfg, consts):
 def cmd_converge(cfg):
     model = cfg.model
     consts = cfg.constants()
-    C = _decay_prefactor(cfg, consts)
+    C = _decay_prefactor(cfg)
     sw = convergence_sweep(model, cfg.cutoff, (cfg.seed_plus, cfg.seed_minus),
                            cfg.T_list, h_max=cfg.h, S=cfg.S, constants=consts)
     c = consts.c_rightinv
@@ -448,9 +434,12 @@ def main(argv=None):
         return 1
     try:
         return COMMANDS[args.command](cfg)
-    except (OSError,) as e:
+    except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
+    except (PreconditionError, ContractionError, ShootError) as e:
+        print("error: %s" % e, file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

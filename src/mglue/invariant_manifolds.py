@@ -9,14 +9,12 @@ kernel coefficient at the truncation time.
 """
 
 from dataclasses import dataclass
-from itertools import combinations
 
 import numpy as np
-from scipy.sparse import csr_matrix, identity, kron
 from scipy.sparse.linalg import splu
 
-from .path_space import (DiscretePath, diff_matrix, differentiate, make_grid,
-                         replace_rows_by_identity)
+from .path_space import (DiscretePath, differentiate, flow_matrix, kt_rows,
+                         kt_values, make_grid, stencil_matrix)
 
 TOL_FLOW = 1e-9
 MAX_ITER = 50
@@ -128,36 +126,19 @@ def _half_grid(side, S, h_max):
     return make_grid(-S, 0.0, h_max)
 
 
-def _flow_system(model, grid, side):
-    """Sparse stencil operator and the boundary-replaced row indices of the
-    collocation system.  On both sides the stable-component rows at the first
-    node and the unstable-component rows at the last node become boundary
-    conditions (seed at the s = 0 end, decay at the far end)."""
-    n = model.dim
-    ns = model.n_stable
-    N = grid.n_nodes
-    D1 = diff_matrix(grid)
-    Dk = kron(D1, identity(n, format="csr"), format="csr")
-    bc0 = list(range(ns))
-    bc1 = [(N - 1) * n + i for i in range(ns, n)]
-    return Dk, bc0, bc1
+def _seed_values(model, side, seed):
+    """Boundary data of a half-line system: the seed is the stable data at
+    the s = 0 end of a stable half, the unstable data at the s = 0 end of an
+    unstable one; the far end decays to 0."""
+    if side == "stable":
+        return kt_values(model.dim, model.n_stable, v_plus=seed)
+    return kt_values(model.dim, model.n_stable, v_minus=seed)
 
 
-def _assemble_system(Dk, jac_blocks, bc_rows):
-    """Collocation Jacobian: stencil + block-diagonal Jacobian of grad, with
-    the boundary rows replaced by identity rows."""
-    N, n, _ = jac_blocks.shape
-    # CSR of the block diagonal: row j*n + a holds columns j*n .. j*n + n-1
-    cols = np.arange(N * n).reshape(N, n, 1) // n * n + np.arange(n)
-    B = csr_matrix((jac_blocks.ravel(), cols.ravel(),
-                    np.arange(0, N * n * n + 1, n)), shape=Dk.shape)
-    return replace_rows_by_identity(Dk + B, bc_rows)
-
-
-def _interior_residual(res_flat, n, bc_rows):
+def _interior_residual(res_flat, bc_rows):
     """Sup norm of the enforced flow rows (boundary-condition rows excluded)."""
     mask = np.ones(res_flat.size, dtype=bool)
-    mask[list(bc_rows)] = False
+    mask[bc_rows] = False
     return float(np.max(np.abs(res_flat[mask])))
 
 
@@ -167,39 +148,33 @@ def _shoot(model, seed, S, side, h_max, tol_flow, max_iter):
     ns = model.n_stable
     grid = _half_grid(side, S, h_max)
     N = grid.n_nodes
-    Dk, bc0, bc1 = _flow_system(model, grid, side)
-    bc_rows = bc0 + bc1
+    Dk = stencil_matrix(grid, n)
+    bc_rows = kt_rows(N, n, ns)
 
-    # boundary data: seed at the s=0 end, decay condition at the far end
-    bc_vals = np.zeros(N * n)
+    s_rel = grid.nodes
+    init = np.zeros((N, n))
     if side == "stable":
         if seed.shape != (ns,):
             raise ValueError("stable seed must have dimension n - k")
-        bc_vals[:ns] = seed
-        s_rel = grid.nodes
-        init = np.zeros((N, n))
         init[:, :ns] = np.exp(-np.outer(s_rel, model.a_plus)) * seed
     else:
         if seed.shape != (n - ns,):
             raise ValueError("unstable seed must have dimension k")
-        bc_vals[(N - 1) * n + ns:] = seed
-        s_rel = grid.nodes
-        init = np.zeros((N, n))
         init[:, ns:] = np.exp(np.outer(s_rel, model.a_minus)) * seed
+    bc_vals = _seed_values(model, side, seed)
 
     w = init
-    res = _flow_res_with_bc(model, grid, w, Dk, bc_rows, bc_vals)
+    res = _flow_res_with_bc(model, w, Dk, bc_rows, bc_vals)
     rnorm = np.linalg.norm(res)
     for it in range(max_iter):
-        if _interior_residual(res, n, bc_rows) < tol_flow:
+        if _interior_residual(res, bc_rows) < tol_flow:
             break
-        J = _assemble_system(Dk, model.dgrad_tensor(w, 1), bc_rows)
+        J = flow_matrix(Dk, model.dgrad_tensor(w, 1), ns)
         step = splu(J.tocsc()).solve(-res)
         lam = 1.0
         for _ in range(MAX_HALVINGS):
             w_new = w + lam * step.reshape(N, n)
-            res_new = _flow_res_with_bc(model, grid, w_new, Dk, bc_rows,
-                                        bc_vals)
+            res_new = _flow_res_with_bc(model, w_new, Dk, bc_rows, bc_vals)
             if np.linalg.norm(res_new) < rnorm or rnorm == 0.0:
                 break
             lam *= 0.5
@@ -210,7 +185,7 @@ def _shoot(model, seed, S, side, h_max, tol_flow, max_iter):
     else:
         raise ShootError("Newton did not converge in %d iterations" % max_iter)
 
-    resid = _interior_residual(res, n, bc_rows)
+    resid = _interior_residual(res, bc_rows)
     if resid > tol_flow:
         raise ShootError("flow residual %.3e above tol_flow" % resid)
     head = DiscretePath(grid, w)
@@ -222,9 +197,9 @@ def _shoot(model, seed, S, side, h_max, tol_flow, max_iter):
                           residual=resid, seed=seed)
 
 
-def _flow_res_with_bc(model, grid, w, Dk, bc_rows, bc_vals):
+def _flow_res_with_bc(model, w, Dk, bc_rows, bc_vals):
     res = Dk @ w.reshape(-1) + model.grad(w).reshape(-1)
-    res[bc_rows] = w.reshape(-1)[bc_rows] - bc_vals[bc_rows]
+    res[bc_rows] = w.reshape(-1)[bc_rows] - bc_vals
     return res
 
 
@@ -244,7 +219,7 @@ def shoot_unstable(model, y0, S, h_max=0.02, tol_flow=TOL_FLOW,
 # ---------------------------------------------------------------------------
 # tangent lifts
 
-def solve_tangent_lift(model, base, sys_spec, seeds, tol_lin=1e-8):
+def solve_tangent_lift(model, base, sys_spec, seeds):
     """Solve the variational components k = 1..2^m-1 along the base
     trajectory, in index order (each component is linear given the lower
     ones).  seeds[k-1] prescribes the free boundary data of component k
@@ -252,14 +227,12 @@ def solve_tangent_lift(model, base, sys_spec, seeds, tol_lin=1e-8):
     if base.residual > TOL_FLOW * 10:
         raise ValueError("base trajectory residual too large")
     n = model.dim
-    ns = model.n_stable
     grid = base.grid
     N = grid.n_nodes
-    side = base.side
-    Dk, bc0, bc1 = _flow_system(model, grid, side)
-    bc_rows = bc0 + bc1
+    bc_rows = kt_rows(N, n, model.n_stable)
     W = {0: base.head.samples}
-    J = _assemble_system(Dk, model.dgrad_tensor(W[0], 1), bc_rows)
+    J = flow_matrix(stencil_matrix(grid, n), model.dgrad_tensor(W[0], 1),
+                    model.n_stable)
     lu = splu(J.tocsc())
 
     out = []
@@ -272,13 +245,7 @@ def solve_tangent_lift(model, base, sys_spec, seeds, tol_lin=1e-8):
             forcing += _tensor_forcing(model.dgrad_tensor(W[0], ell),
                                        [W[a] for a in args])
         rhs = -forcing.reshape(-1)
-        seed = np.atleast_1d(np.asarray(seeds[k - 1], dtype=float))
-        bc_vals = np.zeros(N * n)
-        if side == "stable":
-            bc_vals[:ns] = seed
-        else:
-            bc_vals[(N - 1) * n + ns:] = seed
-        rhs[bc_rows] = bc_vals[bc_rows]
+        rhs[bc_rows] = _seed_values(model, base.side, seeds[k - 1])
         sol = lu.solve(rhs)
         Wk = sol.reshape(N, n)
         W[k] = Wk
@@ -345,6 +312,21 @@ class DecayFit:
     window: tuple
 
 
+def log_linear_fit(x, g, floor=1e-14):
+    """Least-squares fit of log g = log C - rate * x over the points with
+    g > floor: (rate, C, r2), or None when fewer than two points remain."""
+    keep = g > floor
+    if np.count_nonzero(keep) < 2:
+        return None
+    x = x[keep]
+    y = np.log(g[keep])
+    slope, intercept = np.polyfit(x, y, 1)
+    resid = y - (slope * x + intercept)
+    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
+    r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - float(np.sum(resid**2)) / ss_tot)
+    return float(-slope), float(np.exp(intercept)), r2
+
+
 def decay_fit(p, window, floor=1e-14):
     """Least-squares exponential-decay fit of |W(s)| + |W'(s)| over the
     window; rate is the negated slope of the log-linear fit."""
@@ -354,14 +336,10 @@ def decay_fit(p, window, floor=1e-14):
     g = (np.linalg.norm(p.samples, axis=1)
          + np.linalg.norm(differentiate(p).samples, axis=1))
     lo, hi = window
-    mask = (s >= lo - 1e-12) & (s <= hi + 1e-12) & (g > floor)
-    if np.count_nonzero(mask) < 2:
+    in_window = (s >= lo - 1e-12) & (s <= hi + 1e-12)
+    fit = log_linear_fit(s[in_window], g[in_window], floor)
+    if fit is None:
         raise ValueError("fit window empty after flooring")
-    x = s[mask]
-    y = np.log(g[mask])
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
-    ss_tot = float(np.sum((y - np.mean(y)) ** 2))
-    r2 = 1.0 if ss_tot == 0 else max(0.0, 1.0 - float(np.sum(resid**2)) / ss_tot)
-    return DecayFit(rate=float(-slope), prefactor=float(np.exp(intercept)),
-                    r2=r2, window=(float(lo), float(hi)))
+    rate, prefactor, r2 = fit
+    return DecayFit(rate=rate, prefactor=prefactor, r2=r2,
+                    window=(float(lo), float(hi)))

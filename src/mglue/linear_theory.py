@@ -14,9 +14,9 @@ import numpy as np
 from scipy.sparse import diags, identity, kron
 from scipy.sparse.linalg import splu
 
-from .path_space import (DiscretePath, Grid, diff_matrix, differentiate,
-                         replace_rows_by_identity, symmetric_grid,
-                         trapezoid_weights, zero_path)
+from .path_space import (DiscretePath, diff_matrix, differentiate,
+                         flow_matrix, kt_rows, stencil_matrix, symmetric_grid,
+                         trapezoid_weights)
 from .morse_model import compute_constants
 
 
@@ -43,8 +43,17 @@ class LinearTheory:
     # -- internal: LU factorization of the discretized D with K_T boundary rows
     def _exact_lu(self):
         if self._lu is None:
-            self._lu = splu(_d_system_matrix(self).tocsc())
+            self._lu = splu(_d_matrix(self).tocsc())
         return self._lu
+
+
+def _d_matrix(lt):
+    """Collocation matrix of D = d/ds + A with the K_T boundary rows: the
+    flow operator with the constant Jacobian J = A."""
+    m = lt.model
+    N = lt.grid.n_nodes
+    A = np.broadcast_to(np.diag(m.a), (N, m.dim, m.dim))
+    return flow_matrix(stencil_matrix(lt.grid, m.dim), A, m.n_stable)
 
 
 def _check_grid(lt, p):
@@ -109,43 +118,13 @@ def apply_Q(lt, eta):
     return DiscretePath(eta.grid, out)
 
 
-def _d_system_matrix(lt):
-    """Square discretization of D with the K_T boundary structure.
-
-    Rows: central-difference flow rows at interior nodes; at the first node
-    the stable rows are replaced by the boundary condition zeta_+(-T) = rhs
-    and the unstable rows keep the one-sided stencil (mirrored at the last
-    node)."""
-    m = lt.model
-    n = m.dim
-    ns = m.n_stable
-    N = lt.grid.n_nodes
-    D1 = diff_matrix(lt.grid)  # (N, N), per component
-    A = kron(identity(N, format="csr"), diags(m.a), format="csr")
-    M = kron(D1, identity(n, format="csr"), format="csr") + A
-    # unknown ordering is node-major, component-minor: stable BC rows at
-    # node 0, unstable BC rows at node N-1
-    bc_rows = list(range(ns)) + list(range((N - 1) * n + ns, N * n))
-    return replace_rows_by_identity(M, bc_rows)
-
-
-def d_system_rhs(lt, eta, v_plus=None, v_minus=None):
-    """Right-hand side matching _d_system_matrix: flow rows from eta,
-    boundary rows from the prescribed coefficients (default 0 -> K_T)."""
-    m = lt.model
-    n = m.dim
-    ns = m.n_stable
-    rhs = eta.samples.reshape(-1).copy()
-    rhs[:ns] = 0.0 if v_plus is None else v_plus
-    rhs[(lt.grid.n_nodes - 1) * n + ns:] = 0.0 if v_minus is None else v_minus
-    return rhs
-
-
 def apply_Q_exact(lt, eta):
     """Right inverse by direct sparse solve of the discretized D with K_T
     boundary rows; D o Q = Id on all enforced rows to machine precision."""
     _check_grid(lt, eta)
-    sol = lt._exact_lu().solve(d_system_rhs(lt, eta))
+    rhs = eta.samples.reshape(-1).copy()
+    rhs[kt_rows(lt.grid.n_nodes, lt.model.dim, lt.model.n_stable)] = 0.0
+    sol = lt._exact_lu().solve(rhs)
     return DiscretePath(eta.grid, sol.reshape(lt.grid.n_nodes, lt.model.dim))
 
 
@@ -292,20 +271,14 @@ def d_restricted_min_sv(lt):
     complement the discrete operator is boundedly invertible."""
     from scipy.linalg import cholesky, svdvals
 
-    m = lt.model
-    n = m.dim
-    ns = m.n_stable
+    n = lt.model.dim
     N = lt.grid.n_nodes
-    D1 = diff_matrix(lt.grid).toarray()
-    A = np.kron(np.eye(N), np.diag(m.a))
-    M = np.kron(D1, np.eye(n)) + A
-    keep_cols = np.ones(N * n, dtype=bool)
-    keep_cols[:ns] = False                      # stable dofs at -T
-    keep_cols[(N - 1) * n + ns:] = False        # unstable dofs at +T
-    keep_rows = keep_cols.copy()                # drop replaced boundary rows
-    M = M[np.ix_(keep_rows, keep_cols)]
-    Gin = w12_gram(lt.grid, n).toarray()[np.ix_(keep_cols, keep_cols)]
-    Gout = l2_gram(lt.grid, n).toarray()[np.ix_(keep_rows, keep_rows)]
+    # the boundary dofs and the replaced boundary rows share the K_T indices
+    keep = np.ones(N * n, dtype=bool)
+    keep[kt_rows(N, n, lt.model.n_stable)] = False
+    M = _d_matrix(lt).toarray()[np.ix_(keep, keep)]
+    Gin = w12_gram(lt.grid, n).toarray()[np.ix_(keep, keep)]
+    Gout = l2_gram(lt.grid, n).toarray()[np.ix_(keep, keep)]
     from scipy.linalg import solve_triangular
     Lin = cholesky(Gin, lower=True)
     Lout = cholesky(Gout, lower=True)

@@ -7,8 +7,7 @@ the gradient up to order 3, and all model-derived constants.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
-from math import exp, log, sqrt, ceil, inf
+from math import exp, log, sqrt
 
 import numpy as np
 import sympy as sp

@@ -8,7 +8,7 @@ whose fixed point x satisfies F(x) = 0 (to the right-inverse defect) with
 x - x1 in the image of Q and ||x - x1|| <= 2 c ||F(x1)||.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

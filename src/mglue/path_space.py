@@ -10,7 +10,7 @@ from math import ceil
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.sparse import csr_matrix, diags
+from scipy.sparse import csr_matrix, diags, identity, kron
 
 
 @dataclass(frozen=True)
@@ -119,14 +119,44 @@ def diff_matrix(grid):
     return csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def replace_rows_by_identity(M, rows):
-    """CSR copy of the square matrix M with the given rows replaced by the
-    matching identity rows (row r becomes e_r), by row masking:
-    diag(keep) @ M + E."""
-    keep = np.ones(M.shape[0])
+def stencil_matrix(grid, dim):
+    """diff_matrix acting componentwise on flattened node-major samples of
+    dimension dim: the (n_nodes * dim) square CSR matrix kron(D1, I_dim)."""
+    return kron(diff_matrix(grid), identity(dim, format="csr"), format="csr")
+
+
+def kt_rows(n_nodes, dim, n_stable):
+    """Indices, in the flattened node-major layout, of the K_T boundary rows:
+    the n_stable stable components at the first node, then the unstable
+    components at the last node."""
+    return np.concatenate([np.arange(n_stable),
+                           np.arange((n_nodes - 1) * dim + n_stable,
+                                     n_nodes * dim)])
+
+
+def kt_values(dim, n_stable, v_plus=0.0, v_minus=0.0):
+    """Boundary data in the order of kt_rows: v_plus on the stable rows of
+    the first node, v_minus on the unstable rows of the last node."""
+    return np.concatenate([np.broadcast_to(v_plus, (n_stable,)),
+                           np.broadcast_to(v_minus, (dim - n_stable,))])
+
+
+def flow_matrix(Dk, jac_blocks, n_stable):
+    """Collocation matrix of the linearized flow d/ds + J(s) on flattened
+    node-major samples: the stencil matrix Dk (see stencil_matrix) plus the
+    block diagonal of the (n_nodes, dim, dim) blocks J(s_j), with the K_T
+    boundary rows (kt_rows) replaced by identity rows.  Built as CSR with
+    row masking, diag(keep) @ (Dk + B) + E."""
+    N, n, _ = jac_blocks.shape
+    # CSR of the block diagonal: row j*n + a holds columns j*n .. j*n + n-1
+    cols = np.arange(N * n).reshape(N, n, 1) // n * n + np.arange(n)
+    B = csr_matrix((jac_blocks.ravel(), cols.ravel(),
+                    np.arange(0, N * n * n + 1, n)), shape=Dk.shape)
+    rows = kt_rows(N, n, n_stable)
+    keep = np.ones(N * n)
     keep[rows] = 0.0
-    E = csr_matrix((np.ones(len(rows)), (rows, rows)), shape=M.shape)
-    return diags(keep) @ M + E
+    E = csr_matrix((np.ones(len(rows)), (rows, rows)), shape=Dk.shape)
+    return diags(keep) @ (Dk + B) + E
 
 
 def differentiate(p):
@@ -195,12 +225,3 @@ def resample(p, grid):
     spline = CubicSpline(p.grid.nodes, p.samples, axis=0)
     return DiscretePath(grid, spline(np.clip(grid.nodes, p.grid.t_min, p.grid.t_max)))
 
-
-def path_to_csv(p, fileobj):
-    """RFC-4180-style dump: header s,x1,...,xn, 17 significant digits."""
-    header = "s," + ",".join("x%d" % (i + 1) for i in range(p.dim))
-    fileobj.write(header + "\r\n")
-    for s, row in zip(p.grid.nodes, p.samples):
-        fileobj.write(
-            ",".join("%.17g" % v for v in np.concatenate([[s], row])) + "\r\n"
-        )

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+from mglue import harness
 from mglue.harness import (ConfigError, ExperimentConfig, load_config, main,
                            write_csv)
 
@@ -58,6 +59,15 @@ class TestConfig:
         with pytest.raises(ConfigError, match=key):
             load_config(write_cfg(tmp_path, **{key: "0.3,0.1"}))
 
+    def test_unknown_key_rejected(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, debug_scale_q="10")
+        with pytest.raises(ConfigError, match="debug_scale_q"):
+            load_config(cfg)
+        assert main(["constants", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: unknown config key") \
+            and err.count("\n") == 1
+
     def test_overrides(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path), out_override="/tmp/x",
                           seed_override=99)
@@ -89,11 +99,24 @@ class TestCommands:
         assert float(row[4]) == pytest.approx(np.sqrt(5))
         assert float(row[7]) == pytest.approx(1 / (1 - np.exp(-12)))
 
-    def test_constants_bound_violation_exits_2(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, T_list="3", model="e1",
-                        debug_scale_q="10")
+    def test_constants_bound_violation_exits_2(self, tmp_path, capsys,
+                                               monkeypatch):
+        measured = harness.measured_q_norm
+        monkeypatch.setattr(harness, "measured_q_norm",
+                            lambda lt, rng: 10.0 * measured(lt, rng))
+        cfg = write_cfg(tmp_path, T_list="3", model="e1")
         assert main(["constants", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
+
+    def test_failed_precondition_exits_2(self, tmp_path, capsys):
+        # seeds of size 2 put the pre-glued path outside the contraction ball
+        cfg = write_cfg(tmp_path, T_list="3", seed_plus="2.0",
+                        seed_minus="2.0")
+        assert main(["glue", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pre-glued path leaves the contraction")
+        assert err.count("\n") == 1
 
     def test_glue_zero_seeds_zero_iterations(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, seed_plus="0.0", seed_minus="0.0",

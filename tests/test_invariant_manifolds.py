@@ -4,17 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
-from scipy.sparse import block_diag, csr_matrix
+from scipy.sparse import block_diag, csr_matrix, identity, kron
 
-from mglue.invariant_manifolds import (_assemble_system, _flow_system,
-                                       _tensor_forcing, build_tangent_system,
+from mglue.invariant_manifolds import (_tensor_forcing, build_tangent_system,
                                        decay_fit,
                                        digit_inverse, digit_map,
                                        hamming_weight, partitions,
                                        shoot_stable, shoot_unstable,
                                        solve_tangent_lift,
                                        theta_identification, theta_inverse)
-from mglue.path_space import DiscretePath, make_grid, path_from_function
+from mglue.path_space import (DiscretePath, diff_matrix, flow_matrix,
+                              make_grid, path_from_function, stencil_matrix)
 
 from test_path_space import assert_same_csr
 
@@ -296,12 +296,16 @@ class TestAssembly:
         # seed 0 gives the zero trajectory: the Jacobian blocks hold exact
         # zeros, which the sparse sum must drop as the reference does
         base = shoot(c1, [seed], S)
-        Dk, bc0, bc1 = _flow_system(c1, base.grid, base.side)
+        n, ns, N = c1.dim, c1.n_stable, base.grid.n_nodes
+        Dk = kron(diff_matrix(base.grid), identity(n, format="csr"),
+                  format="csr")
+        assert_same_csr(stencil_matrix(base.grid, n), Dk)
+        bc_rows = list(range(ns)) + [(N - 1) * n + i for i in range(ns, n)]
         w = base.head.samples
         blocks = np.stack([c1.dgrad_tensor(z, 1) for z in w])
         assert_same_csr(
-            _assemble_system(Dk, c1.dgrad_tensor(w, 1), bc0 + bc1),
-            assemble_system_lil_reference(Dk, blocks, bc0 + bc1))
+            flow_matrix(Dk, c1.dgrad_tensor(w, 1), ns),
+            assemble_system_lil_reference(Dk, blocks, bc_rows))
 
 
 def tangent_forcing_references(model, w, W, ell, args):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse import csr_matrix, diags, identity, kron
 
-from mglue.linear_theory import (KernelElement, LinearTheory, _d_system_matrix,
+from mglue.linear_theory import (KernelElement, LinearTheory, _d_matrix,
                                  apply_D,
                                  apply_Q, apply_Q_exact,
                                  d_restricted_min_sv,
@@ -242,7 +242,7 @@ class TestUniformity:
 
 
 def d_system_matrix_lil_reference(lt):
-    """The former builder of _d_system_matrix: tolil, then row surgery."""
+    """The former builder of the matrix of D: tolil, then row surgery."""
     m = lt.model
     n = m.dim
     ns = m.n_stable
@@ -264,4 +264,4 @@ def d_system_matrix_lil_reference(lt):
                                  (8.0, 0.05)])
 def test_d_system_matrix_matches_lil_reference(c1, cc, T, h):
     lt = LinearTheory(c1, T, h, cc)
-    assert_same_csr(_d_system_matrix(lt), d_system_matrix_lil_reference(lt))
+    assert_same_csr(_d_matrix(lt), d_system_matrix_lil_reference(lt))

@@ -1,14 +1,13 @@
-import io
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import lil_matrix
 
+from mglue.harness import path_csv_rows, write_csv
 from mglue.path_space import (DiscretePath, Grid, diff_matrix, differentiate,
                               evaluate_ends, l2_norm, make_grid, norms,
-                              path_from_function, path_to_csv, resample,
-                              sup_norm, symmetric_grid, zero_path)
+                              path_from_function, resample, sup_norm,
+                              symmetric_grid, zero_path)
 
 
 def fourier_path(grid, rng, dim=2, modes=10):
@@ -188,12 +187,13 @@ class TestResample:
             resample(p, wide)
 
 
-def test_csv_dump_format():
+def test_csv_dump_format(tmp_path):
     g = Grid(-1.0, 1.0, 9)
     p = path_from_function(g, lambda s: np.stack([s, s**2], axis=-1))
-    buf = io.StringIO()
-    path_to_csv(p, buf)
-    lines = buf.getvalue().split("\r\n")
+    path = str(tmp_path / "p.csv")
+    write_csv(path, *path_csv_rows(p))
+    with open(path, "rb") as f:
+        lines = f.read().decode().split("\r\n")
     assert lines[0] == "s,x1,x2"
     assert len(lines) == g.n_nodes + 2 and lines[-1] == ""
     first = lines[1].split(",")
