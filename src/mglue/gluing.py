@@ -262,7 +262,7 @@ def glue(model, cutoff, w_plus, w_minus, T, lt, strict=False,
     corr = res.x - x1
     bdefect = float(np.max(np.abs(
         corr[kt_rows(grid.n_nodes, model.dim, model.n_stable)])))
-    ev_err = ev_error(model, gamma, w_plus, w_minus)
+    ev_err = ev_error(gamma, w_plus, w_minus)
     return GlueReport(
         T=float(T), path=gamma, preglue_path=wt,
         preglue_resid_l2=pre_resid,
@@ -277,7 +277,7 @@ def glue(model, cutoff, w_plus, w_minus, T, lt, strict=False,
         boundary_defect=bdefect)
 
 
-def ev_error(model, gamma, w_plus, w_minus):
+def ev_error(gamma, w_plus, w_minus):
     """|ev_T(glued path) - (w_+(0), w_-(0))| in the product Euclidean norm."""
     wp0 = w_plus.head.samples[0] if isinstance(w_plus, HalfTrajectory) \
         else w_plus.samples[0]
@@ -503,7 +503,7 @@ def tangent_convergence_sweep(model, cutoff, seeds, tangent_seeds, T_list,
             check=False)
         gamma = DiscretePath(grid, x.reshape(-1, model.dim))
         tgamma = DiscretePath(grid, xi.reshape(-1, model.dim))
-        base_ev = ev_error(model, gamma, wp, wm)
+        base_ev = ev_error(gamma, wp, wm)
         tev = np.sqrt(
             np.sum((tgamma.samples[0] - lift_p.samples[0]) ** 2)
             + np.sum((tgamma.samples[-1] - lift_m.samples[-1]) ** 2))

@@ -6,13 +6,18 @@ parametrization, the projection onto the kernel along the complement K_T
 two right inverses with image in K_T (a componentwise exponential-integrator
 Duhamel recursion and an exact sparse solve of the discretized operator),
 the infinitesimal gluing map, and measured/analytic norm bounds.
+
+glue corrects with the sparse solve; mglue constants, mglue verify and
+criterion 04 measure the Duhamel Q.  A measured norm of a matrix M between
+discrete norms with Gram matrices G_out, G_in is a converged Lanczos
+eigenvalue (eigsh) of M^T G_out M v = lam G_in v, not a lower estimate.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.sparse import diags, identity, kron
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .path_space import (DiscretePath, diff_matrix, differentiate,
                          flow_matrix, kt_rows, stencil_matrix, symmetric_grid,
@@ -197,25 +202,17 @@ def l2_gram(grid, dim):
     return kron(diags(wts), identity(dim, format="csr"), format="csr")
 
 
-def measured_opnorm(M, gram_out, gram_in, rng, probes=20, iters=50):
-    """Largest singular value of the dense matrix M between the weighted
-    spaces given by sparse Gram matrices, by randomized power iteration."""
-    lu = splu(gram_in.tocsc())
-    best = 0.0
-    for _ in range(probes):
-        v = rng.standard_normal(M.shape[1])
-        v /= np.sqrt(v @ (gram_in @ v))
-        lam = 0.0
-        for _ in range(iters):
-            w = gram_out @ (M @ v)
-            u = lu.solve(M.T @ w)
-            lam = v @ (M.T @ w)
-            nrm = np.sqrt(u @ (gram_in @ u))
-            if nrm == 0.0:
-                break
-            v = u / nrm
-        best = max(best, lam)
-    return float(np.sqrt(best))
+def measured_opnorm(M, gram_out, gram_in, rng):
+    """Largest singular value of the matrix M between the weighted spaces
+    given by sparse Gram matrices: sqrt of the top eigenvalue of
+    M^T G_out M v = lam G_in v, converged by implicitly restarted Lanczos.
+    The start vector comes from rng, so a fixed seed fixes every bit."""
+    n = M.shape[1]
+    normal = LinearOperator((n, n), dtype=float,
+                            matvec=lambda v: M.T @ (gram_out @ (M @ v)))
+    lam = eigsh(normal, k=1, M=gram_in, which="LA",
+                v0=rng.standard_normal(n), return_eigenvectors=False)
+    return float(np.sqrt(lam[0]))
 
 
 def projection_matrix(lt):
@@ -239,49 +236,46 @@ def projection_matrix(lt):
     return K @ B
 
 
-def measured_projection_norm(lt, rng, probes=20, iters=50):
+def measured_projection_norm(lt, rng):
     G = w12_gram(lt.grid, lt.model.dim)
-    return measured_opnorm(projection_matrix(lt), G, G, rng, probes, iters)
+    return measured_opnorm(projection_matrix(lt), G, G, rng)
 
 
-def q_matrix(lt, exact=False):
-    """Dense matrix of the right inverse on flattened sample vectors."""
+def q_matrix(lt):
+    """Dense matrix of the Duhamel right inverse apply_Q on flattened sample
+    vectors (not the LU right inverse apply_Q_exact that glue corrects
+    with)."""
     n = lt.model.dim
     N = lt.grid.n_nodes
-    apply_fn = apply_Q_exact if exact else apply_Q
     M = np.zeros((N * n, N * n))
     eta = np.zeros((N, n))
     for j in range(N * n):
         eta.reshape(-1)[j] = 1.0
-        M[:, j] = apply_fn(lt, DiscretePath(lt.grid, eta)).samples.reshape(-1)
+        M[:, j] = apply_Q(lt, DiscretePath(lt.grid, eta)).samples.reshape(-1)
         eta.reshape(-1)[j] = 0.0
     return M
 
 
-def measured_q_norm(lt, rng, probes=20, iters=50, exact=False):
+def measured_q_norm(lt, rng):
     Gout = w12_gram(lt.grid, lt.model.dim)
     Gin = l2_gram(lt.grid, lt.model.dim)
-    return measured_opnorm(q_matrix(lt, exact=exact), Gout, Gin, rng,
-                           probes, iters)
+    return measured_opnorm(q_matrix(lt), Gout, Gin, rng)
 
 
 def d_restricted_min_sv(lt):
     """Smallest weighted singular value of D restricted to K_T (boundary
     dofs and boundary flow rows removed), measuring ker D_T = E_T: on the
-    complement the discrete operator is boundedly invertible."""
-    from scipy.linalg import cholesky, svdvals
-
+    complement the discrete operator is boundedly invertible.  It is sqrt
+    of the bottom eigenvalue of M^T G_L2 M v = lam G_W12 v on the kept
+    rows and columns, by shift-invert Lanczos at 0 on sparse matrices."""
     n = lt.model.dim
     N = lt.grid.n_nodes
     # the boundary dofs and the replaced boundary rows share the K_T indices
     keep = np.ones(N * n, dtype=bool)
     keep[kt_rows(N, n, lt.model.n_stable)] = False
-    M = _d_matrix(lt).toarray()[np.ix_(keep, keep)]
-    Gin = w12_gram(lt.grid, n).toarray()[np.ix_(keep, keep)]
-    Gout = l2_gram(lt.grid, n).toarray()[np.ix_(keep, keep)]
-    from scipy.linalg import solve_triangular
-    Lin = cholesky(Gin, lower=True)
-    Lout = cholesky(Gout, lower=True)
-    # weighted singular values of M: svdvals(Lout^T M Lin^{-T})
-    B = Lout.T @ solve_triangular(Lin, M.T, lower=True).T
-    return float(np.min(svdvals(B)))
+    M = _d_matrix(lt)[keep][:, keep]
+    Gin = w12_gram(lt.grid, n)[keep][:, keep]
+    Gout = l2_gram(lt.grid, n)[keep][:, keep]
+    lam = eigsh(M.T @ Gout @ M, k=1, M=Gin, sigma=0, which="LM",
+                v0=np.ones(M.shape[1]), return_eigenvectors=False)
+    return float(np.sqrt(lam[0]))

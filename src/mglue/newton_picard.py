@@ -148,9 +148,10 @@ def np_differential(p, x1, v, max_terms=100, tol=1e-12):
     raise ContractionError("Neumann iteration did not converge")
 
 
-def np_neumann_defect(p, x1, mu, rng, probes=20):
+def np_neumann_defect(p, x1, rng, probes=20):
     """Measured norm of (Id + Q dF(x1) - P)^{-1} - Id on random probes;
-    bounded by 1/(mu - 1) when ||dF(x1) - D|| <= 1/(mu c)."""
+    bounded by 1/(mu - 1) when ||dF(x1) - D|| <= 1/(mu c) for some
+    mu > 1."""
     worst = 0.0
     n = len(np.asarray(p.x0))
     for _ in range(probes):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
 from scipy.sparse import csr_matrix, diags, identity, kron
 
 from mglue.linear_theory import (KernelElement, LinearTheory, _d_matrix,
@@ -9,10 +10,13 @@ from mglue.linear_theory import (KernelElement, LinearTheory, _d_matrix,
                                  euclidean_ev_reference,
                                  euclidean_gluing_reference,
                                  gamma_infinitesimal, gamma_svd_bounds,
-                                 kernel_path, measured_projection_norm,
-                                 measured_q_norm, project_E)
-from mglue.path_space import (DiscretePath, diff_matrix, l2_norm, norms,
-                              path_from_function, sup_norm, zero_path)
+                                 kernel_path, l2_gram,
+                                 measured_projection_norm, measured_q_norm,
+                                 project_E, projection_matrix, q_matrix,
+                                 w12_gram)
+from mglue.path_space import (DiscretePath, diff_matrix, kt_rows, l2_norm,
+                              norms, path_from_function, sup_norm,
+                              zero_path)
 
 from test_path_space import assert_same_csr, fourier_path
 
@@ -239,6 +243,50 @@ class TestUniformity:
             kinvs.append(1.0 / gmin)
         for vals in (pis, qs, kinvs):
             assert (max(vals) - min(vals)) / min(vals) < 0.05
+
+
+def dense_opnorm_reference(M, gram_out, gram_in):
+    """sqrt of the top eigenvalue of M^T G_out M v = lam G_in v, by a dense
+    generalized eigensolve."""
+    lam = eigh(M.T @ gram_out.toarray() @ M, gram_in.toarray(),
+               eigvals_only=True)
+    return float(np.sqrt(lam[-1]))
+
+
+@pytest.mark.parametrize("h", [0.1, 0.05])
+def test_measured_norms_match_dense_eigh(c1, cc, h):
+    lt = LinearTheory(c1, 3.0, h, cc)
+    Gw = w12_gram(lt.grid, c1.dim)
+    Gl = l2_gram(lt.grid, c1.dim)
+    q = measured_q_norm(lt, np.random.default_rng(12))
+    assert q == pytest.approx(dense_opnorm_reference(q_matrix(lt), Gw, Gl),
+                              rel=1e-12)
+    pi = measured_projection_norm(lt, np.random.default_rng(13))
+    assert pi == pytest.approx(
+        dense_opnorm_reference(projection_matrix(lt), Gw, Gw), rel=1e-12)
+
+
+def d_restricted_min_sv_dense_reference(lt):
+    """The former computation: dense restrictions, Cholesky factors of both
+    Gram matrices and the full SVD of the whitened matrix."""
+    n = lt.model.dim
+    N = lt.grid.n_nodes
+    keep = np.ones(N * n, dtype=bool)
+    keep[kt_rows(N, n, lt.model.n_stable)] = False
+    M = _d_matrix(lt).toarray()[np.ix_(keep, keep)]
+    Gin = w12_gram(lt.grid, n).toarray()[np.ix_(keep, keep)]
+    Gout = l2_gram(lt.grid, n).toarray()[np.ix_(keep, keep)]
+    Lin = cholesky(Gin, lower=True)
+    Lout = cholesky(Gout, lower=True)
+    B = Lout.T @ solve_triangular(Lin, M.T, lower=True).T
+    return float(np.min(svdvals(B)))
+
+
+@pytest.mark.parametrize("T", [3.0, 5.0, 8.0])
+def test_d_restricted_min_sv_matches_dense_reference(e1, ce, T):
+    lt = LinearTheory(e1, T, 0.02, ce)
+    assert d_restricted_min_sv(lt) == pytest.approx(
+        d_restricted_min_sv_dense_reference(lt), rel=1e-10)
 
 
 def d_system_matrix_lil_reference(lt):

@@ -124,13 +124,13 @@ class TestNpDifferential:
 class TestNeumannDefect:
     def test_linear_problem_zero_defect(self):
         p = linear_problem()
-        d = np_neumann_defect(p, np.array([0.1, 0.1]), 2.0,
+        d = np_neumann_defect(p, np.array([0.1, 0.1]),
                               np.random.default_rng(0))
         assert d <= 1e-10
 
     def test_mu2_bound(self):
         p = xy2_problem()
-        d = np_neumann_defect(p, np.array([0.05, 0.1]), 2.0,
+        d = np_neumann_defect(p, np.array([0.05, 0.1]),
                               np.random.default_rng(1))
         assert d <= 1.0 + 1e-6
 
@@ -138,7 +138,7 @@ class TestNeumannDefect:
         # dF - D has norm exactly 1/(5c) at y = 0.1 when c = 1
         p = xy2_problem()
         x1 = np.array([0.0, 0.1])
-        d = np_neumann_defect(p, x1, 5.0, np.random.default_rng(2))
+        d = np_neumann_defect(p, x1, np.random.default_rng(2))
         assert d <= 0.25 + 1e-6
 
 
