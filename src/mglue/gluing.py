@@ -91,7 +91,7 @@ def _half_samples_on(grid_T, half, T, side):
     return resample(head, target).samples
 
 
-def preglue(model, cutoff, w_plus, w_minus, T, grid=None, h_max=0.02):
+def preglue(cutoff, w_plus, w_minus, T, grid=None, h_max=0.02):
     """Pre-glued path on [-T, T] (T >= 3):
     w_T(s) = (1 - beta(s+2)) w_+(T+s) + beta(s-2) w_-(-T+s)."""
     if T < 3:
@@ -109,13 +109,12 @@ def preglue(model, cutoff, w_plus, w_minus, T, grid=None, h_max=0.02):
 RESID_BANDS = ((-3.0, -1.0), (1.0, 3.0))
 
 
-def residual_support_violation(res_path, margin=None):
+def residual_support_violation(res_path):
     """Sup of the residual outside [-3,-1] u [1,3] (interior nodes only;
     the boundary one-sided stencils are excluded, band edges get half a
     spacing of tolerance)."""
     g = res_path.grid
-    if margin is None:
-        margin = 0.5 * g.h
+    margin = 0.5 * g.h
     s = g.nodes
     outside = np.ones(g.n_nodes, dtype=bool)
     for lo, hi in RESID_BANDS:
@@ -131,7 +130,7 @@ def certify_approx_zero(model, cutoff, w_plus, w_minus, T_list, h_max=0.02):
     exponential rate, and the support check."""
     rows = []
     for T in T_list:
-        wt = preglue(model, cutoff, w_plus, w_minus, T, h_max=h_max)
+        wt = preglue(cutoff, w_plus, w_minus, T, h_max=h_max)
         res = apply_F(model, wt)
         rows.append({
             "T": float(T),
@@ -150,22 +149,19 @@ def _rate_over_T(rows, key):
     return fit if fit is not None else (float("inf"), 0.0, 1.0)
 
 
-def estimate_decay_constant(model, cutoff, seed_box, T_list, h_max=0.02,
-                            grid_pts=5, S=None, safety=1.2):
-    """C(K+, K-) realized as the measured max over a seed grid of fitted
-    prefactors, times a safety factor."""
+def estimate_decay_constant(model, cutoff, seed_box, T_list):
+    """C(K+, K-) realized as the measured max over a 5 x 5 seed grid of
+    fitted prefactors, times a safety factor of 1.2."""
     r_plus, r_minus = seed_box
-    if S is None:
-        S = 2.0 * max(T_list) + 6.0
+    S = 2.0 * max(T_list) + 6.0
     worst = 0.0
-    for xp in np.linspace(-r_plus, r_plus, grid_pts):
-        for ym in np.linspace(-r_minus, r_minus, grid_pts):
-            wp = shoot_stable(model, [xp] * model.n_stable, S, h_max=h_max)
-            wm = shoot_unstable(model, [ym] * model.index, S, h_max=h_max)
-            fit = certify_approx_zero(model, cutoff, wp, wm, T_list,
-                                      h_max=h_max)
+    for xp in np.linspace(-r_plus, r_plus, 5):
+        for ym in np.linspace(-r_minus, r_minus, 5):
+            wp = shoot_stable(model, [xp] * model.n_stable, S)
+            wm = shoot_unstable(model, [ym] * model.index, S)
+            fit = certify_approx_zero(model, cutoff, wp, wm, T_list)
             worst = max(worst, fit["C_fit"])
-    return safety * worst
+    return 1.2 * worst
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +179,7 @@ class GlueReport:
     bound_2c_F: float
     contraction_ratio_max: float
     ev_error: float
-    cond1_resid_ok: bool
-    cond1_norm_ok: bool
+    precond: dict               # np_solve's record of the paper's bounds
     boundary_defect: float      # K_T membership of the correction (exact: 0)
 
 
@@ -236,28 +231,29 @@ def flow_problem(model, lt, tol_zero=1e-12):
                      norm_cod=norm_cod, dF=dF, tol_zero=tol_zero)
 
 
-def glue(model, cutoff, w_plus, w_minus, T, lt, strict=False,
-         tol_zero=1e-12):
+def glue(model, cutoff, w_plus, w_minus, T, lt, tol_zero=1e-12):
     """Glued flow line: Newton-Picard correction of the pre-glued path,
     with x0 = 0_T, D the linearization at 0_T and the exact discrete right
-    inverse with K_T boundary structure."""
+    inverse with K_T boundary structure.
+
+    The one hypothesis checked is that the pre-glued path lies in the sup
+    ball of radius 2 delta_2, on which the linearization deviates from D by
+    at most 1/(2c); PreconditionError otherwise.  The paper's bounds
+    ||x1 - x0|| < delta/8 and ||F(x1)|| < delta/(4c) are measured and
+    reported in `precond`, not enforced."""
     if lt.T != float(T):
         raise ValueError("linear-theory bundle is for a different T")
     grid = lt.grid
-    wt = preglue(model, cutoff, w_plus, w_minus, T, grid=grid)
-    consts = lt.constants
+    wt = preglue(cutoff, w_plus, w_minus, T, grid=grid)
     prob = flow_problem(model, lt, tol_zero)
     x1 = wt.samples.reshape(-1)
-    pre_resid = l2_norm(apply_F(model, wt))
-    if not strict:
-        # operative contraction hypothesis: linearization deviation <= 1/(2c)
-        # along the ball the iterates live in (sup bound via the pre-glue)
-        rho2 = 2.0 * consts.delta_mu[2.0]
-        if sup_norm(wt) > rho2:
-            raise PreconditionError(
-                "pre-glued path leaves the contraction ball: sup %.4g > %.4g"
-                % (sup_norm(wt), rho2))
-    res = np_solve(prob, x1, check=strict)
+    rho2 = 2.0 * lt.constants.delta_mu[2.0]
+    if sup_norm(wt) > rho2:
+        raise PreconditionError(
+            "pre-glued path leaves the contraction ball: sup %.4g > %.4g"
+            % (sup_norm(wt), rho2))
+    res = np_solve(prob, x1, check=False)
+    pre_resid = res.precond["fx_norm"]
     gamma = DiscretePath(grid, res.x.reshape(-1, model.dim))
     corr = res.x - x1
     bdefect = float(np.max(np.abs(
@@ -272,8 +268,7 @@ def glue(model, cutoff, w_plus, w_minus, T, lt, strict=False,
         bound_2c_F=2.0 * prob.c * pre_resid,
         contraction_ratio_max=res.contraction_ratio_max,
         ev_error=ev_err,
-        cond1_resid_ok=res.precond["fx_ok"],
-        cond1_norm_ok=res.precond["dx_ok"],
+        precond=res.precond,
         boundary_defect=bdefect)
 
 
@@ -288,13 +283,13 @@ def ev_error(gamma, w_plus, w_minus):
     return float(np.sqrt(np.sum(left**2) + np.sum(right**2)))
 
 
-def linearized_glue_check(model, cutoff, lt, fd_eps=1e-4, S=None,
-                          strict=False):
-    """Central finite differences of the gluing map along the kernel basis
-    directions at the origin, against the infinitesimal gluing map."""
+def linearized_glue_check(model, cutoff, lt):
+    """Central finite differences (step 1e-4) of the gluing map along the
+    kernel basis directions at the origin, against the infinitesimal gluing
+    map."""
     T = lt.T
-    if S is None:
-        S = 2.0 * T + 6.0
+    S = 2.0 * T + 6.0
+    fd_eps = 1e-4
     h_max = lt.grid.h
     n = model.dim
     ns = model.n_stable
@@ -313,7 +308,7 @@ def linearized_glue_check(model, cutoff, lt, fd_eps=1e-4, S=None,
                 seed_m[i - ns] = t
             wp = shoot_stable(model, seed_p, S, h_max=h_max)
             wm = shoot_unstable(model, seed_m, S, h_max=h_max)
-            return glue(model, cutoff, wp, wm, T, lt, strict=strict).path
+            return glue(model, cutoff, wp, wm, T, lt).path
         gp = glued_for(fd_eps)
         gm = glued_for(-fd_eps)
         fd = (gp.samples - gm.samples) / (2.0 * fd_eps)
@@ -328,7 +323,7 @@ def linearized_glue_check(model, cutoff, lt, fd_eps=1e-4, S=None,
 
 
 def convergence_sweep(model, cutoff, seeds, T_list, h_max=0.02, S=None,
-                      constants=None, strict=False):
+                      constants=None):
     """Evaluation-map convergence: ev error of the glued line over T, with a
     fitted exponential rate."""
     from .morse_model import compute_constants
@@ -342,7 +337,7 @@ def convergence_sweep(model, cutoff, seeds, T_list, h_max=0.02, S=None,
     rows = []
     for T in T_list:
         lt = LinearTheory(model, T, h_max, constants)
-        rep = glue(model, cutoff, wp, wm, T, lt, strict=strict)
+        rep = glue(model, cutoff, wp, wm, T, lt)
         rows.append({
             "T": float(T), "preglue_resid": rep.preglue_resid_l2,
             "np_iters": rep.np_iterations,
@@ -356,17 +351,14 @@ def convergence_sweep(model, cutoff, seeds, T_list, h_max=0.02, S=None,
 # ---------------------------------------------------------------------------
 # diffeomorphism criterion
 
-def glue_coordinate_rep(model, cutoff, lt, S=None, strict=False,
-                        scale=1.0):
+def glue_coordinate_rep(model, cutoff, lt, scale=1.0):
     """Local-coordinate representative of the gluing map on weighted kernel
     coefficients: seeds -> boundary kernel coefficients of the glued path,
     orthonormalized by the exact coefficient weights so the linearization at
     0 matches the infinitesimal-gluing singular values."""
     from .linear_theory import gamma_weights
     T = lt.T
-    if S is None:
-        S = 2.0 * T + 6.0
-    n = model.dim
+    S = 2.0 * T + 6.0
     ns = model.n_stable
     dom_w, img_w = gamma_weights(lt)
     sd = np.sqrt(dom_w)
@@ -378,7 +370,7 @@ def glue_coordinate_rep(model, cutoff, lt, S=None, strict=False,
         seed_m = u[ns:] / sd[ns:]
         wp = shoot_stable(model, seed_p, S, h_max=lt.grid.h)
         wm = shoot_unstable(model, seed_m, S, h_max=lt.grid.h)
-        rep = glue(model, cutoff, wp, wm, T, lt, strict=strict)
+        rep = glue(model, cutoff, wp, wm, T, lt)
         v_plus = model.p_plus(rep.path.samples[0])
         v_minus = model.p_minus(rep.path.samples[-1])
         return np.concatenate([v_plus * si[:ns], v_minus * si[ns:]]) / scale
@@ -387,21 +379,19 @@ def glue_coordinate_rep(model, cutoff, lt, S=None, strict=False,
 
 
 def diffeo_criterion(model, cutoff, lt, sample_count, rng, seed_box_radius,
-                     fd_eps=1e-4, slack=None, n_pairs=200, n_preimages=20,
-                     strict=False):
+                     n_pairs=200, n_preimages=20):
     """Certificate that the gluing map is a diffeomorphism onto its image on
     the (empirically certified) seed box: quantitative-IFT hypotheses with
     k from the infinitesimal-gluing inverse bound, plus the Theta_T smallness
-    sample on the kernel basis."""
+    sample on the kernel basis.  Jacobians are central differences with step
+    1e-4; both bounds get the measurement slack 1 + 5h."""
     consts = lt.constants
     k = consts.k_gamma_inv
     d = consts.d_proj
-    if slack is None:
-        slack = 1.0 + 5.0 * lt.grid.h
-    F = glue_coordinate_rep(model, cutoff, lt, strict=strict,
-                            scale=seed_box_radius)
+    slack = 1.0 + 5.0 * lt.grid.h
+    F = glue_coordinate_rep(model, cutoff, lt, scale=seed_box_radius)
     cert = ift_certificate(F, 1.0, k, sample_count, rng, dim=model.dim,
-                           fd_eps=fd_eps, slack=slack, n_pairs=n_pairs,
+                           fd_eps=1e-4, slack=slack, n_pairs=n_pairs,
                            n_preimages=n_preimages)
     theta_norm = theta_defect_norm(model, cutoff, lt, seed_box_radius)
     theta_bound = 1.0 / (8.0 * k * d)
@@ -413,12 +403,11 @@ def diffeo_criterion(model, cutoff, lt, sample_count, rng, seed_box_radius,
     }
 
 
-def theta_defect_norm(model, cutoff, lt, seed_radius, S=None):
+def theta_defect_norm(model, cutoff, lt, seed_radius):
     """Operator norm (exact on the finite kernel basis) of the pre-glued
     identification defect Theta_T at the corner of the seed box."""
     T = lt.T
-    if S is None:
-        S = 2.0 * T + 6.0
+    S = 2.0 * T + 6.0
     n = model.dim
     ns = model.n_stable
     h_max = lt.grid.h
@@ -444,7 +433,7 @@ def theta_defect_norm(model, cutoff, lt, seed_radius, S=None):
             eta_pull, _ = theta_inverse(model, wm, v)
             diff_p = zero_path(wp.grid, n)
             diff_m = DiscretePath(wm.grid, eta_lin.samples - eta_pull.samples)
-        out = preglue(model, cutoff, diff_p, diff_m, T, grid=lt.grid)
+        out = preglue(cutoff, diff_p, diff_m, T, grid=lt.grid)
         outs.append(out)
     # operator norm: Gram of outputs in W^{1,2} against the diagonal domain
     # weights of the kernel coefficient basis
@@ -494,8 +483,8 @@ def tangent_convergence_sweep(model, cutoff, seeds, tangent_seeds, T_list,
     for T in T_list:
         lt = LinearTheory(model, T, h_max, constants)
         grid = lt.grid
-        wt = preglue(model, cutoff, wp, wm, T, grid=grid)
-        xt = preglue(model, cutoff, lift_p, lift_m, T, grid=grid)
+        wt = preglue(cutoff, wp, wm, T, grid=grid)
+        xt = preglue(cutoff, lift_p, lift_m, T, grid=grid)
         prob = flow_problem(model, lt)
         (x, xi), res = np_tangent_solve(
             prob, wt.samples.reshape(-1), xt.samples.reshape(-1),

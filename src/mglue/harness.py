@@ -204,6 +204,7 @@ def cmd_glue(cfg):
         "correction_norm": rep.correction_norm,
         "bound_2c_f": rep.bound_2c_F,
         "contraction_ratio_max": rep.contraction_ratio_max,
+        "precondition": rep.precond,
     })
     print("glue T=%g: %d iterations, correction %.6g <= %.6g, ev error %.3g"
           % (T, rep.np_iterations, rep.correction_norm, rep.bound_2c_F,
@@ -337,7 +338,7 @@ def _verify_checks(cfg):
     S = 2.0 * T + 6.0
     wp = shoot_stable(e1, [0.5], S, h_max=cfg.h)
     wm = shoot_unstable(e1, [0.4], S, h_max=cfg.h)
-    wt = preglue(e1, beta, wp, wm, T, grid=lt.grid)
+    wt = preglue(beta, wp, wm, T, grid=lt.grid)
     check("preglue left endpoint exact",
           np.max(np.abs(wt.samples[0] - wp.head.samples[0])), 0.0, ok=bool(
               np.all(wt.samples[0] == wp.head.samples[0])))

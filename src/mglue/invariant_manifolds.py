@@ -142,7 +142,7 @@ def _interior_residual(res_flat, bc_rows):
     return float(np.max(np.abs(res_flat[mask])))
 
 
-def _shoot(model, seed, S, side, h_max, tol_flow, max_iter):
+def _shoot(model, seed, S, side, h_max):
     seed = np.atleast_1d(np.asarray(seed, dtype=float))
     n = model.dim
     ns = model.n_stable
@@ -166,8 +166,8 @@ def _shoot(model, seed, S, side, h_max, tol_flow, max_iter):
     w = init
     res = _flow_res_with_bc(model, w, Dk, bc_rows, bc_vals)
     rnorm = np.linalg.norm(res)
-    for it in range(max_iter):
-        if _interior_residual(res, bc_rows) < tol_flow:
+    for it in range(MAX_ITER):
+        if _interior_residual(res, bc_rows) < TOL_FLOW:
             break
         J = flow_matrix(Dk, model.dgrad_tensor(w, 1), ns)
         step = splu(J.tocsc()).solve(-res)
@@ -183,10 +183,10 @@ def _shoot(model, seed, S, side, h_max, tol_flow, max_iter):
                              "computable neighborhood)")
         w, res, rnorm = w_new, res_new, np.linalg.norm(res_new)
     else:
-        raise ShootError("Newton did not converge in %d iterations" % max_iter)
+        raise ShootError("Newton did not converge in %d iterations" % MAX_ITER)
 
     resid = _interior_residual(res, bc_rows)
-    if resid > tol_flow:
+    if resid > TOL_FLOW:
         raise ShootError("flow residual %.3e above tol_flow" % resid)
     head = DiscretePath(grid, w)
     if side == "stable":
@@ -203,17 +203,15 @@ def _flow_res_with_bc(model, w, Dk, bc_rows, bc_vals):
     return res
 
 
-def shoot_stable(model, x0, S, h_max=0.02, tol_flow=TOL_FLOW,
-                 max_iter=MAX_ITER):
+def shoot_stable(model, x0, S, h_max=0.02):
     """Stable-manifold trajectory on [0, S]: p_+ w(0) = x0, p_- w(S) = 0."""
-    return _shoot(model, x0, S, "stable", h_max, tol_flow, max_iter)
+    return _shoot(model, x0, S, "stable", h_max)
 
 
-def shoot_unstable(model, y0, S, h_max=0.02, tol_flow=TOL_FLOW,
-                   max_iter=MAX_ITER):
+def shoot_unstable(model, y0, S, h_max=0.02):
     """Unstable-manifold trajectory on [-S, 0]: p_- w(0) = y0,
     p_+ w(-S) = 0."""
-    return _shoot(model, y0, S, "unstable", h_max, tol_flow, max_iter)
+    return _shoot(model, y0, S, "unstable", h_max)
 
 
 # ---------------------------------------------------------------------------
@@ -281,11 +279,10 @@ def theta_identification(model, base, xi, tol_lin=1e-6):
     return np.exp(base.S * model.a_minus) * model.p_minus(xi.samples[0])
 
 
-def theta_inverse(model, base, v, sys_spec=None):
+def theta_inverse(model, base, v):
     """Linearized solution along base with theta-coefficient v, built by
-    inverting the seed -> theta matrix on a lift basis."""
-    if sys_spec is None:
-        sys_spec = build_tangent_system(1)
+    inverting the seed -> theta matrix on a basis of first-order lifts."""
+    sys_spec = build_tangent_system(1)
     dim = model.n_stable if base.side == "stable" else model.index
     cols = []
     lifts = []
@@ -312,10 +309,10 @@ class DecayFit:
     window: tuple
 
 
-def log_linear_fit(x, g, floor=1e-14):
+def log_linear_fit(x, g):
     """Least-squares fit of log g = log C - rate * x over the points with
-    g > floor: (rate, C, r2), or None when fewer than two points remain."""
-    keep = g > floor
+    g > 1e-14: (rate, C, r2), or None when fewer than two points remain."""
+    keep = g > 1e-14
     if np.count_nonzero(keep) < 2:
         return None
     x = x[keep]
@@ -327,7 +324,7 @@ def log_linear_fit(x, g, floor=1e-14):
     return float(-slope), float(np.exp(intercept)), r2
 
 
-def decay_fit(p, window, floor=1e-14):
+def decay_fit(p, window):
     """Least-squares exponential-decay fit of |W(s)| + |W'(s)| over the
     window; rate is the negated slope of the log-linear fit."""
     if isinstance(p, HalfTrajectory):
@@ -337,7 +334,7 @@ def decay_fit(p, window, floor=1e-14):
          + np.linalg.norm(differentiate(p).samples, axis=1))
     lo, hi = window
     in_window = (s >= lo - 1e-12) & (s <= hi + 1e-12)
-    fit = log_linear_fit(s[in_window], g[in_window], floor)
+    fit = log_linear_fit(s[in_window], g[in_window])
     if fit is None:
         raise ValueError("fit window empty after flooring")
     rate, prefactor, r2 = fit

@@ -161,14 +161,14 @@ def gamma_svd_bounds(lt):
     return float(np.max(sv)), float(np.min(sv))
 
 
-def euclidean_gluing_reference(model, w_plus_0, w_minus_0, T, grid=None,
-                               h_max=0.02):
+def euclidean_gluing_reference(model, w_plus_0, w_minus_0, T, grid=None):
     """Closed-form glued flow line of the Euclidean model:
-    s -> exp(-(s+T)A) w_+(0) + exp((T-s)A) w_-(0)."""
+    s -> exp(-(s+T)A) w_+(0) + exp((T-s)A) w_-(0), on grid (default: the
+    symmetric grid of spacing 0.02)."""
     if model.nonlinearity.strip() not in ("0", "0.0", ""):
         raise ValueError("reference requires the Euclidean (linear) model")
     if grid is None:
-        grid = symmetric_grid(T, h_max)
+        grid = symmetric_grid(T)
     s = grid.nodes
     a = model.a
     vals = (np.exp(-np.outer(s + T, a)) * np.asarray(w_plus_0)

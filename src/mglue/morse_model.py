@@ -138,10 +138,10 @@ def model_e1():
     return MorseModel(dim=2, index=1, eig=(1.0, -1.0))
 
 
-def model_c1(lam=0.1):
-    """Curved 2d model: f = x^2/2 - y^2/2 + lam*x^2*y."""
+def model_c1():
+    """Curved 2d model: f = x^2/2 - y^2/2 + 0.1*x^2*y."""
     return MorseModel(dim=2, index=1, eig=(1.0, -1.0),
-                      nonlinearity="%r*x1^2*x2" % lam)
+                      nonlinearity="0.1*x1^2*x2")
 
 
 @dataclass(frozen=True)
@@ -183,29 +183,34 @@ def k_gamma_formula(model):
     return 1.0 / (1.0 - exp(-12.0 * model.sigma))
 
 
-def sup_dgrad_deviation(model, rho, rng, n_points=None, safety=1.05):
+# sphere samples per dimension, and the factor on a sampled sup that covers
+# the sampling gap
+SPHERE_SAMPLES = 1000
+SAMPLING_SAFETY = 1.05
+
+
+def sup_dgrad_deviation(model, rho, rng):
     """Sampled sup over the sphere |z| = rho of ||dgrad(z) - A||_op,
     scaled by a safety factor for the sampling gap."""
-    if n_points is None:
-        n_points = 1000 * model.dim
-    z = rng.standard_normal((n_points, model.dim))
+    z = rng.standard_normal((SPHERE_SAMPLES * model.dim, model.dim))
     z *= rho / np.linalg.norm(z, axis=1, keepdims=True)
     dev = model._tensor_fns[1](z)  # batched (m, n, n) Hessian deviation
     # dev is symmetric (Hessian of the scalar perturbation)
     worst = float(np.max(np.abs(np.linalg.eigvalsh(dev))))
-    return safety * worst
+    return SAMPLING_SAFETY * worst
 
 
-def _rho_mu(model, mu, c, rng, delta_max, resolution=1e-6, safety=1.05):
-    """Largest rho with sampled sup_{|z|<=rho} ||dgrad - A|| <= 1/(mu c)."""
+def _rho_mu(model, mu, c, rng, delta_max):
+    """Largest rho with sampled sup_{|z|<=rho} ||dgrad - A|| <= 1/(mu c),
+    by bisection to a resolution of 1e-6."""
     target = 1.0 / (mu * c)
-    n_points = 1000 * model.dim
-    u = rng.standard_normal((n_points, model.dim))
+    resolution = 1e-6
+    u = rng.standard_normal((SPHERE_SAMPLES * model.dim, model.dim))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
 
     def sup_dev(rho):
         dev = model._tensor_fns[1](rho * u)
-        return safety * float(np.max(np.abs(np.linalg.eigvalsh(dev))))
+        return SAMPLING_SAFETY * float(np.max(np.abs(np.linalg.eigvalsh(dev))))
 
     cap = 2.0 * delta_max
     if sup_dev(cap) <= target:

@@ -133,37 +133,39 @@ def np_solve(p, x1, check=True):
         contraction_ratios=tuple(ratios), precond=pre)
 
 
-def np_differential(p, x1, v, max_terms=100, tol=1e-12):
-    """Differential of the Newton-Picard map at x1 applied to v:
-    (Id + Q dF(x1) - P)^{-1} (Id - P) v with P = QD, by the Neumann
-    iteration u <- w + (P - Q dF(x1)) u."""
-    v = np.asarray(v, dtype=float)
-    w = v - p.apply_Q(p.apply_D(v))
+NEUMANN_TOL = 1e-12
+NEUMANN_MAX_TERMS = 100
+
+
+def _neumann_solve(p, x1, w):
+    """Solve (Id + Q dF(x1) - P) u = w, P = QD, by the Neumann iteration
+    u <- w + (P - Q dF(x1)) u from u = w, to a step below NEUMANN_TOL
+    * max(1, ||w||); ContractionError after NEUMANN_MAX_TERMS terms."""
     u = w.copy()
-    for _ in range(max_terms):
+    for _ in range(NEUMANN_MAX_TERMS):
         u_new = w + p.apply_Q(p.apply_D(u)) - p.apply_Q(p.dF_apply(x1, u))
-        if p.norm_dom(u_new - u) <= tol * max(1.0, p.norm_dom(w)):
+        if p.norm_dom(u_new - u) <= NEUMANN_TOL * max(1.0, p.norm_dom(w)):
             return u_new
         u = u_new
     raise ContractionError("Neumann iteration did not converge")
 
 
-def np_neumann_defect(p, x1, rng, probes=20):
-    """Measured norm of (Id + Q dF(x1) - P)^{-1} - Id on random probes;
+def np_differential(p, x1, v):
+    """Differential of the Newton-Picard map at x1 applied to v:
+    (Id + Q dF(x1) - P)^{-1} (Id - P) v with P = QD."""
+    v = np.asarray(v, dtype=float)
+    return _neumann_solve(p, x1, v - p.apply_Q(p.apply_D(v)))
+
+
+def np_neumann_defect(p, x1, rng):
+    """Measured norm of (Id + Q dF(x1) - P)^{-1} - Id on 20 random probes;
     bounded by 1/(mu - 1) when ||dF(x1) - D|| <= 1/(mu c) for some
     mu > 1."""
     worst = 0.0
     n = len(np.asarray(p.x0))
-    for _ in range(probes):
+    for _ in range(20):
         v = rng.standard_normal(n)
-        w = v.copy()
-        # solve (Id + Q dF - P) u = v by the same Neumann iteration
-        u = w.copy()
-        for _ in range(200):
-            u_new = w + p.apply_Q(p.apply_D(u)) - p.apply_Q(p.dF_apply(x1, u))
-            if p.norm_dom(u_new - u) <= 1e-13 * max(1.0, p.norm_dom(w)):
-                break
-            u = u_new
+        u = _neumann_solve(p, x1, v)
         worst = max(worst, p.norm_dom(u - v) / p.norm_dom(v))
     return float(worst)
 
@@ -267,13 +269,14 @@ def _fd_jacobian(F, x, eps):
 
 
 def ift_certificate(F, delta, k, sample_count, rng, dim, fd_eps=1e-6,
-                    slack=1.0, n_pairs=200, n_preimages=20,
-                    newton_tol=1e-10, dF=None):
+                    slack=1.0, n_pairs=200, n_preimages=20, dF=None):
     """Check the quantitative-IFT hypotheses for F on the delta-ball around 0
     (F(0) = 0): ||dF(0)^{-1}|| <= k and ||dF(x) - dF(0)|| <= 1/(2k) on
     samples; on success spot-verify injectivity on random pairs and Newton
-    preimage solves for targets in the delta/(2k)-ball.  `slack` is a
-    multiplicative measurement cushion on the two hypothesis bounds."""
+    preimage solves (to a residual of 1e-10) for targets in the
+    delta/(2k)-ball.  `slack` is a multiplicative measurement cushion on the
+    two hypothesis bounds."""
+    newton_tol = 1e-10
     jac = (lambda x: dF(x)) if dF is not None else (
         lambda x: _fd_jacobian(F, x, fd_eps))
     n = dim

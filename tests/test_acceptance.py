@@ -7,7 +7,7 @@ import numpy as np
 
 from mglue.gluing import (certify_approx_zero, convergence_sweep,
                           cubic_cutoff, diffeo_criterion,
-                          estimate_decay_constant, glue,
+                          estimate_decay_constant, flow_problem, glue,
                           linearized_glue_check,
                           measured_tangent_projection_norms, preglue,
                           quintic_cutoff)
@@ -19,7 +19,7 @@ from mglue.invariant_manifolds import (build_tangent_system, decay_fit,
 from mglue.linear_theory import (LinearTheory, euclidean_gluing_reference,
                                  gamma_infinitesimal, gamma_svd_bounds,
                                  measured_projection_norm, measured_q_norm)
-from mglue.newton_picard import NPProblem, np_solve, np_tangent_solve
+from mglue.newton_picard import np_solve, np_tangent_solve
 from mglue.path_space import make_grid, norms
 
 from test_path_space import fourier_path
@@ -162,8 +162,8 @@ def test_criterion_07_linearized_gluing(e1, ce, c1, cc):
     S = 12.0
     wp = shoot_stable(c1, [0.3], S)
     wm = shoot_unstable(c1, [0.3], S)
-    pa = preglue(c1, quintic_cutoff(), wp, wm, 3.0, grid=lt.grid)
-    pb = preglue(c1, cubic_cutoff(), wp, wm, 3.0, grid=lt.grid)
+    pa = preglue(quintic_cutoff(), wp, wm, 3.0, grid=lt.grid)
+    pb = preglue(cubic_cutoff(), wp, wm, 3.0, grid=lt.grid)
     preglue_diff = float(np.max(np.abs(pa.samples - pb.samples)))
     ok = (c1_disc <= 1e-3 and e1_disc <= 1e-8 and gamma_diff <= 1e-12
           and preglue_diff >= 1e-3)
@@ -226,39 +226,13 @@ def test_criterion_09_tangent_machinery(c1, cc):
     # tangent solve base equals the plain solve on the glued problem
     T = 3.0
     lt = LinearTheory(c1, T, 0.02, cc)
-    from mglue.gluing import apply_F
-    from mglue.linear_theory import apply_D, apply_Q_exact
-    from mglue.path_space import DiscretePath, differentiate, l2_norm
     grid = lt.grid
     wp = shoot_stable(c1, [0.3], 2 * T + 6)
     wm = shoot_unstable(c1, [0.3], 2 * T + 6)
-    wt = preglue(c1, BETA, wp, wm, T, grid=grid)
-
-    def wrap(fn):
-        return lambda v: fn(DiscretePath(grid, v.reshape(-1, 2))) \
-            .samples.reshape(-1)
-
-    def dF(x):
-        jac = np.stack([c1.dgrad_tensor(z, 1) for z in x.reshape(-1, 2)])
-
-        def apply(v):
-            vs = v.reshape(-1, 2)
-            lin = np.einsum("jab,jb->ja", jac, vs)
-            return (differentiate(DiscretePath(grid, vs)).samples
-                    + lin).reshape(-1)
-
-        return apply
-
-    prob = NPProblem(
-        F=wrap(lambda p: apply_F(c1, p)),
-        apply_D=wrap(lambda p: apply_D(lt, p)),
-        apply_Q=wrap(lambda p: apply_Q_exact(lt, p)),
-        x0=np.zeros(grid.n_nodes * 2), c=cc.c_rightinv, delta=cc.delta4,
-        norm_dom=lambda v: norms(DiscretePath(grid, v.reshape(-1, 2))).w12,
-        norm_cod=lambda v: l2_norm(DiscretePath(grid, v.reshape(-1, 2))),
-        dF=dF)
+    wt = preglue(BETA, wp, wm, T, grid=grid)
+    prob = flow_problem(c1, lt)
     x1 = wt.samples.reshape(-1)
-    xi1 = preglue(c1, BETA,
+    xi1 = preglue(BETA,
                   solve_tangent_lift(c1, wp, build_tangent_system(1),
                                      [[1.0]])[0],
                   solve_tangent_lift(c1, wm, build_tangent_system(1),

@@ -70,50 +70,50 @@ class TestPreglue:
     def test_zero_halves_give_zero(self, c1):
         wp = shoot_stable(c1, [0.0], 12.0)
         wm = shoot_unstable(c1, [0.0], 12.0)
-        wt = preglue(c1, BETA, wp, wm, 3.0)
+        wt = preglue(BETA, wp, wm, 3.0)
         assert sup_norm(wt) == 0.0
 
-    def test_endpoint_identity_bitwise(self, c1, c1_halves):
+    def test_endpoint_identity_bitwise(self, c1_halves):
         wp, wm = c1_halves
         for T in (3.0, 5.0):
-            wt = preglue(c1, BETA, wp, wm, T)
+            wt = preglue(BETA, wp, wm, T)
             left, right = evaluate_ends(wt)
             assert np.array_equal(left, wp.head.samples[0])
             assert np.array_equal(right, wm.head.samples[-1])
 
-    def test_plateau_identically_zero(self, c1, c1_halves):
+    def test_plateau_identically_zero(self, c1_halves):
         wp, wm = c1_halves
-        wt = preglue(c1, BETA, wp, wm, 4.0)
+        wt = preglue(BETA, wp, wm, 4.0)
         mask = np.abs(wt.grid.nodes) <= 1.0 + 1e-12
         assert np.all(wt.samples[mask] == 0.0)
 
-    def test_t_below_three_rejected(self, c1, c1_halves):
+    def test_t_below_three_rejected(self, c1_halves):
         wp, wm = c1_halves
         with pytest.raises(ValueError):
-            preglue(c1, BETA, wp, wm, 2.0)
+            preglue(BETA, wp, wm, 2.0)
 
-    def test_linearity_in_halves(self, c1, c1_halves):
+    def test_linearity_in_halves(self, c1_halves):
         wp, wm = c1_halves
         T = 4.0
         a = 1.7
-        wt = preglue(c1, BETA, wp.head, wm.head, T)
+        wt = preglue(BETA, wp.head, wm.head, T)
         scaled_p = DiscretePath(wp.grid, a * wp.head.samples)
         scaled_m = DiscretePath(wm.grid, a * wm.head.samples)
-        wt2 = preglue(c1, BETA, scaled_p, scaled_m, T)
+        wt2 = preglue(BETA, scaled_p, scaled_m, T)
         assert np.max(np.abs(wt2.samples - a * wt.samples)) <= 1e-12
 
-    def test_norm_bound(self, c1, c1_halves):
+    def test_norm_bound(self, c1_halves):
         wp, wm = c1_halves
         bound = 2 * np.sqrt(1 + BETA.sup_dbeta**2) * np.sqrt(
             norms(wp.head).w12 ** 2 + norms(wm.head).w12 ** 2)
         for T in (3.0, 6.0):
-            wt = preglue(c1, BETA, wp, wm, T)
+            wt = preglue(BETA, wp, wm, T)
             assert norms(wt).w12 <= bound
 
-    def test_two_cutoffs_differ(self, c1, c1_halves):
+    def test_two_cutoffs_differ(self, c1_halves):
         wp, wm = c1_halves
-        a = preglue(c1, quintic_cutoff(), wp, wm, 3.0)
-        b = preglue(c1, cubic_cutoff(), wp, wm, 3.0)
+        a = preglue(quintic_cutoff(), wp, wm, 3.0)
+        b = preglue(cubic_cutoff(), wp, wm, 3.0)
         assert np.max(np.abs(a.samples - b.samples)) >= 1e-3
 
 

@@ -126,6 +126,18 @@ class TestCommands:
         rep = json.load(open(os.path.join(out, "glue_report.json")))
         assert rep["iterations"] == 0
 
+    def test_glue_reports_failed_paper_preconditions(self, tmp_path, capsys):
+        # the default c1 seeds miss both of the paper's bounds at T = 3; glue
+        # runs under the sup-ball hypothesis and reports them
+        cfg = write_cfg(tmp_path, T_list="3")
+        out = str(tmp_path / "out")
+        assert main(["glue", "--config", cfg, "--out", out]) == 0
+        pre = json.load(open(os.path.join(out, "glue_report.json")))[
+            "precondition"]
+        assert pre["dx_ok"] is False and pre["fx_ok"] is False
+        assert pre["dx_norm"] >= pre["dx_bound"] > 0
+        assert pre["fx_norm"] >= pre["fx_bound"] > 0
+
     def test_converge_euclidean_t3(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, model="e1", T_list="3",
                         seed_plus="1.0", seed_minus="1.0", C_decay="1.0")

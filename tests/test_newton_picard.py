@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from mglue.newton_picard import (IFTCertificate, NPProblem,
+from mglue.newton_picard import (ContractionError, IFTCertificate, NPProblem,
                                  PreconditionError, estimate_c2,
                                  ift_certificate, np_differential,
                                  np_neumann_defect, np_solve,
@@ -123,10 +125,20 @@ class TestNpDifferential:
 
 class TestNeumannDefect:
     def test_linear_problem_zero_defect(self):
-        p = linear_problem()
+        # the differential of a linear map is D itself
+        lin = linear_problem()
+        p = replace(lin, dF=lambda x: lin.apply_D)
         d = np_neumann_defect(p, np.array([0.1, 0.1]),
                               np.random.default_rng(0))
         assert d <= 1e-10
+
+    def test_unconverged_solve_raises(self):
+        # a finite-difference differential carries rounding noise of about
+        # 1e-11, so the Neumann steps never drop below the 1e-12 tolerance
+        p = linear_problem()
+        with pytest.raises(ContractionError):
+            np_neumann_defect(p, np.array([0.1, 0.1]),
+                              np.random.default_rng(0))
 
     def test_mu2_bound(self):
         p = xy2_problem()
