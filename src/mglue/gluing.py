@@ -252,7 +252,7 @@ def glue(model, cutoff, w_plus, w_minus, T, lt, tol_zero=1e-12):
         raise PreconditionError(
             "pre-glued path leaves the contraction ball: sup %.4g > %.4g"
             % (sup_norm(wt), rho2))
-    res = np_solve(prob, x1, check=False)
+    res = np_solve(prob, x1)
     pre_resid = res.precond["fx_norm"]
     gamma = DiscretePath(grid, res.x.reshape(-1, model.dim))
     corr = res.x - x1
@@ -488,8 +488,7 @@ def tangent_convergence_sweep(model, cutoff, seeds, tangent_seeds, T_list,
         prob = flow_problem(model, lt)
         (x, xi), res = np_tangent_solve(
             prob, wt.samples.reshape(-1), xt.samples.reshape(-1),
-            c2=1.0 / (4.0 * prob.c * prob.delta),
-            check=False)
+            c2=1.0 / (4.0 * prob.c * prob.delta))
         gamma = DiscretePath(grid, x.reshape(-1, model.dim))
         tgamma = DiscretePath(grid, xi.reshape(-1, model.dim))
         base_ev = ev_error(gamma, wp, wm)

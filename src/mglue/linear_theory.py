@@ -3,20 +3,21 @@
 Provides the operator D: zeta -> d/ds zeta + A zeta, the explicit kernel
 parametrization, the projection onto the kernel along the complement K_T
 (paths whose stable component vanishes at -T and unstable component at +T),
-two right inverses with image in K_T (a componentwise exponential-integrator
-Duhamel recursion and an exact sparse solve of the discretized operator),
-the infinitesimal gluing map, and measured/analytic norm bounds.
+two right inverses with image in K_T, each a solve with a cached sparse LU
+(the componentwise exponential-integrator Duhamel recursion, and the
+discretized operator), the infinitesimal gluing map, and norm bounds.
 
-glue corrects with the sparse solve; mglue constants, mglue verify and
-criterion 04 measure the Duhamel Q.  A measured norm of a matrix M between
-discrete norms with Gram matrices G_out, G_in is a converged Lanczos
-eigenvalue (eigsh) of M^T G_out M v = lam G_in v, not a lower estimate.
+glue corrects with the discretized-operator solve; mglue constants, mglue
+verify and criterion 04 measure the Duhamel Q.  A measured norm is a converged
+Lanczos eigenvalue (eigsh) of M^T G_out M v = lam G_in v for Gram matrices
+G_out, G_in; q_matrix and projection_matrix return M as a LinearOperator.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.sparse import diags, identity, kron
+from scipy.sparse import csr_matrix, diags, identity, kron
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .path_space import (DiscretePath, diff_matrix, differentiate,
@@ -43,13 +44,32 @@ class LinearTheory:
         self.grid = symmetric_grid(T, h_max)
         self.constants = constants if constants is not None \
             else compute_constants(model)
-        self._lu = None
 
-    # -- internal: LU factorization of the discretized D with K_T boundary rows
+    @cached_property
     def _exact_lu(self):
-        if self._lu is None:
-            self._lu = splu(_d_matrix(self).tocsc())
-        return self._lu
+        """LU factorization of the discretized D with K_T boundary rows."""
+        return splu(_d_matrix(self).tocsc())
+
+    @cached_property
+    def _duhamel_lu(self):
+        """(LU of L, R) of the Duhamel right inverse Q = L^{-1} R on
+        node-major samples.  Row k*n + i of L z = R e is the trapezoidal step
+        z[k] - f z[p] = s h/2 (e[k] + f e[p]) of component i, f =
+        exp(-|a_i| h), from p = k - 1, s = 1 if stable and p = k + 1, s = -1
+        if unstable.  The K_T rows, with no previous node p, read z = 0."""
+        m = self.model
+        N = self.grid.n_nodes
+        size = N * m.dim
+        keep = np.ones(size)
+        keep[kt_rows(N, m.dim, m.n_stable)] = 0.0
+        rows = np.flatnonzero(keep)
+        sign = np.tile(np.where(m.a > 0, 1, -1), N)
+        f = np.tile(np.exp(-np.abs(m.a) * self.grid.h), N)
+        step = csr_matrix((f[rows], (rows, rows - m.dim * sign[rows])),
+                          shape=(size, size))
+        eye = identity(size, format="csr")
+        half = diags(0.5 * self.grid.h * sign * keep)
+        return splu((eye - step).tocsc()), half @ (eye + step)
 
 
 def _d_matrix(lt):
@@ -102,25 +122,12 @@ def apply_Q(lt, eta):
 
     Stable components integrate forward from -T with zero initial value,
     unstable components backward from +T; the in-kernel local integral uses
-    the trapezoidal rule.  The image lies in K_T exactly."""
+    the trapezoidal rule.  One solve with the cached LU (_duhamel_lu); the
+    image lies in K_T exactly."""
     _check_grid(lt, eta)
-    m = lt.model
-    h = lt.grid.h
-    n_nodes = lt.grid.n_nodes
-    out = np.zeros_like(eta.samples)
-    for i, a in enumerate(m.a):
-        e = eta.samples[:, i]
-        z = np.zeros(n_nodes)
-        if a > 0:
-            f = np.exp(-a * h)
-            for j in range(n_nodes - 1):
-                z[j + 1] = f * z[j] + 0.5 * h * (f * e[j] + e[j + 1])
-        else:
-            f = np.exp(a * h)
-            for j in range(n_nodes - 1, 0, -1):
-                z[j - 1] = f * z[j] - 0.5 * h * (e[j - 1] + f * e[j])
-        out[:, i] = z
-    return DiscretePath(eta.grid, out)
+    lu, R = lt._duhamel_lu
+    z = lu.solve(R @ eta.samples.reshape(-1))
+    return DiscretePath(eta.grid, z.reshape(eta.samples.shape))
 
 
 def apply_Q_exact(lt, eta):
@@ -129,7 +136,7 @@ def apply_Q_exact(lt, eta):
     _check_grid(lt, eta)
     rhs = eta.samples.reshape(-1).copy()
     rhs[kt_rows(lt.grid.n_nodes, lt.model.dim, lt.model.n_stable)] = 0.0
-    sol = lt._exact_lu().solve(rhs)
+    sol = lt._exact_lu.solve(rhs)
     return DiscretePath(eta.grid, sol.reshape(lt.grid.n_nodes, lt.model.dim))
 
 
@@ -203,7 +210,7 @@ def l2_gram(grid, dim):
 
 
 def measured_opnorm(M, gram_out, gram_in, rng):
-    """Largest singular value of the matrix M between the weighted spaces
+    """Largest singular value of the operator M between the weighted spaces
     given by sparse Gram matrices: sqrt of the top eigenvalue of
     M^T G_out M v = lam G_in v, converged by implicitly restarted Lanczos.
     The start vector comes from rng, so a fixed seed fixes every bit."""
@@ -216,24 +223,21 @@ def measured_opnorm(M, gram_out, gram_in, rng):
 
 
 def projection_matrix(lt):
-    """Dense matrix of the kernel projection on flattened sample vectors
-    (rank n: kernel basis paths times boundary coefficient extraction)."""
+    """The kernel projection on flattened samples as a rank-n LinearOperator:
+    v -> E * v[kt_rows], with column i of E the kernel basis path of
+    component i; the adjoint puts the column sums of E * w on kt_rows."""
     m = lt.model
-    n = m.dim
-    N = lt.grid.n_nodes
-    cols = []
-    for i in range(n):
-        ke = KernelElement(
-            v_plus=np.eye(n)[i][: m.n_stable],
-            v_minus=np.eye(n)[i][m.n_stable:])
-        cols.append(kernel_path(lt, ke).samples.reshape(-1))
-    K = np.stack(cols, axis=1)  # (N*n, n)
-    B = np.zeros((n, N * n))
-    for i in range(m.n_stable):
-        B[i, i] = 1.0
-    for i in range(m.n_stable, n):
-        B[i, (N - 1) * n + i] = 1.0
-    return K @ B
+    rows = kt_rows(lt.grid.n_nodes, m.dim, m.n_stable)
+    E = kernel_path(lt, KernelElement(np.ones(m.n_stable),
+                                      np.ones(m.dim - m.n_stable))).samples
+
+    def rmatvec(w):
+        out = np.zeros(E.size)
+        out[rows] = np.sum(E * np.reshape(w, E.shape), axis=0)
+        return out
+
+    return LinearOperator((E.size, E.size), dtype=float, rmatvec=rmatvec,
+                          matvec=lambda v: (E * np.ravel(v)[rows]).ravel())
 
 
 def measured_projection_norm(lt, rng):
@@ -242,18 +246,20 @@ def measured_projection_norm(lt, rng):
 
 
 def q_matrix(lt):
-    """Dense matrix of the Duhamel right inverse apply_Q on flattened sample
-    vectors (not the LU right inverse apply_Q_exact that glue corrects
-    with)."""
-    n = lt.model.dim
-    N = lt.grid.n_nodes
-    M = np.zeros((N * n, N * n))
-    eta = np.zeros((N, n))
-    for j in range(N * n):
-        eta.reshape(-1)[j] = 1.0
-        M[:, j] = apply_Q(lt, DiscretePath(lt.grid, eta)).samples.reshape(-1)
-        eta.reshape(-1)[j] = 0.0
-    return M
+    """The Duhamel right inverse apply_Q on flattened sample vectors as a
+    LinearOperator (not the LU right inverse apply_Q_exact that glue
+    corrects with).  Its adjoint is R^T L^{-T}, with the LU of L."""
+    lu, R = lt._duhamel_lu
+
+    def matvec(v):
+        eta = DiscretePath(lt.grid, np.reshape(v, (-1, lt.model.dim)))
+        return apply_Q(lt, eta).samples.ravel()
+
+    def rmatvec(v):
+        return R.T @ lu.solve(np.ravel(v), trans="T")
+
+    return LinearOperator(R.shape, dtype=float, matvec=matvec,
+                          rmatvec=rmatvec)
 
 
 def measured_q_norm(lt, rng):

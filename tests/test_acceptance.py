@@ -239,9 +239,8 @@ def test_criterion_09_tangent_machinery(c1, cc):
                                      [[1.0]])[0],
                   T, grid=grid).samples.reshape(-1)
     (x, _), _ = np_tangent_solve(
-        prob, x1, xi1, c2=1.0 / (4.0 * cc.c_rightinv * cc.delta4),
-        check=False)
-    base_gap = float(np.max(np.abs(x - np_solve(prob, x1, check=False).x)))
+        prob, x1, xi1, c2=1.0 / (4.0 * cc.c_rightinv * cc.delta4))
+    base_gap = float(np.max(np.abs(x - np_solve(prob, x1).x)))
 
     # differential norms of the corrected gluing at the origin
     slack = 1 + 5 * lt.grid.h

@@ -4,12 +4,12 @@ from scipy.integrate import solve_ivp
 
 from mglue.gluing import (apply_F, certify_approx_zero, convergence_sweep,
                           cubic_cutoff, diffeo_criterion, ev_error, glue,
-                          linearized_glue_check, preglue, quintic_cutoff,
-                          residual_support_violation,
+                          glue_coordinate_rep, linearized_glue_check, preglue,
+                          quintic_cutoff, residual_support_violation,
                           tangent_convergence_sweep, theta_defect_norm)
 from mglue.invariant_manifolds import shoot_stable, shoot_unstable
 from mglue.linear_theory import (LinearTheory, euclidean_gluing_reference,
-                                 gamma_infinitesimal)
+                                 gamma_infinitesimal, gamma_weights)
 from mglue.path_space import (DiscretePath, evaluate_ends, l2_norm, norms,
                               path_from_function, sup_norm, symmetric_grid,
                               zero_path)
@@ -242,6 +242,22 @@ class TestDiffeo:
                                n_preimages=4)
         assert out["ift"].ok
         assert out["theta_ok"]
+
+    def test_coordinate_rep_is_weighted_identity(self, c1, cc):
+        """On the seed box, the gluing map in the certificate's chart is the
+        linear map diag(sqrt(img/dom)).  The Newton-Picard correction lies in
+        K_T, whose boundary entries are zero, and the pre-glued path carries
+        the two seeds as its K_T boundary data.  So the glued path's kernel
+        coefficients are the seeds by construction, and the certificate sees
+        a fixed diagonal map."""
+        h = 0.02
+        lt = LinearTheory(c1, np.ceil(cc.T0 / h) * h, h, cc)
+        F = glue_coordinate_rep(c1, BETA, lt, scale=0.3)
+        dom, img = gamma_weights(lt)
+        rng = np.random.default_rng(21)
+        for _ in range(8):
+            u = rng.uniform(-1.0, 1.0, c1.dim) / np.sqrt(c1.dim)
+            assert np.max(np.abs(F(u) - np.sqrt(img / dom) * u)) <= 1e-13
 
 
 class TestTangentSweep:

@@ -253,17 +253,112 @@ def dense_opnorm_reference(M, gram_out, gram_in):
     return float(np.sqrt(lam[-1]))
 
 
+def apply_Q_loop_reference(lt, eta):
+    """The former apply_Q: the Duhamel recursion as a per-node Python loop,
+    stable components forward from -T, unstable ones backward from +T."""
+    m = lt.model
+    h = lt.grid.h
+    n_nodes = lt.grid.n_nodes
+    out = np.zeros_like(eta.samples)
+    for i, a in enumerate(m.a):
+        e = eta.samples[:, i]
+        z = np.zeros(n_nodes)
+        if a > 0:
+            f = np.exp(-a * h)
+            for j in range(n_nodes - 1):
+                z[j + 1] = f * z[j] + 0.5 * h * (f * e[j] + e[j + 1])
+        else:
+            f = np.exp(a * h)
+            for j in range(n_nodes - 1, 0, -1):
+                z[j - 1] = f * z[j] - 0.5 * h * (e[j - 1] + f * e[j])
+        out[:, i] = z
+    return out
+
+
+def q_matrix_dense_reference(lt):
+    """The former q_matrix: the dense Duhamel matrix, one column per call of
+    the loop recursion."""
+    n = lt.model.dim
+    N = lt.grid.n_nodes
+    M = np.zeros((N * n, N * n))
+    eta = np.zeros((N, n))
+    for j in range(N * n):
+        eta.reshape(-1)[j] = 1.0
+        M[:, j] = apply_Q_loop_reference(
+            lt, DiscretePath(lt.grid, eta)).reshape(-1)
+        eta.reshape(-1)[j] = 0.0
+    return M
+
+
+def projection_matrix_dense_reference(lt):
+    """The former projection_matrix: the dense product K @ B of the kernel
+    basis paths K and the boundary coefficient extraction B."""
+    m = lt.model
+    n = m.dim
+    N = lt.grid.n_nodes
+    cols = []
+    for i in range(n):
+        ke = KernelElement(
+            v_plus=np.eye(n)[i][: m.n_stable],
+            v_minus=np.eye(n)[i][m.n_stable:])
+        cols.append(kernel_path(lt, ke).samples.reshape(-1))
+    K = np.stack(cols, axis=1)  # (N*n, n)
+    B = np.zeros((n, N * n))
+    for i in range(m.n_stable):
+        B[i, i] = 1.0
+    for i in range(m.n_stable, n):
+        B[i, (N - 1) * n + i] = 1.0
+    return K @ B
+
+
+@pytest.mark.parametrize("T", [3.0, 12.0])
+@pytest.mark.parametrize("model,consts", [("e1", "ce"), ("c1", "cc")])
+def test_apply_Q_matches_loop_reference(request, model, consts, T):
+    lt = LinearTheory(request.getfixturevalue(model), T, 0.02,
+                      request.getfixturevalue(consts))
+    eta = DiscretePath(lt.grid, np.random.default_rng(14).standard_normal(
+        (lt.grid.n_nodes, lt.model.dim)))
+    ref = apply_Q_loop_reference(lt, eta)
+    assert np.max(np.abs(apply_Q(lt, eta).samples - ref)) <= \
+        1e-14 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("T", [3.0, 12.0])
+def test_norm_operators_adjoint_identity(c1, cc, T):
+    lt = LinearTheory(c1, T, 0.02, cc)
+    rng = np.random.default_rng(15)
+    for op in (q_matrix(lt), projection_matrix(lt)):
+        u = rng.standard_normal(op.shape[0])
+        v = rng.standard_normal(op.shape[1])
+        defect = abs(u @ (op @ v) - (op.T @ u) @ v)
+        assert defect <= 1e-13 * np.linalg.norm(u) * np.linalg.norm(v)
+
+
+def test_norm_operators_match_dense_references(c1, cc):
+    lt = LinearTheory(c1, 3.0, 0.1, cc)
+    eye = np.eye(lt.grid.n_nodes * c1.dim)
+    Q = q_matrix_dense_reference(lt)
+    P = projection_matrix_dense_reference(lt)
+    assert np.max(np.abs(q_matrix(lt) @ eye - Q)) <= 1e-14 * np.max(np.abs(Q))
+    assert np.max(np.abs(q_matrix(lt).T @ eye - Q.T)) <= \
+        1e-14 * np.max(np.abs(Q))
+    assert np.array_equal(projection_matrix(lt) @ eye, P)
+    assert np.array_equal(projection_matrix(lt).T @ eye, P.T)
+
+
 @pytest.mark.parametrize("h", [0.1, 0.05])
 def test_measured_norms_match_dense_eigh(c1, cc, h):
     lt = LinearTheory(c1, 3.0, h, cc)
     Gw = w12_gram(lt.grid, c1.dim)
     Gl = l2_gram(lt.grid, c1.dim)
     q = measured_q_norm(lt, np.random.default_rng(12))
-    assert q == pytest.approx(dense_opnorm_reference(q_matrix(lt), Gw, Gl),
-                              rel=1e-12)
+    assert q == pytest.approx(
+        dense_opnorm_reference(q_matrix_dense_reference(lt), Gw, Gl),
+        rel=1e-12)
     pi = measured_projection_norm(lt, np.random.default_rng(13))
     assert pi == pytest.approx(
-        dense_opnorm_reference(projection_matrix(lt), Gw, Gw), rel=1e-12)
+        dense_opnorm_reference(projection_matrix_dense_reference(lt), Gw, Gw),
+        rel=1e-12)
 
 
 def d_restricted_min_sv_dense_reference(lt):
