@@ -188,7 +188,7 @@ def _interior_flow_residual(model, w):
     return float(np.max(np.linalg.norm(res, axis=1)))
 
 
-def flow_problem(model, lt, tol_zero=1e-12):
+def flow_problem(model, lt):
     """Newton-Picard problem of the flow section on the grid of lt, on
     flattened node-major samples: F = apply_F, D = apply_D (the linearization
     at 0_T), Q = apply_Q_exact (the exact discrete right inverse with K_T
@@ -228,30 +228,46 @@ def flow_problem(model, lt, tol_zero=1e-12):
     return NPProblem(F=F, apply_D=Dop, apply_Q=Qop,
                      x0=np.zeros(grid.n_nodes * n), c=consts.c_rightinv,
                      delta=consts.delta4, norm_dom=norm_dom,
-                     norm_cod=norm_cod, dF=dF, tol_zero=tol_zero)
+                     norm_cod=norm_cod, dF=dF)
 
 
-def glue(model, cutoff, w_plus, w_minus, T, lt, tol_zero=1e-12):
-    """Glued flow line: Newton-Picard correction of the pre-glued path,
-    with x0 = 0_T, D the linearization at 0_T and the exact discrete right
-    inverse with K_T boundary structure.
+def shoot_halves(model, lt, seed_p, seed_m):
+    """The stable and the unstable half trajectory from the two seeds, shot
+    to S = 2T + 6 on the spacing of lt's grid."""
+    S = 2.0 * lt.T + 6.0
+    h_max = lt.grid.h
+    return (shoot_stable(model, seed_p, S, h_max=h_max),
+            shoot_unstable(model, seed_m, S, h_max=h_max))
 
-    The one hypothesis checked is that the pre-glued path lies in the sup
-    ball of radius 2 delta_2, on which the linearization deviates from D by
-    at most 1/(2c); PreconditionError otherwise.  The paper's bounds
-    ||x1 - x0|| < delta/8 and ||F(x1)|| < delta/(4c) are measured and
-    reported in `precond`, not enforced."""
-    if lt.T != float(T):
-        raise ValueError("linear-theory bundle is for a different T")
-    grid = lt.grid
-    wt = preglue(cutoff, w_plus, w_minus, T, grid=grid)
-    prob = flow_problem(model, lt, tol_zero)
-    x1 = wt.samples.reshape(-1)
+
+def _preglue_in_ball(cutoff, w_plus, w_minus, lt):
+    """Pre-glued path on lt's grid, under the one hypothesis of the gluing
+    map: it lies in the sup ball of radius 2 delta_2, on which the
+    linearization deviates from D by at most 1/(2c); PreconditionError
+    otherwise."""
+    wt = preglue(cutoff, w_plus, w_minus, lt.T, grid=lt.grid)
     rho2 = 2.0 * lt.constants.delta_mu[2.0]
     if sup_norm(wt) > rho2:
         raise PreconditionError(
             "pre-glued path leaves the contraction ball: sup %.4g > %.4g"
             % (sup_norm(wt), rho2))
+    return wt
+
+
+def glue(model, cutoff, w_plus, w_minus, T, lt):
+    """Glued flow line: Newton-Picard correction of the pre-glued path,
+    with x0 = 0_T, D the linearization at 0_T and the exact discrete right
+    inverse with K_T boundary structure.
+
+    The one hypothesis checked is that of _preglue_in_ball.  The paper's
+    bounds ||x1 - x0|| < delta/8 and ||F(x1)|| < delta/(4c) are measured and
+    reported in `precond`, not enforced."""
+    if lt.T != float(T):
+        raise ValueError("linear-theory bundle is for a different T")
+    grid = lt.grid
+    wt = _preglue_in_ball(cutoff, w_plus, w_minus, lt)
+    prob = flow_problem(model, lt)
+    x1 = wt.samples.reshape(-1)
     res = np_solve(prob, x1)
     pre_resid = res.precond["fx_norm"]
     gamma = DiscretePath(grid, res.x.reshape(-1, model.dim))
@@ -287,51 +303,28 @@ def linearized_glue_check(model, cutoff, lt):
     """Central finite differences (step 1e-4) of the gluing map along the
     kernel basis directions at the origin, against the infinitesimal gluing
     map."""
-    T = lt.T
-    S = 2.0 * T + 6.0
     fd_eps = 1e-4
-    h_max = lt.grid.h
-    n = model.dim
     ns = model.n_stable
-    worst = 0.0
+
+    def glued(seed):
+        wp, wm = shoot_halves(model, lt, seed[:ns], seed[ns:])
+        return glue(model, cutoff, wp, wm, lt.T, lt).path.samples
+
     details = []
-    for i in range(n):
-        stable_dir = i < ns
-        def glued_for(t):
-            if stable_dir:
-                seed_p = np.zeros(ns)
-                seed_p[i] = t
-                seed_m = np.zeros(n - ns)
-            else:
-                seed_p = np.zeros(ns)
-                seed_m = np.zeros(n - ns)
-                seed_m[i - ns] = t
-            wp = shoot_stable(model, seed_p, S, h_max=h_max)
-            wm = shoot_unstable(model, seed_m, S, h_max=h_max)
-            return glue(model, cutoff, wp, wm, T, lt).path
-        gp = glued_for(fd_eps)
-        gm = glued_for(-fd_eps)
-        fd = (gp.samples - gm.samples) / (2.0 * fd_eps)
-        if stable_dir:
-            ref = gamma_infinitesimal(lt, np.eye(ns)[i], np.zeros(n - ns))
-        else:
-            ref = gamma_infinitesimal(lt, np.zeros(ns), np.eye(n - ns)[i - ns])
-        disc = float(np.max(np.abs(fd - ref.samples)))
-        details.append(disc)
-        worst = max(worst, disc)
-    return {"sup_discrepancy": worst, "per_direction": details}
+    for e in np.eye(model.dim):
+        fd = (glued(fd_eps * e) - glued(-fd_eps * e)) / (2.0 * fd_eps)
+        ref = gamma_infinitesimal(lt, e[:ns], e[ns:])
+        details.append(float(np.max(np.abs(fd - ref.samples))))
+    return {"sup_discrepancy": max(details), "per_direction": details}
 
 
-def convergence_sweep(model, cutoff, seeds, T_list, h_max=0.02, S=None,
-                      constants=None):
+def convergence_sweep(model, cutoff, seeds, T_list, constants, h_max=0.02,
+                      S=None):
     """Evaluation-map convergence: ev error of the glued line over T, with a
     fitted exponential rate."""
-    from .morse_model import compute_constants
     seed_p, seed_m = seeds
     if S is None:
         S = 2.0 * max(T_list) + 6.0
-    if constants is None:
-        constants = compute_constants(model)
     wp = shoot_stable(model, seed_p, S, h_max=h_max)
     wm = shoot_unstable(model, seed_m, S, h_max=h_max)
     rows = []
@@ -357,8 +350,6 @@ def glue_coordinate_rep(model, cutoff, lt, scale=1.0):
     orthonormalized by the exact coefficient weights so the linearization at
     0 matches the infinitesimal-gluing singular values."""
     from .linear_theory import gamma_weights
-    T = lt.T
-    S = 2.0 * T + 6.0
     ns = model.n_stable
     dom_w, img_w = gamma_weights(lt)
     sd = np.sqrt(dom_w)
@@ -368,9 +359,8 @@ def glue_coordinate_rep(model, cutoff, lt, scale=1.0):
         u = np.asarray(u, dtype=float) * scale
         seed_p = u[:ns] / sd[:ns]
         seed_m = u[ns:] / sd[ns:]
-        wp = shoot_stable(model, seed_p, S, h_max=lt.grid.h)
-        wm = shoot_unstable(model, seed_m, S, h_max=lt.grid.h)
-        rep = glue(model, cutoff, wp, wm, T, lt)
+        wp, wm = shoot_halves(model, lt, seed_p, seed_m)
+        rep = glue(model, cutoff, wp, wm, lt.T, lt)
         v_plus = model.p_plus(rep.path.samples[0])
         v_minus = model.p_minus(rep.path.samples[-1])
         return np.concatenate([v_plus * si[:ns], v_minus * si[ns:]]) / scale
@@ -406,13 +396,10 @@ def diffeo_criterion(model, cutoff, lt, sample_count, rng, seed_box_radius,
 def theta_defect_norm(model, cutoff, lt, seed_radius):
     """Operator norm (exact on the finite kernel basis) of the pre-glued
     identification defect Theta_T at the corner of the seed box."""
-    T = lt.T
-    S = 2.0 * T + 6.0
     n = model.dim
     ns = model.n_stable
-    h_max = lt.grid.h
-    wp = shoot_stable(model, [seed_radius] * ns, S, h_max=h_max)
-    wm = shoot_unstable(model, [seed_radius] * (n - ns), S, h_max=h_max)
+    wp, wm = shoot_halves(model, lt, [seed_radius] * ns,
+                          [seed_radius] * (n - ns))
     outs = []
     from .linear_theory import gamma_weights
     dom_w, _ = gamma_weights(lt)
@@ -433,7 +420,7 @@ def theta_defect_norm(model, cutoff, lt, seed_radius):
             eta_pull, _ = theta_inverse(model, wm, v)
             diff_p = zero_path(wp.grid, n)
             diff_m = DiscretePath(wm.grid, eta_lin.samples - eta_pull.samples)
-        out = preglue(cutoff, diff_p, diff_m, T, grid=lt.grid)
+        out = preglue(cutoff, diff_p, diff_m, lt.T, grid=lt.grid)
         outs.append(out)
     # operator norm: Gram of outputs in W^{1,2} against the diagonal domain
     # weights of the kernel coefficient basis
@@ -449,31 +436,20 @@ def theta_defect_norm(model, cutoff, lt, seed_radius):
 # ---------------------------------------------------------------------------
 # tangent sweeps
 
-def measured_tangent_projection_norms(lt, rng, orders=(0, 1, 2)):
-    """Measured ||d(T^m N)(0_T)|| for the requested orders: the differential
-    at the origin is block diagonal with kernel-projection blocks, so the
-    weighted-max-norm operator norm equals the projection norm for every m."""
-    from .linear_theory import measured_projection_norm
-    base = measured_projection_norm(lt, rng)
-    return {m: base for m in orders}
-
-
 def tangent_convergence_sweep(model, cutoff, seeds, tangent_seeds, T_list,
-                              order_m=1, h_max=0.02, S=None, constants=None):
+                              constants, order_m=1, h_max=0.02, S=None):
     """Pre-glue the tangent lifts componentwise, correct with the doubled
-    Newton-Picard solve, and record the tangent evaluation errors over T."""
-    from .morse_model import compute_constants
+    Newton-Picard solve, and record the tangent evaluation errors over T.
+    The base path is pre-glued under glue's hypothesis (_preglue_in_ball)."""
     if order_m == 0:
-        return convergence_sweep(model, cutoff, seeds, T_list, h_max=h_max,
-                                 S=S, constants=constants)
+        return convergence_sweep(model, cutoff, seeds, T_list, constants,
+                                 h_max=h_max, S=S)
     if order_m != 1:
         raise ValueError("sweep supports m in {0, 1}")
     seed_p, seed_m = seeds
     tseed_p, tseed_m = tangent_seeds
     if S is None:
         S = 2.0 * max(T_list) + 6.0
-    if constants is None:
-        constants = compute_constants(model)
     spec1 = build_tangent_system(1)
     wp = shoot_stable(model, seed_p, S, h_max=h_max)
     wm = shoot_unstable(model, seed_m, S, h_max=h_max)
@@ -483,7 +459,7 @@ def tangent_convergence_sweep(model, cutoff, seeds, tangent_seeds, T_list,
     for T in T_list:
         lt = LinearTheory(model, T, h_max, constants)
         grid = lt.grid
-        wt = preglue(cutoff, wp, wm, T, grid=grid)
+        wt = _preglue_in_ball(cutoff, wp, wm, lt)
         xt = preglue(cutoff, lift_p, lift_m, T, grid=grid)
         prob = flow_problem(model, lt)
         (x, xi), res = np_tangent_solve(
@@ -492,11 +468,8 @@ def tangent_convergence_sweep(model, cutoff, seeds, tangent_seeds, T_list,
         gamma = DiscretePath(grid, x.reshape(-1, model.dim))
         tgamma = DiscretePath(grid, xi.reshape(-1, model.dim))
         base_ev = ev_error(gamma, wp, wm)
-        tev = np.sqrt(
-            np.sum((tgamma.samples[0] - lift_p.samples[0]) ** 2)
-            + np.sum((tgamma.samples[-1] - lift_m.samples[-1]) ** 2))
         rows.append({"T": float(T), "ev_error": base_ev,
-                     "tangent_ev_error": float(tev),
+                     "tangent_ev_error": ev_error(tgamma, lift_p, lift_m),
                      "np_iters": res.iterations})
     rate_fit, _, _ = _rate_over_T(rows, "tangent_ev_error")
     return {"rows": rows, "rate_fit": rate_fit}

@@ -23,7 +23,6 @@ from scipy.sparse.linalg import LinearOperator, eigsh, splu
 from .path_space import (DiscretePath, diff_matrix, differentiate,
                          flow_matrix, kt_rows, stencil_matrix, symmetric_grid,
                          trapezoid_weights)
-from .morse_model import compute_constants
 
 
 @dataclass(frozen=True)
@@ -36,14 +35,13 @@ class KernelElement:
 class LinearTheory:
     """Per-(model, T) bundle of the linear operators and constants."""
 
-    def __init__(self, model, T, h_max=0.02, constants=None):
+    def __init__(self, model, T, h_max, constants):
         if T < 1:
             raise ValueError("need T >= 1")
         self.model = model
         self.T = float(T)
         self.grid = symmetric_grid(T, h_max)
-        self.constants = constants if constants is not None \
-            else compute_constants(model)
+        self.constants = constants
 
     @cached_property
     def _exact_lu(self):

@@ -13,6 +13,10 @@ import numpy as np
 import sympy as sp
 
 
+# the highest order of the coded derivative tensors of the gradient
+TENSOR_ORDER = 3
+
+
 def _spectral_norm(mat):
     return float(np.linalg.norm(mat, 2))
 
@@ -23,7 +27,6 @@ class MorseModel:
     index: int
     eig: tuple                 # a_1 >= ... >= a_n, ordered, nonzero
     nonlinearity: str = "0"    # polynomial in x1..xn, vanishing 2-jet at 0
-    tensor_order: int = 3
     # filled in __post_init__
     _tensor_fns: tuple = field(default=None, repr=False, compare=False)
 
@@ -37,8 +40,6 @@ class MorseModel:
             raise ValueError("Hessian must be invertible")
         if np.sum(a < 0) != self.index:
             raise ValueError("index must equal the number of negative eigenvalues")
-        if self.tensor_order < 3:
-            raise ValueError("tensor_order >= 3 required")
         object.__setattr__(self, "eig", tuple(float(v) for v in a))
         object.__setattr__(self, "_tensor_fns", _compile_tensors(self))
         # vanishing 2-jet / critical point sanity
@@ -85,13 +86,13 @@ class MorseModel:
         return self.a * z + self._tensor_fns[0](z)
 
     def dgrad_tensor(self, z, order):
-        """Derivative tensor of grad of the given order (1..tensor_order).
+        """Derivative tensor of grad of the given order (1..TENSOR_ORDER).
 
         Order 1 returns the (n, n) Jacobian of grad; order m returns the
         symmetric (n,)*(m+1) array T with T[i, j1.. jm] = d^m (grad_i).
         z has shape (..., n), a batch of points, and the result has shape
         z.shape[:-1] + (n,)*(m+1)."""
-        if not 1 <= order <= self.tensor_order:
+        if not 1 <= order <= TENSOR_ORDER:
             raise ValueError("unsupported tensor order")
         z = np.asarray(z, dtype=float)
         t = self._tensor_fns[order](z)
@@ -127,10 +128,10 @@ def _compile_tensors(model):
     out = {}
     out[0] = lambdify_tensor(grad_nl, (n,))
     cur = grad_nl
-    for order in range(1, model.tensor_order + 1):
+    for order in range(1, TENSOR_ORDER + 1):
         cur = [sp.diff(e, x) for e in cur for x in xs]
         out[order] = lambdify_tensor(cur, (n,) * (order + 1))
-    return tuple(out[i] for i in range(model.tensor_order + 1))
+    return tuple(out[i] for i in range(TENSOR_ORDER + 1))
 
 
 def model_e1():
@@ -189,15 +190,20 @@ SPHERE_SAMPLES = 1000
 SAMPLING_SAFETY = 1.05
 
 
+def _sampled_sup_dev(model, z):
+    """max over the points z of ||dgrad(z) - A||_op, scaled by the safety
+    factor for the sampling gap."""
+    dev = model._tensor_fns[1](z)  # batched (m, n, n) Hessian deviation
+    # dev is symmetric (Hessian of the scalar perturbation)
+    return SAMPLING_SAFETY * float(np.max(np.abs(np.linalg.eigvalsh(dev))))
+
+
 def sup_dgrad_deviation(model, rho, rng):
     """Sampled sup over the sphere |z| = rho of ||dgrad(z) - A||_op,
     scaled by a safety factor for the sampling gap."""
     z = rng.standard_normal((SPHERE_SAMPLES * model.dim, model.dim))
     z *= rho / np.linalg.norm(z, axis=1, keepdims=True)
-    dev = model._tensor_fns[1](z)  # batched (m, n, n) Hessian deviation
-    # dev is symmetric (Hessian of the scalar perturbation)
-    worst = float(np.max(np.abs(np.linalg.eigvalsh(dev))))
-    return SAMPLING_SAFETY * worst
+    return _sampled_sup_dev(model, z)
 
 
 def _rho_mu(model, mu, c, rng, delta_max):
@@ -209,8 +215,7 @@ def _rho_mu(model, mu, c, rng, delta_max):
     u /= np.linalg.norm(u, axis=1, keepdims=True)
 
     def sup_dev(rho):
-        dev = model._tensor_fns[1](rho * u)
-        return SAMPLING_SAFETY * float(np.max(np.abs(np.linalg.eigvalsh(dev))))
+        return _sampled_sup_dev(model, rho * u)
 
     cap = 2.0 * delta_max
     if sup_dev(cap) <= target:

@@ -31,23 +31,13 @@ class NPProblem:
     delta: float                # admissible-ball radius
     norm_dom: callable = None   # domain norm (default Euclidean)
     norm_cod: callable = None   # codomain norm (default Euclidean)
-    dF: callable = None         # x -> (v -> dF(x) v); finite diff if None
-    tol_zero: float = 1e-12
-    max_iter: int = 200
-    fd_eps: float = 1e-6
+    dF: callable = None         # x -> (v -> dF(x) v), analytic
 
     def __post_init__(self):
         if self.norm_dom is None:
             object.__setattr__(self, "norm_dom", np.linalg.norm)
         if self.norm_cod is None:
             object.__setattr__(self, "norm_cod", np.linalg.norm)
-
-    def dF_apply(self, x, v):
-        if self.dF is not None:
-            return self.dF(x)(v)
-        e = self.fd_eps * max(1.0, self.norm_dom(x)) / max(
-            self.norm_dom(v), 1e-300)
-        return (self.F(x + e * v) - self.F(x - e * v)) / (2.0 * e)
 
 
 @dataclass(frozen=True)
@@ -63,6 +53,15 @@ class NPResult:
     @property
     def contraction_ratio_max(self):
         return max(self.contraction_ratios) if self.contraction_ratios else 0.0
+
+
+# stopping rules: the Newton-Picard step and the Neumann step are small
+# relative to max(1, ||input||); both loops raise ContractionError when they
+# run out of terms
+TOL_ZERO = 1e-12
+MAX_ITER = 200
+NEUMANN_TOL = 1e-12
+NEUMANN_MAX_TERMS = 100
 
 
 def precondition_check(p, x1):
@@ -82,13 +81,13 @@ def np_solve(p, x1):
     """Newton-Picard correction from the approximate zero x1.
 
     Iterates Phi(x) = x1 - Q(F(x) - D(x - x1)) until the step norm drops
-    below tol_zero * max(1, ||x1||); step-size stopping bounds the distance
+    below TOL_ZERO * max(1, ||x1||); step-size stopping bounds the distance
     to the fixed point through the geometric tail.  The admissibility bounds
     of precondition_check are measured and returned in `precond`, not
     enforced."""
     x1 = np.asarray(x1, dtype=float)
     pre = precondition_check(p, x1)
-    tol = p.tol_zero * max(1.0, p.norm_dom(x1))
+    tol = TOL_ZERO * max(1.0, p.norm_dom(x1))
     if pre["fx_norm"] <= tol:
         # already a zero: the correction map restricts to the identity
         return NPResult(x=x1.copy(), iterations=0,
@@ -99,7 +98,7 @@ def np_solve(p, x1):
     ratios = []
     prev_step = None
     iters = 0
-    for iters in range(1, p.max_iter + 1):
+    for iters in range(1, MAX_ITER + 1):
         x_new = x1 - p.apply_Q(p.F(x) - p.apply_D(x - x1))
         step = p.norm_dom(x_new - x)
         if prev_step is not None and prev_step > 0:
@@ -113,7 +112,7 @@ def np_solve(p, x1):
         if step <= tol:
             break
     else:
-        raise ContractionError("no convergence in %d iterations" % p.max_iter)
+        raise ContractionError("no convergence in %d iterations" % MAX_ITER)
     corr = x - x1
     dcorr = p.apply_D(corr)
     qd = p.apply_Q(dcorr)
@@ -126,17 +125,14 @@ def np_solve(p, x1):
         contraction_ratios=tuple(ratios), precond=pre)
 
 
-NEUMANN_TOL = 1e-12
-NEUMANN_MAX_TERMS = 100
-
-
 def _neumann_solve(p, x1, w):
     """Solve (Id + Q dF(x1) - P) u = w, P = QD, by the Neumann iteration
     u <- w + (P - Q dF(x1)) u from u = w, to a step below NEUMANN_TOL
     * max(1, ||w||); ContractionError after NEUMANN_MAX_TERMS terms."""
+    dF1 = p.dF(x1)
     u = w.copy()
     for _ in range(NEUMANN_MAX_TERMS):
-        u_new = w + p.apply_Q(p.apply_D(u)) - p.apply_Q(p.dF_apply(x1, u))
+        u_new = w + p.apply_Q(p.apply_D(u)) - p.apply_Q(dF1(u))
         if p.norm_dom(u_new - u) <= NEUMANN_TOL * max(1.0, p.norm_dom(w)):
             return u_new
         u = u_new
@@ -181,7 +177,7 @@ def np_tangent_solve(p, x1, xi1, c2=None):
 
     def TF(z):
         x, xi = split(z, n)
-        return np.concatenate([p.F(x), p.dF_apply(x, xi)])
+        return np.concatenate([p.F(x), p.dF(x)(xi)])
 
     def TD(z):
         x, xi = split(z, n)
@@ -202,8 +198,7 @@ def np_tangent_solve(p, x1, xi1, c2=None):
     tp = NPProblem(F=TF, apply_D=TD, apply_Q=TQ,
                    x0=np.concatenate([p.x0, np.zeros_like(p.x0)]),
                    c=p.c, delta=delta_hat, norm_dom=tnorm_dom,
-                   norm_cod=tnorm_cod, tol_zero=p.tol_zero,
-                   max_iter=p.max_iter, fd_eps=p.fd_eps)
+                   norm_cod=tnorm_cod)
     res = np_solve(tp, np.concatenate([x1, xi1]))
     x, xi = split(res.x, n)
     return (x, xi), res
@@ -221,7 +216,7 @@ def estimate_c2(p, samples=5, rng=None):
         x = np.asarray(p.x0) + p.delta * 0.5 * _unit(rng, n, p.norm_dom)
         u = _unit(rng, n, p.norm_dom)
         v = _unit(rng, n, p.norm_dom)
-        d2 = (p.dF_apply(x + e * u, v) - p.dF_apply(x - e * u, v)) / (2 * e)
+        d2 = (p.dF(x + e * u)(v) - p.dF(x - e * u)(v)) / (2 * e)
         worst = max(worst, p.norm_cod(d2))
     return 1.1 * worst
 

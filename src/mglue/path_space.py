@@ -40,11 +40,16 @@ class Grid:
         return self.t_max - self.t_min
 
 
+def grid_unit(h_max):
+    """The least m with grid spacing 1/m <= h_max."""
+    return ceil(1.0 / h_max - 1e-12)
+
+
 def make_grid(t_min, t_max, h_max=0.02):
     """Uniform grid with spacing h = 1/m <= h_max so that integer breakpoints
     (in particular +-1, +-3) land on nodes whenever the endpoints are
     multiples of 1/m.  Endpoints must be (near-)multiples of the unit 1/m."""
-    m = ceil(1.0 / h_max - 1e-12)
+    m = grid_unit(h_max)
     h = 1.0 / m
     lo = round(t_min * m)
     hi = round(t_max * m)

@@ -10,6 +10,7 @@ from mglue.gluing import (apply_F, certify_approx_zero, convergence_sweep,
 from mglue.invariant_manifolds import shoot_stable, shoot_unstable
 from mglue.linear_theory import (LinearTheory, euclidean_gluing_reference,
                                  gamma_infinitesimal, gamma_weights)
+from mglue.newton_picard import PreconditionError
 from mglue.path_space import (DiscretePath, evaluate_ends, l2_norm, norms,
                               path_from_function, sup_norm, symmetric_grid,
                               zero_path)
@@ -276,6 +277,14 @@ class TestTangentSweep:
                                        ([1.0], [1.0]),
                                        [3, 4, 5, 6], constants=ce)
         assert sw["rate_fit"] == pytest.approx(2.0, abs=0.1)
+
+    def test_m1_checks_glue_hypothesis(self, c1, cc):
+        # at T = 3 the pre-glued path of the seeds (1.5, 1.5) has sup 1.5,
+        # outside the ball of radius 2 delta_2 on which glue corrects
+        with pytest.raises(PreconditionError, match="contraction ball"):
+            tangent_convergence_sweep(c1, BETA, ([1.5], [1.5]),
+                                      ([1.0], [1.0]), [3.0], constants=cc,
+                                      order_m=1)
 
     def test_c1_m1_rate(self, c1, cc):
         sw = tangent_convergence_sweep(c1, BETA, ([0.3], [0.3]),

@@ -48,10 +48,29 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, cutoff="boxcar"))
 
-    @pytest.mark.parametrize("key", ["h", "tol_zero"])
-    def test_nonpositive_step_or_tolerance_rejected(self, tmp_path, key):
-        with pytest.raises(ConfigError, match="%s must be positive" % key):
-            load_config(write_cfg(tmp_path, **{key: "0"}))
+    def test_nonpositive_step_rejected(self, tmp_path):
+        with pytest.raises(ConfigError, match="h must be positive"):
+            load_config(write_cfg(tmp_path, h="0"))
+
+    @pytest.mark.parametrize("over", [
+        {"T_list": "3", "S": "4"},        # S below 2T: the head is too short
+        {"T_list": "3.01"},               # T off the grid of spacing 1/50
+        {"T_list": "3", "S": "12.02"},    # even node count on [0, S]
+        {"T_list": "3.25", "h": "0.7"},   # T off the grid of spacing 1/2
+    ])
+    def test_off_grid_t_or_s_rejected(self, tmp_path, capsys, over):
+        cfg = write_cfg(tmp_path, **over)
+        with pytest.raises(ConfigError):
+            load_config(cfg)
+        assert main(["glue", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_slack_spacing_is_the_grid_spacing(self, tmp_path):
+        # h = 0.7 puts the paths on the grid of spacing 1/2
+        cfg = load_config(write_cfg(tmp_path, T_list="3", h="0.7"))
+        assert cfg.grid_h == 0.5
 
     @pytest.mark.parametrize("key", ["seed_plus", "seed_minus"])
     def test_seed_dimension_rejected(self, tmp_path, key):
@@ -147,6 +166,21 @@ class TestCommands:
             .decode().split("\r\n")[1].split(",")
         assert float(row[5]) == pytest.approx(np.sqrt(2) * np.exp(-6),
                                               rel=1e-3)
+
+    def test_tangent_one_norm_row_per_t_and_deterministic(self, tmp_path,
+                                                          capsys):
+        cfg = write_cfg(tmp_path, T_list="3,4")
+        files = ("tangent_sweep.csv", "tangent_norms.csv")
+        runs = []
+        for name in ("a", "b"):
+            out = str(tmp_path / name)
+            assert main(["tangent", "--config", cfg, "--out", out]) == 0
+            runs.append([open(os.path.join(out, f), "rb").read()
+                         for f in files])
+        assert runs[0] == runs[1]
+        lines = runs[0][1].decode().split("\r\n")
+        assert lines[0] == "T,norm_measured,bound"
+        assert [line.split(",")[0] for line in lines[1:-1]] == ["3", "4"]
 
     def test_decay_sidecar(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, T_list="3", S="12")

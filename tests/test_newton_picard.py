@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 
@@ -27,7 +25,9 @@ def xy2_problem(delta=2.0, c=1.0):
                      delta=delta, dF=dF)
 
 
-def linear_problem():
+def linear_problem(dF_scale=1.0):
+    """F(v) = A v + b with D = A, Q = A^{-1} and the differential
+    dF_scale * A (exact for dF_scale = 1)."""
     A = np.array([[2.0, 1.0], [0.0, 3.0]])
     Ainv = np.linalg.inv(A)
 
@@ -36,7 +36,7 @@ def linear_problem():
 
     return NPProblem(F=F, apply_D=lambda v: A @ v,
                      apply_Q=lambda w: Ainv @ w, x0=np.zeros(2), c=2.0,
-                     delta=10.0)
+                     delta=10.0, dF=lambda x: lambda v: dF_scale * (A @ v))
 
 
 class TestNpSolve:
@@ -128,16 +128,14 @@ class TestNpDifferential:
 class TestNeumannDefect:
     def test_linear_problem_zero_defect(self):
         # the differential of a linear map is D itself
-        lin = linear_problem()
-        p = replace(lin, dF=lambda x: lin.apply_D)
-        d = np_neumann_defect(p, np.array([0.1, 0.1]),
+        d = np_neumann_defect(linear_problem(), np.array([0.1, 0.1]),
                               np.random.default_rng(0))
         assert d <= 1e-10
 
     def test_unconverged_solve_raises(self):
-        # a finite-difference differential carries rounding noise of about
-        # 1e-11, so the Neumann steps never drop below the 1e-12 tolerance
-        p = linear_problem()
+        # with dF = 3A and P = QD = Id the Neumann step is u <- w - 2u,
+        # which diverges
+        p = linear_problem(dF_scale=3.0)
         with pytest.raises(ContractionError):
             np_neumann_defect(p, np.array([0.1, 0.1]),
                               np.random.default_rng(0))
