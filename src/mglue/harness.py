@@ -24,7 +24,7 @@ from .gluing import (certify_approx_zero, convergence_sweep, cubic_cutoff,
                      glue, preglue, quintic_cutoff, shoot_halves,
                      tangent_convergence_sweep)
 from .newton_picard import TOL_ZERO, ContractionError, PreconditionError
-from .path_space import grid_unit
+from .path_space import grid_unit, on_grid
 
 FMT = "%.17g"
 
@@ -104,7 +104,7 @@ class ExperimentConfig:
         self.grid_h = 1.0 / m
         for key, t, step in [("T", T, 1) for T in self.T_list] \
                 + [("S", self.S, 2)]:
-            if abs(t * m / step - round(t * m / step)) > 1e-9:
+            if not on_grid(t, self.h, step):
                 raise ConfigError("%s = %r is not a multiple of %d/%d"
                                   % (key, t, step, m))
         if self.S < 2.0 * max(self.T_list):

@@ -2,7 +2,8 @@
 
 Half-trajectories solve the downward gradient flow on a truncated half-line
 with projection boundary conditions, by collocation (the same second-order
-stencils as path_space.differentiate) and damped Newton.  Tangent lifts solve
+stencils as path_space.differentiate) and damped Newton, one banded LU
+(path_space.FlowLU) per step.  Tangent lifts solve
 the binary-indexed variational systems whose coefficients are enumerated by
 set partitions of digit sets; the identification theta reads the asymptotic
 kernel coefficient at the truncation time.
@@ -11,10 +12,9 @@ kernel coefficient at the truncation time.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import splu
 
-from .path_space import (DiscretePath, differentiate, flow_matrix, kt_rows,
-                         kt_values, make_grid, stencil_matrix)
+from .path_space import (DiscretePath, FlowLU, differentiate, kt_rows,
+                         kt_values, make_grid, stencil_derivative)
 
 TOL_FLOW = 1e-9
 MAX_ITER = 50
@@ -148,7 +148,6 @@ def _shoot(model, seed, S, side, h_max):
     ns = model.n_stable
     grid = _half_grid(side, S, h_max)
     N = grid.n_nodes
-    Dk = stencil_matrix(grid, n)
     bc_rows = kt_rows(N, n, ns)
 
     s_rel = grid.nodes
@@ -164,17 +163,17 @@ def _shoot(model, seed, S, side, h_max):
     bc_vals = _seed_values(model, side, seed)
 
     w = init
-    res = _flow_res_with_bc(model, w, Dk, bc_rows, bc_vals)
+    res = _flow_res_with_bc(model, w, grid.h, bc_rows, bc_vals)
     rnorm = np.linalg.norm(res)
     for it in range(MAX_ITER):
         if _interior_residual(res, bc_rows) < TOL_FLOW:
             break
-        J = flow_matrix(Dk, model.dgrad_tensor(w, 1), ns)
-        step = splu(J.tocsc()).solve(-res)
+        step = FlowLU(grid, model.dgrad_tensor(w, 1), ns).solve(-res)
         lam = 1.0
         for _ in range(MAX_HALVINGS):
             w_new = w + lam * step.reshape(N, n)
-            res_new = _flow_res_with_bc(model, w_new, Dk, bc_rows, bc_vals)
+            res_new = _flow_res_with_bc(model, w_new, grid.h, bc_rows,
+                                        bc_vals)
             if np.linalg.norm(res_new) < rnorm or rnorm == 0.0:
                 break
             lam *= 0.5
@@ -197,8 +196,8 @@ def _shoot(model, seed, S, side, h_max):
                           residual=resid, seed=seed)
 
 
-def _flow_res_with_bc(model, w, Dk, bc_rows, bc_vals):
-    res = Dk @ w.reshape(-1) + model.grad(w).reshape(-1)
+def _flow_res_with_bc(model, w, h, bc_rows, bc_vals):
+    res = (stencil_derivative(w, h) + model.grad(w)).reshape(-1)
     res[bc_rows] = w.reshape(-1)[bc_rows] - bc_vals
     return res
 
@@ -229,9 +228,7 @@ def solve_tangent_lift(model, base, sys_spec, seeds):
     N = grid.n_nodes
     bc_rows = kt_rows(N, n, model.n_stable)
     W = {0: base.head.samples}
-    J = flow_matrix(stencil_matrix(grid, n), model.dgrad_tensor(W[0], 1),
-                    model.n_stable)
-    lu = splu(J.tocsc())
+    lu = FlowLU(grid, model.dgrad_tensor(W[0], 1), model.n_stable)
 
     out = []
     for k in range(1, sys_spec.n_components):

@@ -3,9 +3,10 @@
 Provides the operator D: zeta -> d/ds zeta + A zeta, the explicit kernel
 parametrization, the projection onto the kernel along the complement K_T
 (paths whose stable component vanishes at -T and unstable component at +T),
-two right inverses with image in K_T, each a solve with a cached sparse LU
-(the componentwise exponential-integrator Duhamel recursion, and the
-discretized operator), the infinitesimal gluing map, and norm bounds.
+two right inverses with image in K_T, each a solve with a cached LU (the
+componentwise exponential-integrator Duhamel recursion, a sparse LU, and the
+discretized operator, a banded LU), the infinitesimal gluing map, and norm
+bounds.
 
 glue corrects with the discretized-operator solve; mglue constants, mglue
 verify and criterion 04 measure the Duhamel Q.  A measured norm is a converged
@@ -20,8 +21,8 @@ import numpy as np
 from scipy.sparse import csr_matrix, diags, identity, kron
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .path_space import (DiscretePath, diff_matrix, differentiate,
-                         flow_matrix, kt_rows, stencil_matrix, symmetric_grid,
+from .path_space import (DiscretePath, FlowLU, diff_matrix, differentiate,
+                         grid_unit, kt_rows, on_grid, symmetric_grid,
                          trapezoid_weights)
 
 
@@ -38,6 +39,9 @@ class LinearTheory:
     def __init__(self, model, T, h_max, constants):
         if T < 1:
             raise ValueError("need T >= 1")
+        if not on_grid(T, h_max):
+            raise ValueError("T = %r is not a node of the grid of spacing "
+                             "1/%d" % (T, grid_unit(h_max)))
         self.model = model
         self.T = float(T)
         self.grid = symmetric_grid(T, h_max)
@@ -45,8 +49,11 @@ class LinearTheory:
 
     @cached_property
     def _exact_lu(self):
-        """LU factorization of the discretized D with K_T boundary rows."""
-        return splu(_d_matrix(self).tocsc())
+        """Banded LU of the discretized D = d/ds + A with K_T boundary rows:
+        the flow operator with the constant Jacobian J = A."""
+        m = self.model
+        A = np.broadcast_to(np.diag(m.a), (self.grid.n_nodes, m.dim, m.dim))
+        return FlowLU(self.grid, A, m.n_stable)
 
     @cached_property
     def _duhamel_lu(self):
@@ -71,12 +78,9 @@ class LinearTheory:
 
 
 def _d_matrix(lt):
-    """Collocation matrix of D = d/ds + A with the K_T boundary rows: the
-    flow operator with the constant Jacobian J = A."""
-    m = lt.model
-    N = lt.grid.n_nodes
-    A = np.broadcast_to(np.diag(m.a), (N, m.dim, m.dim))
-    return flow_matrix(stencil_matrix(lt.grid, m.dim), A, m.n_stable)
+    """Collocation matrix of D = d/ds + A with the K_T boundary rows, as the
+    CSR view of the band that apply_Q_exact solves with."""
+    return lt._exact_lu.tocsr()
 
 
 def _check_grid(lt, p):
@@ -129,7 +133,7 @@ def apply_Q(lt, eta):
 
 
 def apply_Q_exact(lt, eta):
-    """Right inverse by direct sparse solve of the discretized D with K_T
+    """Right inverse by a banded LU solve of the discretized D with K_T
     boundary rows; D o Q = Id on all enforced rows to machine precision."""
     _check_grid(lt, eta)
     rhs = eta.samples.reshape(-1).copy()

@@ -10,7 +10,8 @@ from math import ceil
 
 import numpy as np
 from scipy.interpolate import CubicSpline
-from scipy.sparse import csr_matrix, diags, identity, kron
+from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.sparse import csr_matrix, dia_matrix
 
 
 @dataclass(frozen=True)
@@ -43,6 +44,13 @@ class Grid:
 def grid_unit(h_max):
     """The least m with grid spacing 1/m <= h_max."""
     return ceil(1.0 / h_max - 1e-12)
+
+
+def on_grid(t, h_max, step=1):
+    """Whether t is a multiple of step/m, m = grid_unit(h_max), to 1e-9 in
+    units of step/m."""
+    x = t * grid_unit(h_max) / step
+    return abs(x - round(x)) <= 1e-9
 
 
 def make_grid(t_min, t_max, h_max=0.02):
@@ -124,12 +132,6 @@ def diff_matrix(grid):
     return csr_matrix((data, indices, indptr), shape=(n, n))
 
 
-def stencil_matrix(grid, dim):
-    """diff_matrix acting componentwise on flattened node-major samples of
-    dimension dim: the (n_nodes * dim) square CSR matrix kron(D1, I_dim)."""
-    return kron(diff_matrix(grid), identity(dim, format="csr"), format="csr")
-
-
 def kt_rows(n_nodes, dim, n_stable):
     """Indices, in the flattened node-major layout, of the K_T boundary rows:
     the n_stable stable components at the first node, then the unstable
@@ -146,35 +148,80 @@ def kt_values(dim, n_stable, v_plus=0.0, v_minus=0.0):
                            np.broadcast_to(v_minus, (dim - n_stable,))])
 
 
-def flow_matrix(Dk, jac_blocks, n_stable):
+class FlowLU:
     """Collocation matrix of the linearized flow d/ds + J(s) on flattened
-    node-major samples: the stencil matrix Dk (see stencil_matrix) plus the
-    block diagonal of the (n_nodes, dim, dim) blocks J(s_j), with the K_T
-    boundary rows (kt_rows) replaced by identity rows.  Built as CSR with
-    row masking, diag(keep) @ (Dk + B) + E."""
-    N, n, _ = jac_blocks.shape
-    # CSR of the block diagonal: row j*n + a holds columns j*n .. j*n + n-1
-    cols = np.arange(N * n).reshape(N, n, 1) // n * n + np.arange(n)
-    B = csr_matrix((jac_blocks.ravel(), cols.ravel(),
-                    np.arange(0, N * n * n + 1, n)), shape=Dk.shape)
-    rows = kt_rows(N, n, n_stable)
-    keep = np.ones(N * n)
-    keep[rows] = 0.0
-    E = csr_matrix((np.ones(len(rows)), (rows, rows)), shape=Dk.shape)
-    return diags(keep) @ (Dk + B) + E
+    node-major samples, and its LU factors: diff_matrix acting on each
+    component, plus the block diagonal of the (n_nodes, dim, dim) blocks
+    J(s_j), with the K_T boundary rows (kt_rows) replaced by identity rows.
+
+    The one-sided end stencils reach two nodes, so the matrix is banded with
+    kl = ku = 2 dim.  It is written straight into LAPACK band storage, whose
+    row kl + ku + i - j holds entry (i, j) in column j (rows kl.. are the
+    dia_matrix layout), factored once by dgbtrf and solved by dgbtrs."""
+
+    def __init__(self, grid, jac_blocks, n_stable):
+        N, n, _ = jac_blocks.shape
+        if N != grid.n_nodes:
+            raise ValueError("Jacobian blocks do not match the grid")
+        self.kl = self.ku = k = 2 * n
+        size = N * n
+        diag = 2 * k
+        ab = np.zeros((3 * k + 1, size))
+        # by[r, q, c] is row r of ab in column q n + c; block q of J holds
+        # the entries (q n + a, q n + b)
+        by = ab.reshape(3 * k + 1, N, n)
+        for a in range(n):
+            for b in range(n):
+                by[diag + a - b, :, b] = jac_blocks[:, a, b]
+        # entry (p, q) of diff_matrix, |p - q| <= 2, acts on each component
+        # c as the entry (p n + c, q n + c): on row diag + (p - q) n
+        D = diff_matrix(grid)
+        stencil = np.zeros((5, N))
+        p = np.repeat(np.arange(N), np.diff(D.indptr))
+        stencil[2 + p - D.indices, D.indices] = D.data
+        ab[diag - k:diag + k + 1:n] += np.repeat(stencil, n, axis=1)
+        rows = kt_rows(N, n, n_stable)
+        j = rows[:, None] + np.arange(-k, k + 1)
+        inside = (j >= 0) & (j < size)
+        ab[(diag + rows[:, None] - j)[inside], j[inside]] = 0.0
+        ab[diag, rows] = 1.0
+        # dgbtrf factors a copy, so the band keeps the matrix for tocsr
+        self.band = ab[k:]
+        self._lu, self._piv, info = dgbtrf(ab, k, k)
+        if info != 0:
+            raise RuntimeError("flow operator is singular (dgbtrf info %d)"
+                               % info)
+
+    def solve(self, rhs):
+        """The solution x of M x = rhs, for rhs of shape (size,) or
+        (size, k)."""
+        x, info = dgbtrs(self._lu, self.kl, self.ku, rhs, self._piv)
+        if info != 0:
+            raise RuntimeError("band solve failed (dgbtrs info %d)" % info)
+        return x
+
+    def tocsr(self):
+        """The matrix as CSR, from the same band (explicit zeros dropped)."""
+        size = self.band.shape[1]
+        offsets = self.ku - np.arange(self.band.shape[0])
+        return dia_matrix((self.band, offsets), shape=(size, size)).tocsr()
+
+
+def stencil_derivative(w, h):
+    """d/ds of raw (n_nodes, dim) samples at spacing h by the second-order
+    stencils of diff_matrix (central inside, one-sided at the ends)."""
+    out = np.empty_like(w)
+    out[1:-1] = (w[2:] - w[:-2]) / (2.0 * h)
+    out[0] = (-1.5 * w[0] + 2.0 * w[1] - 0.5 * w[2]) / h
+    out[-1] = (1.5 * w[-1] - 2.0 * w[-2] + 0.5 * w[-3]) / h
+    return out
 
 
 def differentiate(p):
     """d/ds by second-order stencils (central inside, one-sided at the ends)."""
     if p.grid.n_nodes < 3:
         raise ValueError("grid too small to differentiate")
-    w = p.samples
-    h = p.grid.h
-    out = np.empty_like(w)
-    out[1:-1] = (w[2:] - w[:-2]) / (2.0 * h)
-    out[0] = (-1.5 * w[0] + 2.0 * w[1] - 0.5 * w[2]) / h
-    out[-1] = (1.5 * w[-1] - 2.0 * w[-2] + 0.5 * w[-3]) / h
-    return DiscretePath(p.grid, out)
+    return DiscretePath(p.grid, stencil_derivative(p.samples, p.grid.h))
 
 
 def _trapz_sq(samples, h):

@@ -13,8 +13,9 @@ from mglue.invariant_manifolds import (_tensor_forcing, build_tangent_system,
                                        shoot_stable, shoot_unstable,
                                        solve_tangent_lift,
                                        theta_identification, theta_inverse)
-from mglue.path_space import (DiscretePath, diff_matrix, flow_matrix,
-                              make_grid, path_from_function, stencil_matrix)
+from mglue import path_space
+from mglue.path_space import (DiscretePath, FlowLU, diff_matrix, make_grid,
+                              path_from_function)
 
 from test_path_space import assert_same_csr
 
@@ -287,6 +288,17 @@ def assemble_system_lil_reference(Dk, jac_blocks, bc_rows):
     return csr_matrix(J)
 
 
+def collocation_lil_reference(model, base):
+    """The former collocation Jacobian along a half trajectory, from the
+    former stencil kron(diff_matrix, I) and boundary rows spelled out."""
+    n, ns, N = model.dim, model.n_stable, base.grid.n_nodes
+    Dk = kron(diff_matrix(base.grid), identity(n, format="csr"),
+              format="csr")
+    bc_rows = list(range(ns)) + [(N - 1) * n + i for i in range(ns, n)]
+    blocks = np.stack([model.dgrad_tensor(z, 1) for z in base.head.samples])
+    return assemble_system_lil_reference(Dk, blocks, bc_rows)
+
+
 class TestAssembly:
     @pytest.mark.parametrize("S", [1.0, 4.0, 14.0])
     @pytest.mark.parametrize("shoot", [shoot_stable, shoot_unstable])
@@ -294,18 +306,37 @@ class TestAssembly:
     def test_collocation_jacobian_matches_lil_reference(self, c1, S, shoot,
                                                         seed):
         # seed 0 gives the zero trajectory: the Jacobian blocks hold exact
-        # zeros, which the sparse sum must drop as the reference does
+        # zeros, which the CSR view must drop as the reference does
         base = shoot(c1, [seed], S)
-        n, ns, N = c1.dim, c1.n_stable, base.grid.n_nodes
-        Dk = kron(diff_matrix(base.grid), identity(n, format="csr"),
-                  format="csr")
-        assert_same_csr(stencil_matrix(base.grid, n), Dk)
-        bc_rows = list(range(ns)) + [(N - 1) * n + i for i in range(ns, n)]
-        w = base.head.samples
-        blocks = np.stack([c1.dgrad_tensor(z, 1) for z in w])
-        assert_same_csr(
-            flow_matrix(Dk, c1.dgrad_tensor(w, 1), ns),
-            assemble_system_lil_reference(Dk, blocks, bc_rows))
+        lu = FlowLU(base.grid, c1.dgrad_tensor(base.head.samples, 1),
+                    c1.n_stable)
+        assert_same_csr(lu.tocsr(), collocation_lil_reference(c1, base))
+
+    @pytest.mark.parametrize("S", [1.0, 4.0])
+    @pytest.mark.parametrize("shoot", [shoot_stable, shoot_unstable])
+    def test_band_solve_matches_dense_solve(self, c1, S, shoot):
+        base = shoot(c1, [0.3], S)
+        lu = FlowLU(base.grid, c1.dgrad_tensor(base.head.samples, 1),
+                    c1.n_stable)
+        M = collocation_lil_reference(c1, base).toarray()
+        rhs = np.random.default_rng(5).standard_normal((M.shape[0], 2))
+        want = np.linalg.solve(M, rhs)
+        assert np.max(np.abs(lu.solve(rhs) - want)) <= \
+            1e-12 * np.max(np.abs(want))
+        np.testing.assert_array_equal(lu.solve(rhs[:, 0]), lu.solve(rhs)[:, 0])
+
+    def test_zero_column_raises(self, monkeypatch):
+        # no stencil reaches node 4, and its Jacobian block is zero, so the
+        # columns of node 4 are zero and the factor is exactly singular
+        def stencil_without_node_4(grid):
+            D = diff_matrix(grid).tolil()
+            D[:, 4] = 0.0
+            return D.tocsr()
+
+        monkeypatch.setattr(path_space, "diff_matrix", stencil_without_node_4)
+        grid = make_grid(0.0, 1.0, 0.05)
+        with pytest.raises(RuntimeError, match="singular"):
+            FlowLU(grid, np.zeros((grid.n_nodes, 2, 2)), 1)
 
 
 def tangent_forcing_references(model, w, W, ell, args):

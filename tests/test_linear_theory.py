@@ -408,3 +408,14 @@ def d_system_matrix_lil_reference(lt):
 def test_d_system_matrix_matches_lil_reference(c1, cc, T, h):
     lt = LinearTheory(c1, T, h, cc)
     assert_same_csr(_d_matrix(lt), d_system_matrix_lil_reference(lt))
+
+
+def test_off_grid_T_rejected(c1, cc):
+    # 3.01 is not a multiple of h = 1/50: the grid would be [-3, 3] while
+    # glue pre-glues with the shift 3.01
+    with pytest.raises(ValueError, match="not a node"):
+        LinearTheory(c1, 3.01, 0.02, cc)
+    # ceil(T0 / h) h and twice it, as criterion 08 and its benchmark use
+    for T in (4.08, 8.16):
+        lt = LinearTheory(c1, T, 0.02, cc)
+        assert lt.grid.t_max == pytest.approx(T, abs=1e-12)

@@ -219,7 +219,8 @@ class TestPathShapes:
 
 
 def assert_same_csr(a, b):
-    """Same CSR arrays, bit for bit: splu then orders and factors alike."""
+    """Same CSR arrays, bit for bit: the same stored entries (no explicit
+    zeros) in the same order, with the same index dtypes and values."""
     for x, y in ((a.indptr, b.indptr), (a.indices, b.indices),
                  (a.data, b.data)):
         assert x.dtype == y.dtype
