@@ -56,6 +56,11 @@ class LinearTheory:
         return FlowLU(self.grid, A, m.n_stable)
 
     @cached_property
+    def _kt_rows(self):
+        """kt_rows of the grid, the boundary rows that apply_Q_exact zeroes."""
+        return kt_rows(self.grid.n_nodes, self.model.dim, self.model.n_stable)
+
+    @cached_property
     def _duhamel_lu(self):
         """(LU of L, R) of the Duhamel right inverse Q = L^{-1} R on
         node-major samples.  Row k*n + i of L z = R e is the trapezoidal step
@@ -137,7 +142,7 @@ def apply_Q_exact(lt, eta):
     boundary rows; D o Q = Id on all enforced rows to machine precision."""
     _check_grid(lt, eta)
     rhs = eta.samples.reshape(-1).copy()
-    rhs[kt_rows(lt.grid.n_nodes, lt.model.dim, lt.model.n_stable)] = 0.0
+    rhs[lt._kt_rows] = 0.0
     sol = lt._exact_lu.solve(rhs)
     return DiscretePath(eta.grid, sol.reshape(lt.grid.n_nodes, lt.model.dim))
 

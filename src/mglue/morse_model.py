@@ -115,11 +115,10 @@ def _compile_tensors(model):
             # point gives the same bits alone and inside a batch
             z = np.asarray(z, dtype=float)
             cols = z.reshape(-1, z.shape[-1]).T
-            m = cols.shape[1]
-            # constant entries come back as scalars: broadcast them
-            vals = np.stack(
-                [np.broadcast_to(np.asarray(f(*cols), dtype=float), (m,))
-                 for f in fns], axis=-1)
+            vals = np.empty((cols.shape[1], len(fns)))
+            # constant entries come back as scalars and fill their column
+            for i, f in enumerate(fns):
+                vals[:, i] = f(*cols)
             return vals.reshape(z.shape[:-1] + shape)
 
         return fn

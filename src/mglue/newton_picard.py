@@ -67,14 +67,20 @@ NEUMANN_MAX_TERMS = 100
 def precondition_check(p, x1):
     """Measure the two admissibility bounds: ||x1 - x0|| < delta/8 and
     ||F(x1)|| < delta/(4c)."""
-    dx = p.norm_dom(np.asarray(x1) - p.x0)
-    fx = p.norm_cod(p.F(np.asarray(x1)))
+    return _precondition(p, np.asarray(x1))[0]
+
+
+def _precondition(p, x1):
+    """(precondition_check's record, F(x1))."""
+    dx = p.norm_dom(x1 - p.x0)
+    f1 = p.F(x1)
+    fx = p.norm_cod(f1)
     return {
         "dx_norm": float(dx), "dx_bound": p.delta / 8.0,
         "dx_ok": bool(dx < p.delta / 8.0),
         "fx_norm": float(fx), "fx_bound": p.delta / (4.0 * p.c),
         "fx_ok": bool(fx < p.delta / (4.0 * p.c)),
-    }
+    }, f1
 
 
 def np_solve(p, x1):
@@ -86,7 +92,7 @@ def np_solve(p, x1):
     of precondition_check are measured and returned in `precond`, not
     enforced."""
     x1 = np.asarray(x1, dtype=float)
-    pre = precondition_check(p, x1)
+    pre, f1 = _precondition(p, x1)
     tol = TOL_ZERO * max(1.0, p.norm_dom(x1))
     if pre["fx_norm"] <= tol:
         # already a zero: the correction map restricts to the identity
@@ -99,7 +105,10 @@ def np_solve(p, x1):
     prev_step = None
     iters = 0
     for iters in range(1, MAX_ITER + 1):
-        x_new = x1 - p.apply_Q(p.F(x) - p.apply_D(x - x1))
+        # the first step is from x = x1: F(x1) - D(0) = F(x1), which the
+        # precondition record has evaluated
+        rhs = f1 if iters == 1 else p.F(x) - p.apply_D(x - x1)
+        x_new = x1 - p.apply_Q(rhs)
         step = p.norm_dom(x_new - x)
         if prev_step is not None and prev_step > 0:
             r = step / prev_step
@@ -114,14 +123,14 @@ def np_solve(p, x1):
     else:
         raise ContractionError("no convergence in %d iterations" % MAX_ITER)
     corr = x - x1
-    dcorr = p.apply_D(corr)
-    qd = p.apply_Q(dcorr)
-    scale = max(p.norm_dom(corr), 1e-300)
+    qd = p.apply_Q(p.apply_D(corr))
+    corr_norm = p.norm_dom(corr)
     return NPResult(
         x=x, iterations=iters,
         residual_final=float(p.norm_cod(p.F(x))),
-        correction_norm=float(p.norm_dom(corr)),
-        in_image_Q_defect=float(p.norm_dom(corr - qd) / scale),
+        correction_norm=float(corr_norm),
+        in_image_Q_defect=float(p.norm_dom(corr - qd)
+                                / max(corr_norm, 1e-300)),
         contraction_ratios=tuple(ratios), precond=pre)
 
 
@@ -166,7 +175,6 @@ def np_tangent_solve(p, x1, xi1, c2=None):
     x1 = np.asarray(x1, dtype=float)
     xi1 = np.asarray(xi1, dtype=float)
     n = x1.size
-    m = len(np.asarray(p.F(x1)))
     if c2 is None:
         c2 = estimate_c2(p)
     delta_hat = min(p.delta, 1.0 / (4.0 * p.c * max(c2, 1e-300)))
@@ -183,8 +191,9 @@ def np_tangent_solve(p, x1, xi1, c2=None):
         x, xi = split(z, n)
         return np.concatenate([p.apply_D(x), p.apply_D(xi)])
 
+    # the codomain is two copies of F's codomain: split at half its length
     def TQ(z):
-        y, eta = split(z, m)
+        y, eta = split(z, z.size // 2)
         return np.concatenate([p.apply_Q(y), p.apply_Q(eta)])
 
     def tnorm_dom(z):
@@ -192,7 +201,7 @@ def np_tangent_solve(p, x1, xi1, c2=None):
         return max(p.norm_dom(x), wt * p.norm_dom(xi))
 
     def tnorm_cod(z):
-        y, eta = split(z, m)
+        y, eta = split(z, z.size // 2)
         return max(p.norm_cod(y), wt * p.norm_cod(eta))
 
     tp = NPProblem(F=TF, apply_D=TD, apply_Q=TQ,
@@ -245,15 +254,15 @@ class IFTCertificate:
 
 
 def _fd_jacobian(F, x, eps):
+    """Central differences of F at x: 2 n evaluations of F."""
     x = np.asarray(x, dtype=float)
     n = x.size
-    m = len(F(x))
-    J = np.empty((m, n))
+    cols = []
     for j in range(n):
         e = np.zeros(n)
         e[j] = eps
-        J[:, j] = (F(x + e) - F(x - e)) / (2 * eps)
-    return J
+        cols.append((F(x + e) - F(x - e)) / (2 * eps))
+    return np.stack(cols, axis=1)
 
 
 def ift_certificate(F, delta, k, sample_count, rng, dim, fd_eps=1e-6,

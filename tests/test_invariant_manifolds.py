@@ -335,8 +335,55 @@ class TestAssembly:
 
         monkeypatch.setattr(path_space, "diff_matrix", stencil_without_node_4)
         grid = make_grid(0.0, 1.0, 0.05)
-        with pytest.raises(RuntimeError, match="singular"):
-            FlowLU(grid, np.zeros((grid.n_nodes, 2, 2)), 1)
+        # the stencil band is cached per grid: drop any band built from the
+        # real diff_matrix, and the broken one on the way out
+        path_space._stencil_band.cache_clear()
+        try:
+            with pytest.raises(RuntimeError, match="singular"):
+                FlowLU(grid, np.zeros((grid.n_nodes, 2, 2)), 1)
+        finally:
+            path_space._stencil_band.cache_clear()
+
+
+class TestStencilCache:
+    def factors(self, c1, base):
+        lu = FlowLU(base.grid, c1.dgrad_tensor(base.head.samples, 1),
+                    c1.n_stable)
+        return lu.band, lu._lu, lu._piv
+
+    @pytest.mark.parametrize("shoot", [shoot_stable, shoot_unstable])
+    def test_cold_and_warm_cache_same_bits(self, c1, shoot):
+        base = shoot(c1, [0.3], 4.0)
+        warm = self.factors(c1, base)
+        path_space._stencil_band.cache_clear()
+        cold = self.factors(c1, base)
+        again = self.factors(c1, base)
+        for a, b, c in zip(warm, cold, again):
+            assert a.dtype == b.dtype == c.dtype
+            assert a.tobytes() == b.tobytes() == c.tobytes()
+
+    def test_diff_matrix_runs_on_first_factor_only(self, monkeypatch):
+        calls = []
+
+        def counted_diff_matrix(grid):
+            calls.append(grid)
+            return diff_matrix(grid)
+
+        monkeypatch.setattr(path_space, "diff_matrix", counted_diff_matrix)
+        path_space._stencil_band.cache_clear()
+        grid = make_grid(0.0, 2.0, 0.05)
+        for _ in range(3):
+            FlowLU(grid, np.ones((grid.n_nodes, 2, 2)), 1)
+        assert calls == [grid]
+
+    def test_cached_band_is_read_only(self):
+        band = path_space._stencil_band(make_grid(0.0, 1.0, 0.05))
+        with pytest.raises(ValueError):
+            band[2, 0] = 1.0
+
+    def test_cache_is_bounded(self):
+        assert path_space._stencil_band.cache_info().maxsize == \
+            path_space.STENCIL_CACHE_SIZE
 
 
 def tangent_forcing_references(model, w, W, ell, args):

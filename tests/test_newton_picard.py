@@ -1,8 +1,15 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
-from mglue.newton_picard import (ContractionError, IFTCertificate, NPProblem,
-                                 estimate_c2, ift_certificate,
+from mglue import newton_picard
+from mglue.gluing import flow_problem, preglue, quintic_cutoff, shoot_halves
+from mglue.invariant_manifolds import build_tangent_system, solve_tangent_lift
+from mglue.linear_theory import LinearTheory
+from mglue.newton_picard import (MAX_ITER, TOL_ZERO, ContractionError,
+                                 IFTCertificate, NPProblem, NPResult,
+                                 _fd_jacobian, estimate_c2, ift_certificate,
                                  np_differential, np_neumann_defect, np_solve,
                                  np_tangent_solve, precondition_check)
 
@@ -37,6 +44,187 @@ def linear_problem(dF_scale=1.0):
     return NPProblem(F=F, apply_D=lambda v: A @ v,
                      apply_Q=lambda w: Ainv @ w, x0=np.zeros(2), c=2.0,
                      delta=10.0, dF=lambda x: lambda v: dF_scale * (A @ v))
+
+
+def np_solve_reference(p, x1):
+    """The former np_solve loop: its first step evaluates F(x1) again and
+    D(x1 - x1), and it takes the correction norm twice."""
+    x1 = np.asarray(x1, dtype=float)
+    pre = precondition_check(p, x1)
+    tol = TOL_ZERO * max(1.0, p.norm_dom(x1))
+    if pre["fx_norm"] <= tol:
+        return NPResult(x=x1.copy(), iterations=0,
+                        residual_final=pre["fx_norm"], correction_norm=0.0,
+                        in_image_Q_defect=0.0, contraction_ratios=(),
+                        precond=pre)
+    x = x1.copy()
+    ratios = []
+    prev_step = None
+    iters = 0
+    for iters in range(1, MAX_ITER + 1):
+        x_new = x1 - p.apply_Q(p.F(x) - p.apply_D(x - x1))
+        step = p.norm_dom(x_new - x)
+        if prev_step is not None and prev_step > 0:
+            r = step / prev_step
+            ratios.append(float(r))
+            if r > 0.95:
+                raise ContractionError(
+                    "contraction ratio %.3f > 0.95 (hypothesis breakdown)" % r)
+        prev_step = step
+        x = x_new
+        if step <= tol:
+            break
+    else:
+        raise ContractionError("no convergence in %d iterations" % MAX_ITER)
+    corr = x - x1
+    dcorr = p.apply_D(corr)
+    qd = p.apply_Q(dcorr)
+    scale = max(p.norm_dom(corr), 1e-300)
+    return NPResult(
+        x=x, iterations=iters,
+        residual_final=float(p.norm_cod(p.F(x))),
+        correction_norm=float(p.norm_dom(corr)),
+        in_image_Q_defect=float(p.norm_dom(corr - qd) / scale),
+        contraction_ratios=tuple(ratios), precond=pre)
+
+
+def counted(p):
+    """p with counting F and apply_D, and the dict of their call counts."""
+    calls = {"F": 0, "D": 0}
+
+    def F(v):
+        calls["F"] += 1
+        return p.F(v)
+
+    def D(v):
+        calls["D"] += 1
+        return p.apply_D(v)
+
+    return dataclasses.replace(p, F=F, apply_D=D), calls
+
+
+def assert_same_bits(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+def assert_same_result(r, ref):
+    """Bit-equal NPResults: x, every scalar, the ratios and the record."""
+    assert_same_bits(r.x, ref.x)
+    assert r.iterations == ref.iterations
+    for name in ("residual_final", "correction_norm", "in_image_Q_defect"):
+        assert_same_bits(getattr(r, name), getattr(ref, name))
+    assert_same_bits(r.contraction_ratios, ref.contraction_ratios)
+    assert r.precond.keys() == ref.precond.keys()
+    for key in r.precond:
+        assert_same_bits(r.precond[key], ref.precond[key])
+
+
+def flow_case_at(c1, cc, T):
+    """(flow problem, pre-glued x1, pre-glued tangent xi1, c2) of c1 at T
+    from the seeds 0.3 / -0.2, as tangent_convergence_sweep sets them up."""
+    lt = LinearTheory(c1, T, 0.02, cc)
+    wp, wm = shoot_halves(c1, lt, [0.3], [-0.2])
+    spec = build_tangent_system(1)
+    lift_p = solve_tangent_lift(c1, wp, spec, [[1.0]])[0]
+    lift_m = solve_tangent_lift(c1, wm, spec, [[1.0]])[0]
+    beta = quintic_cutoff()
+    x1 = preglue(beta, wp, wm, T, grid=lt.grid).samples.reshape(-1)
+    xi1 = preglue(beta, lift_p, lift_m, T, grid=lt.grid).samples.reshape(-1)
+    prob = flow_problem(c1, lt)
+    return prob, x1, xi1, 1.0 / (4.0 * prob.c * prob.delta)
+
+
+@pytest.fixture(scope="module", params=[3.0, 8.0])
+def flow_case(request, c1, cc):
+    return flow_case_at(c1, cc, request.param)
+
+
+def small_cases():
+    """(problem, x1, xi1) of the xy2 and the linear test problems."""
+    return [(xy2_problem(), np.array([0.1, 0.05]), np.array([0.0, 0.3])),
+            (xy2_problem(), np.array([0.1, 0.2]), np.array([0.2, -0.4])),
+            (linear_problem(), np.array([0.3, -0.1]), np.array([1.0, 0.5]))]
+
+
+class TestSavedWork:
+    """np_solve reuses the precondition's F(x1) and skips D(0): the same bits
+    as the former loop with one F and one D call fewer."""
+
+    def check_np_solve(self, p, x1):
+        ref = np_solve_reference(p, x1)
+        cp, calls = counted(p)
+        res = np_solve(cp, x1)
+        assert_same_result(res, ref)
+        assert calls == {"F": res.iterations + 1, "D": res.iterations}
+        cp, ref_calls = counted(p)
+        np_solve_reference(cp, x1)
+        assert ref_calls == {"F": ref.iterations + 2,
+                             "D": ref.iterations + 1}
+
+    def check_tangent(self, p, x1, xi1, c2, monkeypatch):
+        (x, xi), res = np_tangent_solve(p, x1, xi1, c2=c2)
+        with monkeypatch.context() as m:
+            m.setattr(newton_picard, "np_solve", np_solve_reference)
+            (x_ref, xi_ref), ref = np_tangent_solve(p, x1, xi1, c2=c2)
+        assert_same_bits(x, x_ref)
+        assert_same_bits(xi, xi_ref)
+        assert_same_result(res, ref)
+
+    def test_flow_problem_np_solve(self, flow_case):
+        p, x1, _, _ = flow_case
+        self.check_np_solve(p, x1)
+
+    def test_flow_problem_tangent_solve(self, flow_case, monkeypatch):
+        p, x1, xi1, c2 = flow_case
+        self.check_tangent(p, x1, xi1, c2, monkeypatch)
+
+    @pytest.mark.parametrize("case", range(len(small_cases())))
+    def test_small_problems(self, case, monkeypatch):
+        p, x1, xi1 = small_cases()[case]
+        self.check_np_solve(p, x1)
+        self.check_tangent(p, x1, xi1, None, monkeypatch)
+
+    def test_exact_zero_one_F_call(self):
+        cp, calls = counted(xy2_problem())
+        res = np_solve(cp, np.array([-0.04, 0.2]))
+        assert res.iterations == 0
+        assert calls == {"F": 1, "D": 0}
+
+    def test_tangent_solve_F_calls_c1_T5(self, c1, cc):
+        # the former solve made 10: a probe of F(x1) for the codomain length
+        # and one more F per Newton-Picard solve
+        p, x1, xi1, c2 = flow_case_at(c1, cc, 5.0)
+        cp, calls = counted(p)
+        _, res = np_tangent_solve(cp, x1, xi1, c2=c2)
+        assert calls["F"] == 8 == res.iterations + 1
+
+
+def fd_jacobian_reference(F, x, eps):
+    """The former _fd_jacobian: F(x) evaluated for the row count, then the
+    columns filled in place."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    J = np.empty((len(F(x)), n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = eps
+        J[:, j] = (F(x + e) - F(x - e)) / (2 * eps)
+    return J
+
+
+def test_fd_jacobian_two_calls_per_column():
+    calls = []
+
+    def F(x):
+        calls.append(x)
+        return np.array([np.sin(x[0]) * x[1], x[0] ** 3, x[1] - x[2] ** 2])
+
+    x = np.array([0.3, -0.7, 1.1])
+    J = _fd_jacobian(F, x, 1e-4)
+    assert len(calls) == 2 * x.size
+    assert_same_bits(J, fd_jacobian_reference(F, x, 1e-4))
 
 
 class TestNpSolve:
