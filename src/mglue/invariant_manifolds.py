@@ -174,13 +174,14 @@ def _shoot(model, seed, S, side, h_max):
             w_new = w + lam * step.reshape(N, n)
             res_new = _flow_res_with_bc(model, w_new, grid.h, bc_rows,
                                         bc_vals)
-            if np.linalg.norm(res_new) < rnorm or rnorm == 0.0:
+            rnorm_new = np.linalg.norm(res_new)
+            if rnorm_new < rnorm or rnorm == 0.0:
                 break
             lam *= 0.5
         else:
             raise ShootError("damped Newton stalled (seed outside "
                              "computable neighborhood)")
-        w, res, rnorm = w_new, res_new, np.linalg.norm(res_new)
+        w, res, rnorm = w_new, res_new, rnorm_new
     else:
         raise ShootError("Newton did not converge in %d iterations" % MAX_ITER)
 

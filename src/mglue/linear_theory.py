@@ -9,15 +9,18 @@ discretized operator, a banded LU), the infinitesimal gluing map, and norm
 bounds.
 
 glue corrects with the discretized-operator solve; mglue constants, mglue
-verify and criterion 04 measure the Duhamel Q.  A measured norm is a converged
-Lanczos eigenvalue (eigsh) of M^T G_out M v = lam G_in v for Gram matrices
-G_out, G_in; q_matrix and projection_matrix return M as a LinearOperator.
+verify and criterion 04 measure the Duhamel Q.  A measured norm is the square
+root of the top eigenvalue of M^T G_out M v = lam G_in v for Gram matrices
+G_out, G_in: a converged standard-form Lanczos eigenvalue (eigsh) of
+U^{-T} M^T G_out M U^{-1}, with G_in = U^T U the banded Cholesky factor;
+q_matrix and projection_matrix return M as a LinearOperator.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.sparse import csr_matrix, diags, identity, kron
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
@@ -62,11 +65,12 @@ class LinearTheory:
 
     @cached_property
     def _duhamel_lu(self):
-        """(LU of L, R) of the Duhamel right inverse Q = L^{-1} R on
-        node-major samples.  Row k*n + i of L z = R e is the trapezoidal step
-        z[k] - f z[p] = s h/2 (e[k] + f e[p]) of component i, f =
-        exp(-|a_i| h), from p = k - 1, s = 1 if stable and p = k + 1, s = -1
-        if unstable.  The K_T rows, with no previous node p, read z = 0."""
+        """(LU of L, R, R^T as CSR) of the Duhamel right inverse
+        Q = L^{-1} R on node-major samples.  Row k*n + i of L z = R e is the
+        trapezoidal step z[k] - f z[p] = s h/2 (e[k] + f e[p]) of component
+        i, f = exp(-|a_i| h), from p = k - 1, s = 1 if stable and p = k + 1,
+        s = -1 if unstable.  The K_T rows, with no previous node p, read
+        z = 0.  q_matrix's adjoint multiplies by the stored R^T."""
         m = self.model
         N = self.grid.n_nodes
         size = N * m.dim
@@ -79,7 +83,8 @@ class LinearTheory:
                           shape=(size, size))
         eye = identity(size, format="csr")
         half = diags(0.5 * self.grid.h * sign * keep)
-        return splu((eye - step).tocsc()), half @ (eye + step)
+        R = half @ (eye + step)
+        return splu((eye - step).tocsc()), R, R.T.tocsr()
 
 
 def _d_matrix(lt):
@@ -132,7 +137,7 @@ def apply_Q(lt, eta):
     the trapezoidal rule.  One solve with the cached LU (_duhamel_lu); the
     image lies in K_T exactly."""
     _check_grid(lt, eta)
-    lu, R = lt._duhamel_lu
+    lu, R, _ = lt._duhamel_lu
     z = lu.solve(R @ eta.samples.reshape(-1))
     return DiscretePath(eta.grid, z.reshape(eta.samples.shape))
 
@@ -216,16 +221,49 @@ def l2_gram(grid, dim):
     return kron(diags(wts), identity(dim, format="csr"), format="csr")
 
 
+def _band_cholesky(gram):
+    """Upper Cholesky factor U, gram = U^T U, of a sparse symmetric positive
+    definite matrix, in LAPACK upper band storage (row kd + i - j of column j
+    holds U[i, j]) with kd the widest upper offset of gram's entries."""
+    g = gram.tocoo()
+    upper = g.col >= g.row
+    rows, cols = g.row[upper], g.col[upper]
+    kd = int(np.max(cols - rows))
+    ab = np.zeros((kd + 1, g.shape[0]))
+    np.add.at(ab, (kd + rows - cols, cols), g.data[upper])
+    U, info = dpbtrf(ab)
+    if info != 0:
+        raise RuntimeError("Gram matrix is not positive definite (dpbtrf "
+                           "info %d)" % info)
+    return U
+
+
+def _band_triangular_solve(U, b, trans):
+    """U^{-1} b (trans "N") or U^{-T} b (trans "T") for the band factor U."""
+    x, info = dtbtrs(U, b, trans=trans)
+    if info != 0:
+        raise RuntimeError("band triangular solve failed (dtbtrs info %d)"
+                           % info)
+    return x
+
+
 def measured_opnorm(M, gram_out, gram_in, rng):
     """Largest singular value of the operator M between the weighted spaces
     given by sparse Gram matrices: sqrt of the top eigenvalue of
-    M^T G_out M v = lam G_in v, converged by implicitly restarted Lanczos.
-    The start vector comes from rng, so a fixed seed fixes every bit."""
+    M^T G_out M v = lam G_in v.  With G_in = U^T U (banded Cholesky), that is
+    the top eigenvalue of the symmetric U^{-T} M^T G_out M U^{-1}, converged
+    by implicitly restarted Lanczos in standard mode.  The start vector
+    comes from rng, so a fixed seed fixes every bit."""
     n = M.shape[1]
-    normal = LinearOperator((n, n), dtype=float,
-                            matvec=lambda v: M.T @ (gram_out @ (M @ v)))
-    lam = eigsh(normal, k=1, M=gram_in, which="LA",
-                v0=rng.standard_normal(n), return_eigenvectors=False)
+    U = _band_cholesky(gram_in)
+
+    def matvec(x):
+        y = _band_triangular_solve(U, np.ravel(x), "N")
+        return _band_triangular_solve(U, M.T @ (gram_out @ (M @ y)), "T")
+
+    lam = eigsh(LinearOperator((n, n), dtype=float, matvec=matvec), k=1,
+                which="LA", v0=rng.standard_normal(n),
+                return_eigenvectors=False)
     return float(np.sqrt(lam[0]))
 
 
@@ -256,16 +294,16 @@ def q_matrix(lt):
     """The Duhamel right inverse apply_Q on flattened sample vectors as a
     LinearOperator (not the LU right inverse apply_Q_exact that glue
     corrects with).  Its adjoint is R^T L^{-T}, with the LU of L."""
-    lu, R = lt._duhamel_lu
+    lu, _, Rt = lt._duhamel_lu
 
     def matvec(v):
         eta = DiscretePath(lt.grid, np.reshape(v, (-1, lt.model.dim)))
         return apply_Q(lt, eta).samples.ravel()
 
     def rmatvec(v):
-        return R.T @ lu.solve(np.ravel(v), trans="T")
+        return Rt @ lu.solve(np.ravel(v), trans="T")
 
-    return LinearOperator(R.shape, dtype=float, matvec=matvec,
+    return LinearOperator(Rt.shape, dtype=float, matvec=matvec,
                           rmatvec=rmatvec)
 
 

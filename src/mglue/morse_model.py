@@ -7,6 +7,7 @@ the gradient up to order 3, and all model-derived constants.
 """
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import exp, log, sqrt
 
 import numpy as np
@@ -15,6 +16,10 @@ import sympy as sp
 
 # the highest order of the coded derivative tensors of the gradient
 TENSOR_ORDER = 3
+
+# (dim, nonlinearity) pairs whose compiled tensor functions stay cached; one
+# sympy compile of a 2-d cubic takes about 17 ms
+COMPILE_CACHE_SIZE = 16
 
 
 def _spectral_norm(mat):
@@ -41,7 +46,8 @@ class MorseModel:
         if np.sum(a < 0) != self.index:
             raise ValueError("index must equal the number of negative eigenvalues")
         object.__setattr__(self, "eig", tuple(float(v) for v in a))
-        object.__setattr__(self, "_tensor_fns", _compile_tensors(self))
+        object.__setattr__(self, "_tensor_fns",
+                           _compile_tensors(self.dim, self.nonlinearity))
         # vanishing 2-jet / critical point sanity
         if np.linalg.norm(self.grad(np.zeros(self.dim))) > 1e-12:
             raise ValueError("gradient does not vanish at 0")
@@ -101,9 +107,13 @@ class MorseModel:
         return t
 
 
-def _compile_tensors(model):
-    xs = sp.symbols("x1:%d" % (model.dim + 1))
-    expr = sp.sympify(model.nonlinearity, locals={s.name: s for s in xs},
+@lru_cache(maxsize=COMPILE_CACHE_SIZE)
+def _compile_tensors(dim, nonlinearity):
+    """Batched functions of grad f_nl and of its derivative tensors up to
+    TENSOR_ORDER.  They depend on (dim, nonlinearity) only, so models that
+    share the pair share one compile."""
+    xs = sp.symbols("x1:%d" % (dim + 1))
+    expr = sp.sympify(nonlinearity, locals={s.name: s for s in xs},
                       convert_xor=True)
     grad_nl = [sp.diff(expr, x) for x in xs]
 
@@ -123,13 +133,12 @@ def _compile_tensors(model):
 
         return fn
 
-    n = model.dim
     out = {}
-    out[0] = lambdify_tensor(grad_nl, (n,))
+    out[0] = lambdify_tensor(grad_nl, (dim,))
     cur = grad_nl
     for order in range(1, TENSOR_ORDER + 1):
         cur = [sp.diff(e, x) for e in cur for x in xs]
-        out[order] = lambdify_tensor(cur, (n,) * (order + 1))
+        out[order] = lambdify_tensor(cur, (dim,) * (order + 1))
     return tuple(out[i] for i in range(TENSOR_ORDER + 1))
 
 
@@ -189,12 +198,17 @@ SPHERE_SAMPLES = 1000
 SAMPLING_SAFETY = 1.05
 
 
+def _point_devs(model, z):
+    """||dgrad(z) - A||_op at each point of the batch z, unscaled."""
+    dev = model._tensor_fns[1](z)  # batched (m, n, n) Hessian deviation
+    # dev is symmetric (Hessian of the scalar perturbation)
+    return np.abs(np.linalg.eigvalsh(dev)).max(axis=-1)
+
+
 def _sampled_sup_dev(model, z):
     """max over the points z of ||dgrad(z) - A||_op, scaled by the safety
     factor for the sampling gap."""
-    dev = model._tensor_fns[1](z)  # batched (m, n, n) Hessian deviation
-    # dev is symmetric (Hessian of the scalar perturbation)
-    return SAMPLING_SAFETY * float(np.max(np.abs(np.linalg.eigvalsh(dev))))
+    return SAMPLING_SAFETY * float(np.max(_point_devs(model, z)))
 
 
 def sup_dgrad_deviation(model, rho, rng):
@@ -207,24 +221,39 @@ def sup_dgrad_deviation(model, rho, rng):
 
 def _rho_mu(model, mu, c, rng, delta_max):
     """Largest rho with sampled sup_{|z|<=rho} ||dgrad - A|| <= 1/(mu c),
-    by bisection to a resolution of 1e-6."""
+    by bisection to a resolution of 1e-6.
+
+    Each probe first tries the sample that maximised the last evaluation
+    of all samples: if that one sample is above the target, so is the
+    sampled sup, and the probe ends there.  eigvalsh gives a matrix the same
+    bits alone as inside the batch, and rounding keeps SAMPLING_SAFETY * s
+    monotone in s, so every decision equals that of the full evaluation."""
     target = 1.0 / (mu * c)
     resolution = 1e-6
     u = rng.standard_normal((SPHERE_SAMPLES * model.dim, model.dim))
     u /= np.linalg.norm(u, axis=1, keepdims=True)
+    worst = 0
 
-    def sup_dev(rho):
-        return _sampled_sup_dev(model, rho * u)
+    def within(rho):
+        nonlocal worst
+        # `not <=` rather than `>`: a NaN deviation fails here as it does in
+        # the full evaluation
+        one = _point_devs(model, rho * u[worst:worst + 1])
+        if not SAMPLING_SAFETY * float(one[0]) <= target:
+            return False
+        devs = _point_devs(model, rho * u)
+        worst = int(np.argmax(devs))
+        return SAMPLING_SAFETY * float(devs[worst]) <= target
 
     cap = 2.0 * delta_max
-    if sup_dev(cap) <= target:
+    if within(cap):
         return cap  # nonlinearity too weak to bite before the cap
-    if sup_dev(resolution) > target:
+    if not within(resolution):
         raise ValueError("no positive admissible radius (degenerate scale)")
     lo, hi = 0.0, cap
     while hi - lo > resolution:
         mid = 0.5 * (lo + hi)
-        if sup_dev(mid) <= target:
+        if within(mid):
             lo = mid
         else:
             hi = mid

@@ -240,9 +240,14 @@ def differentiate(p):
     return DiscretePath(p.grid, stencil_derivative(p.samples, p.grid.h))
 
 
-def _trapz_sq(samples, h):
-    sq = (samples * samples).sum(axis=1)
-    return h * (sq.sum() - 0.5 * (sq[0] + sq[-1]))
+def _node_sq(samples):
+    """Squared Euclidean norm of the sample at each node."""
+    return (samples * samples).sum(axis=1)
+
+
+def _trapz(vals, h):
+    """Trapezoidal integral of nodal values at spacing h."""
+    return h * (vals.sum() - 0.5 * (vals[0] + vals[-1]))
 
 
 def trapezoid_weights(grid):
@@ -253,20 +258,29 @@ def trapezoid_weights(grid):
 
 
 def l2_norm(p):
-    return float(np.sqrt(_trapz_sq(p.samples, p.grid.h)))
+    return float(np.sqrt(_trapz(_node_sq(p.samples), p.grid.h)))
 
 
 def sup_norm(p):
     # max of square roots = square root of the max: sqrt is monotone
-    s = p.samples
-    return float(np.sqrt((s * s).sum(axis=1).max()))
+    return float(np.sqrt(_node_sq(p.samples).max()))
 
 
 def norms(p):
-    """L2 (trapezoidal), W^{1,2} and nodewise sup norms of a path."""
-    l2 = l2_norm(p)
-    dl2 = l2_norm(differentiate(p))
-    return PathNorms(l2=l2, w12=float(np.hypot(l2, dl2)), sup=sup_norm(p))
+    """L2 (trapezoidal), W^{1,2} and nodewise sup norms of a path, the same
+    bits as l2_norm, l2_norm(differentiate(p)) and sup_norm.  A non-finite
+    derivative raises ValueError, as differentiate does."""
+    h = p.grid.h
+    sq = _node_sq(p.samples)
+    l2 = float(np.sqrt(_trapz(sq, h)))
+    ds = stencil_derivative(p.samples, h)
+    dl2 = float(np.sqrt(_trapz(_node_sq(ds), h)))
+    # a finite dl2 has finite terms; a non-finite one may also come from
+    # finite terms whose squares overflow, which is no error
+    if not np.isfinite(dl2) and not np.isfinite(ds).all():
+        raise ValueError("non-finite samples")
+    return PathNorms(l2=l2, w12=float(np.hypot(l2, dl2)),
+                     sup=float(np.sqrt(sq.max())))
 
 
 def w12_inner(p, q):

@@ -3,21 +3,23 @@ import pytest
 from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
 from scipy.sparse import csr_matrix, diags, identity, kron
 
-from mglue.linear_theory import (KernelElement, LinearTheory, _d_matrix,
-                                 apply_D,
+from mglue.linear_theory import (KernelElement, LinearTheory,
+                                 _band_cholesky, _d_matrix, apply_D,
                                  apply_Q, apply_Q_exact,
                                  d_restricted_min_sv,
                                  euclidean_ev_reference,
                                  euclidean_gluing_reference,
                                  gamma_infinitesimal, gamma_svd_bounds,
-                                 kernel_path, l2_gram,
+                                 kernel_path, l2_gram, measured_opnorm,
                                  measured_projection_norm, measured_q_norm,
                                  project_E, projection_matrix, q_matrix,
                                  w12_gram)
+from mglue.morse_model import compute_constants
 from mglue.path_space import (DiscretePath, diff_matrix, kt_rows, l2_norm,
                               norms, path_from_function, sup_norm,
                               zero_path)
 
+from test_morse_model import model_3d
 from test_path_space import assert_same_csr, fourier_path
 
 
@@ -359,6 +361,37 @@ def test_measured_norms_match_dense_eigh(c1, cc, h):
     assert pi == pytest.approx(
         dense_opnorm_reference(projection_matrix_dense_reference(lt), Gw, Gw),
         rel=1e-12)
+
+
+@pytest.mark.parametrize("which", ["Q", "Pi"])
+def test_measured_norms_3d_match_dense_eigh(which):
+    # n = 3: the W^{1,2} Gram, a band of half-width 2 nodes, whitens with
+    # kd = 6 off-diagonal rows
+    model = model_3d()
+    lt = LinearTheory(model, 3.0, 0.1,
+                      compute_constants(model, rng=np.random.default_rng(0)))
+    Gw = w12_gram(lt.grid, model.dim)
+    Gl = l2_gram(lt.grid, model.dim)
+    assert _band_cholesky(Gw).shape == (7, lt.grid.n_nodes * model.dim)
+    if which == "Q":
+        got = measured_q_norm(lt, np.random.default_rng(12))
+        ref = dense_opnorm_reference(q_matrix_dense_reference(lt), Gw, Gl)
+    else:
+        got = measured_projection_norm(lt, np.random.default_rng(13))
+        ref = dense_opnorm_reference(projection_matrix_dense_reference(lt),
+                                     Gw, Gw)
+    assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_measured_opnorm_rejects_indefinite_gram(c1, cc):
+    lt = LinearTheory(c1, 3.0, 0.1, cc)
+    G = w12_gram(lt.grid, c1.dim)
+    # shifted past its smallest eigenvalue, which is at most its diagonal
+    shifted = G - 2.0 * G.diagonal().max() * identity(G.shape[0])
+    for gram_in in (-G, shifted):
+        with pytest.raises(RuntimeError, match="not positive definite"):
+            measured_opnorm(q_matrix(lt), G, gram_in,
+                            np.random.default_rng(0))
 
 
 def d_restricted_min_sv_dense_reference(lt):

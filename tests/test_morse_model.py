@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 import sympy as sp
 
-from mglue.morse_model import (MorseModel, compute_constants,
-                               c_rightinv_formula, d_proj_formula,
-                               k_gamma_formula, model_c1, model_e1,
-                               model_from_config, parse_flat_config,
+from mglue import morse_model
+from mglue.morse_model import (COMPILE_CACHE_SIZE, SAMPLING_SAFETY,
+                               SPHERE_SAMPLES, MorseModel, _compile_tensors,
+                               compute_constants, c_rightinv_formula,
+                               d_proj_formula, k_gamma_formula, model_c1,
+                               model_e1, model_from_config, parse_flat_config,
                                sup_dgrad_deviation)
 
 LAM = 0.1
@@ -212,3 +214,102 @@ class TestBatchedEvaluation:
                 (3, 4) + (n,) * (order + 1)
             assert np.array_equal(model.dgrad_tensor(Z, order)[1, 2],
                                   model.dgrad_tensor(Z[1, 2], order))
+
+
+def rho_mu_reference(model, mu, c, rng, delta_max):
+    """The former bisection for the admissible radius: every probe
+    evaluates all sampled directions."""
+    target = 1.0 / (mu * c)
+    resolution = 1e-6
+    u = rng.standard_normal((SPHERE_SAMPLES * model.dim, model.dim))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+
+    def sup_dev(rho):
+        return morse_model._sampled_sup_dev(model, rho * u)
+
+    cap = 2.0 * delta_max
+    if sup_dev(cap) <= target:
+        return cap
+    if sup_dev(resolution) > target:
+        raise ValueError("no positive admissible radius (degenerate scale)")
+    lo, hi = 0.0, cap
+    while hi - lo > resolution:
+        mid = 0.5 * (lo + hi)
+        if sup_dev(mid) <= target:
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+# Cubic models have Hessian deviations linear in z, so the sample that
+# maximises the deviation is the same at every radius; here the quartic terms
+# move it between the probes of the bisection.
+def model_mixed():
+    return MorseModel(dim=2, index=1, eig=(1.0, -1.0),
+                      nonlinearity="0.1*x1^2*x2 + 0.3*x1^4 - 0.2*x2^4")
+
+
+class TestEarlyExitBisection:
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("make",
+                             [model_e1, model_c1, model_3d, model_mixed])
+    def test_constants_bit_equal_reference(self, monkeypatch, make, seed):
+        # e1 takes the cap path, the others bisect
+        model = make()
+        got = compute_constants(model, rng=np.random.default_rng(seed))
+        monkeypatch.setattr(morse_model, "_rho_mu", rho_mu_reference)
+        ref = compute_constants(model, rng=np.random.default_rng(seed))
+        assert got.delta_mu == ref.delta_mu
+        assert got.T0 == ref.T0
+
+    def test_fewer_full_evaluations(self, monkeypatch, c1):
+        full = []
+        point_devs = morse_model._point_devs
+
+        def counting(model, z):
+            if len(z) > 1:
+                full.append(len(z))
+            return point_devs(model, z)
+
+        monkeypatch.setattr(morse_model, "_point_devs", counting)
+        c = c_rightinv_formula(c1)
+        for mu in (2.0, 4.0, 4.0 * k_gamma_formula(c1) + 1.0):
+            counts = []
+            for rho_mu in (rho_mu_reference, morse_model._rho_mu):
+                full.clear()
+                rho_mu(c1, mu, c, np.random.default_rng(0), 1.0)
+                counts.append(len(full))
+            assert counts[0] == 23
+            assert counts[1] < counts[0]
+
+    def test_sup_deviation_value_kept(self, c1):
+        z = np.random.default_rng(4).standard_normal((SPHERE_SAMPLES * 2, 2))
+        z *= 0.3 / np.linalg.norm(z, axis=1, keepdims=True)
+        dev = c1.dgrad_tensor(z, 1) - c1.A
+        ref = SAMPLING_SAFETY * float(np.max(np.abs(np.linalg.eigvalsh(dev))))
+        assert sup_dgrad_deviation(c1, 0.3, np.random.default_rng(4)) == ref
+
+
+class TestCompileCache:
+    def test_equal_models_share_compile(self):
+        assert model_c1()._tensor_fns is model_c1()._tensor_fns
+
+    def test_other_eig_shares_compile(self):
+        m = MorseModel(dim=2, index=1, eig=(2.0, -0.5),
+                       nonlinearity="0.1*x1^2*x2")
+        assert m._tensor_fns is model_c1()._tensor_fns
+
+    def test_other_nonlinearity_compiles_anew(self):
+        assert model_e1()._tensor_fns is not model_c1()._tensor_fns
+
+    def test_cache_is_bounded(self):
+        assert _compile_tensors.cache_info().maxsize == COMPILE_CACHE_SIZE
+
+    @pytest.mark.parametrize("nonlinearity", ["x1*x2", "x1", "x1 +* x2"])
+    def test_invalid_nonlinearity_raises_every_time(self, nonlinearity):
+        # a cached compile must not skip the checks of the model
+        for _ in range(3):
+            with pytest.raises(ValueError):
+                MorseModel(dim=2, index=1, eig=(1.0, -1.0),
+                           nonlinearity=nonlinearity)

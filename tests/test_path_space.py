@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -114,6 +116,33 @@ class TestNorms:
             assert m.l2 == pytest.approx(n.l2, rel=1e-12)
             assert m.w12 == pytest.approx(n.w12, rel=1e-9)
             assert m.sup == n.sup
+
+    def test_bits_equal_composition(self):
+        # the former norms: l2_norm, the l2_norm of differentiate, sup_norm;
+        # at scale 1e160 the squares overflow without an error (inf - inf
+        # makes the L2 norms nan, compared as equal)
+        rng = np.random.default_rng(9)
+        for T, dim in ((3.0, 2), (8.0, 3), (1.0, 1)):
+            g = symmetric_grid(T, 0.02)
+            for scale in (1e-3, 1.0, 1e3, 1e160):
+                p = DiscretePath(g, scale * rng.standard_normal(
+                    (g.n_nodes, dim)))
+                with np.errstate(over="ignore", invalid="ignore"):
+                    l2 = l2_norm(p)
+                    dl2 = l2_norm(differentiate(p))
+                    ref = (l2, float(np.hypot(l2, dl2)), sup_norm(p))
+                    np.testing.assert_array_equal(astuple(norms(p)), ref)
+
+    def test_overflowing_derivative_raises(self):
+        g = symmetric_grid(1.0, 0.05)
+        samples = np.zeros((g.n_nodes, 2))
+        samples[1] = 1.5e308  # 2 w[1] / h overflows at the first node
+        p = DiscretePath(g, samples)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError):
+                differentiate(p)
+            with pytest.raises(ValueError):
+                norms(p)
 
 
 class TestSobolevEmbedding:
