@@ -59,6 +59,11 @@ class LinearTheory:
         return FlowLU(self.grid, A, m.n_stable)
 
     @cached_property
+    def _w12_gram(self):
+        """w12_gram of the grid, shared by the measured norms."""
+        return w12_gram(self.grid, self.model.dim)
+
+    @cached_property
     def _kt_rows(self):
         """kt_rows of the grid, the boundary rows that apply_Q_exact zeroes."""
         return kt_rows(self.grid.n_nodes, self.model.dim, self.model.n_stable)
@@ -184,7 +189,7 @@ def euclidean_gluing_reference(model, w_plus_0, w_minus_0, T, grid=None):
     """Closed-form glued flow line of the Euclidean model:
     s -> exp(-(s+T)A) w_+(0) + exp((T-s)A) w_-(0), on grid (default: the
     symmetric grid of spacing 0.02)."""
-    if model.nonlinearity.strip() not in ("0", "0.0", ""):
+    if model.nonlinearity:
         raise ValueError("reference requires the Euclidean (linear) model")
     if grid is None:
         grid = symmetric_grid(T)
@@ -193,14 +198,6 @@ def euclidean_gluing_reference(model, w_plus_0, w_minus_0, T, grid=None):
     vals = (np.exp(-np.outer(s + T, a)) * np.asarray(w_plus_0)
             + np.exp(np.outer(T - s, a)) * np.asarray(w_minus_0))
     return DiscretePath(grid, vals)
-
-
-def euclidean_ev_reference(model, w_plus_0, w_minus_0, T):
-    """Closed-form boundary evaluation of the Euclidean glued line."""
-    a = model.a
-    left = np.asarray(w_plus_0) + np.exp(2 * T * a) * np.asarray(w_minus_0)
-    right = np.asarray(w_minus_0) + np.exp(-2 * T * a) * np.asarray(w_plus_0)
-    return left, right
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +283,7 @@ def projection_matrix(lt):
 
 
 def measured_projection_norm(lt, rng):
-    G = w12_gram(lt.grid, lt.model.dim)
+    G = lt._w12_gram
     return measured_opnorm(projection_matrix(lt), G, G, rng)
 
 
@@ -308,9 +305,8 @@ def q_matrix(lt):
 
 
 def measured_q_norm(lt, rng):
-    Gout = w12_gram(lt.grid, lt.model.dim)
-    Gin = l2_gram(lt.grid, lt.model.dim)
-    return measured_opnorm(q_matrix(lt), Gout, Gin, rng)
+    return measured_opnorm(q_matrix(lt), lt._w12_gram,
+                           l2_gram(lt.grid, lt.model.dim), rng)
 
 
 def d_restricted_min_sv(lt):
@@ -325,7 +321,7 @@ def d_restricted_min_sv(lt):
     keep = np.ones(N * n, dtype=bool)
     keep[kt_rows(N, n, lt.model.n_stable)] = False
     M = _d_matrix(lt)[keep][:, keep]
-    Gin = w12_gram(lt.grid, n)[keep][:, keep]
+    Gin = lt._w12_gram[keep][:, keep]
     Gout = l2_gram(lt.grid, n)[keep][:, keep]
     lam = eigsh(M.T @ Gout @ M, k=1, M=Gin, sigma=0, which="LM",
                 v0=np.ones(M.shape[1]), return_eigenvectors=False)

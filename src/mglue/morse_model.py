@@ -2,28 +2,52 @@
 
 A model is f(z) = 1/2 <z, Az> + f_nl(z) with A = diag(a_1 >= ... >= a_{n-k}
 > 0 > a_{n-k+1} >= ... >= a_n) and a polynomial perturbation f_nl whose 2-jet
-vanishes at 0.  The module provides the gradient, coded derivative tensors of
+vanishes at 0.  f_nl is held as its monomial terms ((exponents), coefficient),
+the form sympy.Poly(...).terms() returns; sympy is imported only to read
+polynomial text.  The module provides the gradient, the derivative tensors of
 the gradient up to order 3, and all model-derived constants.
 """
 
 from dataclasses import dataclass, field
-from functools import lru_cache
 from math import exp, log, sqrt
+from operator import index
 
 import numpy as np
-import sympy as sp
 
 
 # the highest order of the coded derivative tensors of the gradient
 TENSOR_ORDER = 3
 
-# (dim, nonlinearity) pairs whose compiled tensor functions stay cached; one
-# sympy compile of a 2-d cubic takes about 17 ms
-COMPILE_CACHE_SIZE = 16
+
+def polynomial_terms(text, dim):
+    """Monomial terms ((exponents), coefficient) of a polynomial in
+    x1..x<dim> written as text (`^` or `**` for powers)."""
+    import sympy as sp
+    xs = sp.symbols("x1:%d" % (dim + 1))
+    try:
+        expr = sp.sympify(text, locals={s.name: s for s in xs},
+                          convert_xor=True)
+        return tuple((e, float(c)) for e, c in sp.Poly(expr, *xs).terms())
+    except (TypeError, sp.PolynomialError) as exc:
+        raise ValueError("nonlinearity %r is not a polynomial in x1..x%d"
+                         % (text, dim)) from exc
 
 
-def _spectral_norm(mat):
-    return float(np.linalg.norm(mat, 2))
+def _derivative_tables(terms, dim):
+    """For each order k = 0..TENSOR_ORDER, the nonzero entries of the order-k
+    derivative tensor of grad f_nl: (flat index, ((c, ((j, e), ...)), ...)),
+    a sum of c * prod z_j**e.  Entry (i, j1.., jk) is differentiated in that
+    order, so c is rounded as ((c * e_i) * e_j1) ..., as sympy rounds it."""
+    level = {0: terms}
+    tables = []
+    for _ in range(TENSOR_ORDER + 1):
+        level = {k * dim + j: d for k, ts in level.items() for j in range(dim)
+                 if (d := tuple((e[:j] + (e[j] - 1,) + e[j + 1:], c * e[j])
+                                for e, c in ts if e[j]))}
+        tables.append(tuple(
+            (k, tuple((c, tuple((j, p) for j, p in enumerate(e) if p))
+                      for e, c in ts)) for k, ts in level.items()))
+    return tuple(tables)
 
 
 @dataclass(frozen=True)
@@ -31,9 +55,11 @@ class MorseModel:
     dim: int
     index: int
     eig: tuple                 # a_1 >= ... >= a_n, ordered, nonzero
-    nonlinearity: str = "0"    # polynomial in x1..xn, vanishing 2-jet at 0
+    # f_nl as monomial terms ((exponents), coefficient), or as polynomial
+    # text in x1..xn; vanishing 2-jet at 0
+    nonlinearity: tuple = ()
     # filled in __post_init__
-    _tensor_fns: tuple = field(default=None, repr=False, compare=False)
+    _tables: tuple = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         a = np.asarray(self.eig, dtype=float)
@@ -46,12 +72,25 @@ class MorseModel:
         if np.sum(a < 0) != self.index:
             raise ValueError("index must equal the number of negative eigenvalues")
         object.__setattr__(self, "eig", tuple(float(v) for v in a))
-        object.__setattr__(self, "_tensor_fns",
-                           _compile_tensors(self.dim, self.nonlinearity))
+        terms = self.nonlinearity
+        if isinstance(terms, str):
+            terms = polynomial_terms(terms, self.dim)
+        # constants do not change grad f; descending exponents, the order of
+        # Poly.terms()
+        terms = tuple(sorted(((tuple(map(index, e)), float(c))
+                              for e, c in terms if c and any(e)), reverse=True))
+        if len(dict(terms)) != len(terms) or \
+                any(len(e) != self.dim or min(e) < 0 for e, _ in terms):
+            raise ValueError("terms need distinct exponent tuples of length "
+                             "dim with entries >= 0")
+        object.__setattr__(self, "nonlinearity", terms)
+        object.__setattr__(self, "_tables",
+                           _derivative_tables(terms, self.dim))
         # vanishing 2-jet / critical point sanity
         if np.linalg.norm(self.grad(np.zeros(self.dim))) > 1e-12:
             raise ValueError("gradient does not vanish at 0")
-        if _spectral_norm(self.dgrad_tensor(np.zeros(self.dim), 1) - self.A) > 1e-10:
+        if np.linalg.norm(self.dgrad_tensor(np.zeros(self.dim), 1) - self.A,
+                          2) > 1e-10:
             raise ValueError("Hessian at 0 does not match eigenvalue list")
 
     @property
@@ -86,10 +125,31 @@ class MorseModel:
     def p_minus(self, z):
         return np.asarray(z)[..., self.n_stable:]
 
+    def _nonlinear(self, z, order):
+        """The f_nl part of the order-`order` derivative tensor of grad
+        (order 0: grad f_nl) at each point of z.  Every entry is a sum in a
+        fixed order of elementwise products, so a point gives the same bits
+        alone as inside a batch."""
+        z = np.asarray(z, dtype=float)
+        cols = z.reshape(-1, self.dim).T
+        vals = np.zeros((cols.shape[1], self.dim ** (order + 1)))
+        powers = {}
+        for k, ts in self._tables[order]:
+            total = None
+            for c, factors in ts:
+                term = c
+                for j, p in factors:
+                    if (j, p) not in powers:
+                        powers[j, p] = cols[j] if p == 1 else cols[j] ** p
+                    term = term * powers[j, p]
+                total = term if total is None else total + term
+            vals[:, k] = total
+        return vals.reshape(z.shape[:-1] + (self.dim,) * (order + 1))
+
     def grad(self, z):
         """Gradient of f at each point of z, of shape (..., n) like z."""
         z = np.asarray(z, dtype=float)
-        return self.a * z + self._tensor_fns[0](z)
+        return self.a * z + self._nonlinear(z, 0)
 
     def dgrad_tensor(self, z, order):
         """Derivative tensor of grad of the given order (1..TENSOR_ORDER).
@@ -100,46 +160,8 @@ class MorseModel:
         z.shape[:-1] + (n,)*(m+1)."""
         if not 1 <= order <= TENSOR_ORDER:
             raise ValueError("unsupported tensor order")
-        z = np.asarray(z, dtype=float)
-        t = self._tensor_fns[order](z)
-        if order == 1:
-            return self.A + t
-        return t
-
-
-@lru_cache(maxsize=COMPILE_CACHE_SIZE)
-def _compile_tensors(dim, nonlinearity):
-    """Batched functions of grad f_nl and of its derivative tensors up to
-    TENSOR_ORDER.  They depend on (dim, nonlinearity) only, so models that
-    share the pair share one compile."""
-    xs = sp.symbols("x1:%d" % (dim + 1))
-    expr = sp.sympify(nonlinearity, locals={s.name: s for s in xs},
-                      convert_xor=True)
-    grad_nl = [sp.diff(expr, x) for x in xs]
-
-    def lambdify_tensor(entries, shape):
-        fns = [sp.lambdify(xs, e, modules="numpy") for e in entries]
-
-        def fn(z):
-            # z has shape (..., n); a 1-D z runs as a batch of one, so a
-            # point gives the same bits alone and inside a batch
-            z = np.asarray(z, dtype=float)
-            cols = z.reshape(-1, z.shape[-1]).T
-            vals = np.empty((cols.shape[1], len(fns)))
-            # constant entries come back as scalars and fill their column
-            for i, f in enumerate(fns):
-                vals[:, i] = f(*cols)
-            return vals.reshape(z.shape[:-1] + shape)
-
-        return fn
-
-    out = {}
-    out[0] = lambdify_tensor(grad_nl, (dim,))
-    cur = grad_nl
-    for order in range(1, TENSOR_ORDER + 1):
-        cur = [sp.diff(e, x) for e in cur for x in xs]
-        out[order] = lambdify_tensor(cur, (dim,) * (order + 1))
-    return tuple(out[i] for i in range(TENSOR_ORDER + 1))
+        t = self._nonlinear(z, order)
+        return self.A + t if order == 1 else t
 
 
 def model_e1():
@@ -150,7 +172,7 @@ def model_e1():
 def model_c1():
     """Curved 2d model: f = x^2/2 - y^2/2 + 0.1*x^2*y."""
     return MorseModel(dim=2, index=1, eig=(1.0, -1.0),
-                      nonlinearity="0.1*x1^2*x2")
+                      nonlinearity=(((2, 1), 0.1),))
 
 
 @dataclass(frozen=True)
@@ -200,23 +222,9 @@ SAMPLING_SAFETY = 1.05
 
 def _point_devs(model, z):
     """||dgrad(z) - A||_op at each point of the batch z, unscaled."""
-    dev = model._tensor_fns[1](z)  # batched (m, n, n) Hessian deviation
+    dev = model._nonlinear(z, 1)  # batched (m, n, n) Hessian deviation
     # dev is symmetric (Hessian of the scalar perturbation)
     return np.abs(np.linalg.eigvalsh(dev)).max(axis=-1)
-
-
-def _sampled_sup_dev(model, z):
-    """max over the points z of ||dgrad(z) - A||_op, scaled by the safety
-    factor for the sampling gap."""
-    return SAMPLING_SAFETY * float(np.max(_point_devs(model, z)))
-
-
-def sup_dgrad_deviation(model, rho, rng):
-    """Sampled sup over the sphere |z| = rho of ||dgrad(z) - A||_op,
-    scaled by a safety factor for the sampling gap."""
-    z = rng.standard_normal((SPHERE_SAMPLES * model.dim, model.dim))
-    z *= rho / np.linalg.norm(z, axis=1, keepdims=True)
-    return _sampled_sup_dev(model, z)
 
 
 def _rho_mu(model, mu, c, rng, delta_max):
@@ -312,8 +320,8 @@ def model_from_config(cfg):
     dim = int(cfg["dim"])
     index = int(cfg["index"])
     eig = tuple(float(v) for v in cfg["eig"].split(","))
-    nonlinearity = cfg.get("nonlinearity", "0").replace("^", "**")
-    model = MorseModel(dim=dim, index=index, eig=eig, nonlinearity=nonlinearity)
+    model = MorseModel(dim=dim, index=index, eig=eig,
+                       nonlinearity=cfg.get("nonlinearity", ()))
     epsilon = float(cfg["epsilon"]) if "epsilon" in cfg else None
     delta_max = float(cfg.get("delta_max", 1.0))
     return model, epsilon, delta_max

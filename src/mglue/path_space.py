@@ -10,7 +10,6 @@ from functools import lru_cache
 from math import ceil
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 from scipy.linalg.lapack import dgbtrf, dgbtrs
 from scipy.sparse import csr_matrix, dia_matrix
 
@@ -291,11 +290,6 @@ def w12_inner(p, q):
     return float(np.sum(wts * np.sum(p.samples * q.samples + dp * dq, axis=1)))
 
 
-def evaluate_ends(p):
-    """(p(t_min), p(t_max)) — the boundary evaluation map."""
-    return p.samples[0].copy(), p.samples[-1].copy()
-
-
 def resample(p, grid):
     """Cubic interpolation of p at the nodes of a (sub-span) target grid."""
     if grid.t_min < p.grid.t_min - 1e-12 or grid.t_max > p.grid.t_max + 1e-12:
@@ -306,6 +300,8 @@ def resample(p, grid):
         and abs(grid.t_max - p.grid.t_max) < 1e-15
     ):
         return DiscretePath(grid, p.samples.copy())
+    # imported here, not at the top: only another grid spacing needs it
+    from scipy.interpolate import CubicSpline
     spline = CubicSpline(p.grid.nodes, p.samples, axis=0)
     return DiscretePath(grid, spline(np.clip(grid.nodes, p.grid.t_min, p.grid.t_max)))
 

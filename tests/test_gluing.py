@@ -11,9 +11,11 @@ from mglue.invariant_manifolds import shoot_stable, shoot_unstable
 from mglue.linear_theory import (LinearTheory, euclidean_gluing_reference,
                                  gamma_infinitesimal, gamma_weights)
 from mglue.newton_picard import PreconditionError
-from mglue.path_space import (DiscretePath, evaluate_ends, l2_norm, norms,
+from mglue.path_space import (DiscretePath, l2_norm, norms,
                               path_from_function, sup_norm, symmetric_grid,
                               zero_path)
+
+from test_path_space import evaluate_ends
 
 BETA = quintic_cutoff()
 

@@ -3,18 +3,18 @@ import pytest
 from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
 from scipy.sparse import csr_matrix, diags, identity, kron
 
+from mglue import linear_theory
 from mglue.linear_theory import (KernelElement, LinearTheory,
                                  _band_cholesky, _d_matrix, apply_D,
                                  apply_Q, apply_Q_exact,
                                  d_restricted_min_sv,
-                                 euclidean_ev_reference,
                                  euclidean_gluing_reference,
                                  gamma_infinitesimal, gamma_svd_bounds,
                                  kernel_path, l2_gram, measured_opnorm,
                                  measured_projection_norm, measured_q_norm,
                                  project_E, projection_matrix, q_matrix,
                                  w12_gram)
-from mglue.morse_model import compute_constants
+from mglue.morse_model import MorseModel, compute_constants
 from mglue.path_space import (DiscretePath, diff_matrix, kt_rows, l2_norm,
                               norms, path_from_function, sup_norm,
                               zero_path)
@@ -191,6 +191,14 @@ class TestGamma:
             assert gmin**2 >= 1 - np.exp(-12 * cc.sigma)
 
 
+def euclidean_ev_reference(model, w_plus_0, w_minus_0, T):
+    """Closed-form boundary evaluation of the Euclidean glued line."""
+    a = model.a
+    left = np.asarray(w_plus_0) + np.exp(2 * T * a) * np.asarray(w_minus_0)
+    right = np.asarray(w_minus_0) + np.exp(-2 * T * a) * np.asarray(w_plus_0)
+    return left, right
+
+
 class TestEuclideanReference:
     def test_value_at_origin(self, e1):
         ref = euclidean_gluing_reference(e1, [1.0, 0.0], [0.0, 1.0], 3.0)
@@ -223,6 +231,14 @@ class TestEuclideanReference:
     def test_non_euclidean_rejected(self, c1):
         with pytest.raises(ValueError):
             euclidean_gluing_reference(c1, [1.0, 0.0], [0.0, 1.0], 3.0)
+
+    def test_zero_polynomial_text_is_euclidean(self, e1):
+        # the text is not "0", but its polynomial has no terms
+        zero = MorseModel(dim=2, index=1, eig=(1, -1),
+                          nonlinearity="x1^3 - x1^3")
+        ref = euclidean_gluing_reference(zero, [1.0, 0.0], [0.0, 1.0], 3.0)
+        assert np.array_equal(ref.samples, euclidean_gluing_reference(
+            e1, [1.0, 0.0], [0.0, 1.0], 3.0).samples)
 
 
 class TestUniformity:
@@ -381,6 +397,25 @@ def test_measured_norms_3d_match_dense_eigh(which):
         ref = dense_opnorm_reference(projection_matrix_dense_reference(lt),
                                      Gw, Gw)
     assert got == pytest.approx(ref, rel=1e-12)
+
+
+def test_measured_norms_share_one_gram(monkeypatch, c1, cc):
+    # the W^{1,2} Gram is built once per bundle, and the cached Gram gives
+    # the bits of a fresh one
+    lt = LinearTheory(c1, 3.0, 0.1, cc)
+    fresh = LinearTheory(c1, 3.0, 0.1, cc)
+    built = []
+    gram = linear_theory.w12_gram
+    monkeypatch.setattr(linear_theory, "w12_gram",
+                        lambda *a: built.append(a) or gram(*a))
+    got = (measured_projection_norm(lt, np.random.default_rng(13)),
+           measured_q_norm(lt, np.random.default_rng(12)),
+           d_restricted_min_sv(lt))
+    assert len(built) == 1
+    monkeypatch.setattr(linear_theory, "w12_gram", gram)
+    assert got == (measured_projection_norm(fresh, np.random.default_rng(13)),
+                   measured_q_norm(fresh, np.random.default_rng(12)),
+                   d_restricted_min_sv(fresh))
 
 
 def test_measured_opnorm_rejects_indefinite_gram(c1, cc):

@@ -3,12 +3,12 @@ import pytest
 import sympy as sp
 
 from mglue import morse_model
-from mglue.morse_model import (COMPILE_CACHE_SIZE, SAMPLING_SAFETY,
-                               SPHERE_SAMPLES, MorseModel, _compile_tensors,
-                               compute_constants, c_rightinv_formula,
-                               d_proj_formula, k_gamma_formula, model_c1,
-                               model_e1, model_from_config, parse_flat_config,
-                               sup_dgrad_deviation)
+from mglue.morse_model import (SAMPLING_SAFETY, SPHERE_SAMPLES, TENSOR_ORDER,
+                               MorseModel, compute_constants,
+                               c_rightinv_formula, d_proj_formula,
+                               k_gamma_formula, model_c1, model_e1,
+                               model_from_config, parse_flat_config,
+                               polynomial_terms)
 
 LAM = 0.1
 
@@ -142,49 +142,96 @@ class TestConfig:
         assert eps is None and delta_max == 1.0
 
 
+def sampled_sup_dev(model, z):
+    """max over the points z of ||dgrad(z) - A||_op, scaled by the safety
+    factor for the sampling gap."""
+    return SAMPLING_SAFETY * float(np.max(morse_model._point_devs(model, z)))
+
+
+def sup_dgrad_deviation(model, rho, rng):
+    """Sampled sup over the sphere |z| = rho of ||dgrad(z) - A||_op,
+    scaled by a safety factor for the sampling gap."""
+    z = rng.standard_normal((SPHERE_SAMPLES * model.dim, model.dim))
+    z *= rho / np.linalg.norm(z, axis=1, keepdims=True)
+    return sampled_sup_dev(model, z)
+
+
 def test_sup_deviation_linear_model_zero(e1):
     assert sup_dgrad_deviation(e1, 1.0, np.random.default_rng(0)) <= 1e-14
+
+
+C1_TEXT = "0.1*x1^2*x2"
+TEXT_3D = "0.1*x1^2*x2 + 0.05*x1*x2*x3 - 0.07*x3^3"
+TEXT_MIXED = "0.1*x1^2*x2 + 0.3*x1^4 - 0.2*x2^4"
 
 
 # A cubic 3-D model: its Hessian entries are linear in z, so the derivative
 # tensors involve no powers, while grad carries the squares.
 def model_3d():
     return MorseModel(dim=3, index=1, eig=(2.0, 1.0, -1.5),
-                      nonlinearity="0.1*x1^2*x2 + 0.05*x1*x2*x3 - 0.07*x3^3")
+                      nonlinearity=TEXT_3D)
 
 
-def scalar_tensor_reference(model, order):
-    """The former per-point evaluation, as a function of one point z: every
-    lambdified entry of the order-`order` derivative of grad f_nl called on
-    the scalar coordinates of z."""
-    xs = sp.symbols("x1:%d" % (model.dim + 1))
-    expr = sp.sympify(model.nonlinearity, locals={s.name: s for s in xs},
-                      convert_xor=True)
+# Cubic models have Hessian deviations linear in z, so the sample that
+# maximises the deviation is the same at every radius; here the quartic terms
+# move it between the probes of the bisection.
+def model_mixed():
+    return MorseModel(dim=2, index=1, eig=(1.0, -1.0),
+                      nonlinearity=TEXT_MIXED)
+
+
+TEXTS = {model_e1: "0", model_c1: C1_TEXT, model_3d: TEXT_3D,
+         model_mixed: TEXT_MIXED}
+
+
+def lambdify_reference(dim, text, order):
+    """The former evaluation, as a batched function of z: every entry of the
+    order-`order` derivative of grad f_nl lambdified by sympy and called on
+    the coordinate arrays of z (order 0 is grad f_nl)."""
+    xs = sp.symbols("x1:%d" % (dim + 1))
+    expr = sp.sympify(text, locals={s.name: s for s in xs}, convert_xor=True)
     entries = [sp.diff(expr, x) for x in xs]
     for _ in range(order):
         entries = [sp.diff(e, x) for e in entries for x in xs]
     fns = [sp.lambdify(xs, e, modules="numpy") for e in entries]
-    shape = (model.dim,) * (order + 1)
-    return lambda z: np.array([float(f(*z)) for f in fns]).reshape(shape)
+    shape = (dim,) * (order + 1)
+
+    def fn(z):
+        cols = z.reshape(-1, dim).T
+        vals = np.empty((cols.shape[1], len(fns)))
+        for i, f in enumerate(fns):
+            vals[:, i] = f(*cols)
+        return vals.reshape(z.shape[:-1] + shape)
+
+    return fn
 
 
-# grad's rounding changed (scalar pow for x**2 against the array square), so
-# the loop reference is matched within a few units of float64 roundoff
+# Entries that sum several monomials add them in another order than sympy's
+# printer, and sympy prints derived coefficients to 15 digits, so on models
+# other than e1 and c1 the reference is matched within a few units of
+# float64 roundoff
 GRAD_TOL = 4 * np.finfo(float).eps
 
 
-@pytest.mark.parametrize("make", [model_e1, model_c1, model_3d])
+@pytest.mark.parametrize("make",
+                         [model_e1, model_c1, model_3d, model_mixed])
 class TestBatchedEvaluation:
     def points(self, model):
         return np.random.default_rng(5).uniform(-1.0, 1.0, (200, model.dim))
 
+    def assert_matches_reference(self, make, got, ref):
+        if make in (model_e1, model_c1):
+            assert np.array_equal(got, ref)
+        else:
+            np.testing.assert_allclose(got, ref, rtol=GRAD_TOL,
+                                       atol=GRAD_TOL)
+
     def test_grad_matches_per_point_loop(self, make):
         model = make()
         Z = self.points(model)
-        nonlinear = scalar_tensor_reference(model, 0)
-        ref = np.stack([model.a * z + nonlinear(z) for z in Z])
-        np.testing.assert_allclose(model.grad(Z), ref, rtol=GRAD_TOL,
-                                   atol=GRAD_TOL)
+        nonlinear = lambdify_reference(model.dim, TEXTS[make], 0)
+        self.assert_matches_reference(make, model.grad(Z),
+                                      model.a * Z + nonlinear(Z))
         # one point alone gives the same bits as inside the batch
         assert np.array_equal(np.stack([model.grad(z) for z in Z]),
                               model.grad(Z))
@@ -194,9 +241,9 @@ class TestBatchedEvaluation:
         model = make()
         Z = self.points(model)
         lin = model.A if order == 1 else 0.0
-        tensor = scalar_tensor_reference(model, order)
-        ref = np.stack([lin + tensor(z) for z in Z])
-        assert np.array_equal(model.dgrad_tensor(Z, order), ref)
+        tensor = lambdify_reference(model.dim, TEXTS[make], order)
+        self.assert_matches_reference(make, model.dgrad_tensor(Z, order),
+                                      lin + tensor(Z))
         assert np.array_equal(
             np.stack([model.dgrad_tensor(z, order) for z in Z]),
             model.dgrad_tensor(Z, order))
@@ -225,7 +272,7 @@ def rho_mu_reference(model, mu, c, rng, delta_max):
     u /= np.linalg.norm(u, axis=1, keepdims=True)
 
     def sup_dev(rho):
-        return morse_model._sampled_sup_dev(model, rho * u)
+        return sampled_sup_dev(model, rho * u)
 
     cap = 2.0 * delta_max
     if sup_dev(cap) <= target:
@@ -240,14 +287,6 @@ def rho_mu_reference(model, mu, c, rng, delta_max):
         else:
             hi = mid
     return lo
-
-
-# Cubic models have Hessian deviations linear in z, so the sample that
-# maximises the deviation is the same at every radius; here the quartic terms
-# move it between the probes of the bisection.
-def model_mixed():
-    return MorseModel(dim=2, index=1, eig=(1.0, -1.0),
-                      nonlinearity="0.1*x1^2*x2 + 0.3*x1^4 - 0.2*x2^4")
 
 
 class TestEarlyExitBisection:
@@ -291,25 +330,70 @@ class TestEarlyExitBisection:
         assert sup_dgrad_deviation(c1, 0.3, np.random.default_rng(4)) == ref
 
 
-class TestCompileCache:
-    def test_equal_models_share_compile(self):
-        assert model_c1()._tensor_fns is model_c1()._tensor_fns
+class TestTermRepresentation:
+    def test_builtins_give_their_terms(self):
+        assert model_e1().nonlinearity == ()
+        assert model_c1().nonlinearity == (((2, 1), 0.1),)
 
-    def test_other_eig_shares_compile(self):
-        m = MorseModel(dim=2, index=1, eig=(2.0, -0.5),
-                       nonlinearity="0.1*x1^2*x2")
-        assert m._tensor_fns is model_c1()._tensor_fns
+    @pytest.mark.parametrize("make", [model_e1, model_c1, model_3d,
+                                      model_mixed])
+    def test_text_equals_terms(self, make):
+        model = make()
+        terms = polynomial_terms(TEXTS[make], model.dim)
+        assert MorseModel(dim=model.dim, index=model.index, eig=model.eig,
+                          nonlinearity=TEXTS[make]) == model
+        assert MorseModel(dim=model.dim, index=model.index, eig=model.eig,
+                          nonlinearity=terms) == model
 
-    def test_other_nonlinearity_compiles_anew(self):
-        assert model_e1()._tensor_fns is not model_c1()._tensor_fns
+    def test_3d_terms_by_hand(self):
+        terms = (((0, 0, 3), -0.07), ((2, 1, 0), 0.1), ((1, 1, 1), 0.05))
+        assert MorseModel(dim=3, index=1, eig=(2.0, 1.0, -1.5),
+                          nonlinearity=terms) == model_3d()
 
-    def test_cache_is_bounded(self):
-        assert _compile_tensors.cache_info().maxsize == COMPILE_CACHE_SIZE
+    def test_zero_polynomial_has_no_terms(self):
+        m = MorseModel(dim=2, index=1, eig=(1.0, -1.0),
+                       nonlinearity="x1^3 - x1^3")
+        assert m.nonlinearity == () and m == model_e1()
 
-    @pytest.mark.parametrize("nonlinearity", ["x1*x2", "x1", "x1 +* x2"])
+    @pytest.mark.parametrize("nonlinearity", ["x1*x2", "x1", "x1 +* x2",
+                                              "sin(x1)", "y^3"])
     def test_invalid_nonlinearity_raises_every_time(self, nonlinearity):
-        # a cached compile must not skip the checks of the model
+        # every construction runs the checks of the model
         for _ in range(3):
             with pytest.raises(ValueError):
                 MorseModel(dim=2, index=1, eig=(1.0, -1.0),
                            nonlinearity=nonlinearity)
+
+    @pytest.mark.parametrize("terms", [
+        (((3,), 1.0),),                     # exponent tuple of the wrong length
+        (((3, 0), 1.0), ((3, 0), 2.0)),     # repeated monomial
+        (((3, -1), 1.0),),                  # negative exponent
+    ])
+    def test_bad_terms_rejected(self, terms):
+        with pytest.raises(ValueError):
+            MorseModel(dim=2, index=1, eig=(1.0, -1.0), nonlinearity=terms)
+
+    def test_fractional_exponent_rejected(self):
+        with pytest.raises(TypeError):
+            MorseModel(dim=2, index=1, eig=(1.0, -1.0),
+                       nonlinearity=(((2.5, 1), 1.0),))
+
+    def test_degree_five_term_reaches_order_three(self):
+        m = MorseModel(dim=2, index=1, eig=(1.0, -1.0),
+                       nonlinearity="x1^5 + 0.5*x1^3*x2^2")
+        z = np.array([0.5, -0.25])
+        t3 = m.dgrad_tensor(z, TENSOR_ORDER)
+        # d^4 (x1^5) / dx1^4 = 120 x1, d^4 (x1^3 x2^2) / dx1^2 dx2^2 = 12 x1
+        assert t3[0, 0, 0, 0] == 120.0 * 0.5
+        assert t3[0, 0, 1, 1] == t3[1, 1, 0, 0] == 0.5 * 12.0 * 0.5
+        ref = lambdify_reference(2, "x1^5 + 0.5*x1^3*x2^2", TENSOR_ORDER)
+        np.testing.assert_allclose(t3, ref(z), rtol=GRAD_TOL, atol=GRAD_TOL)
+
+    def test_diagonal_n12_model_builds(self):
+        eig = tuple(float(k * k) for k in range(11, 0, -1)) + (-1.0,)
+        m = MorseModel(dim=12, index=1, eig=eig)
+        z = np.linspace(-1.0, 1.0, 12)
+        assert np.array_equal(m.grad(z), m.a * z)
+        assert np.array_equal(m.dgrad_tensor(z, 1), m.A)
+        assert not np.any(m.dgrad_tensor(z, 3))
+        assert m.dgrad_tensor(z, 3).shape == (12,) * 4

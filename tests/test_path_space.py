@@ -7,9 +7,13 @@ from scipy.sparse import lil_matrix
 
 from mglue.harness import path_csv_rows, write_csv
 from mglue.path_space import (DiscretePath, Grid, diff_matrix, differentiate,
-                              evaluate_ends, l2_norm, make_grid, norms,
-                              path_from_function, resample, sup_norm,
-                              symmetric_grid, zero_path)
+                              l2_norm, make_grid, norms, path_from_function,
+                              resample, sup_norm, symmetric_grid, zero_path)
+
+
+def evaluate_ends(p):
+    """(p(t_min), p(t_max)) — the boundary evaluation map."""
+    return p.samples[0].copy(), p.samples[-1].copy()
 
 
 def fourier_path(grid, rng, dim=2, modes=10):
