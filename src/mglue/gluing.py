@@ -7,15 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .path_space import (DiscretePath, differentiate, kt_rows, l2_norm,
-                         norms, sup_norm, symmetric_grid, w12_inner,
-                         zero_path)
+from .path_space import (DiscretePath, differentiate, l2_norm, norms,
+                         sup_norm, symmetric_grid, w12_inner, zero_path)
 from .invariant_manifolds import (HalfTrajectory, build_tangent_system,
-                                  log_linear_fit, shoot_stable,
-                                  shoot_unstable, solve_tangent_lift,
-                                  theta_inverse)
+                                  linear_half_path, log_linear_fit,
+                                  shoot_stable, shoot_unstable,
+                                  solve_tangent_lift, theta_inverse)
 from .linear_theory import (LinearTheory, apply_D, apply_Q_exact,
-                            gamma_infinitesimal)
+                            gamma_infinitesimal, gamma_weights)
 from .newton_picard import NPProblem, np_solve, np_tangent_solve, \
     PreconditionError, ift_certificate
 
@@ -69,26 +68,20 @@ def apply_F(model, w):
 
 def _half_samples_on(grid_T, half, T, side):
     """Samples of the shifted half trajectory w(+-T + s) on the [-T, T] grid,
-    by direct index alignment when spacings match, else cubic resampling."""
+    by index alignment: the half must be sampled at the grid's spacing."""
     head = half.head if isinstance(half, HalfTrajectory) else half
     hg = head.grid
-    if abs(hg.h - grid_T.h) < 1e-12:
-        if side == "stable":
-            # need arguments T + s for s in [-T, T], i.e. [0, 2T] from [0, S]
-            offset = round((0.0 - hg.t_min) / hg.h)
-            idx0 = offset
-        else:
-            # arguments -T + s in [-2T, 0] from [-S, 0]
-            idx0 = round((-2.0 * T - hg.t_min) / hg.h)
-        idx = idx0 + np.arange(grid_T.n_nodes)
-        if idx[0] < 0 or idx[-1] >= hg.n_nodes:
-            raise ValueError("half-trajectory head does not cover the "
-                             "shifted range")
-        return head.samples[idx]
-    from .path_space import resample, make_grid
-    target = make_grid(0.0, 2.0 * T, grid_T.h) if side == "stable" \
-        else make_grid(-2.0 * T, 0.0, grid_T.h)
-    return resample(head, target).samples
+    if abs(hg.h - grid_T.h) >= 1e-12:
+        raise ValueError("half-trajectory spacing %r differs from the grid "
+                         "spacing %r" % (hg.h, grid_T.h))
+    # arguments T + s for s in [-T, T], i.e. [0, 2T] from [0, S] (stable),
+    # or -T + s in [-2T, 0] from [-S, 0] (unstable)
+    start = 0.0 if side == "stable" else -2.0 * T
+    idx = round((start - hg.t_min) / hg.h) + np.arange(grid_T.n_nodes)
+    if idx[0] < 0 or idx[-1] >= hg.n_nodes:
+        raise ValueError("half-trajectory head does not cover the "
+                         "shifted range")
+    return head.samples[idx]
 
 
 def preglue(cutoff, w_plus, w_minus, T, grid=None, h_max=0.02):
@@ -171,7 +164,6 @@ def estimate_decay_constant(model, cutoff, seed_box, T_list):
 class GlueReport:
     T: float
     path: DiscretePath
-    preglue_path: DiscretePath
     preglue_resid_l2: float
     np_iterations: int
     residual_final: float       # sup over enforced flow rows of the output
@@ -264,28 +256,23 @@ def glue(model, cutoff, w_plus, w_minus, T, lt):
     reported in `precond`, not enforced."""
     if lt.T != float(T):
         raise ValueError("linear-theory bundle is for a different T")
-    grid = lt.grid
     wt = _preglue_in_ball(cutoff, w_plus, w_minus, lt)
     prob = flow_problem(model, lt)
     x1 = wt.samples.reshape(-1)
     res = np_solve(prob, x1)
     pre_resid = res.precond["fx_norm"]
-    gamma = DiscretePath(grid, res.x.reshape(-1, model.dim))
-    corr = res.x - x1
-    bdefect = float(np.max(np.abs(
-        corr[kt_rows(grid.n_nodes, model.dim, model.n_stable)])))
-    ev_err = ev_error(gamma, w_plus, w_minus)
+    gamma = DiscretePath(lt.grid, res.x.reshape(-1, model.dim))
     return GlueReport(
-        T=float(T), path=gamma, preglue_path=wt,
+        T=float(T), path=gamma,
         preglue_resid_l2=pre_resid,
         np_iterations=res.iterations,
         residual_final=_interior_flow_residual(model, gamma),
         correction_norm=res.correction_norm,
         bound_2c_F=2.0 * prob.c * pre_resid,
         contraction_ratio_max=res.contraction_ratio_max,
-        ev_error=ev_err,
+        ev_error=ev_error(gamma, w_plus, w_minus),
         precond=res.precond,
-        boundary_defect=bdefect)
+        boundary_defect=float(np.max(np.abs((res.x - x1)[lt._kt_rows]))))
 
 
 def ev_error(gamma, w_plus, w_minus):
@@ -349,7 +336,6 @@ def glue_coordinate_rep(model, cutoff, lt, scale=1.0):
     coefficients: seeds -> boundary kernel coefficients of the glued path,
     orthonormalized by the exact coefficient weights so the linearization at
     0 matches the infinitesimal-gluing singular values."""
-    from .linear_theory import gamma_weights
     ns = model.n_stable
     dom_w, img_w = gamma_weights(lt)
     sd = np.sqrt(dom_w)
@@ -398,30 +384,20 @@ def theta_defect_norm(model, cutoff, lt, seed_radius):
     identification defect Theta_T at the corner of the seed box."""
     n = model.dim
     ns = model.n_stable
-    wp, wm = shoot_halves(model, lt, [seed_radius] * ns,
+    halves = shoot_halves(model, lt, [seed_radius] * ns,
                           [seed_radius] * (n - ns))
     outs = []
-    from .linear_theory import gamma_weights
     dom_w, _ = gamma_weights(lt)
-    for i in range(n):
-        if i < ns:
-            v = np.eye(ns)[i]
-            xi_lin = DiscretePath(wp.grid, np.concatenate(
-                [np.exp(-np.outer(wp.grid.nodes, model.a_plus)) * v,
-                 np.zeros((wp.grid.n_nodes, n - ns))], axis=1))
-            xi_pull, _ = theta_inverse(model, wp, v)
-            diff_p = DiscretePath(wp.grid, xi_lin.samples - xi_pull.samples)
-            diff_m = zero_path(wm.grid, n)
-        else:
-            v = np.eye(n - ns)[i - ns]
-            eta_lin = DiscretePath(wm.grid, np.concatenate(
-                [np.zeros((wm.grid.n_nodes, ns)),
-                 np.exp(np.outer(wm.grid.nodes, model.a_minus)) * v], axis=1))
-            eta_pull, _ = theta_inverse(model, wm, v)
-            diff_p = zero_path(wp.grid, n)
-            diff_m = DiscretePath(wm.grid, eta_lin.samples - eta_pull.samples)
-        out = preglue(cutoff, diff_p, diff_m, lt.T, grid=lt.grid)
-        outs.append(out)
+    for i, e in enumerate(np.eye(n)):
+        # direction e on the stable (i < ns) or unstable half, 0 on the other
+        k = int(i >= ns)
+        half = halves[k]
+        v = model.p_minus(e) if k else model.p_plus(e)
+        xi_lin = linear_half_path(model, half.side, v, half.grid.nodes)
+        xi_pull, _ = theta_inverse(model, half, v)
+        diffs = [zero_path(h.grid, n) for h in halves]
+        diffs[k] = DiscretePath(half.grid, xi_lin - xi_pull.samples)
+        outs.append(preglue(cutoff, *diffs, lt.T, grid=lt.grid))
     # operator norm: Gram of outputs in W^{1,2} against the diagonal domain
     # weights of the kernel coefficient basis
     H = np.empty((n, n))

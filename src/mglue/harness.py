@@ -52,8 +52,9 @@ class ExperimentConfig:
 
     Keys: model (builtin name or path to a model config file), cutoff
     (quintic|cubic), seed_plus, seed_minus (comma lists), T_list, h, out,
-    seed (rng), S, C_decay.  Any other key is a ConfigError, and so is a T
-    or S off the grid of the paths, or S < 2 max(T_list)."""
+    seed (rng), S, C_decay.  Any other key is a ConfigError, and so is a
+    non-finite number, a bad model file, a T or S off the grid of the paths,
+    or S < 2 max(T_list)."""
 
     def __init__(self, raw, base_dir="."):
         unknown = sorted(set(raw) - set(_CONFIG_KEYS))
@@ -68,8 +69,11 @@ class ExperimentConfig:
             path = os.path.join(base_dir, model_key)
             if not os.path.exists(path):
                 raise ConfigError("model file not found: %s" % path)
-            self.model, self.epsilon, self.delta_max = model_from_config(
-                _read_flat_config(path))
+            try:
+                self.model, self.epsilon, self.delta_max = model_from_config(
+                    _read_flat_config(path))
+            except ValueError as exc:
+                raise ConfigError("model file %s: %s" % (path, exc)) from exc
         cname = raw.get("cutoff", "quintic").strip().lower()
         if cname == "quintic":
             self.cutoff = quintic_cutoff()
@@ -79,8 +83,6 @@ class ExperimentConfig:
             raise ConfigError("unknown cutoff: %s" % cname)
         self.T_list = [float(t) for t in
                        raw.get("T_list", "3,4,5,6,7,8").split(",")]
-        if sorted(self.T_list) != self.T_list or min(self.T_list) < 3:
-            raise ConfigError("T_list must be sorted with min >= 3")
         self.h = float(raw.get("h", "0.02"))
         self.seed_plus = [float(v) for v in
                           raw.get("seed_plus", "0.3").split(",")]
@@ -90,6 +92,12 @@ class ExperimentConfig:
         self.rng_seed = int(raw.get("seed", "0"))
         self.S = float(raw["S"]) if "S" in raw else 2.0 * max(self.T_list) + 6.0
         self.C_decay = float(raw["C_decay"]) if "C_decay" in raw else None
+        # an unset C_decay (None) counts as finite
+        for key in ("T_list", "h", "seed_plus", "seed_minus", "S", "C_decay"):
+            if not np.all(np.isfinite(getattr(self, key) or 0.0)):
+                raise ConfigError("%s must be finite" % key)
+        if sorted(self.T_list) != self.T_list or min(self.T_list) < 3:
+            raise ConfigError("T_list must be sorted with min >= 3")
         if self.h <= 0:
             raise ConfigError("h must be positive")
         for k, want in (("seed_plus", self.model.n_stable),
@@ -361,8 +369,8 @@ def _verify_checks(cfg):
           ok=bool(np.all(wt.samples[plateau] == 0.0)))
 
     rep = glue(e1, beta, wp, wm, T, lt)
-    ref = euclidean_gluing_reference(e1, wp.head.samples[0],
-                                     wm.head.samples[-1], T, grid=lt.grid)
+    ref = euclidean_gluing_reference(lt, wp.head.samples[0],
+                                     wm.head.samples[-1])
     check("E1 glued path vs closed form (sup)",
           np.max(np.abs(rep.path.samples - ref.samples)), 5e-5)
     check("E1 correction count <= 2 iterations", rep.np_iterations, 2)

@@ -106,10 +106,8 @@ def build_tangent_system(m):
 class HalfTrajectory:
     side: str               # "stable" | "unstable"
     head: DiscretePath      # on [0, S] (stable) or [-S, 0] (unstable)
-    tail_coeff: np.ndarray  # asymptotic kernel coefficient beyond the head
     S: float
     residual: float
-    seed: np.ndarray
 
     @property
     def grid(self):
@@ -135,6 +133,20 @@ def _seed_values(model, side, seed):
     return kt_values(model.dim, model.n_stable, v_minus=seed)
 
 
+def linear_half_path(model, side, seed, nodes):
+    """(len(nodes), dim) samples of the linear model's half trajectory from
+    the seed: exp(-s A_+) seed in the stable components of a stable half,
+    exp(s A_-) seed in the unstable components of an unstable one, and 0 in
+    the others."""
+    ns = model.n_stable
+    out = np.zeros((len(nodes), model.dim))
+    if side == "stable":
+        out[:, :ns] = np.exp(-np.outer(nodes, model.a_plus)) * seed
+    else:
+        out[:, ns:] = np.exp(np.outer(nodes, model.a_minus)) * seed
+    return out
+
+
 def _interior_residual(res_flat, bc_rows):
     """Sup norm of the enforced flow rows (boundary-condition rows excluded)."""
     mask = np.ones(res_flat.size, dtype=bool)
@@ -150,19 +162,13 @@ def _shoot(model, seed, S, side, h_max):
     N = grid.n_nodes
     bc_rows = kt_rows(N, n, ns)
 
-    s_rel = grid.nodes
-    init = np.zeros((N, n))
-    if side == "stable":
-        if seed.shape != (ns,):
-            raise ValueError("stable seed must have dimension n - k")
-        init[:, :ns] = np.exp(-np.outer(s_rel, model.a_plus)) * seed
-    else:
-        if seed.shape != (n - ns,):
-            raise ValueError("unstable seed must have dimension k")
-        init[:, ns:] = np.exp(np.outer(s_rel, model.a_minus)) * seed
+    if side == "stable" and seed.shape != (ns,):
+        raise ValueError("stable seed must have dimension n - k")
+    if side == "unstable" and seed.shape != (n - ns,):
+        raise ValueError("unstable seed must have dimension k")
     bc_vals = _seed_values(model, side, seed)
 
-    w = init
+    w = linear_half_path(model, side, seed, grid.nodes)
     res = _flow_res_with_bc(model, w, grid.h, bc_rows, bc_vals)
     rnorm = np.linalg.norm(res)
     for it in range(MAX_ITER):
@@ -188,13 +194,8 @@ def _shoot(model, seed, S, side, h_max):
     resid = _interior_residual(res, bc_rows)
     if resid > TOL_FLOW:
         raise ShootError("flow residual %.3e above tol_flow" % resid)
-    head = DiscretePath(grid, w)
-    if side == "stable":
-        tail = np.exp(S * model.a_plus) * model.p_plus(w[-1])
-    else:
-        tail = np.exp(S * model.a_minus) * model.p_minus(w[0])
-    return HalfTrajectory(side=side, head=head, tail_coeff=tail, S=float(S),
-                          residual=resid, seed=seed)
+    return HalfTrajectory(side=side, head=DiscretePath(grid, w), S=float(S),
+                          residual=resid)
 
 
 def _flow_res_with_bc(model, w, h, bc_rows, bc_vals):

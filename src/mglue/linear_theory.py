@@ -65,7 +65,8 @@ class LinearTheory:
 
     @cached_property
     def _kt_rows(self):
-        """kt_rows of the grid, the boundary rows that apply_Q_exact zeroes."""
+        """kt_rows of the grid: the boundary rows that apply_Q_exact zeroes,
+        projection_matrix reads and glue's correction leaves at 0."""
         return kt_rows(self.grid.n_nodes, self.model.dim, self.model.n_stable)
 
     @cached_property
@@ -121,19 +122,6 @@ def kernel_path(lt, ke):
     return DiscretePath(lt.grid, np.concatenate([plus, minus], axis=1))
 
 
-def project_E(lt, zeta):
-    """Projection onto the kernel along K_T: coefficients are the stable
-    boundary value at -T and the unstable boundary value at +T.  Returns
-    (KernelElement, remainder); the remainder lies in K_T exactly."""
-    _check_grid(lt, zeta)
-    m = lt.model
-    ke = KernelElement(v_plus=m.p_plus(zeta.samples[0]).copy(),
-                       v_minus=m.p_minus(zeta.samples[-1]).copy())
-    kp = kernel_path(lt, ke)
-    rem = DiscretePath(zeta.grid, zeta.samples - kp.samples)
-    return ke, rem
-
-
 def apply_Q(lt, eta):
     """Right inverse by componentwise Duhamel recursion.
 
@@ -185,19 +173,16 @@ def gamma_svd_bounds(lt):
     return float(np.max(sv)), float(np.min(sv))
 
 
-def euclidean_gluing_reference(model, w_plus_0, w_minus_0, T, grid=None):
-    """Closed-form glued flow line of the Euclidean model:
-    s -> exp(-(s+T)A) w_+(0) + exp((T-s)A) w_-(0), on grid (default: the
-    symmetric grid of spacing 0.02)."""
-    if model.nonlinearity:
+def euclidean_gluing_reference(lt, w_plus_0, w_minus_0):
+    """Closed-form glued flow line of the Euclidean model on lt's grid:
+    s -> exp(-(s+T)A) w_+(0) + exp((T-s)A) w_-(0), the kernel path of
+    p_+ w_+(0) and p_- w_-(0) (the other components of the two end values
+    are 0 on the Euclidean half trajectories)."""
+    m = lt.model
+    if m.nonlinearity:
         raise ValueError("reference requires the Euclidean (linear) model")
-    if grid is None:
-        grid = symmetric_grid(T)
-    s = grid.nodes
-    a = model.a
-    vals = (np.exp(-np.outer(s + T, a)) * np.asarray(w_plus_0)
-            + np.exp(np.outer(T - s, a)) * np.asarray(w_minus_0))
-    return DiscretePath(grid, vals)
+    return kernel_path(lt, KernelElement(v_plus=m.p_plus(w_plus_0),
+                                         v_minus=m.p_minus(w_minus_0)))
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +254,7 @@ def projection_matrix(lt):
     v -> E * v[kt_rows], with column i of E the kernel basis path of
     component i; the adjoint puts the column sums of E * w on kt_rows."""
     m = lt.model
-    rows = kt_rows(lt.grid.n_nodes, m.dim, m.n_stable)
+    rows = lt._kt_rows
     E = kernel_path(lt, KernelElement(np.ones(m.n_stable),
                                       np.ones(m.dim - m.n_stable))).samples
 

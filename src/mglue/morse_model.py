@@ -316,12 +316,23 @@ def parse_flat_config(text):
 
 
 def model_from_config(cfg):
-    """Build a MorseModel (+ epsilon/delta_max knobs) from a flat config dict."""
+    """Build a MorseModel (+ epsilon/delta_max knobs) from a flat config
+    dict; an unknown or missing key or a knob out of range is a ValueError."""
+    # the first three keys are required
+    known = ("dim", "index", "eig", "nonlinearity", "epsilon", "delta_max")
+    bad = ["unknown key " + k for k in sorted(set(cfg) - set(known))] + \
+        ["missing key " + k for k in known[:3] if k not in cfg]
+    if bad:
+        raise ValueError(", ".join(bad))
     dim = int(cfg["dim"])
     index = int(cfg["index"])
     eig = tuple(float(v) for v in cfg["eig"].split(","))
     model = MorseModel(dim=dim, index=index, eig=eig,
                        nonlinearity=cfg.get("nonlinearity", ()))
     epsilon = float(cfg["epsilon"]) if "epsilon" in cfg else None
+    if epsilon is not None and not 0.0 < epsilon < model.sigma:
+        raise ValueError("need 0 < epsilon < sigma = %r" % model.sigma)
     delta_max = float(cfg.get("delta_max", 1.0))
+    if not 0.0 < delta_max < np.inf:
+        raise ValueError("need 0 < delta_max < inf")
     return model, epsilon, delta_max

@@ -44,9 +44,7 @@ class NPProblem:
 class NPResult:
     x: np.ndarray
     iterations: int
-    residual_final: float
     correction_norm: float
-    in_image_Q_defect: float
     contraction_ratios: tuple
     precond: dict
 
@@ -65,13 +63,8 @@ NEUMANN_MAX_TERMS = 100
 
 
 def precondition_check(p, x1):
-    """Measure the two admissibility bounds: ||x1 - x0|| < delta/8 and
-    ||F(x1)|| < delta/(4c)."""
-    return _precondition(p, np.asarray(x1))[0]
-
-
-def _precondition(p, x1):
-    """(precondition_check's record, F(x1))."""
+    """Measure the two admissibility bounds ||x1 - x0|| < delta/8 and
+    ||F(x1)|| < delta/(4c): (record, F(x1))."""
     dx = p.norm_dom(x1 - p.x0)
     f1 = p.F(x1)
     fx = p.norm_cod(f1)
@@ -92,14 +85,12 @@ def np_solve(p, x1):
     of precondition_check are measured and returned in `precond`, not
     enforced."""
     x1 = np.asarray(x1, dtype=float)
-    pre, f1 = _precondition(p, x1)
+    pre, f1 = precondition_check(p, x1)
     tol = TOL_ZERO * max(1.0, p.norm_dom(x1))
     if pre["fx_norm"] <= tol:
         # already a zero: the correction map restricts to the identity
-        return NPResult(x=x1.copy(), iterations=0,
-                        residual_final=pre["fx_norm"], correction_norm=0.0,
-                        in_image_Q_defect=0.0, contraction_ratios=(),
-                        precond=pre)
+        return NPResult(x=x1.copy(), iterations=0, correction_norm=0.0,
+                        contraction_ratios=(), precond=pre)
     x = x1.copy()
     ratios = []
     prev_step = None
@@ -122,16 +113,9 @@ def np_solve(p, x1):
             break
     else:
         raise ContractionError("no convergence in %d iterations" % MAX_ITER)
-    corr = x - x1
-    qd = p.apply_Q(p.apply_D(corr))
-    corr_norm = p.norm_dom(corr)
-    return NPResult(
-        x=x, iterations=iters,
-        residual_final=float(p.norm_cod(p.F(x))),
-        correction_norm=float(corr_norm),
-        in_image_Q_defect=float(p.norm_dom(corr - qd)
-                                / max(corr_norm, 1e-300)),
-        contraction_ratios=tuple(ratios), precond=pre)
+    return NPResult(x=x, iterations=iters,
+                    correction_norm=float(p.norm_dom(x - x1)),
+                    contraction_ratios=tuple(ratios), precond=pre)
 
 
 def _neumann_solve(p, x1, w):
@@ -153,19 +137,6 @@ def np_differential(p, x1, v):
     (Id + Q dF(x1) - P)^{-1} (Id - P) v with P = QD."""
     v = np.asarray(v, dtype=float)
     return _neumann_solve(p, x1, v - p.apply_Q(p.apply_D(v)))
-
-
-def np_neumann_defect(p, x1, rng):
-    """Measured norm of (Id + Q dF(x1) - P)^{-1} - Id on 20 random probes;
-    bounded by 1/(mu - 1) when ||dF(x1) - D|| <= 1/(mu c) for some
-    mu > 1."""
-    worst = 0.0
-    n = len(np.asarray(p.x0))
-    for _ in range(20):
-        v = rng.standard_normal(n)
-        u = _neumann_solve(p, x1, v)
-        worst = max(worst, p.norm_dom(u - v) / p.norm_dom(v))
-    return float(worst)
 
 
 def np_tangent_solve(p, x1, xi1, c2=None):

@@ -289,19 +289,3 @@ def w12_inner(p, q):
     dq = differentiate(q).samples
     return float(np.sum(wts * np.sum(p.samples * q.samples + dp * dq, axis=1)))
 
-
-def resample(p, grid):
-    """Cubic interpolation of p at the nodes of a (sub-span) target grid."""
-    if grid.t_min < p.grid.t_min - 1e-12 or grid.t_max > p.grid.t_max + 1e-12:
-        raise ValueError("target grid outside source span (extrapolation)")
-    if (
-        grid.n_nodes == p.grid.n_nodes
-        and abs(grid.t_min - p.grid.t_min) < 1e-15
-        and abs(grid.t_max - p.grid.t_max) < 1e-15
-    ):
-        return DiscretePath(grid, p.samples.copy())
-    # imported here, not at the top: only another grid spacing needs it
-    from scipy.interpolate import CubicSpline
-    spline = CubicSpline(p.grid.nodes, p.samples, axis=0)
-    return DiscretePath(grid, spline(np.clip(grid.nodes, p.grid.t_min, p.grid.t_max)))
-

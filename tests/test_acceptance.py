@@ -44,9 +44,8 @@ def test_criterion_01_euclidean_exactness(e1, ce):
         lt = LinearTheory(e1, T, h, ce)
         for wp, wm in halves:
             rep = glue(e1, BETA, wp, wm, T, lt)
-            ref = euclidean_gluing_reference(e1, wp.head.samples[0],
-                                             wm.head.samples[-1], T,
-                                             grid=lt.grid)
+            ref = euclidean_gluing_reference(lt, wp.head.samples[0],
+                                             wm.head.samples[-1])
             worst_sup = max(worst_sup,
                             float(np.max(np.abs(rep.path.samples
                                                 - ref.samples))))

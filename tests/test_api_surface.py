@@ -10,7 +10,17 @@ Two rules hold for every function (module-level, method or nested):
 Calls are matched to functions by name (the called attribute or bare name;
 a class name stands for its ``__init__``), so a name shared by two functions
 counts for both.  A call with ``*args`` or ``**kwargs`` counts as passing
-every parameter.  The exceptions are kept on purpose and listed in ALLOWED.
+every parameter.
+
+A third rule holds for every public module-level function and public method
+of a public class: its name is used under src/ or perfbench/ outside its own
+body (as a bare name, an attribute or the last part of a dotted string, the
+way perfbench names the layers it wraps).  A function that only tests use
+belongs in tests/.
+
+The exceptions are kept on purpose and listed in ALLOWED: keys
+(module, function, parameter) for the first two rules, (module, function)
+for the third.
 """
 
 import ast
@@ -32,6 +42,19 @@ ALLOWED = {
         "input check on the dimension of the sampled function",
     ("morse_model", "compute_constants", "C_decay"):
         "the decay prefactor that sets the paper's crossover time T0",
+    ("gluing", "estimate_decay_constant"):
+        "the measured C(K+, K-) of the theorem regime (ROADMAP item 5)",
+    ("newton_picard", "np_differential"):
+        "differential of the Newton-Picard map, for the tangent lifts "
+        "(ROADMAP item 6)",
+    ("gluing", "linearized_glue_check"):
+        "acceptance criterion 07: the linearized gluing map",
+    ("linear_theory", "d_restricted_min_sv"):
+        "the measured ker D_T = E_T check against the dense reference",
+    ("path_space", "path_from_function"):
+        "sampling a closed-form path on a grid",
+    ("gluing", "Cutoff.sup_dbeta"):
+        "sup |beta'| in the pre-gluing norm bound",
 }
 
 
@@ -130,6 +153,40 @@ def unpassed_defaults():
     return sorted(set(out) - set(ALLOWED))
 
 
+def _uncalled():
+    """(module, qualified name) of each public module-level function and
+    public method of a public class whose name is used under src/ and
+    perfbench/ only inside its own body."""
+    trees = {path: ast.parse(path.read_text(encoding="utf-8"))
+             for d in ("src", "perfbench")
+             for path in sorted((ROOT / d).rglob("*.py"))}
+    # the trees stay alive, so node ids are unique across them
+    uses = defaultdict(set)
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses[node.id].add(id(node))
+            elif isinstance(node, ast.Attribute):
+                uses[node.attr].add(id(node))
+            elif isinstance(node, ast.Constant) and \
+                    isinstance(node.value, str):
+                uses[node.value.rsplit(".", 1)[-1]].add(id(node))
+    out = []
+    for path, tree in trees.items():
+        if path.parent != SRC:
+            continue
+        defs = [(n.name, n) for n in tree.body
+                if isinstance(n, ast.FunctionDef)]
+        defs += [(c.name + "." + n.name, n) for c in tree.body
+                 if isinstance(c, ast.ClassDef) and not c.name.startswith("_")
+                 for n in c.body if isinstance(n, ast.FunctionDef)]
+        for qual, fn in defs:
+            inside = {id(n) for n in ast.walk(fn)}
+            if not fn.name.startswith("_") and not uses[fn.name] - inside:
+                out.append((path.stem, qual))
+    return out
+
+
 def test_every_parameter_is_read():
     assert unread_parameters() == []
 
@@ -138,10 +195,17 @@ def test_every_default_is_overridden_somewhere():
     assert unpassed_defaults() == []
 
 
+def test_every_public_function_has_a_caller():
+    assert sorted(set(_uncalled()) - set(ALLOWED)) == []
+
+
 @pytest.mark.parametrize("key", sorted(ALLOWED))
 def test_allowlist_entries_exist(key):
-    mod, qual, param = key
+    mod, qual = key[:2]
     names = {(m, q): fn for m, q, fn, _ in _src_functions()}
     assert (mod, qual) in names, "allowlisted function is gone"
-    assert param in _all_params(names[(mod, qual)]), \
-        "allowlisted parameter is gone"
+    if len(key) == 3:
+        assert key[2] in _all_params(names[(mod, qual)]), \
+            "allowlisted parameter is gone"
+    else:
+        assert key in _uncalled(), "allowlisted function has a caller now"

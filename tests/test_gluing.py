@@ -6,7 +6,8 @@ from mglue.gluing import (apply_F, certify_approx_zero, convergence_sweep,
                           cubic_cutoff, diffeo_criterion, ev_error, glue,
                           glue_coordinate_rep, linearized_glue_check, preglue,
                           quintic_cutoff, residual_support_violation,
-                          tangent_convergence_sweep, theta_defect_norm)
+                          shoot_halves, tangent_convergence_sweep,
+                          theta_defect_norm)
 from mglue.invariant_manifolds import shoot_stable, shoot_unstable
 from mglue.linear_theory import (LinearTheory, euclidean_gluing_reference,
                                  gamma_infinitesimal, gamma_weights)
@@ -113,6 +114,15 @@ class TestPreglue:
             wt = preglue(BETA, wp, wm, T)
             assert norms(wt).w12 <= bound
 
+    def test_half_at_another_spacing_rejected(self, c1, c1_halves):
+        # the halves are aligned with the grid by index, never resampled
+        wp, wm = c1_halves
+        coarse_p = shoot_stable(c1, [0.3], 16.0, h_max=0.04)
+        coarse_m = shoot_unstable(c1, [0.3], 16.0, h_max=0.04)
+        for halves in ((coarse_p, wm), (wp, coarse_m)):
+            with pytest.raises(ValueError, match="spacing"):
+                preglue(BETA, *halves, 3.0)
+
     def test_two_cutoffs_differ(self, c1_halves):
         wp, wm = c1_halves
         a = preglue(quintic_cutoff(), wp, wm, 3.0)
@@ -153,9 +163,8 @@ class TestGlue:
         T = 3.0
         lt = LinearTheory(e1, T, 0.02, ce)
         rep = glue(e1, BETA, wp, wm, T, lt)
-        ref = euclidean_gluing_reference(e1, wp.head.samples[0],
-                                         wm.head.samples[-1], T,
-                                         grid=lt.grid)
+        ref = euclidean_gluing_reference(lt, wp.head.samples[0],
+                                         wm.head.samples[-1])
         assert np.max(np.abs(rep.path.samples - ref.samples)) <= 5e-5
         assert rep.np_iterations <= 2
 
@@ -175,10 +184,10 @@ class TestGlue:
         assert rep.residual_final <= 1e-11
         assert rep.boundary_defect <= 1e-14
 
-    def test_flowness_by_reintegration(self, e1, ce, e1_halves):
-        wp, wm = e1_halves
+    def test_flowness_by_reintegration(self, e1, ce):
         T = 3.0
         lt = LinearTheory(e1, T, 0.005, ce)
+        wp, wm = shoot_halves(e1, lt, [0.5], [0.4])
         rep = glue(e1, BETA, wp, wm, T, lt)
         sol = solve_ivp(lambda s, z: -e1.grad(z), (-T, T),
                         rep.path.samples[0], t_eval=lt.grid.nodes,

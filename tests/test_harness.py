@@ -87,6 +87,53 @@ class TestConfig:
         assert err.startswith("error: unknown config key") \
             and err.count("\n") == 1
 
+    @pytest.mark.parametrize("key,value", [
+        ("h", "inf"), ("h", "nan"), ("T_list", "3,inf"), ("T_list", "nan"),
+        ("S", "inf"), ("S", "nan"), ("seed_plus", "nan"),
+        ("seed_minus", "-inf"), ("C_decay", "nan"), ("C_decay", "inf"),
+    ])
+    def test_non_finite_number_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_cfg(tmp_path, **{key: value})
+        with pytest.raises(ConfigError, match=key + " must be finite"):
+            load_config(cfg)
+        assert main(["glue", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err == "error: %s must be finite\n" % key
+
+    @pytest.mark.parametrize("text,message", [
+        ("dim = 2\nindex = 1\neig = 1,-1\nnonlinarity = 0.1*x1^2*x2\n",
+         "unknown key nonlinarity"),
+        ("dim = 2\nindex = 1\n", "missing key eig"),
+        ("index = 1\neig = 1,-1\n", "missing key dim"),
+        ("dim = 2\neig = 1,-1\n", "missing key index"),
+        ("dim = 2\nindex = 1\neig = 1,-1\nepsilon = 5\n",
+         "need 0 < epsilon < sigma"),
+        ("dim = 2\nindex = 1\neig = 1,-1\nepsilon = nan\n",
+         "need 0 < epsilon < sigma"),
+        ("dim = 2\nindex = 1\neig = 1,-1\ndelta_max = inf\n",
+         "need 0 < delta_max < inf"),
+        ("dim = 2\nindex = 1\neig = 1,-1\ndelta_max = -1\n",
+         "need 0 < delta_max < inf"),
+    ], ids=["typo", "no_eig", "no_dim", "no_index", "epsilon_5",
+            "epsilon_nan", "delta_max_inf", "delta_max_negative"])
+    def test_bad_model_file_rejected(self, tmp_path, capsys, text, message):
+        (tmp_path / "mdl.cfg").write_text(text)
+        cfg = write_cfg(tmp_path, model="mdl.cfg")
+        with pytest.raises(ConfigError, match=message):
+            load_config(cfg)
+        assert main(["glue", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: model file ") and message in err
+        assert err.count("\n") == 1
+
+    def test_model_file_epsilon_kept(self, tmp_path):
+        (tmp_path / "mdl.cfg").write_text(
+            "dim = 2\nindex = 1\neig = 1,-1\nepsilon = 0.5\n")
+        assert load_config(write_cfg(tmp_path, model="mdl.cfg")).epsilon \
+            == 0.5
+
     def test_overrides(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path), out_override="/tmp/x",
                           seed_override=99)

@@ -1,7 +1,9 @@
 """The import path of the built-in models stays light: sympy is imported only
-to read a model file's polynomial, and scipy.interpolate only to resample
-between grids of different spacing.  Each case runs in a fresh interpreter,
-because this test session has imported both already."""
+to read a model file's polynomial.  scipy.interpolate has no user under src/
+(half trajectories are aligned with the gluing grid by index, never
+resampled); the guard stays so that none comes back unnoticed.  Each case
+runs in a fresh interpreter, because this test session may have imported
+both already."""
 
 import json
 import os

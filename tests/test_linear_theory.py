@@ -12,8 +12,9 @@ from mglue.linear_theory import (KernelElement, LinearTheory,
                                  gamma_infinitesimal, gamma_svd_bounds,
                                  kernel_path, l2_gram, measured_opnorm,
                                  measured_projection_norm, measured_q_norm,
-                                 project_E, projection_matrix, q_matrix,
+                                 projection_matrix, q_matrix,
                                  w12_gram)
+from mglue.invariant_manifolds import shoot_stable, shoot_unstable
 from mglue.morse_model import MorseModel, compute_constants
 from mglue.path_space import (DiscretePath, diff_matrix, kt_rows, l2_norm,
                               norms, path_from_function, sup_norm,
@@ -56,23 +57,29 @@ class TestApplyD:
             1 + np.max(np.abs(rhs)))
 
 
+def project(lt, z):
+    """projection_matrix applied to the path z."""
+    v = projection_matrix(lt) @ z.samples.ravel()
+    return DiscretePath(lt.grid, v.reshape(z.samples.shape))
+
+
 class TestProjectE:
+    """The projection onto the kernel E_T along K_T (projection_matrix):
+    coefficients are the stable boundary value at -T and the unstable one at
+    +T."""
+
     def test_idempotence(self, e1, ce):
         lt = LinearTheory(e1, 3.0, 0.02, ce)
         z = fourier_path(lt.grid, np.random.default_rng(1))
-        ke, rem = project_E(lt, z)
-        kp = kernel_path(lt, ke)
-        ke2, rem2 = project_E(lt, kp)
-        assert np.allclose(ke2.v_plus, ke.v_plus, atol=1e-12)
-        assert np.allclose(ke2.v_minus, ke.v_minus, atol=1e-12)
-        assert sup_norm(rem2) <= 1e-10
+        pz = project(lt, z)
+        assert np.array_equal(project(lt, pz).samples, pz.samples)
 
     def test_remainder_in_complement_exactly(self, e1, ce):
         lt = LinearTheory(e1, 3.0, 0.02, ce)
         z = fourier_path(lt.grid, np.random.default_rng(2))
-        _, rem = project_E(lt, z)
-        assert rem.samples[0, 0] == 0.0
-        assert rem.samples[-1, 1] == 0.0
+        rem = z.samples - project(lt, z).samples
+        assert rem[0, 0] == 0.0
+        assert rem[-1, 1] == 0.0
 
     def test_complement_element_projects_to_zero(self, e1, ce):
         lt = LinearTheory(e1, 3.0, 0.02, ce)
@@ -80,8 +87,7 @@ class TestProjectE:
         samples = z.samples.copy()
         samples[0, 0] = 0.0
         samples[-1, 1] = 0.0
-        ke, _ = project_E(lt, DiscretePath(lt.grid, samples))
-        assert np.allclose(ke.v_plus, 0.0) and np.allclose(ke.v_minus, 0.0)
+        assert sup_norm(project(lt, DiscretePath(lt.grid, samples))) == 0.0
 
     def test_norm_bound(self, e1, ce):
         lt = LinearTheory(e1, 3.0, 0.02, ce)
@@ -89,9 +95,8 @@ class TestProjectE:
         rng = np.random.default_rng(4)
         for _ in range(50):
             z = fourier_path(lt.grid, rng)
-            ke, _ = project_E(lt, z)
-            kp = kernel_path(lt, ke)
-            assert norms(kp).w12 <= ce.d_proj * norms(z).w12 * slack
+            assert norms(project(lt, z)).w12 <= \
+                ce.d_proj * norms(z).w12 * slack
 
     def test_measured_projection_norm_below_bound(self, e1, ce):
         lt = LinearTheory(e1, 3.0, 0.02, ce)
@@ -200,24 +205,25 @@ def euclidean_ev_reference(model, w_plus_0, w_minus_0, T):
 
 
 class TestEuclideanReference:
-    def test_value_at_origin(self, e1):
-        ref = euclidean_gluing_reference(e1, [1.0, 0.0], [0.0, 1.0], 3.0)
+    def test_value_at_origin(self, e1, ce):
+        lt = LinearTheory(e1, 3.0, 0.02, ce)
+        ref = euclidean_gluing_reference(lt, [1.0, 0.0], [0.0, 1.0])
         j = np.argmin(np.abs(ref.grid.nodes))
         assert np.allclose(ref.samples[j], [np.exp(-3.0), np.exp(-3.0)],
                            atol=1e-14)
 
     def test_flow_residual_fine_grid(self, e1, ce):
         lt = LinearTheory(e1, 3.0, 2e-4, ce)
-        ref = euclidean_gluing_reference(e1, [0.5, 0.0], [0.0, 0.4], 3.0,
-                                         grid=lt.grid)
+        ref = euclidean_gluing_reference(lt, [0.5, 0.0], [0.0, 0.4])
         res = apply_D(lt, ref)
         assert interior_sup(res) <= 1e-8
 
-    def test_ev_identity(self, e1):
+    def test_ev_identity(self, e1, ce):
         wp0 = np.array([0.7, 0.0])
         wm0 = np.array([0.0, -0.3])
         T = 3.0
-        ref = euclidean_gluing_reference(e1, wp0, wm0, T)
+        ref = euclidean_gluing_reference(LinearTheory(e1, T, 0.02, ce), wp0,
+                                         wm0)
         left, right = euclidean_ev_reference(e1, wp0, wm0, T)
         assert np.allclose(ref.samples[0], left, atol=1e-14)
         assert np.allclose(ref.samples[-1], right, atol=1e-14)
@@ -228,17 +234,33 @@ class TestEuclideanReference:
                       + np.sum((right - [0.0, 1.0]) ** 2))
         assert err == pytest.approx(np.sqrt(2) * np.exp(-6.0), rel=1e-12)
 
-    def test_non_euclidean_rejected(self, c1):
+    def test_non_euclidean_rejected(self, c1, cc):
         with pytest.raises(ValueError):
-            euclidean_gluing_reference(c1, [1.0, 0.0], [0.0, 1.0], 3.0)
+            euclidean_gluing_reference(LinearTheory(c1, 3.0, 0.02, cc),
+                                       [1.0, 0.0], [0.0, 1.0])
 
-    def test_zero_polynomial_text_is_euclidean(self, e1):
+    def test_zero_polynomial_text_is_euclidean(self, e1, ce):
         # the text is not "0", but its polynomial has no terms
         zero = MorseModel(dim=2, index=1, eig=(1, -1),
                           nonlinearity="x1^3 - x1^3")
-        ref = euclidean_gluing_reference(zero, [1.0, 0.0], [0.0, 1.0], 3.0)
-        assert np.array_equal(ref.samples, euclidean_gluing_reference(
-            e1, [1.0, 0.0], [0.0, 1.0], 3.0).samples)
+        refs = [euclidean_gluing_reference(LinearTheory(m, 3.0, 0.02, ce),
+                                           [1.0, 0.0], [0.0, 1.0])
+                for m in (zero, e1)]
+        assert np.array_equal(refs[0].samples, refs[1].samples)
+
+    def test_former_closed_form_on_halves(self, e1, ce):
+        # the former formula sums over all components; it gives the same
+        # bits, because the unstable part of w_+(0) and the stable part of
+        # w_-(0) are exactly 0 on the Euclidean half trajectories
+        lt = LinearTheory(e1, 3.0, 0.02, ce)
+        wp0 = shoot_stable(e1, [0.5], 12.0).head.samples[0]
+        wm0 = shoot_unstable(e1, [0.4], 12.0).head.samples[-1]
+        assert e1.p_minus(wp0) == 0.0 and e1.p_plus(wm0) == 0.0
+        s, a = lt.grid.nodes, e1.a
+        former = (np.exp(-np.outer(s + lt.T, a)) * wp0
+                  + np.exp(np.outer(lt.T - s, a)) * wm0)
+        assert np.array_equal(
+            euclidean_gluing_reference(lt, wp0, wm0).samples, former)
 
 
 class TestUniformity:

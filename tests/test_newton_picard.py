@@ -9,8 +9,8 @@ from mglue.invariant_manifolds import build_tangent_system, solve_tangent_lift
 from mglue.linear_theory import LinearTheory
 from mglue.newton_picard import (MAX_ITER, TOL_ZERO, ContractionError,
                                  IFTCertificate, NPProblem, NPResult,
-                                 _fd_jacobian, estimate_c2, ift_certificate,
-                                 np_differential, np_neumann_defect, np_solve,
+                                 _fd_jacobian, _neumann_solve, estimate_c2,
+                                 ift_certificate, np_differential, np_solve,
                                  np_tangent_solve, precondition_check)
 
 
@@ -46,17 +46,28 @@ def linear_problem(dF_scale=1.0):
                      delta=10.0, dF=lambda x: lambda v: dF_scale * (A @ v))
 
 
+def np_neumann_defect(p, x1, rng):
+    """Measured norm of (Id + Q dF(x1) - P)^{-1} - Id on 20 random probes;
+    bounded by 1/(mu - 1) when ||dF(x1) - D|| <= 1/(mu c) for some
+    mu > 1."""
+    worst = 0.0
+    n = len(np.asarray(p.x0))
+    for _ in range(20):
+        v = rng.standard_normal(n)
+        u = _neumann_solve(p, x1, v)
+        worst = max(worst, p.norm_dom(u - v) / p.norm_dom(v))
+    return float(worst)
+
+
 def np_solve_reference(p, x1):
     """The former np_solve loop: its first step evaluates F(x1) again and
-    D(x1 - x1), and it takes the correction norm twice."""
+    D(x1 - x1)."""
     x1 = np.asarray(x1, dtype=float)
-    pre = precondition_check(p, x1)
+    pre, _ = precondition_check(p, x1)
     tol = TOL_ZERO * max(1.0, p.norm_dom(x1))
     if pre["fx_norm"] <= tol:
-        return NPResult(x=x1.copy(), iterations=0,
-                        residual_final=pre["fx_norm"], correction_norm=0.0,
-                        in_image_Q_defect=0.0, contraction_ratios=(),
-                        precond=pre)
+        return NPResult(x=x1.copy(), iterations=0, correction_norm=0.0,
+                        contraction_ratios=(), precond=pre)
     x = x1.copy()
     ratios = []
     prev_step = None
@@ -76,16 +87,9 @@ def np_solve_reference(p, x1):
             break
     else:
         raise ContractionError("no convergence in %d iterations" % MAX_ITER)
-    corr = x - x1
-    dcorr = p.apply_D(corr)
-    qd = p.apply_Q(dcorr)
-    scale = max(p.norm_dom(corr), 1e-300)
-    return NPResult(
-        x=x, iterations=iters,
-        residual_final=float(p.norm_cod(p.F(x))),
-        correction_norm=float(p.norm_dom(corr)),
-        in_image_Q_defect=float(p.norm_dom(corr - qd) / scale),
-        contraction_ratios=tuple(ratios), precond=pre)
+    return NPResult(x=x, iterations=iters,
+                    correction_norm=float(p.norm_dom(x - x1)),
+                    contraction_ratios=tuple(ratios), precond=pre)
 
 
 def counted(p):
@@ -113,8 +117,7 @@ def assert_same_result(r, ref):
     """Bit-equal NPResults: x, every scalar, the ratios and the record."""
     assert_same_bits(r.x, ref.x)
     assert r.iterations == ref.iterations
-    for name in ("residual_final", "correction_norm", "in_image_Q_defect"):
-        assert_same_bits(getattr(r, name), getattr(ref, name))
+    assert_same_bits(r.correction_norm, ref.correction_norm)
     assert_same_bits(r.contraction_ratios, ref.contraction_ratios)
     assert r.precond.keys() == ref.precond.keys()
     for key in r.precond:
@@ -150,18 +153,18 @@ def small_cases():
 
 class TestSavedWork:
     """np_solve reuses the precondition's F(x1) and skips D(0): the same bits
-    as the former loop with one F and one D call fewer."""
+    as the former loop with one F and one D call fewer.  It evaluates
+    nothing at the result: one F and one D per iteration, less D(0)."""
 
     def check_np_solve(self, p, x1):
         ref = np_solve_reference(p, x1)
         cp, calls = counted(p)
         res = np_solve(cp, x1)
         assert_same_result(res, ref)
-        assert calls == {"F": res.iterations + 1, "D": res.iterations}
+        assert calls == {"F": res.iterations, "D": res.iterations - 1}
         cp, ref_calls = counted(p)
         np_solve_reference(cp, x1)
-        assert ref_calls == {"F": ref.iterations + 2,
-                             "D": ref.iterations + 1}
+        assert ref_calls == {"F": ref.iterations + 1, "D": ref.iterations}
 
     def check_tangent(self, p, x1, xi1, c2, monkeypatch):
         (x, xi), res = np_tangent_solve(p, x1, xi1, c2=c2)
@@ -193,12 +196,12 @@ class TestSavedWork:
         assert calls == {"F": 1, "D": 0}
 
     def test_tangent_solve_F_calls_c1_T5(self, c1, cc):
-        # the former solve made 10: a probe of F(x1) for the codomain length
-        # and one more F per Newton-Picard solve
+        # former solves made 10: a probe of F(x1) for the codomain length,
+        # a second F(x1) and an F of the result for its residual
         p, x1, xi1, c2 = flow_case_at(c1, cc, 5.0)
         cp, calls = counted(p)
         _, res = np_tangent_solve(cp, x1, xi1, c2=c2)
-        assert calls["F"] == 8 == res.iterations + 1
+        assert calls["F"] == 7 == res.iterations
 
 
 def fd_jacobian_reference(F, x, eps):
@@ -233,7 +236,7 @@ class TestNpSolve:
         res = np_solve(p, np.array([0.1, 0.0]))
         assert np.allclose(res.x, [0.0, 0.0], atol=1e-10)
         assert res.correction_norm <= 2 * p.c * 0.1 * (1 + 1e-10)
-        assert res.residual_final <= 1e-10
+        assert np.linalg.norm(p.F(res.x)) <= 1e-10
 
     def test_exact_zero_returns_unchanged(self):
         p = xy2_problem()
@@ -265,7 +268,14 @@ class TestNpSolve:
         res = np_solve(p, x1)
         corr = res.x - x1
         assert abs(corr[1]) <= 1e-14        # im Q = span{e_x}
-        assert res.in_image_Q_defect <= 1e-10
+        qd = p.apply_Q(p.apply_D(corr))
+        assert np.linalg.norm(corr - qd) <= 1e-10 * np.linalg.norm(corr)
+
+    def test_flow_correction_in_image_of_q(self, flow_case):
+        p, x1, _, _ = flow_case
+        corr = np_solve(p, x1).x - x1
+        qd = p.apply_Q(p.apply_D(corr))
+        assert p.norm_dom(corr - qd) <= 1e-10 * p.norm_dom(corr)
 
     def test_uniqueness_of_fixed_point(self):
         p = xy2_problem()
@@ -282,8 +292,11 @@ class TestNpSolve:
 
     def test_measured_bounds_in_precondition_check(self):
         p = xy2_problem()
-        rec = precondition_check(p, np.array([0.1, 0.0]))
+        x1 = np.array([0.1, 0.0])
+        rec, f1 = precondition_check(p, x1)
         assert rec["dx_ok"] and rec["fx_ok"]
+        assert_same_bits(f1, p.F(x1))
+        assert rec["fx_norm"] == np.linalg.norm(f1)
 
 
 class TestNpDifferential:

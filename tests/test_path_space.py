@@ -8,7 +8,7 @@ from scipy.sparse import lil_matrix
 from mglue.harness import path_csv_rows, write_csv
 from mglue.path_space import (DiscretePath, Grid, diff_matrix, differentiate,
                               l2_norm, make_grid, norms, path_from_function,
-                              resample, sup_norm, symmetric_grid, zero_path)
+                              sup_norm, symmetric_grid, zero_path)
 
 
 def evaluate_ends(p):
@@ -188,36 +188,6 @@ class TestEvaluateEnds:
         left, right = evaluate_ends(p)
         assert np.allclose(left, np.exp(T * a) * z0, rtol=1e-12)
         assert np.allclose(right, np.exp(-T * a) * z0, rtol=1e-12)
-
-
-class TestResample:
-    def test_identity(self):
-        g = symmetric_grid(1.0, 0.05)
-        p = fourier_path(g, np.random.default_rng(9))
-        q = resample(p, g)
-        assert np.array_equal(p.samples, q.samples)
-
-    def test_cubic_exact(self):
-        g = make_grid(0.0, 2.0, 0.1)
-        fine = make_grid(0.0, 2.0, 0.01)
-        p = path_from_function(g, lambda s: s**3 - s)
-        q = resample(p, fine)
-        assert np.max(np.abs(q.samples[:, 0]
-                             - (fine.nodes**3 - fine.nodes))) <= 1e-12
-
-    def test_exponential_error(self):
-        g = Grid(0.0, 3.0, 31)
-        fine = Grid(0.0, 3.0, 301)
-        p = path_from_function(g, lambda s: np.exp(-s))
-        q = resample(p, fine)
-        assert np.max(np.abs(q.samples[:, 0] - np.exp(-fine.nodes))) <= 1e-5
-
-    def test_extrapolation_rejected(self):
-        g = make_grid(0.0, 1.0, 0.1)
-        wide = make_grid(0.0, 2.0, 0.1)
-        p = path_from_function(g, lambda s: s)
-        with pytest.raises(ValueError):
-            resample(p, wide)
 
 
 def test_csv_dump_format(tmp_path):
