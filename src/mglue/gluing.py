@@ -84,13 +84,12 @@ def _half_samples_on(grid_T, half, T, side):
     return head.samples[idx]
 
 
-def preglue(cutoff, w_plus, w_minus, T, grid=None, h_max=0.02):
-    """Pre-glued path on [-T, T] (T >= 3):
+def preglue(cutoff, w_plus, w_minus, T):
+    """Pre-glued path on [-T, T] (T >= 3), on the grid of w_plus's spacing:
     w_T(s) = (1 - beta(s+2)) w_+(T+s) + beta(s-2) w_-(-T+s)."""
     if T < 3:
         raise ValueError("need T >= 3")
-    if grid is None:
-        grid = symmetric_grid(T, h_max)
+    grid = symmetric_grid(T, w_plus.grid.h)
     s = grid.nodes
     wp = _half_samples_on(grid, w_plus, T, "stable")
     wm = _half_samples_on(grid, w_minus, T, "unstable")
@@ -118,12 +117,12 @@ def residual_support_violation(res_path):
     return float(np.max(np.linalg.norm(res_path.samples[outside], axis=1)))
 
 
-def certify_approx_zero(model, cutoff, w_plus, w_minus, T_list, h_max=0.02):
+def certify_approx_zero(model, cutoff, w_plus, w_minus, T_list):
     """Residual-decay table of the pre-glued path over T: l2 norms, a fitted
     exponential rate, and the support check."""
     rows = []
     for T in T_list:
-        wt = preglue(cutoff, w_plus, w_minus, T, h_max=h_max)
+        wt = preglue(cutoff, w_plus, w_minus, T)
         res = apply_F(model, wt)
         rows.append({
             "T": float(T),
@@ -180,20 +179,20 @@ def _interior_flow_residual(model, w):
     return float(np.max(np.linalg.norm(res, axis=1)))
 
 
-def flow_problem(model, lt):
+def flow_problem(lt):
     """Newton-Picard problem of the flow section on the grid of lt, on
     flattened node-major samples: F = apply_F, D = apply_D (the linearization
     at 0_T), Q = apply_Q_exact (the exact discrete right inverse with K_T
     boundary structure), the W^{1,2} and L^2 norms, and dF the nodewise
     linearization of F."""
     grid = lt.grid
-    n = model.dim
+    n = lt.model.dim
 
     def path(v):
         return DiscretePath(grid, v.reshape(-1, n))
 
     def F(v):
-        return apply_F(model, path(v)).samples.reshape(-1)
+        return apply_F(lt.model, path(v)).samples.reshape(-1)
 
     def Dop(v):
         return apply_D(lt, path(v)).samples.reshape(-1)
@@ -208,7 +207,7 @@ def flow_problem(model, lt):
         return l2_norm(path(v))
 
     def dF(x):
-        jac = model.dgrad_tensor(x.reshape(-1, n), 1)
+        jac = lt.model.dgrad_tensor(x.reshape(-1, n), 1)
 
         def apply(v):
             lin = np.einsum("jab,jb->ja", jac, v.reshape(-1, n))
@@ -223,21 +222,22 @@ def flow_problem(model, lt):
                      norm_cod=norm_cod, dF=dF)
 
 
-def shoot_halves(model, lt, seed_p, seed_m):
-    """The stable and the unstable half trajectory from the two seeds, shot
-    to S = 2T + 6 on the spacing of lt's grid."""
+def shoot_halves(lt, seed_p, seed_m):
+    """The stable and the unstable half trajectory of lt's model from the
+    two seeds, shot to S = 2T + 6 on the spacing of lt's grid."""
     S = 2.0 * lt.T + 6.0
-    h_max = lt.grid.h
-    return (shoot_stable(model, seed_p, S, h_max=h_max),
-            shoot_unstable(model, seed_m, S, h_max=h_max))
+    return (shoot_stable(lt.model, seed_p, S, h_max=lt.grid.h),
+            shoot_unstable(lt.model, seed_m, S, h_max=lt.grid.h))
 
 
 def _preglue_in_ball(cutoff, w_plus, w_minus, lt):
-    """Pre-glued path on lt's grid, under the one hypothesis of the gluing
-    map: it lies in the sup ball of radius 2 delta_2, on which the
-    linearization deviates from D by at most 1/(2c); PreconditionError
-    otherwise."""
-    wt = preglue(cutoff, w_plus, w_minus, lt.T, grid=lt.grid)
+    """Pre-glued path on lt's grid (ValueError for halves at another
+    spacing), under the one hypothesis of the gluing map: it lies in the sup
+    ball of radius 2 delta_2, on which the linearization deviates from D by
+    at most 1/(2c); PreconditionError otherwise."""
+    wt = preglue(cutoff, w_plus, w_minus, lt.T)
+    if wt.grid != lt.grid:
+        raise ValueError("halves not at the bundle grid spacing %r" % lt.grid.h)
     rho2 = 2.0 * lt.constants.delta_mu[2.0]
     if sup_norm(wt) > rho2:
         raise PreconditionError(
@@ -254,10 +254,10 @@ def glue(model, cutoff, w_plus, w_minus, T, lt):
     The one hypothesis checked is that of _preglue_in_ball.  The paper's
     bounds ||x1 - x0|| < delta/8 and ||F(x1)|| < delta/(4c) are measured and
     reported in `precond`, not enforced."""
-    if lt.T != float(T):
-        raise ValueError("linear-theory bundle is for a different T")
+    if (lt.T, lt.model) != (float(T), model):
+        raise ValueError("linear-theory bundle is for a different T or model")
     wt = _preglue_in_ball(cutoff, w_plus, w_minus, lt)
-    prob = flow_problem(model, lt)
+    prob = flow_problem(lt)
     x1 = wt.samples.reshape(-1)
     res = np_solve(prob, x1)
     pre_resid = res.precond["fx_norm"]
@@ -286,19 +286,19 @@ def ev_error(gamma, w_plus, w_minus):
     return float(np.sqrt(np.sum(left**2) + np.sum(right**2)))
 
 
-def linearized_glue_check(model, cutoff, lt):
+def linearized_glue_check(cutoff, lt):
     """Central finite differences (step 1e-4) of the gluing map along the
     kernel basis directions at the origin, against the infinitesimal gluing
     map."""
     fd_eps = 1e-4
-    ns = model.n_stable
+    ns = lt.model.n_stable
 
     def glued(seed):
-        wp, wm = shoot_halves(model, lt, seed[:ns], seed[ns:])
-        return glue(model, cutoff, wp, wm, lt.T, lt).path.samples
+        wp, wm = shoot_halves(lt, seed[:ns], seed[ns:])
+        return glue(lt.model, cutoff, wp, wm, lt.T, lt).path.samples
 
     details = []
-    for e in np.eye(model.dim):
+    for e in np.eye(lt.model.dim):
         fd = (glued(fd_eps * e) - glued(-fd_eps * e)) / (2.0 * fd_eps)
         ref = gamma_infinitesimal(lt, e[:ns], e[ns:])
         details.append(float(np.max(np.abs(fd - ref.samples))))
@@ -331,11 +331,12 @@ def convergence_sweep(model, cutoff, seeds, T_list, constants, h_max=0.02,
 # ---------------------------------------------------------------------------
 # diffeomorphism criterion
 
-def glue_coordinate_rep(model, cutoff, lt, scale=1.0):
+def glue_coordinate_rep(cutoff, lt, scale=1.0):
     """Local-coordinate representative of the gluing map on weighted kernel
     coefficients: seeds -> boundary kernel coefficients of the glued path,
     orthonormalized by the exact coefficient weights so the linearization at
     0 matches the infinitesimal-gluing singular values."""
+    model = lt.model
     ns = model.n_stable
     dom_w, img_w = gamma_weights(lt)
     sd = np.sqrt(dom_w)
@@ -345,7 +346,7 @@ def glue_coordinate_rep(model, cutoff, lt, scale=1.0):
         u = np.asarray(u, dtype=float) * scale
         seed_p = u[:ns] / sd[:ns]
         seed_m = u[ns:] / sd[ns:]
-        wp, wm = shoot_halves(model, lt, seed_p, seed_m)
+        wp, wm = shoot_halves(lt, seed_p, seed_m)
         rep = glue(model, cutoff, wp, wm, lt.T, lt)
         v_plus = model.p_plus(rep.path.samples[0])
         v_minus = model.p_minus(rep.path.samples[-1])
@@ -361,15 +362,17 @@ def diffeo_criterion(model, cutoff, lt, sample_count, rng, seed_box_radius,
     k from the infinitesimal-gluing inverse bound, plus the Theta_T smallness
     sample on the kernel basis.  Jacobians are central differences with step
     1e-4; both bounds get the measurement slack 1 + 5h."""
+    if model != lt.model:
+        raise ValueError("linear-theory bundle is for a different model")
     consts = lt.constants
     k = consts.k_gamma_inv
     d = consts.d_proj
     slack = 1.0 + 5.0 * lt.grid.h
-    F = glue_coordinate_rep(model, cutoff, lt, scale=seed_box_radius)
+    F = glue_coordinate_rep(cutoff, lt, scale=seed_box_radius)
     cert = ift_certificate(F, 1.0, k, sample_count, rng, dim=model.dim,
                            fd_eps=1e-4, slack=slack, n_pairs=n_pairs,
                            n_preimages=n_preimages)
-    theta_norm = theta_defect_norm(model, cutoff, lt, seed_box_radius)
+    theta_norm = theta_defect_norm(cutoff, lt, seed_box_radius)
     theta_bound = 1.0 / (8.0 * k * d)
     return {
         "ift": cert,
@@ -379,13 +382,13 @@ def diffeo_criterion(model, cutoff, lt, sample_count, rng, seed_box_radius,
     }
 
 
-def theta_defect_norm(model, cutoff, lt, seed_radius):
+def theta_defect_norm(cutoff, lt, seed_radius):
     """Operator norm (exact on the finite kernel basis) of the pre-glued
     identification defect Theta_T at the corner of the seed box."""
+    model = lt.model
     n = model.dim
     ns = model.n_stable
-    halves = shoot_halves(model, lt, [seed_radius] * ns,
-                          [seed_radius] * (n - ns))
+    halves = shoot_halves(lt, [seed_radius] * ns, [seed_radius] * (n - ns))
     outs = []
     dom_w, _ = gamma_weights(lt)
     for i, e in enumerate(np.eye(n)):
@@ -397,7 +400,7 @@ def theta_defect_norm(model, cutoff, lt, seed_radius):
         xi_pull, _ = theta_inverse(model, half, v)
         diffs = [zero_path(h.grid, n) for h in halves]
         diffs[k] = DiscretePath(half.grid, xi_lin - xi_pull.samples)
-        outs.append(preglue(cutoff, *diffs, lt.T, grid=lt.grid))
+        outs.append(preglue(cutoff, *diffs, lt.T))
     # operator norm: Gram of outputs in W^{1,2} against the diagonal domain
     # weights of the kernel coefficient basis
     H = np.empty((n, n))
@@ -436,8 +439,8 @@ def tangent_convergence_sweep(model, cutoff, seeds, tangent_seeds, T_list,
         lt = LinearTheory(model, T, h_max, constants)
         grid = lt.grid
         wt = _preglue_in_ball(cutoff, wp, wm, lt)
-        xt = preglue(cutoff, lift_p, lift_m, T, grid=grid)
-        prob = flow_problem(model, lt)
+        xt = preglue(cutoff, lift_p, lift_m, T)
+        prob = flow_problem(lt)
         (x, xi), res = np_tangent_solve(
             prob, wt.samples.reshape(-1), xt.samples.reshape(-1),
             c2=1.0 / (4.0 * prob.c * prob.delta))

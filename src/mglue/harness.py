@@ -28,6 +28,11 @@ from .path_space import grid_unit, on_grid
 
 FMT = "%.17g"
 
+# Most nodes a half-trajectory grid [0, S] may hold.  Each shooting step
+# holds the (n_nodes, dim, dim) Jacobian blocks and a (6 dim + 1, n_nodes dim)
+# flow band: at 10^6 nodes and dim 2, the band alone takes 208 MB.
+MAX_GRID_NODES = 10**6
+
 
 # ---------------------------------------------------------------------------
 # configuration
@@ -54,7 +59,7 @@ class ExperimentConfig:
     (quintic|cubic), seed_plus, seed_minus (comma lists), T_list, h, out,
     seed (rng), S, C_decay.  Any other key is a ConfigError, and so is a
     non-finite number, a bad model file, a T or S off the grid of the paths,
-    or S < 2 max(T_list)."""
+    S < 2 max(T_list), or a grid [0, S] of more than MAX_GRID_NODES nodes."""
 
     def __init__(self, raw, base_dir="."):
         unknown = sorted(set(raw) - set(_CONFIG_KEYS))
@@ -110,6 +115,11 @@ class ExperimentConfig:
         # node count, so S is a multiple of 2/m
         m = grid_unit(self.h)
         self.grid_h = 1.0 / m
+        nodes = round(self.S * m) + 1
+        if nodes > MAX_GRID_NODES:
+            raise ConfigError("h = %r and S = %r give %d nodes on [0, S], "
+                              "above %d" % (self.h, self.S, nodes,
+                                            MAX_GRID_NODES))
         for key, t, step in [("T", T, 1) for T in self.T_list] \
                 + [("S", self.S, 2)]:
             if not on_grid(t, self.h, step):
@@ -237,13 +247,11 @@ def _decay_prefactor(cfg):
     if cfg.C_decay is not None:
         return cfg.C_decay
     T_fit = cfg.T_list if len(cfg.T_list) >= 2 else [3.0, 5.0, 7.0]
+    S = max(cfg.S, 2.0 * max(T_fit) + 2.0)
     fit = certify_approx_zero(
         cfg.model, cfg.cutoff,
-        shoot_stable(cfg.model, cfg.seed_plus,
-                     max(cfg.S, 2.0 * max(T_fit) + 2.0), h_max=cfg.h),
-        shoot_unstable(cfg.model, cfg.seed_minus,
-                       max(cfg.S, 2.0 * max(T_fit) + 2.0), h_max=cfg.h),
-        T_fit, h_max=cfg.h)
+        shoot_stable(cfg.model, cfg.seed_plus, S, h_max=cfg.h),
+        shoot_unstable(cfg.model, cfg.seed_minus, S, h_max=cfg.h), T_fit)
     return 1.2 * fit["C_fit"]
 
 
@@ -358,8 +366,8 @@ def _verify_checks(cfg):
     check("E1 gamma min singular value >= sqrt(1-e^-12)",
           np.sqrt(1.0 - np.exp(-12.0 * ce.sigma)) - 1e-9, gmin)
 
-    wp, wm = shoot_halves(e1, lt, [0.5], [0.4])
-    wt = preglue(beta, wp, wm, T, grid=lt.grid)
+    wp, wm = shoot_halves(lt, [0.5], [0.4])
+    wt = preglue(beta, wp, wm, T)
     check("preglue left endpoint exact",
           np.max(np.abs(wt.samples[0] - wp.head.samples[0])), 0.0, ok=bool(
               np.all(wt.samples[0] == wp.head.samples[0])))
@@ -379,15 +387,14 @@ def _verify_checks(cfg):
     c1 = model_c1()
     cc = compute_constants(c1, rng=np.random.default_rng(rng.integers(2**63)))
     ltc = LinearTheory(c1, T, cfg.h, cc)
-    wpc, wmc = shoot_halves(c1, ltc, [0.3], [0.3])
+    wpc, wmc = shoot_halves(ltc, [0.3], [0.3])
     repc = glue(c1, beta, wpc, wmc, T, ltc)
     check("C1 glued flow residual (interior sup)", repc.residual_final,
           10.0 * TOL_ZERO)
     check("C1 correction norm <= 2 c ||F(w_T)||",
           repc.correction_norm, repc.bound_2c_F * 1.01)
     check("C1 contraction ratio", repc.contraction_ratio_max, 0.55)
-    S = 2.0 * T + 6.0
-    fit = decay_fit(wpc, (2.0, S - 2.0))
+    fit = decay_fit(wpc, (2.0, wpc.S - 2.0))
     check("C1 stable-trajectory decay rate >= 0.9 sigma",
           0.9 * cc.sigma, fit.rate)
 

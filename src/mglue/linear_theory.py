@@ -71,7 +71,7 @@ class LinearTheory:
 
     @cached_property
     def _duhamel_lu(self):
-        """(LU of L, R, R^T as CSR) of the Duhamel right inverse
+        """(LU of L, R, R^T) of the Duhamel right inverse
         Q = L^{-1} R on node-major samples.  Row k*n + i of L z = R e is the
         trapezoidal step z[k] - f z[p] = s h/2 (e[k] + f e[p]) of component
         i, f = exp(-|a_i| h), from p = k - 1, s = 1 if stable and p = k + 1,
@@ -90,13 +90,7 @@ class LinearTheory:
         eye = identity(size, format="csr")
         half = diags(0.5 * self.grid.h * sign * keep)
         R = half @ (eye + step)
-        return splu((eye - step).tocsc()), R, R.T.tocsr()
-
-
-def _d_matrix(lt):
-    """Collocation matrix of D = d/ds + A with the K_T boundary rows, as the
-    CSR view of the band that apply_Q_exact solves with."""
-    return lt._exact_lu.tocsr()
+        return splu((eye - step).tocsc()), R, R.T
 
 
 def _check_grid(lt, p):
@@ -294,20 +288,27 @@ def measured_q_norm(lt, rng):
                            l2_gram(lt.grid, lt.model.dim), rng)
 
 
-def d_restricted_min_sv(lt):
-    """Smallest weighted singular value of D restricted to K_T (boundary
-    dofs and boundary flow rows removed), measuring ker D_T = E_T: on the
-    complement the discrete operator is boundedly invertible.  It is sqrt
-    of the bottom eigenvalue of M^T G_L2 M v = lam G_W12 v on the kept
-    rows and columns, by shift-invert Lanczos at 0 on sparse matrices."""
-    n = lt.model.dim
-    N = lt.grid.n_nodes
-    # the boundary dofs and the replaced boundary rows share the K_T indices
-    keep = np.ones(N * n, dtype=bool)
-    keep[kt_rows(N, n, lt.model.n_stable)] = False
-    M = _d_matrix(lt)[keep][:, keep]
-    Gin = lt._w12_gram[keep][:, keep]
-    Gout = l2_gram(lt.grid, n)[keep][:, keep]
-    lam = eigsh(M.T @ Gout @ M, k=1, M=Gin, sigma=0, which="LM",
-                v0=np.ones(M.shape[1]), return_eigenvectors=False)
-    return float(np.sqrt(lam[0]))
+def _q_exact_matrix(lt):
+    """apply_Q_exact on flattened samples as a LinearOperator: M^{-1} P, with
+    M the banded D and P the zeroing of the K_T rows, so its adjoint P M^{-T}
+    is the transposed band solve with the K_T rows then set to zero."""
+    def matvec(v):
+        eta = DiscretePath(lt.grid, np.reshape(v, (-1, lt.model.dim)))
+        return apply_Q_exact(lt, eta).samples.ravel()
+
+    def rmatvec(w):
+        out = lt._exact_lu.solve(np.ravel(w), trans=True)
+        out[lt._kt_rows] = 0.0
+        return out
+
+    size = lt.grid.n_nodes * lt.model.dim
+    return LinearOperator((size, size), dtype=float, matvec=matvec,
+                          rmatvec=rmatvec)
+
+
+def d_restricted_min_sv(lt, rng):
+    """Smallest singular value of D on K_T from W^{1,2} to L^2, measuring
+    ker D_T = E_T: the reciprocal of the measured norm of apply_Q_exact,
+    D's inverse on K_T, from L^2 to W^{1,2}."""
+    return 1.0 / measured_opnorm(_q_exact_matrix(lt), lt._w12_gram,
+                                 l2_gram(lt.grid, lt.model.dim), rng)

@@ -65,6 +65,9 @@ class MorseModel:
         a = np.asarray(self.eig, dtype=float)
         if len(a) != self.dim:
             raise ValueError("eigenvalue count must equal dim")
+        if not np.isfinite(a).all():
+            raise ValueError("eig must be finite, got %s"
+                             % ", ".join(map(repr, a.tolist())))
         if np.any(np.diff(a) > 1e-14):
             raise ValueError("eigenvalues must be in decreasing order")
         if np.any(a == 0):
@@ -83,6 +86,11 @@ class MorseModel:
                 any(len(e) != self.dim or min(e) < 0 for e, _ in terms):
             raise ValueError("terms need distinct exponent tuples of length "
                              "dim with entries >= 0")
+        bad = [(e, c) for e, c in terms if not np.isfinite(c)]
+        if bad:
+            raise ValueError("nonlinearity coefficients must be finite, got "
+                             + ", ".join("%r for exponents %r" % (c, e)
+                                         for e, c in bad))
         object.__setattr__(self, "nonlinearity", terms)
         object.__setattr__(self, "_tables",
                            _derivative_tables(terms, self.dim))

@@ -11,7 +11,7 @@ from math import ceil
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs
-from scipy.sparse import csr_matrix, dia_matrix
+from scipy.sparse import csr_matrix
 
 
 @dataclass(frozen=True)
@@ -42,8 +42,10 @@ class Grid:
 
 
 def grid_unit(h_max):
-    """The least m with grid spacing 1/m <= h_max."""
-    return ceil(1.0 / h_max - 1e-12)
+    """The least m with grid spacing 1/m <= h_max, to a relative 1e-12, so
+    that the spacing of any grid gives back its own m (1 / grid.h is m only
+    up to a few ulps, more than 1e-12 once m is in the tens of thousands)."""
+    return ceil(1.0 / h_max * (1.0 - 1e-12))
 
 
 def on_grid(t, h_max, step=1):
@@ -166,60 +168,58 @@ def kt_values(dim, n_stable, v_plus=0.0, v_minus=0.0):
                            np.broadcast_to(v_minus, (dim - n_stable,))])
 
 
-class FlowLU:
+def _flow_band(grid, jac_blocks, n_stable):
     """Collocation matrix of the linearized flow d/ds + J(s) on flattened
-    node-major samples, and its LU factors: diff_matrix acting on each
-    component, plus the block diagonal of the (n_nodes, dim, dim) blocks
-    J(s_j), with the K_T boundary rows (kt_rows) replaced by identity rows.
+    node-major samples: diff_matrix acting on each component, plus the block
+    diagonal of the (n_nodes, dim, dim) blocks J(s_j), with the K_T boundary
+    rows (kt_rows) replaced by identity rows.  The one-sided end stencils
+    reach two nodes, so the band has kl = ku = k = 2 dim.  It is returned in
+    Fortran-ordered LAPACK band storage, which dgbtrf factors in place: row
+    2k + i - j of column j holds entry (i, j), and rows 0..k-1 are zero."""
+    N, n, _ = jac_blocks.shape
+    if N != grid.n_nodes:
+        raise ValueError("Jacobian blocks do not match the grid")
+    k = 2 * n
+    size = N * n
+    diag = 2 * k
+    ab = np.zeros((size, 3 * k + 1)).T
+    # by[r, q, c] is row r of ab in column q n + c, a view (splitting the
+    # last axis of a Fortran-ordered array copies nothing); block q of J
+    # holds the entries (q n + a, q n + b)
+    by = ab.reshape(3 * k + 1, N, n)
+    for a in range(n):
+        for b in range(n):
+            by[diag + a - b, :, b] = jac_blocks[:, a, b]
+    # entry (p, q) of diff_matrix, |p - q| <= 2, acts on each component
+    # c as the entry (p n + c, q n + c): on row diag + (p - q) n
+    ab[diag - k:diag + k + 1:n] += np.repeat(_stencil_band(grid), n, axis=1)
+    rows = kt_rows(N, n, n_stable)
+    j = rows[:, None] + np.arange(-k, k + 1)
+    inside = (j >= 0) & (j < size)
+    ab[(diag + rows[:, None] - j)[inside], j[inside]] = 0.0
+    ab[diag, rows] = 1.0
+    return ab
 
-    The one-sided end stencils reach two nodes, so the matrix is banded with
-    kl = ku = 2 dim.  It is written straight into LAPACK band storage, whose
-    row kl + ku + i - j holds entry (i, j) in column j (rows kl.. are the
-    dia_matrix layout), factored once by dgbtrf and solved by dgbtrs."""
+
+class FlowLU:
+    """LU factors of the band M = _flow_band(grid, jac_blocks, n_stable),
+    factored in place by dgbtrf; solve applies M^{-1} or M^{-T} by dgbtrs."""
 
     def __init__(self, grid, jac_blocks, n_stable):
-        N, n, _ = jac_blocks.shape
-        if N != grid.n_nodes:
-            raise ValueError("Jacobian blocks do not match the grid")
-        self.kl = self.ku = k = 2 * n
-        size = N * n
-        diag = 2 * k
-        ab = np.zeros((3 * k + 1, size))
-        # by[r, q, c] is row r of ab in column q n + c; block q of J holds
-        # the entries (q n + a, q n + b)
-        by = ab.reshape(3 * k + 1, N, n)
-        for a in range(n):
-            for b in range(n):
-                by[diag + a - b, :, b] = jac_blocks[:, a, b]
-        # entry (p, q) of diff_matrix, |p - q| <= 2, acts on each component
-        # c as the entry (p n + c, q n + c): on row diag + (p - q) n
-        ab[diag - k:diag + k + 1:n] += np.repeat(_stencil_band(grid), n,
-                                                 axis=1)
-        rows = kt_rows(N, n, n_stable)
-        j = rows[:, None] + np.arange(-k, k + 1)
-        inside = (j >= 0) & (j < size)
-        ab[(diag + rows[:, None] - j)[inside], j[inside]] = 0.0
-        ab[diag, rows] = 1.0
-        # dgbtrf factors a copy, so the band keeps the matrix for tocsr
-        self.band = ab[k:]
-        self._lu, self._piv, info = dgbtrf(ab, k, k)
+        ab = _flow_band(grid, jac_blocks, n_stable)
+        self.k = k = 2 * jac_blocks.shape[1]
+        self._lu, self._piv, info = dgbtrf(ab, k, k, overwrite_ab=1)
         if info != 0:
             raise RuntimeError("flow operator is singular (dgbtrf info %d)"
                                % info)
 
-    def solve(self, rhs):
-        """The solution x of M x = rhs, for rhs of shape (size,) or
-        (size, k)."""
-        x, info = dgbtrs(self._lu, self.kl, self.ku, rhs, self._piv)
+    def solve(self, rhs, trans=False):
+        """The solution x of M x = rhs, or of M^T x = rhs if trans, for rhs
+        of shape (size,) or (size, k)."""
+        x, info = dgbtrs(self._lu, self.k, self.k, rhs, self._piv, trans)
         if info != 0:
             raise RuntimeError("band solve failed (dgbtrs info %d)" % info)
         return x
-
-    def tocsr(self):
-        """The matrix as CSR, from the same band (explicit zeros dropped)."""
-        size = self.band.shape[1]
-        offsets = self.ku - np.arange(self.band.shape[0])
-        return dia_matrix((self.band, offsets), shape=(size, size)).tocsr()
 
 
 def stencil_derivative(w, h):

@@ -147,9 +147,9 @@ def test_criterion_06_evaluation_convergence(c1, cc):
 
 def test_criterion_07_linearized_gluing(e1, ce, c1, cc):
     ltc = LinearTheory(c1, 3.0, 0.01, cc)
-    c1_disc = linearized_glue_check(c1, BETA, ltc)["sup_discrepancy"]
+    c1_disc = linearized_glue_check(BETA, ltc)["sup_discrepancy"]
     lte = LinearTheory(e1, 3.0, 2.5e-4, ce)
-    e1_disc = linearized_glue_check(e1, BETA, lte)["sup_discrepancy"]
+    e1_disc = linearized_glue_check(BETA, lte)["sup_discrepancy"]
     # cutoff independence: the infinitesimal map is cutoff-free while the
     # pre-glued paths visibly depend on the cutoff
     lt = LinearTheory(c1, 3.0, 0.02, cc)
@@ -159,8 +159,8 @@ def test_criterion_07_linearized_gluing(e1, ce, c1, cc):
     S = 12.0
     wp = shoot_stable(c1, [0.3], S)
     wm = shoot_unstable(c1, [0.3], S)
-    pa = preglue(quintic_cutoff(), wp, wm, 3.0, grid=lt.grid)
-    pb = preglue(cubic_cutoff(), wp, wm, 3.0, grid=lt.grid)
+    pa = preglue(quintic_cutoff(), wp, wm, 3.0)
+    pb = preglue(cubic_cutoff(), wp, wm, 3.0)
     preglue_diff = float(np.max(np.abs(pa.samples - pb.samples)))
     ok = (c1_disc <= 1e-3 and e1_disc <= 1e-8 and gamma_diff <= 1e-12
           and preglue_diff >= 1e-3)
@@ -223,18 +223,17 @@ def test_criterion_09_tangent_machinery(c1, cc):
     # tangent solve base equals the plain solve on the glued problem
     T = 3.0
     lt = LinearTheory(c1, T, 0.02, cc)
-    grid = lt.grid
     wp = shoot_stable(c1, [0.3], 2 * T + 6)
     wm = shoot_unstable(c1, [0.3], 2 * T + 6)
-    wt = preglue(BETA, wp, wm, T, grid=grid)
-    prob = flow_problem(c1, lt)
+    wt = preglue(BETA, wp, wm, T)
+    prob = flow_problem(lt)
     x1 = wt.samples.reshape(-1)
     xi1 = preglue(BETA,
                   solve_tangent_lift(c1, wp, build_tangent_system(1),
                                      [[1.0]])[0],
                   solve_tangent_lift(c1, wm, build_tangent_system(1),
                                      [[1.0]])[0],
-                  T, grid=grid).samples.reshape(-1)
+                  T).samples.reshape(-1)
     (x, _), _ = np_tangent_solve(
         prob, x1, xi1, c2=1.0 / (4.0 * cc.c_rightinv * cc.delta4))
     base_gap = float(np.max(np.abs(x - np_solve(prob, x1).x)))

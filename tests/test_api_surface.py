@@ -50,7 +50,8 @@ ALLOWED = {
     ("gluing", "linearized_glue_check"):
         "acceptance criterion 07: the linearized gluing map",
     ("linear_theory", "d_restricted_min_sv"):
-        "the measured ker D_T = E_T check against the dense reference",
+        "ker D_T = E_T as the reciprocal of the measured norm of glue's Q, "
+        "checked against the dense reference",
     ("path_space", "path_from_function"):
         "sampling a closed-form path on a grid",
     ("gluing", "Cutoff.sup_dbeta"):

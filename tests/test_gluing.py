@@ -123,6 +123,16 @@ class TestPreglue:
             with pytest.raises(ValueError, match="spacing"):
                 preglue(BETA, *halves, 3.0)
 
+    def test_halves_at_one_other_spacing(self, c1):
+        # the grid of the pre-glued path is that of the halves' spacing
+        wp = shoot_stable(c1, [0.3], 16.0, h_max=0.04)
+        wm = shoot_unstable(c1, [0.3], 16.0, h_max=0.04)
+        wt = preglue(BETA, wp, wm, 3.0)
+        assert wt.grid == symmetric_grid(3.0, 0.04)
+        left, right = evaluate_ends(wt)
+        assert np.array_equal(left, wp.head.samples[0])
+        assert np.array_equal(right, wm.head.samples[-1])
+
     def test_two_cutoffs_differ(self, c1_halves):
         wp, wm = c1_halves
         a = preglue(quintic_cutoff(), wp, wm, 3.0)
@@ -187,12 +197,28 @@ class TestGlue:
     def test_flowness_by_reintegration(self, e1, ce):
         T = 3.0
         lt = LinearTheory(e1, T, 0.005, ce)
-        wp, wm = shoot_halves(e1, lt, [0.5], [0.4])
+        wp, wm = shoot_halves(lt, [0.5], [0.4])
         rep = glue(e1, BETA, wp, wm, T, lt)
         sol = solve_ivp(lambda s, z: -e1.grad(z), (-T, T),
                         rep.path.samples[0], t_eval=lt.grid.nodes,
                         rtol=1e-12, atol=1e-14)
         assert np.max(np.abs(sol.y.T - rep.path.samples)) <= 1e-5
+
+    @pytest.mark.parametrize("other", ["model", "T"])
+    def test_bundle_of_another_model_or_t_rejected(self, e1, c1, cc,
+                                                   c1_halves, other):
+        wp, wm = c1_halves
+        lt = LinearTheory(c1, 3.0, 0.02, cc)
+        model, T = (e1, 3.0) if other == "model" else (c1, 4.0)
+        with pytest.raises(ValueError, match="different T or model"):
+            glue(model, BETA, wp, wm, T, lt)
+
+    def test_halves_at_another_spacing_rejected(self, c1, cc):
+        lt = LinearTheory(c1, 3.0, 0.02, cc)
+        wp = shoot_stable(c1, [0.3], 12.0, h_max=0.04)
+        wm = shoot_unstable(c1, [0.3], 12.0, h_max=0.04)
+        with pytest.raises(ValueError, match="bundle grid spacing 0.02"):
+            glue(c1, BETA, wp, wm, 3.0, lt)
 
     def test_domain_uniform_over_t(self, c1, cc, c1_halves):
         wp, wm = c1_halves
@@ -205,12 +231,12 @@ class TestGlue:
 class TestLinearizedGluing:
     def test_euclidean_discrepancy(self, e1, ce):
         lt = LinearTheory(e1, 3.0, 0.02, ce)
-        out = linearized_glue_check(e1, BETA, lt)
+        out = linearized_glue_check(BETA, lt)
         assert out["sup_discrepancy"] <= 5e-5
 
     def test_c1_discrepancy(self, c1, cc):
         lt = LinearTheory(c1, 4.0, 0.02, cc)
-        out = linearized_glue_check(c1, BETA, lt)
+        out = linearized_glue_check(BETA, lt)
         assert out["sup_discrepancy"] <= 1e-3
 
     def test_beta_independence_of_infinitesimal_map(self, c1, cc):
@@ -243,7 +269,7 @@ class TestConvergence:
 class TestDiffeo:
     def test_theta_defect_small(self, c1, cc):
         lt = LinearTheory(c1, 5.0, 0.02, cc)
-        tn = theta_defect_norm(c1, BETA, lt, 0.3)
+        tn = theta_defect_norm(BETA, lt, 0.3)
         assert tn <= 1.0 / (8 * cc.k_gamma_inv * cc.d_proj)
 
     def test_certificate_passes(self, c1, cc):
@@ -255,6 +281,13 @@ class TestDiffeo:
         assert out["ift"].ok
         assert out["theta_ok"]
 
+    def test_bundle_of_another_model_rejected(self, e1, c1, cc):
+        lt = LinearTheory(c1, 5.0, 0.02, cc)
+        with pytest.raises(ValueError, match="different model"):
+            diffeo_criterion(e1, BETA, lt, sample_count=1,
+                             rng=np.random.default_rng(0),
+                             seed_box_radius=0.3, n_pairs=1, n_preimages=1)
+
     def test_coordinate_rep_is_weighted_identity(self, c1, cc):
         """On the seed box, the gluing map in the certificate's chart is the
         linear map diag(sqrt(img/dom)).  The Newton-Picard correction lies in
@@ -264,7 +297,7 @@ class TestDiffeo:
         a fixed diagonal map."""
         h = 0.02
         lt = LinearTheory(c1, np.ceil(cc.T0 / h) * h, h, cc)
-        F = glue_coordinate_rep(c1, BETA, lt, scale=0.3)
+        F = glue_coordinate_rep(BETA, lt, scale=0.3)
         dom, img = gamma_weights(lt)
         rng = np.random.default_rng(21)
         for _ in range(8):

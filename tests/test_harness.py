@@ -67,6 +67,13 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
 
+    def test_grid_above_node_bound_rejected(self):
+        # checked on the config only: a command at this h would ask for a
+        # grid of 1.2e10 nodes
+        with pytest.raises(ConfigError, match=r"h = 1e-09 and S = 12.0 give "
+                           r"12000000001 nodes on \[0, S\], above 1000000"):
+            ExperimentConfig({"model": "c1", "T_list": "3", "h": "1e-9"})
+
     def test_slack_spacing_is_the_grid_spacing(self, tmp_path):
         # h = 0.7 puts the paths on the grid of spacing 1/2
         cfg = load_config(write_cfg(tmp_path, T_list="3", h="0.7"))
@@ -115,8 +122,13 @@ class TestConfig:
          "need 0 < delta_max < inf"),
         ("dim = 2\nindex = 1\neig = 1,-1\ndelta_max = -1\n",
          "need 0 < delta_max < inf"),
+        ("dim = 2\nindex = 1\neig = inf,-1\n",
+         "eig must be finite, got inf, -1.0"),
+        ("dim = 2\nindex = 1\neig = nan,-1\n",
+         "eig must be finite, got nan, -1.0"),
     ], ids=["typo", "no_eig", "no_dim", "no_index", "epsilon_5",
-            "epsilon_nan", "delta_max_inf", "delta_max_negative"])
+            "epsilon_nan", "delta_max_inf", "delta_max_negative", "eig_inf",
+            "eig_nan"])
     def test_bad_model_file_rejected(self, tmp_path, capsys, text, message):
         (tmp_path / "mdl.cfg").write_text(text)
         cfg = write_cfg(tmp_path, model="mdl.cfg")

@@ -14,10 +14,10 @@ from mglue.invariant_manifolds import (_tensor_forcing, build_tangent_system,
                                        solve_tangent_lift,
                                        theta_identification, theta_inverse)
 from mglue import path_space
-from mglue.path_space import (DiscretePath, FlowLU, diff_matrix, make_grid,
-                              path_from_function)
+from mglue.path_space import (DiscretePath, FlowLU, _flow_band, diff_matrix,
+                              make_grid, path_from_function)
 
-from test_path_space import assert_same_csr
+from test_path_space import assert_same_band
 
 
 class TestDigits:
@@ -306,11 +306,12 @@ class TestAssembly:
     def test_collocation_jacobian_matches_lil_reference(self, c1, S, shoot,
                                                         seed):
         # seed 0 gives the zero trajectory: the Jacobian blocks hold exact
-        # zeros, which the CSR view must drop as the reference does
+        # zeros, which the reference stores as zeros too
         base = shoot(c1, [seed], S)
-        lu = FlowLU(base.grid, c1.dgrad_tensor(base.head.samples, 1),
-                    c1.n_stable)
-        assert_same_csr(lu.tocsr(), collocation_lil_reference(c1, base))
+        ab = _flow_band(base.grid, c1.dgrad_tensor(base.head.samples, 1),
+                        c1.n_stable)
+        assert_same_band(ab, collocation_lil_reference(c1, base),
+                         2 * c1.dim)
 
     @pytest.mark.parametrize("S", [1.0, 4.0])
     @pytest.mark.parametrize("shoot", [shoot_stable, shoot_unstable])
@@ -324,6 +325,17 @@ class TestAssembly:
         assert np.max(np.abs(lu.solve(rhs) - want)) <= \
             1e-12 * np.max(np.abs(want))
         np.testing.assert_array_equal(lu.solve(rhs[:, 0]), lu.solve(rhs)[:, 0])
+
+    @pytest.mark.parametrize("shoot", [shoot_stable, shoot_unstable])
+    def test_transposed_band_solve_matches_dense_solve(self, c1, shoot):
+        base = shoot(c1, [0.3], 4.0)
+        lu = FlowLU(base.grid, c1.dgrad_tensor(base.head.samples, 1),
+                    c1.n_stable)
+        M = collocation_lil_reference(c1, base).toarray()
+        rhs = np.random.default_rng(6).standard_normal((M.shape[0], 2))
+        want = np.linalg.solve(M.T, rhs)
+        assert np.max(np.abs(lu.solve(rhs, trans=True) - want)) <= \
+            1e-12 * np.max(np.abs(want))
 
     def test_zero_column_raises(self, monkeypatch):
         # no stencil reaches node 4, and its Jacobian block is zero, so the
@@ -347,9 +359,9 @@ class TestAssembly:
 
 class TestStencilCache:
     def factors(self, c1, base):
-        lu = FlowLU(base.grid, c1.dgrad_tensor(base.head.samples, 1),
-                    c1.n_stable)
-        return lu.band, lu._lu, lu._piv
+        jac = c1.dgrad_tensor(base.head.samples, 1)
+        lu = FlowLU(base.grid, jac, c1.n_stable)
+        return _flow_band(base.grid, jac, c1.n_stable), lu._lu, lu._piv
 
     @pytest.mark.parametrize("shoot", [shoot_stable, shoot_unstable])
     def test_cold_and_warm_cache_same_bits(self, c1, shoot):

@@ -5,7 +5,7 @@ from scipy.sparse import csr_matrix, diags, identity, kron
 
 from mglue import linear_theory
 from mglue.linear_theory import (KernelElement, LinearTheory,
-                                 _band_cholesky, _d_matrix, apply_D,
+                                 _band_cholesky, _q_exact_matrix, apply_D,
                                  apply_Q, apply_Q_exact,
                                  d_restricted_min_sv,
                                  euclidean_gluing_reference,
@@ -16,12 +16,12 @@ from mglue.linear_theory import (KernelElement, LinearTheory,
                                  w12_gram)
 from mglue.invariant_manifolds import shoot_stable, shoot_unstable
 from mglue.morse_model import MorseModel, compute_constants
-from mglue.path_space import (DiscretePath, diff_matrix, kt_rows, l2_norm,
-                              norms, path_from_function, sup_norm,
+from mglue.path_space import (DiscretePath, _flow_band, diff_matrix, kt_rows,
+                              l2_norm, norms, path_from_function, sup_norm,
                               zero_path)
 
 from test_morse_model import model_3d
-from test_path_space import assert_same_csr, fourier_path
+from test_path_space import assert_same_band, fourier_path
 
 
 def interior_sup(p):
@@ -265,7 +265,8 @@ class TestEuclideanReference:
 
 class TestUniformity:
     def test_kernel_of_restricted_d_trivial(self, e1, ce):
-        vals = [d_restricted_min_sv(LinearTheory(e1, T, 0.02, ce))
+        vals = [d_restricted_min_sv(LinearTheory(e1, T, 0.02, ce),
+                                    np.random.default_rng(4))
                 for T in (3.0, 5.0, 8.0)]
         # grid-stable positive floor; the continuum bound 1/c is diluted by
         # an O(sqrt(h)) boundary mode, so the floor is empirical at h = 0.02
@@ -432,12 +433,12 @@ def test_measured_norms_share_one_gram(monkeypatch, c1, cc):
                         lambda *a: built.append(a) or gram(*a))
     got = (measured_projection_norm(lt, np.random.default_rng(13)),
            measured_q_norm(lt, np.random.default_rng(12)),
-           d_restricted_min_sv(lt))
+           d_restricted_min_sv(lt, np.random.default_rng(14)))
     assert len(built) == 1
     monkeypatch.setattr(linear_theory, "w12_gram", gram)
     assert got == (measured_projection_norm(fresh, np.random.default_rng(13)),
                    measured_q_norm(fresh, np.random.default_rng(12)),
-                   d_restricted_min_sv(fresh))
+                   d_restricted_min_sv(fresh, np.random.default_rng(14)))
 
 
 def test_measured_opnorm_rejects_indefinite_gram(c1, cc):
@@ -458,7 +459,7 @@ def d_restricted_min_sv_dense_reference(lt):
     N = lt.grid.n_nodes
     keep = np.ones(N * n, dtype=bool)
     keep[kt_rows(N, n, lt.model.n_stable)] = False
-    M = _d_matrix(lt).toarray()[np.ix_(keep, keep)]
+    M = d_system_matrix_lil_reference(lt).toarray()[np.ix_(keep, keep)]
     Gin = w12_gram(lt.grid, n).toarray()[np.ix_(keep, keep)]
     Gout = l2_gram(lt.grid, n).toarray()[np.ix_(keep, keep)]
     Lin = cholesky(Gin, lower=True)
@@ -470,8 +471,8 @@ def d_restricted_min_sv_dense_reference(lt):
 @pytest.mark.parametrize("T", [3.0, 5.0, 8.0])
 def test_d_restricted_min_sv_matches_dense_reference(e1, ce, T):
     lt = LinearTheory(e1, T, 0.02, ce)
-    assert d_restricted_min_sv(lt) == pytest.approx(
-        d_restricted_min_sv_dense_reference(lt), rel=1e-10)
+    assert d_restricted_min_sv(lt, np.random.default_rng(15)) == \
+        pytest.approx(d_restricted_min_sv_dense_reference(lt), rel=1e-10)
 
 
 def d_system_matrix_lil_reference(lt):
@@ -497,7 +498,30 @@ def d_system_matrix_lil_reference(lt):
                                  (8.0, 0.05)])
 def test_d_system_matrix_matches_lil_reference(c1, cc, T, h):
     lt = LinearTheory(c1, T, h, cc)
-    assert_same_csr(_d_matrix(lt), d_system_matrix_lil_reference(lt))
+    A = np.broadcast_to(c1.A, (lt.grid.n_nodes, c1.dim, c1.dim))
+    assert_same_band(_flow_band(lt.grid, A, c1.n_stable),
+                     d_system_matrix_lil_reference(lt), 2 * c1.dim)
+
+
+@pytest.mark.parametrize("trans", [False, True])
+def test_exact_lu_solves_the_lil_reference(c1, cc, trans):
+    lt = LinearTheory(c1, 3.0, 0.05, cc)
+    M = d_system_matrix_lil_reference(lt).toarray()
+    rhs = np.random.default_rng(7).standard_normal(M.shape[0])
+    want = np.linalg.solve(M.T if trans else M, rhs)
+    assert np.max(np.abs(lt._exact_lu.solve(rhs, trans=trans) - want)) <= \
+        1e-12 * np.max(np.abs(want))
+
+
+def test_q_exact_adjoint(c1, cc):
+    # <Q x, y> = <x, Q^T y>: the transposed band solve with the K_T rows
+    # zeroed is the adjoint of apply_Q_exact
+    lt = LinearTheory(c1, 3.0, 0.05, cc)
+    Q = _q_exact_matrix(lt)
+    rng = np.random.default_rng(8)
+    for _ in range(4):
+        x, y = rng.standard_normal((2, Q.shape[0]))
+        assert (Q @ x) @ y == pytest.approx(x @ (Q.T @ y), rel=1e-12)
 
 
 def test_off_grid_T_rejected(c1, cc):

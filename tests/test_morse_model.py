@@ -373,6 +373,14 @@ class TestTermRepresentation:
         with pytest.raises(ValueError):
             MorseModel(dim=2, index=1, eig=(1.0, -1.0), nonlinearity=terms)
 
+    @pytest.mark.parametrize("c", [np.inf, -np.inf, np.nan])
+    def test_non_finite_coefficient_rejected(self, c):
+        # named before any linear algebra runs on the model
+        with pytest.raises(ValueError, match="coefficients must be finite, "
+                           "got %r for exponents \\(3, 0\\)" % c):
+            MorseModel(dim=2, index=1, eig=(1.0, -1.0),
+                       nonlinearity=(((3, 0), c), ((1, 2), 0.5)))
+
     def test_fractional_exponent_rejected(self):
         with pytest.raises(TypeError):
             MorseModel(dim=2, index=1, eig=(1.0, -1.0),

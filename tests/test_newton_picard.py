@@ -128,14 +128,14 @@ def flow_case_at(c1, cc, T):
     """(flow problem, pre-glued x1, pre-glued tangent xi1, c2) of c1 at T
     from the seeds 0.3 / -0.2, as tangent_convergence_sweep sets them up."""
     lt = LinearTheory(c1, T, 0.02, cc)
-    wp, wm = shoot_halves(c1, lt, [0.3], [-0.2])
+    wp, wm = shoot_halves(lt, [0.3], [-0.2])
     spec = build_tangent_system(1)
     lift_p = solve_tangent_lift(c1, wp, spec, [[1.0]])[0]
     lift_m = solve_tangent_lift(c1, wm, spec, [[1.0]])[0]
     beta = quintic_cutoff()
-    x1 = preglue(beta, wp, wm, T, grid=lt.grid).samples.reshape(-1)
-    xi1 = preglue(beta, lift_p, lift_m, T, grid=lt.grid).samples.reshape(-1)
-    prob = flow_problem(c1, lt)
+    x1 = preglue(beta, wp, wm, T).samples.reshape(-1)
+    xi1 = preglue(beta, lift_p, lift_m, T).samples.reshape(-1)
+    prob = flow_problem(lt)
     return prob, x1, xi1, 1.0 / (4.0 * prob.c * prob.delta)
 
 

@@ -7,8 +7,9 @@ from scipy.sparse import lil_matrix
 
 from mglue.harness import path_csv_rows, write_csv
 from mglue.path_space import (DiscretePath, Grid, diff_matrix, differentiate,
-                              l2_norm, make_grid, norms, path_from_function,
-                              sup_norm, symmetric_grid, zero_path)
+                              grid_unit, l2_norm, make_grid, norms,
+                              path_from_function, sup_norm, symmetric_grid,
+                              zero_path)
 
 
 def evaluate_ends(p):
@@ -42,6 +43,20 @@ class TestGrid:
         assert abs(round(1.0 / g.h) - 1.0 / g.h) < 1e-12
         for target in (-3.0, -1.0, 1.0, 3.0):
             assert np.min(np.abs(g.nodes - target)) < 1e-12
+
+    # for 4320 units m from 23294 to 65530, 1 / grid.h exceeds m by more
+    # than 1e-12, which an absolute tolerance rounded up to m + 1
+    @pytest.mark.parametrize("m", [2, 50, 80, 5000, 23294, 65530])
+    @pytest.mark.parametrize("span", [(0.0, 12.0), (-30.0, 0.0), (-3.0, 3.0)])
+    def test_grid_spacing_gives_back_its_unit(self, m, span):
+        g = make_grid(*span, 1.0 / m)
+        assert grid_unit(g.h) == m
+        assert symmetric_grid(3.0, g.h) == symmetric_grid(3.0, 1.0 / m)
+
+    @pytest.mark.parametrize("h,m", [(0.02, 50), (0.019, 53), (0.7, 2),
+                                     (2e-4, 5000), (1e-9, 10**9)])
+    def test_grid_unit_values(self, h, m):
+        assert grid_unit(h) == m
 
     def test_too_few_nodes_rejected(self):
         with pytest.raises(ValueError):
@@ -228,6 +243,20 @@ def assert_same_csr(a, b):
                  (a.data, b.data)):
         assert x.dtype == y.dtype
         assert np.array_equal(x, y)
+
+
+def assert_same_band(ab, ref, k):
+    """The LAPACK band ab (kl = ku = k, entry (i, j) in row 2k + i - j of
+    column j, the first k rows zero) holds the sparse matrix ref bit for
+    bit, and ref has no entry outside the band."""
+    R = ref.toarray()
+    want = np.zeros((3 * k + 1, R.shape[0]))
+    for d in range(-k, k + 1):
+        j = np.arange(max(0, -d), min(R.shape[0], R.shape[0] - d))
+        want[2 * k + d, j] = R[j + d, j]
+    assert ab.dtype == want.dtype and ab.shape == want.shape
+    assert ab.tobytes() == want.tobytes()
+    assert np.count_nonzero(want) == np.count_nonzero(R)
 
 
 def diff_matrix_lil_reference(grid):
