@@ -181,24 +181,30 @@ def _interior_flow_residual(model, w):
 
 def flow_problem(lt):
     """Newton-Picard problem of the flow section on the grid of lt, on
-    flattened node-major samples: F = apply_F, D = apply_D (the linearization
-    at 0_T), Q = apply_Q_exact (the exact discrete right inverse with K_T
-    boundary structure), the W^{1,2} and L^2 norms, and dF the nodewise
-    linearization of F."""
+    flattened node-major samples: D = apply_D (the linearization at 0_T),
+    the remainder N = apply_F - D, which is grad f_nl nodewise, and dN its
+    nodewise linearization, Q = apply_Q_exact (the exact discrete right
+    inverse with K_T boundary structure, one solve for the k columns of a
+    (size, k) array), and the W^{1,2} and L^2 norms."""
     grid = lt.grid
-    n = lt.model.dim
+    model = lt.model
+    n = model.dim
 
     def path(v):
         return DiscretePath(grid, v.reshape(-1, n))
 
-    def F(v):
-        return apply_F(lt.model, path(v)).samples.reshape(-1)
+    def N(v):
+        return model.nonlinear_tensor(v.reshape(-1, n), 0).reshape(-1)
 
     def Dop(v):
         return apply_D(lt, path(v)).samples.reshape(-1)
 
     def Qop(v):
-        return apply_Q_exact(lt, path(v)).samples.reshape(-1)
+        # the columns of v, or v itself as the one column
+        etas = [path(c) for c in v.reshape(v.shape[0], -1).T]
+        return np.stack([q.samples.reshape(-1)
+                         for q in apply_Q_exact(lt, etas)],
+                        axis=-1).reshape(v.shape)
 
     def norm_dom(v):
         return norms(path(v)).w12
@@ -206,20 +212,16 @@ def flow_problem(lt):
     def norm_cod(v):
         return l2_norm(path(v))
 
-    def dF(x):
-        jac = lt.model.dgrad_tensor(x.reshape(-1, n), 1)
-
-        def apply(v):
-            lin = np.einsum("jab,jb->ja", jac, v.reshape(-1, n))
-            return (differentiate(path(v)).samples + lin).reshape(-1)
-
-        return apply
+    def dN(x):
+        jac = model.nonlinear_tensor(x.reshape(-1, n), 1)
+        return lambda v: np.einsum("jab,jb->ja", jac,
+                                   v.reshape(-1, n)).reshape(-1)
 
     consts = lt.constants
-    return NPProblem(F=F, apply_D=Dop, apply_Q=Qop,
+    return NPProblem(N=N, apply_D=Dop, apply_Q=Qop,
                      x0=np.zeros(grid.n_nodes * n), c=consts.c_rightinv,
                      delta=consts.delta4, norm_dom=norm_dom,
-                     norm_cod=norm_cod, dF=dF)
+                     norm_cod=norm_cod, dN=dN)
 
 
 def shoot_halves(lt, seed_p, seed_m):

@@ -300,6 +300,11 @@ def theta_inverse(model, base, v):
 # ---------------------------------------------------------------------------
 # decay fitting
 
+class FitError(ValueError):
+    """A fit with nothing to measure: fewer than two values above the
+    floor."""
+
+
 @dataclass(frozen=True)
 class DecayFit:
     rate: float
@@ -325,7 +330,9 @@ def log_linear_fit(x, g):
 
 def decay_fit(p, window):
     """Least-squares exponential-decay fit of |W(s)| + |W'(s)| over the
-    window; rate is the negated slope of the log-linear fit."""
+    window; rate is the negated slope of the log-linear fit.  FitError when
+    fewer than two window values lie above the floor of log_linear_fit (a
+    zero seed gives a zero half trajectory)."""
     if isinstance(p, HalfTrajectory):
         p = p.head
     s = p.grid.nodes
@@ -335,7 +342,8 @@ def decay_fit(p, window):
     in_window = (s >= lo - 1e-12) & (s <= hi + 1e-12)
     fit = log_linear_fit(s[in_window], g[in_window])
     if fit is None:
-        raise ValueError("fit window empty after flooring")
+        raise FitError("no decay to fit on [%g, %g]: fewer than two values "
+                       "of |W| + |W'| above 1e-14" % (lo, hi))
     rate, prefactor, r2 = fit
     return DecayFit(rate=rate, prefactor=prefactor, r2=r2,
                     window=(float(lo), float(hi)))

@@ -131,12 +131,19 @@ def apply_Q(lt, eta):
 
 def apply_Q_exact(lt, eta):
     """Right inverse by a banded LU solve of the discretized D with K_T
-    boundary rows; D o Q = Id on all enforced rows to machine precision."""
-    _check_grid(lt, eta)
-    rhs = eta.samples.reshape(-1).copy()
+    boundary rows; D o Q = Id on all enforced rows to machine precision.
+    A list of k paths is one solve with k right-hand sides and gives the
+    list of their images, each the bits of its single solve."""
+    many = isinstance(eta, list)
+    etas = eta if many else [eta]
+    for e in etas:
+        _check_grid(lt, e)
+    rhs = np.stack([e.samples.reshape(-1) for e in etas], axis=1)
     rhs[lt._kt_rows] = 0.0
     sol = lt._exact_lu.solve(rhs)
-    return DiscretePath(eta.grid, sol.reshape(lt.grid.n_nodes, lt.model.dim))
+    out = [DiscretePath(e.grid, col.reshape(e.samples.shape))
+           for e, col in zip(etas, sol.T)]
+    return out if many else out[0]
 
 
 def gamma_infinitesimal(lt, xi0, eta0):

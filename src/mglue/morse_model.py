@@ -133,11 +133,11 @@ class MorseModel:
     def p_minus(self, z):
         return np.asarray(z)[..., self.n_stable:]
 
-    def _nonlinear(self, z, order):
+    def nonlinear_tensor(self, z, order):
         """The f_nl part of the order-`order` derivative tensor of grad
-        (order 0: grad f_nl) at each point of z.  Every entry is a sum in a
-        fixed order of elementwise products, so a point gives the same bits
-        alone as inside a batch."""
+        at each point of z (order 0: grad f_nl; order 1: dgrad - A).  Every
+        entry is a sum in a fixed order of elementwise products, so a point
+        gives the same bits alone as inside a batch."""
         z = np.asarray(z, dtype=float)
         cols = z.reshape(-1, self.dim).T
         vals = np.zeros((cols.shape[1], self.dim ** (order + 1)))
@@ -157,7 +157,7 @@ class MorseModel:
     def grad(self, z):
         """Gradient of f at each point of z, of shape (..., n) like z."""
         z = np.asarray(z, dtype=float)
-        return self.a * z + self._nonlinear(z, 0)
+        return self.a * z + self.nonlinear_tensor(z, 0)
 
     def dgrad_tensor(self, z, order):
         """Derivative tensor of grad of the given order (1..TENSOR_ORDER).
@@ -168,7 +168,7 @@ class MorseModel:
         z.shape[:-1] + (n,)*(m+1)."""
         if not 1 <= order <= TENSOR_ORDER:
             raise ValueError("unsupported tensor order")
-        t = self._nonlinear(z, order)
+        t = self.nonlinear_tensor(z, order)
         return self.A + t if order == 1 else t
 
 
@@ -230,8 +230,9 @@ SAMPLING_SAFETY = 1.05
 
 def _point_devs(model, z):
     """||dgrad(z) - A||_op at each point of the batch z, unscaled."""
-    dev = model._nonlinear(z, 1)  # batched (m, n, n) Hessian deviation
-    # dev is symmetric (Hessian of the scalar perturbation)
+    # batched (m, n, n) Hessian deviation, symmetric (the Hessian of the
+    # scalar perturbation)
+    dev = model.nonlinear_tensor(z, 1)
     return np.abs(np.linalg.eigvalsh(dev)).max(axis=-1)
 
 

@@ -1,9 +1,10 @@
 """Quadratic-estimate-free Newton-Picard machinery over finite-dimensional
 discretizations, plus a quantitative inverse-function-theorem certificate.
 
-Given a map F with linearization D at a base point x0 and a right inverse Q
-(DQ = Id), the correction iterates the contraction
-    Phi(x) = x1 - Q(F(x) - D(x - x1)),
+A problem is a map F = D + N, held as its linearization D at a base point x0
+and its nonlinear remainder N = F - D, with a right inverse Q of D
+(DQ = Id).  The correction iterates the contraction
+    Phi(x) = x1 - Q(F(x) - D(x - x1)) = x1 - Q(N(x) + D x1),
 whose fixed point x satisfies F(x) = 0 (to the right-inverse defect) with
 x - x1 in the image of Q and ||x - x1|| <= 2 c ||F(x1)||.
 """
@@ -23,21 +24,31 @@ class ContractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class NPProblem:
-    F: callable                 # vector -> vector
+    N: callable                 # vector -> vector, the remainder F - D
     apply_D: callable           # vector -> vector, linear
-    apply_Q: callable           # vector -> vector, right inverse of D
+    # right inverse of D: a vector, or the k columns of a (size, k) array
+    apply_Q: callable
     x0: np.ndarray
     c: float                    # bound for ||Q||
     delta: float                # admissible-ball radius
     norm_dom: callable = None   # domain norm (default Euclidean)
     norm_cod: callable = None   # codomain norm (default Euclidean)
-    dF: callable = None         # x -> (v -> dF(x) v), analytic
+    dN: callable = None         # x -> (v -> dN(x) v), analytic
 
     def __post_init__(self):
         if self.norm_dom is None:
             object.__setattr__(self, "norm_dom", np.linalg.norm)
         if self.norm_cod is None:
             object.__setattr__(self, "norm_cod", np.linalg.norm)
+
+    def F(self, x):
+        """The map itself, D x + N(x)."""
+        return self.apply_D(x) + self.N(x)
+
+    def dF(self, x):
+        """Its differential at x, v -> D v + dN(x) v."""
+        dN = self.dN(x)
+        return lambda v: self.apply_D(v) + dN(v)
 
 
 @dataclass(frozen=True)
@@ -64,28 +75,31 @@ NEUMANN_MAX_TERMS = 100
 
 def precondition_check(p, x1):
     """Measure the two admissibility bounds ||x1 - x0|| < delta/8 and
-    ||F(x1)|| < delta/(4c): (record, F(x1))."""
+    ||F(x1)|| < delta/(4c): (record, F(x1), D x1), with
+    F(x1) = D x1 + N(x1)."""
     dx = p.norm_dom(x1 - p.x0)
-    f1 = p.F(x1)
+    d1 = p.apply_D(x1)
+    f1 = d1 + p.N(x1)
     fx = p.norm_cod(f1)
     return {
         "dx_norm": float(dx), "dx_bound": p.delta / 8.0,
         "dx_ok": bool(dx < p.delta / 8.0),
         "fx_norm": float(fx), "fx_bound": p.delta / (4.0 * p.c),
         "fx_ok": bool(fx < p.delta / (4.0 * p.c)),
-    }, f1
+    }, f1, d1
 
 
 def np_solve(p, x1):
     """Newton-Picard correction from the approximate zero x1.
 
-    Iterates Phi(x) = x1 - Q(F(x) - D(x - x1)) until the step norm drops
-    below TOL_ZERO * max(1, ||x1||); step-size stopping bounds the distance
-    to the fixed point through the geometric tail.  The admissibility bounds
-    of precondition_check are measured and returned in `precond`, not
-    enforced."""
+    Iterates Phi(x) = x1 - Q(N(x) + D x1) until the step norm drops below
+    TOL_ZERO * max(1, ||x1||); step-size stopping bounds the distance to the
+    fixed point through the geometric tail.  Each step costs one N, one Q
+    and one norm; D x1 comes from the precondition record.  The
+    admissibility bounds of precondition_check are measured and returned in
+    `precond`, not enforced."""
     x1 = np.asarray(x1, dtype=float)
-    pre, f1 = precondition_check(p, x1)
+    pre, f1, d1 = precondition_check(p, x1)
     tol = TOL_ZERO * max(1.0, p.norm_dom(x1))
     if pre["fx_norm"] <= tol:
         # already a zero: the correction map restricts to the identity
@@ -96,9 +110,9 @@ def np_solve(p, x1):
     prev_step = None
     iters = 0
     for iters in range(1, MAX_ITER + 1):
-        # the first step is from x = x1: F(x1) - D(0) = F(x1), which the
-        # precondition record has evaluated
-        rhs = f1 if iters == 1 else p.F(x) - p.apply_D(x - x1)
+        # the first step is from x = x1, where N(x1) + D x1 = F(x1) is the
+        # precondition's
+        rhs = f1 if iters == 1 else p.N(x) + d1
         x_new = x1 - p.apply_Q(rhs)
         step = p.norm_dom(x_new - x)
         if prev_step is not None and prev_step > 0:
@@ -119,13 +133,14 @@ def np_solve(p, x1):
 
 
 def _neumann_solve(p, x1, w):
-    """Solve (Id + Q dF(x1) - P) u = w, P = QD, by the Neumann iteration
-    u <- w + (P - Q dF(x1)) u from u = w, to a step below NEUMANN_TOL
-    * max(1, ||w||); ContractionError after NEUMANN_MAX_TERMS terms."""
-    dF1 = p.dF(x1)
+    """Solve (Id + Q dF(x1) - P) u = w, P = QD, that is
+    (Id + Q dN(x1)) u = w, by the Neumann iteration u <- w - Q dN(x1) u from
+    u = w, to a step below NEUMANN_TOL * max(1, ||w||); ContractionError
+    after NEUMANN_MAX_TERMS terms."""
+    dN1 = p.dN(x1)
     u = w.copy()
     for _ in range(NEUMANN_MAX_TERMS):
-        u_new = w + p.apply_Q(p.apply_D(u)) - p.apply_Q(dF1(u))
+        u_new = w - p.apply_Q(dN1(u))
         if p.norm_dom(u_new - u) <= NEUMANN_TOL * max(1.0, p.norm_dom(w)):
             return u_new
         u = u_new
@@ -141,8 +156,10 @@ def np_differential(p, x1, v):
 
 def np_tangent_solve(p, x1, xi1, c2=None):
     """Tangent-map solve: Newton-Picard on the doubled problem
-    TF(x, xi) = (F(x), dF(x) xi) with initial point (x0, 0), right inverse
-    Q + Q and the fiber-rescaled max norm.  Returns ((x, xi), NPResult)."""
+    TF(x, xi) = (F(x), dF(x) xi) with initial point (x0, 0), linear part
+    D + D, remainder TN(x, xi) = (N(x), dN(x) xi), right inverse Q + Q (one
+    call of apply_Q on two columns) and the fiber-rescaled max norm.
+    Returns ((x, xi), NPResult)."""
     x1 = np.asarray(x1, dtype=float)
     xi1 = np.asarray(xi1, dtype=float)
     n = x1.size
@@ -154,18 +171,18 @@ def np_tangent_solve(p, x1, xi1, c2=None):
     def split(z, at):
         return z[:at], z[at:]
 
-    def TF(z):
+    def TN(z):
         x, xi = split(z, n)
-        return np.concatenate([p.F(x), p.dF(x)(xi)])
+        return np.concatenate([p.N(x), p.dN(x)(xi)])
 
     def TD(z):
         x, xi = split(z, n)
         return np.concatenate([p.apply_D(x), p.apply_D(xi)])
 
-    # the codomain is two copies of F's codomain: split at half its length
+    # the codomain is two copies of F's codomain: its halves are the two
+    # columns of one Q call
     def TQ(z):
-        y, eta = split(z, z.size // 2)
-        return np.concatenate([p.apply_Q(y), p.apply_Q(eta)])
+        return p.apply_Q(z.reshape(2, -1).T).T.reshape(-1)
 
     def tnorm_dom(z):
         x, xi = split(z, n)
@@ -175,7 +192,7 @@ def np_tangent_solve(p, x1, xi1, c2=None):
         y, eta = split(z, z.size // 2)
         return max(p.norm_cod(y), wt * p.norm_cod(eta))
 
-    tp = NPProblem(F=TF, apply_D=TD, apply_Q=TQ,
+    tp = NPProblem(N=TN, apply_D=TD, apply_Q=TQ,
                    x0=np.concatenate([p.x0, np.zeros_like(p.x0)]),
                    c=p.c, delta=delta_hat, norm_dom=tnorm_dom,
                    norm_cod=tnorm_cod)
@@ -185,8 +202,8 @@ def np_tangent_solve(p, x1, xi1, c2=None):
 
 
 def estimate_c2(p, samples=5, rng=None):
-    """Sampled bound for ||d2F|| on the delta-ball by finite differences of
-    the differential, with a 1.1 safety factor."""
+    """Sampled bound for ||d2F|| = ||d2N|| (D is linear) on the delta-ball
+    by finite differences of dN, with a 1.1 safety factor."""
     if rng is None:
         rng = np.random.default_rng(7)
     n = len(np.asarray(p.x0))
@@ -196,7 +213,7 @@ def estimate_c2(p, samples=5, rng=None):
         x = np.asarray(p.x0) + p.delta * 0.5 * _unit(rng, n, p.norm_dom)
         u = _unit(rng, n, p.norm_dom)
         v = _unit(rng, n, p.norm_dom)
-        d2 = (p.dF(x + e * u)(v) - p.dF(x - e * u)(v)) / (2 * e)
+        d2 = (p.dN(x + e * u)(v) - p.dN(x - e * u)(v)) / (2 * e)
         worst = max(worst, p.norm_cod(d2))
     return 1.1 * worst
 

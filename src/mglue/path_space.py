@@ -241,7 +241,7 @@ def differentiate(p):
 
 def _node_sq(samples):
     """Squared Euclidean norm of the sample at each node."""
-    return (samples * samples).sum(axis=1)
+    return np.einsum("ij,ij->i", samples, samples)
 
 
 def _trapz(vals, h):

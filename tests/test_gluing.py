@@ -3,19 +3,21 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from mglue.gluing import (apply_F, certify_approx_zero, convergence_sweep,
-                          cubic_cutoff, diffeo_criterion, ev_error, glue,
-                          glue_coordinate_rep, linearized_glue_check, preglue,
-                          quintic_cutoff, residual_support_violation,
+                          cubic_cutoff, diffeo_criterion, ev_error,
+                          flow_problem, glue, glue_coordinate_rep,
+                          linearized_glue_check, preglue, quintic_cutoff,
                           shoot_halves, tangent_convergence_sweep,
                           theta_defect_norm)
 from mglue.invariant_manifolds import shoot_stable, shoot_unstable
 from mglue.linear_theory import (LinearTheory, euclidean_gluing_reference,
                                  gamma_infinitesimal, gamma_weights)
+from mglue.morse_model import compute_constants
 from mglue.newton_picard import PreconditionError
-from mglue.path_space import (DiscretePath, l2_norm, norms,
+from mglue.path_space import (DiscretePath, differentiate, norms,
                               path_from_function, sup_norm, symmetric_grid,
                               zero_path)
 
+from test_morse_model import model_3d
 from test_path_space import evaluate_ends
 
 BETA = quintic_cutoff()
@@ -68,6 +70,34 @@ class TestApplyF:
         p = DiscretePath(g, np.tile([0.1, 0.1], (g.n_nodes, 1)))
         res = apply_F(c1, p)
         assert np.allclose(res.samples[1:-1], [0.102, -0.099], atol=1e-12)
+
+
+class TestFlowProblemRemainder:
+    @pytest.mark.parametrize("name", ["e1", "c1", "model_3d"])
+    @pytest.mark.parametrize("T", [3.0, 8.0])
+    def test_remainder_plus_d_is_apply_F(self, request, name, T):
+        # F = D + N with N = grad f_nl nodewise: the two sums of the same
+        # three terms (stencil, A w, grad f_nl) round apart by at most 4 ulp
+        # of the sum of their magnitudes
+        model = model_3d() if name == "model_3d" else \
+            request.getfixturevalue(name)
+        lt = LinearTheory(model, T, 0.02,
+                          compute_constants(model,
+                                            rng=np.random.default_rng(0)))
+        p = flow_problem(lt)
+        rng = np.random.default_rng(int(T))
+        for scale in (0.05, 0.3, 1.0):
+            w = DiscretePath(lt.grid, scale * rng.standard_normal(
+                (lt.grid.n_nodes, model.dim)))
+            v = w.samples.reshape(-1)
+            got = p.N(v) + p.apply_D(v)
+            want = apply_F(model, w).samples.reshape(-1)
+            mag = (np.abs(differentiate(w).samples)
+                   + np.abs(model.a * w.samples)
+                   + np.abs(model.nonlinear_tensor(w.samples, 0)))
+            assert np.all(np.abs(got - want)
+                          <= 4 * np.spacing(mag.reshape(-1)))
+            assert np.array_equal(p.F(v), got)
 
 
 class TestPreglue:

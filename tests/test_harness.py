@@ -251,6 +251,16 @@ class TestCommands:
         assert rep["r2"] >= 0.99
         assert rep["residual"] <= 1e-9
 
+    def test_decay_zero_seed_exits_2(self, tmp_path, capsys):
+        # a zero seed shoots the zero half trajectory, which has no decay to
+        # measure: one error line and exit 2, no traceback
+        cfg = write_cfg(tmp_path, T_list="3", seed_plus="0")
+        assert main(["decay", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no decay to fit on [2, ")
+        assert err.count("\n") == 1
+
     def test_determinism_byte_identical(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, T_list="3,4", model="e1")
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

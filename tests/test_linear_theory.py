@@ -524,6 +524,25 @@ def test_q_exact_adjoint(c1, cc):
         assert (Q @ x) @ y == pytest.approx(x @ (Q.T @ y), rel=1e-12)
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_apply_Q_exact_k_paths_equal_single_solves(c1, cc, k):
+    # one band solve with k right-hand sides gives each path the bits of
+    # its own solve; the model file's 3-d model has a wider band
+    for model, consts in ((c1, cc), (model_3d(), None)):
+        if consts is None:
+            consts = compute_constants(model, rng=np.random.default_rng(0))
+        lt = LinearTheory(model, 3.0, 0.05, consts)
+        rng = np.random.default_rng(9)
+        etas = [DiscretePath(lt.grid, rng.standard_normal(
+            (lt.grid.n_nodes, model.dim))) for _ in range(k)]
+        got = apply_Q_exact(lt, etas)
+        assert isinstance(got, list) and len(got) == k
+        for eta, q in zip(etas, got):
+            single = apply_Q_exact(lt, eta)
+            assert q.grid == single.grid
+            assert q.samples.tobytes() == single.samples.tobytes()
+
+
 def test_off_grid_T_rejected(c1, cc):
     # 3.01 is not a multiple of h = 1/50: the grid would be [-3, 3] while
     # glue pre-glues with the shift 3.01

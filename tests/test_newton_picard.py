@@ -3,47 +3,46 @@ import dataclasses
 import numpy as np
 import pytest
 
-from mglue import newton_picard
+from mglue import gluing, newton_picard
 from mglue.gluing import flow_problem, preglue, quintic_cutoff, shoot_halves
 from mglue.invariant_manifolds import build_tangent_system, solve_tangent_lift
 from mglue.linear_theory import LinearTheory
 from mglue.newton_picard import (MAX_ITER, TOL_ZERO, ContractionError,
-                                 IFTCertificate, NPProblem, NPResult,
-                                 _fd_jacobian, _neumann_solve, estimate_c2,
+                                 NPProblem, NPResult, _fd_jacobian,
+                                 _neumann_solve, estimate_c2,
                                  ift_certificate, np_differential, np_solve,
                                  np_tangent_solve, precondition_check)
 
 
 def xy2_problem(delta=2.0, c=1.0):
-    """F(x, y) = x + y^2 with D = dF(0) restricted through im Q = e_x."""
-    def F(v):
-        return np.array([v[0] + v[1] ** 2])
+    """F(x, y) = x + y^2 with D = dF(0) restricted through im Q = e_x: the
+    remainder is N(x, y) = y^2.  D and Q are matrices, so Q also takes the
+    columns of a (1, k) array."""
+    Dm = np.array([[1.0, 0.0]])
+    Qm = np.array([[1.0], [0.0]])
 
-    def D(v):
-        return np.array([v[0]])
+    def N(v):
+        return np.array([v[1] ** 2])
 
-    def Q(w):
-        return np.array([w[0], 0.0])
+    def dN(x):
+        return lambda v: np.array([2 * x[1] * v[1]])
 
-    def dF(x):
-        return lambda v: np.array([v[0] + 2 * x[1] * v[1]])
-
-    return NPProblem(F=F, apply_D=D, apply_Q=Q, x0=np.zeros(2), c=c,
-                     delta=delta, dF=dF)
+    return NPProblem(N=N, apply_D=lambda v: Dm @ v, apply_Q=lambda w: Qm @ w,
+                     x0=np.zeros(2), c=c, delta=delta, dN=dN)
 
 
 def linear_problem(dF_scale=1.0):
-    """F(v) = A v + b with D = A, Q = A^{-1} and the differential
-    dF_scale * A (exact for dF_scale = 1)."""
+    """F(v) = A v + b with D = A, Q = A^{-1}, the remainder N = b and the
+    differential dF_scale * A (exact for dF_scale = 1), so dN is
+    (dF_scale - 1) A."""
     A = np.array([[2.0, 1.0], [0.0, 3.0]])
     Ainv = np.linalg.inv(A)
+    b = np.array([0.1, -0.2])
 
-    def F(v):
-        return A @ v + np.array([0.1, -0.2])
-
-    return NPProblem(F=F, apply_D=lambda v: A @ v,
+    return NPProblem(N=lambda v: b, apply_D=lambda v: A @ v,
                      apply_Q=lambda w: Ainv @ w, x0=np.zeros(2), c=2.0,
-                     delta=10.0, dF=lambda x: lambda v: dF_scale * (A @ v))
+                     delta=10.0,
+                     dN=lambda x: lambda v: (dF_scale - 1.0) * (A @ v))
 
 
 def np_neumann_defect(p, x1, rng):
@@ -59,11 +58,11 @@ def np_neumann_defect(p, x1, rng):
     return float(worst)
 
 
-def np_solve_reference(p, x1):
-    """The former np_solve loop: its first step evaluates F(x1) again and
-    D(x1 - x1)."""
+def _np_loop(p, x1, step_rhs):
+    """The Newton-Picard loop x <- x1 - Q(step_rhs(x)) from x = x1, with
+    np_solve's precondition record, stopping rule and ratio checks."""
     x1 = np.asarray(x1, dtype=float)
-    pre, _ = precondition_check(p, x1)
+    pre, _, _ = precondition_check(p, x1)
     tol = TOL_ZERO * max(1.0, p.norm_dom(x1))
     if pre["fx_norm"] <= tol:
         return NPResult(x=x1.copy(), iterations=0, correction_norm=0.0,
@@ -73,7 +72,7 @@ def np_solve_reference(p, x1):
     prev_step = None
     iters = 0
     for iters in range(1, MAX_ITER + 1):
-        x_new = x1 - p.apply_Q(p.F(x) - p.apply_D(x - x1))
+        x_new = x1 - p.apply_Q(step_rhs(x))
         step = p.norm_dom(x_new - x)
         if prev_step is not None and prev_step > 0:
             r = step / prev_step
@@ -92,19 +91,42 @@ def np_solve_reference(p, x1):
                     contraction_ratios=tuple(ratios), precond=pre)
 
 
+def np_solve_reference(p, x1):
+    """The former np_solve loop: each step evaluates F(x) = D x + N(x) and
+    D(x - x1), the first one F(x1) again and D(x1 - x1)."""
+    return _np_loop(p, x1, lambda x: p.F(x) - p.apply_D(x - x1))
+
+
+def np_solve_remainder_reference(p, x1):
+    """The remainder form written plainly: each step evaluates N(x) + D x1,
+    the first one N(x1) again, with D x1 evaluated once."""
+    d1 = p.apply_D(np.asarray(x1, dtype=float))
+    return _np_loop(p, x1, lambda x: p.N(x) + d1)
+
+
 def counted(p):
-    """p with counting F and apply_D, and the dict of their call counts."""
-    calls = {"F": 0, "D": 0}
+    """p with counting N, dN, apply_D and apply_Q, and the dict of their
+    call counts."""
+    calls = {"N": 0, "dN": 0, "D": 0, "Q": 0}
 
-    def F(v):
-        calls["F"] += 1
-        return p.F(v)
+    def wrap(key, fn):
+        def counting(*args):
+            calls[key] += 1
+            return fn(*args)
+        return counting
 
-    def D(v):
-        calls["D"] += 1
-        return p.apply_D(v)
+    return dataclasses.replace(
+        p, N=wrap("N", p.N), dN=wrap("dN", p.dN), apply_D=wrap("D", p.apply_D),
+        apply_Q=wrap("Q", p.apply_Q)), calls
 
-    return dataclasses.replace(p, F=F, apply_D=D), calls
+
+def count_apply_F(monkeypatch):
+    """A list that grows by one with each gluing.apply_F call."""
+    seen = []
+    apply_F = gluing.apply_F
+    monkeypatch.setattr(gluing, "apply_F",
+                        lambda *a: seen.append(a) or apply_F(*a))
+    return seen
 
 
 def assert_same_bits(a, b):
@@ -122,6 +144,12 @@ def assert_same_result(r, ref):
     assert r.precond.keys() == ref.precond.keys()
     for key in r.precond:
         assert_same_bits(r.precond[key], ref.precond[key])
+
+
+def assert_close(norm, x, ref):
+    """norm(x - ref) within 1e-13 max(1, norm(ref)): the two loops round
+    differently, not more."""
+    assert norm(x - ref) <= 1e-13 * max(1.0, norm(ref))
 
 
 def flow_case_at(c1, cc, T):
@@ -152,32 +180,49 @@ def small_cases():
 
 
 class TestSavedWork:
-    """np_solve reuses the precondition's F(x1) and skips D(0): the same bits
-    as the former loop with one F and one D call fewer.  It evaluates
-    nothing at the result: one F and one D per iteration, less D(0)."""
+    """np_solve iterates x <- x1 - Q(N(x) + D x1): the bits of the plain
+    remainder loop, and the iterations of the former loop, which
+    evaluated F(x) and D(x - x1) on each step, to rounding.  It takes D x1
+    and F(x1) = D x1 + N(x1) from the precondition and evaluates nothing
+    at the result: one D in all, one N for F(x1) and one per step after
+    the first, one Q per step, and no apply_F."""
 
     def check_np_solve(self, p, x1):
+        plain = np_solve_remainder_reference(p, x1)
         ref = np_solve_reference(p, x1)
         cp, calls = counted(p)
         res = np_solve(cp, x1)
-        assert_same_result(res, ref)
-        assert calls == {"F": res.iterations, "D": res.iterations - 1}
+        assert_same_result(res, plain)
+        assert res.iterations == ref.iterations
+        assert_close(p.norm_dom, res.x, ref.x)
+        assert calls == {"N": res.iterations, "dN": 0, "D": 1,
+                         "Q": res.iterations}
+        # the former loop: F(x1) twice, then F(x) and D(x - x1) per step
         cp, ref_calls = counted(p)
         np_solve_reference(cp, x1)
-        assert ref_calls == {"F": ref.iterations + 1, "D": ref.iterations}
+        assert ref_calls == {"N": ref.iterations + 1, "dN": 0,
+                             "D": 2 * ref.iterations + 1,
+                             "Q": ref.iterations}
 
     def check_tangent(self, p, x1, xi1, c2, monkeypatch):
         (x, xi), res = np_tangent_solve(p, x1, xi1, c2=c2)
         with monkeypatch.context() as m:
+            m.setattr(newton_picard, "np_solve", np_solve_remainder_reference)
+            (x_plain, xi_plain), plain = np_tangent_solve(p, x1, xi1, c2=c2)
             m.setattr(newton_picard, "np_solve", np_solve_reference)
             (x_ref, xi_ref), ref = np_tangent_solve(p, x1, xi1, c2=c2)
-        assert_same_bits(x, x_ref)
-        assert_same_bits(xi, xi_ref)
-        assert_same_result(res, ref)
+        assert_same_bits(x, x_plain)
+        assert_same_bits(xi, xi_plain)
+        assert_same_result(res, plain)
+        assert res.iterations == ref.iterations
+        assert_close(p.norm_dom, x, x_ref)
+        assert_close(p.norm_dom, xi, xi_ref)
 
-    def test_flow_problem_np_solve(self, flow_case):
+    def test_flow_problem_np_solve(self, flow_case, monkeypatch):
         p, x1, _, _ = flow_case
+        seen = count_apply_F(monkeypatch)
         self.check_np_solve(p, x1)
+        assert seen == []
 
     def test_flow_problem_tangent_solve(self, flow_case, monkeypatch):
         p, x1, xi1, c2 = flow_case
@@ -190,18 +235,29 @@ class TestSavedWork:
         self.check_tangent(p, x1, xi1, None, monkeypatch)
 
     def test_exact_zero_one_F_call(self):
+        # F(x1) = D x1 + N(x1), and nothing else
         cp, calls = counted(xy2_problem())
         res = np_solve(cp, np.array([-0.04, 0.2]))
         assert res.iterations == 0
-        assert calls == {"F": 1, "D": 0}
+        assert calls == {"N": 1, "dN": 0, "D": 1, "Q": 0}
 
-    def test_tangent_solve_F_calls_c1_T5(self, c1, cc):
-        # former solves made 10: a probe of F(x1) for the codomain length,
-        # a second F(x1) and an F of the result for its residual
+    def test_tangent_solve_F_calls_c1_T5(self, c1, cc, monkeypatch):
+        # the doubled remainder (N(x), dN(x) xi) once per iteration (the
+        # first for the precondition's F), D x1 and D xi1 once, and one Q
+        # call on two columns per iteration; former solves made 7 doubled
+        # F calls, each two derivative stencils and an apply_F
         p, x1, xi1, c2 = flow_case_at(c1, cc, 5.0)
         cp, calls = counted(p)
+        shapes = []
+        apply_Q = cp.apply_Q
+        cp = dataclasses.replace(
+            cp, apply_Q=lambda v: shapes.append(v.shape) or apply_Q(v))
+        seen = count_apply_F(monkeypatch)
         _, res = np_tangent_solve(cp, x1, xi1, c2=c2)
-        assert calls["F"] == 7 == res.iterations
+        assert res.iterations == 7
+        assert calls == {"N": 7, "dN": 7, "D": 2, "Q": 7}
+        assert shapes == [(x1.size, 2)] * 7
+        assert seen == []
 
 
 def fd_jacobian_reference(F, x, eps):
@@ -293,9 +349,10 @@ class TestNpSolve:
     def test_measured_bounds_in_precondition_check(self):
         p = xy2_problem()
         x1 = np.array([0.1, 0.0])
-        rec, f1 = precondition_check(p, x1)
+        rec, f1, d1 = precondition_check(p, x1)
         assert rec["dx_ok"] and rec["fx_ok"]
         assert_same_bits(f1, p.F(x1))
+        assert_same_bits(d1, p.apply_D(x1))
         assert rec["fx_norm"] == np.linalg.norm(f1)
 
 
