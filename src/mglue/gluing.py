@@ -184,8 +184,9 @@ def flow_problem(lt):
     flattened node-major samples: D = apply_D (the linearization at 0_T),
     the remainder N = apply_F - D, which is grad f_nl nodewise, and dN its
     nodewise linearization, Q = apply_Q_exact (the exact discrete right
-    inverse with K_T boundary structure, one solve for the k columns of a
-    (size, k) array), and the W^{1,2} and L^2 norms."""
+    inverse with K_T boundary structure, which takes the flattened samples
+    or the k columns of a (size, k) array in one solve), and the W^{1,2}
+    and L^2 norms."""
     grid = lt.grid
     model = lt.model
     n = model.dim
@@ -200,11 +201,7 @@ def flow_problem(lt):
         return apply_D(lt, path(v)).samples.reshape(-1)
 
     def Qop(v):
-        # the columns of v, or v itself as the one column
-        etas = [path(c) for c in v.reshape(v.shape[0], -1).T]
-        return np.stack([q.samples.reshape(-1)
-                         for q in apply_Q_exact(lt, etas)],
-                        axis=-1).reshape(v.shape)
+        return apply_Q_exact(lt, v)
 
     def norm_dom(v):
         return norms(path(v)).w12

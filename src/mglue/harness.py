@@ -318,13 +318,16 @@ def cmd_tangent(cfg):
 
 
 def cmd_decay(cfg):
-    model = cfg.model
+    # both sides are shot and fitted before either is written, so a failed
+    # fit leaves no decay file behind
+    fits = []
     for side, seed, shoot in (("stable", cfg.seed_plus, shoot_stable),
                               ("unstable", cfg.seed_minus, shoot_unstable)):
-        half = shoot(model, seed, cfg.S, h_max=cfg.h)
+        half = shoot(cfg.model, seed, cfg.S, h_max=cfg.h)
         window = (2.0, cfg.S - 2.0) if side == "stable" \
             else (-(cfg.S - 2.0), -2.0)
-        fit = decay_fit(half, window)
+        fits.append((side, seed, half, decay_fit(half, window)))
+    for side, seed, half, fit in fits:
         header, rows = path_csv_rows(half.head)
         write_csv(os.path.join(cfg.out, "decay_%s.csv" % side), header, rows)
         write_json(os.path.join(cfg.out, "decay_%s.json" % side), {

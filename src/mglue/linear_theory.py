@@ -5,15 +5,17 @@ parametrization, the projection onto the kernel along the complement K_T
 (paths whose stable component vanishes at -T and unstable component at +T),
 two right inverses with image in K_T, each a solve with a cached LU (the
 componentwise exponential-integrator Duhamel recursion, a sparse LU, and the
-discretized operator, a banded LU), the infinitesimal gluing map, and norm
-bounds.
+discretized operator, one tridiagonal LU per component since A is diagonal),
+the infinitesimal gluing map, and norm bounds.
 
-glue corrects with the discretized-operator solve; mglue constants, mglue
-verify and criterion 04 measure the Duhamel Q.  A measured norm is the square
-root of the top eigenvalue of M^T G_out M v = lam G_in v for Gram matrices
-G_out, G_in: a converged standard-form Lanczos eigenvalue (eigsh) of
-U^{-T} M^T G_out M U^{-1}, with G_in = U^T U the banded Cholesky factor;
-q_matrix and projection_matrix return M as a LinearOperator.
+glue corrects with the discretized-operator solve, which maps flattened
+node-major samples of shape (size,) or (size, k) to arrays of that shape;
+mglue constants, mglue verify and criterion 04 measure the Duhamel Q.  A
+measured norm is the square root of the top eigenvalue of
+M^T G_out M v = lam G_in v for Gram matrices G_out, G_in: a converged
+standard-form Lanczos eigenvalue (eigsh) of U^{-T} M^T G_out M U^{-1}, with
+G_in = U^T U the banded Cholesky factor; q_matrix and projection_matrix
+return M as a LinearOperator.
 """
 
 from dataclasses import dataclass
@@ -24,9 +26,9 @@ from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.sparse import csr_matrix, diags, identity, kron
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .path_space import (DiscretePath, FlowLU, diff_matrix, differentiate,
-                         grid_unit, kt_rows, on_grid, symmetric_grid,
-                         trapezoid_weights)
+from .path_space import (DiagonalFlowLU, DiscretePath, diff_matrix,
+                         differentiate, grid_unit, kt_rows, on_grid,
+                         symmetric_grid, trapezoid_weights)
 
 
 @dataclass(frozen=True)
@@ -52,11 +54,10 @@ class LinearTheory:
 
     @cached_property
     def _exact_lu(self):
-        """Banded LU of the discretized D = d/ds + A with K_T boundary rows:
-        the flow operator with the constant Jacobian J = A."""
-        m = self.model
-        A = np.broadcast_to(np.diag(m.a), (self.grid.n_nodes, m.dim, m.dim))
-        return FlowLU(self.grid, A, m.n_stable)
+        """LU of the discretized D = d/ds + A with K_T boundary rows, the
+        flow operator with the constant Jacobian J = A = diag(a): one
+        tridiagonal dgttrf factor per component (DiagonalFlowLU)."""
+        return DiagonalFlowLU(self.grid, self.model.a, self.model.n_stable)
 
     @cached_property
     def _w12_gram(self):
@@ -130,20 +131,21 @@ def apply_Q(lt, eta):
 
 
 def apply_Q_exact(lt, eta):
-    """Right inverse by a banded LU solve of the discretized D with K_T
-    boundary rows; D o Q = Id on all enforced rows to machine precision.
-    A list of k paths is one solve with k right-hand sides and gives the
-    list of their images, each the bits of its single solve."""
-    many = isinstance(eta, list)
-    etas = eta if many else [eta]
-    for e in etas:
-        _check_grid(lt, e)
-    rhs = np.stack([e.samples.reshape(-1) for e in etas], axis=1)
+    """Right inverse by the per-component tridiagonal solve (_exact_lu) of
+    the discretized D with K_T boundary rows; D o Q = Id on all enforced rows
+    to machine precision.  eta holds flattened node-major samples, of shape
+    (size,) or (size, k), and the image has its shape; its K_T rows are read
+    as zero.  The k columns are one solve, each column the bits of its own
+    single solve.  ValueError on a wrong length or a non-finite sample."""
+    eta = np.asarray(eta, dtype=float)
+    if eta.ndim not in (1, 2) or \
+            eta.shape[0] != lt.grid.n_nodes * lt.model.dim:
+        raise ValueError("sample count does not match the bundle grid")
+    if not np.isfinite(eta).all():
+        raise ValueError("non-finite samples")
+    rhs = eta.copy()
     rhs[lt._kt_rows] = 0.0
-    sol = lt._exact_lu.solve(rhs)
-    out = [DiscretePath(e.grid, col.reshape(e.samples.shape))
-           for e, col in zip(etas, sol.T)]
-    return out if many else out[0]
+    return lt._exact_lu.solve(rhs)
 
 
 def gamma_infinitesimal(lt, xi0, eta0):
@@ -296,20 +298,18 @@ def measured_q_norm(lt, rng):
 
 
 def _q_exact_matrix(lt):
-    """apply_Q_exact on flattened samples as a LinearOperator: M^{-1} P, with
-    M the banded D and P the zeroing of the K_T rows, so its adjoint P M^{-T}
-    is the transposed band solve with the K_T rows then set to zero."""
-    def matvec(v):
-        eta = DiscretePath(lt.grid, np.reshape(v, (-1, lt.model.dim)))
-        return apply_Q_exact(lt, eta).samples.ravel()
-
+    """apply_Q_exact as a LinearOperator: M^{-1} P, with M the discretized D
+    (its per-component tridiagonal LU) and P the zeroing of the K_T rows, so
+    its adjoint P M^{-T} is the transposed solve with the K_T rows then set
+    to zero."""
     def rmatvec(w):
         out = lt._exact_lu.solve(np.ravel(w), trans=True)
         out[lt._kt_rows] = 0.0
         return out
 
     size = lt.grid.n_nodes * lt.model.dim
-    return LinearOperator((size, size), dtype=float, matvec=matvec,
+    return LinearOperator((size, size), dtype=float,
+                          matvec=lambda v: apply_Q_exact(lt, v),
                           rmatvec=rmatvec)
 
 

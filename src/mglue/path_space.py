@@ -10,7 +10,7 @@ from functools import lru_cache
 from math import ceil
 
 import numpy as np
-from scipy.linalg.lapack import dgbtrf, dgbtrs
+from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 from scipy.sparse import csr_matrix
 
 
@@ -203,7 +203,7 @@ def _flow_band(grid, jac_blocks, n_stable):
 
 class FlowLU:
     """LU factors of the band M = _flow_band(grid, jac_blocks, n_stable),
-    factored in place by dgbtrf; solve applies M^{-1} or M^{-T} by dgbtrs."""
+    factored in place by dgbtrf; solve applies M^{-1} by dgbtrs."""
 
     def __init__(self, grid, jac_blocks, n_stable):
         ab = _flow_band(grid, jac_blocks, n_stable)
@@ -213,13 +213,84 @@ class FlowLU:
             raise RuntimeError("flow operator is singular (dgbtrf info %d)"
                                % info)
 
-    def solve(self, rhs, trans=False):
-        """The solution x of M x = rhs, or of M^T x = rhs if trans, for rhs
-        of shape (size,) or (size, k)."""
-        x, info = dgbtrs(self._lu, self.k, self.k, rhs, self._piv, trans)
+    def solve(self, rhs):
+        """The solution x of M x = rhs for rhs of shape (size,) or
+        (size, k)."""
+        x, info = dgbtrs(self._lu, self.k, self.k, rhs, self._piv)
         if info != 0:
             raise RuntimeError("band solve failed (dgbtrs info %d)" % info)
         return x
+
+
+class DiagonalFlowLU:
+    """LU of the flow operator M = _flow_band(grid, J, n_stable) for the
+    constant diagonal J = diag(a), which splits into one system per
+    component: diff_matrix plus a_c, with the K_T identity row at the left
+    end if c is stable and at the right end if not.  The one-sided stencil
+    at the other end reaches two nodes; adding a multiple of its neighbour
+    row (the row operation E_c) cancels that second off-diagonal entry, so
+    T_c = E_c M_c is tridiagonal.  Each T_c is factored by dgttrf, and solve
+    applies M_c^{-1} = T_c^{-1} E_c or M_c^{-T} = E_c^T T_c^{-T} per
+    component by dgttrs, on the node-major layout of FlowLU."""
+
+    def __init__(self, grid, a, n_stable):
+        a = np.asarray(a, dtype=float)
+        N = grid.n_nodes
+        self.shape = (N, a.size)
+        self.n_stable = n_stable
+        # entry (p, q) of diff_matrix is band[2 + p - q, q]
+        band = _stencil_band(grid)
+        # rows N-1 += mult_right row N-2 and 0 += mult_left row 1 cancel
+        # the entries (N-1, N-3) and (0, 2)
+        self.mult_right = -band[4, N - 3] / band[3, N - 3]
+        self.mult_left = -band[0, 2] / band[1, 2]
+        self._factors = []
+        for c, ac in enumerate(a):
+            dl = band[3, :-1].copy()
+            d = band[2] + ac
+            du = band[1, 1:].copy()
+            if c < n_stable:
+                d[0], du[0] = 1.0, 0.0
+                m = self.mult_right
+                dl[-1] += m * d[-2]
+                d[-1] += m * du[-1]
+            else:
+                d[-1], dl[-1] = 1.0, 0.0
+                m = self.mult_left
+                du[0] += m * d[1]
+                d[0] += m * dl[0]
+            *lu, info = dgttrf(dl, d, du, overwrite_dl=1, overwrite_d=1,
+                               overwrite_du=1)
+            if info != 0:
+                raise RuntimeError("flow operator is singular (dgttrf info "
+                                   "%d)" % info)
+            self._factors.append(lu)
+
+    def solve(self, rhs, trans=False):
+        """The solution x of M x = rhs, or of M^T x = rhs if trans, for rhs
+        of shape (size,) or (size, k) in the node-major layout."""
+        N, n = self.shape
+        if rhs.shape[0] != N * n:
+            raise ValueError("right-hand side does not match the operator")
+        ns = self.n_stable
+        # b[c].T is component c as an (N, k) Fortran array for dgttrs
+        b = np.empty((n, rhs.size // (N * n), N))
+        b[...] = rhs.reshape(N, n, -1).transpose(1, 2, 0)
+        if not trans:
+            b[:ns, :, -1] += self.mult_right * b[:ns, :, -2]
+            b[ns:, :, 0] += self.mult_left * b[ns:, :, 1]
+        out = np.empty((N, n, b.shape[1]))
+        for c, lu in enumerate(self._factors):
+            x, info = dgttrs(*lu, b[c].T, trans="T" if trans else "N",
+                             overwrite_b=1)
+            if info != 0:
+                raise RuntimeError("tridiagonal solve failed (dgttrs info "
+                                   "%d)" % info)
+            out[:, c] = x
+        if trans:
+            out[-2, :ns] += self.mult_right * out[-1, :ns]
+            out[1, ns:] += self.mult_left * out[0, ns:]
+        return out.reshape(rhs.shape)
 
 
 def stencil_derivative(w, h):

@@ -261,6 +261,18 @@ class TestCommands:
         assert err.startswith("error: no decay to fit on [2, ")
         assert err.count("\n") == 1
 
+    def test_decay_zero_unstable_seed_writes_nothing(self, tmp_path, capsys):
+        # the stable side fits, the unstable one has no decay: exit 2 with
+        # one error line, and no half result set in the out directory
+        cfg = write_cfg(tmp_path, T_list="3", seed_minus="0")
+        out = tmp_path / "out"
+        assert main(["decay", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: no decay to fit on [-")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not list(out.glob("decay_*"))
+
     def test_determinism_byte_identical(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, T_list="3,4", model="e1")
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")

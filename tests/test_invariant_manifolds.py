@@ -326,17 +326,6 @@ class TestAssembly:
             1e-12 * np.max(np.abs(want))
         np.testing.assert_array_equal(lu.solve(rhs[:, 0]), lu.solve(rhs)[:, 0])
 
-    @pytest.mark.parametrize("shoot", [shoot_stable, shoot_unstable])
-    def test_transposed_band_solve_matches_dense_solve(self, c1, shoot):
-        base = shoot(c1, [0.3], 4.0)
-        lu = FlowLU(base.grid, c1.dgrad_tensor(base.head.samples, 1),
-                    c1.n_stable)
-        M = collocation_lil_reference(c1, base).toarray()
-        rhs = np.random.default_rng(6).standard_normal((M.shape[0], 2))
-        want = np.linalg.solve(M.T, rhs)
-        assert np.max(np.abs(lu.solve(rhs, trans=True) - want)) <= \
-            1e-12 * np.max(np.abs(want))
-
     def test_zero_column_raises(self, monkeypatch):
         # no stencil reaches node 4, and its Jacobian block is zero, so the
         # columns of node 4 are zero and the factor is exactly singular

@@ -137,7 +137,10 @@ class TestApplyQ:
         # interior rows at any h
         lt = LinearTheory(e1, 3.0, 0.01, ce)
         eta = fourier_path(lt.grid, np.random.default_rng(8))
-        defect = apply_D(lt, apply_Q_exact(lt, eta)).samples - eta.samples
+        q = apply_Q_exact(lt, eta.samples.ravel())
+        assert q.shape == (eta.samples.size,)
+        image = DiscretePath(lt.grid, q.reshape(eta.samples.shape))
+        defect = apply_D(lt, image).samples - eta.samples
         assert np.max(np.abs(defect[1:-1])) <= 1e-6
 
     def test_duhamel_defect_second_order(self, e1, ce):
@@ -503,9 +506,24 @@ def test_d_system_matrix_matches_lil_reference(c1, cc, T, h):
                      d_system_matrix_lil_reference(lt), 2 * c1.dim)
 
 
+def bundle(name, request, T=3.0, h=0.05):
+    """LinearTheory of the fixture model e1 or c1, or of model_3d (two
+    stable components and one unstable)."""
+    if name == "model_3d":
+        model = model_3d()
+        consts = compute_constants(model, rng=np.random.default_rng(0))
+    else:
+        model = request.getfixturevalue(name)
+        consts = request.getfixturevalue({"e1": "ce", "c1": "cc"}[name])
+    return LinearTheory(model, T, h, consts)
+
+
+@pytest.mark.parametrize("name", ["c1", "e1", "model_3d"])
 @pytest.mark.parametrize("trans", [False, True])
-def test_exact_lu_solves_the_lil_reference(c1, cc, trans):
-    lt = LinearTheory(c1, 3.0, 0.05, cc)
+def test_exact_lu_solves_the_lil_reference(request, name, trans):
+    # the stable and the unstable components take the two end-row branches
+    # of the tridiagonal factor
+    lt = bundle(name, request)
     M = d_system_matrix_lil_reference(lt).toarray()
     rhs = np.random.default_rng(7).standard_normal(M.shape[0])
     want = np.linalg.solve(M.T if trans else M, rhs)
@@ -514,8 +532,8 @@ def test_exact_lu_solves_the_lil_reference(c1, cc, trans):
 
 
 def test_q_exact_adjoint(c1, cc):
-    # <Q x, y> = <x, Q^T y>: the transposed band solve with the K_T rows
-    # zeroed is the adjoint of apply_Q_exact
+    # <Q x, y> = <x, Q^T y>: the transposed tridiagonal solve with the K_T
+    # rows zeroed is the adjoint of apply_Q_exact
     lt = LinearTheory(c1, 3.0, 0.05, cc)
     Q = _q_exact_matrix(lt)
     rng = np.random.default_rng(8)
@@ -524,23 +542,53 @@ def test_q_exact_adjoint(c1, cc):
         assert (Q @ x) @ y == pytest.approx(x @ (Q.T @ y), rel=1e-12)
 
 
+@pytest.mark.parametrize("name", ["c1", "model_3d"])
 @pytest.mark.parametrize("k", [1, 2, 3])
-def test_apply_Q_exact_k_paths_equal_single_solves(c1, cc, k):
-    # one band solve with k right-hand sides gives each path the bits of
-    # its own solve; the model file's 3-d model has a wider band
-    for model, consts in ((c1, cc), (model_3d(), None)):
-        if consts is None:
-            consts = compute_constants(model, rng=np.random.default_rng(0))
-        lt = LinearTheory(model, 3.0, 0.05, consts)
-        rng = np.random.default_rng(9)
-        etas = [DiscretePath(lt.grid, rng.standard_normal(
-            (lt.grid.n_nodes, model.dim))) for _ in range(k)]
-        got = apply_Q_exact(lt, etas)
-        assert isinstance(got, list) and len(got) == k
-        for eta, q in zip(etas, got):
-            single = apply_Q_exact(lt, eta)
-            assert q.grid == single.grid
-            assert q.samples.tobytes() == single.samples.tobytes()
+def test_apply_Q_exact_k_columns_equal_single_solves(request, name, k):
+    # one solve with k right-hand sides gives each column the bits of its
+    # own solve; the 3-d model has three components
+    lt = bundle(name, request)
+    size = lt.grid.n_nodes * lt.model.dim
+    etas = np.random.default_rng(9).standard_normal((size, k))
+    got = apply_Q_exact(lt, etas)
+    assert got.shape == (size, k)
+    for j in range(k):
+        single = apply_Q_exact(lt, etas[:, j])
+        assert single.shape == (size,)
+        assert got[:, j].tobytes() == single.tobytes()
+
+
+def test_apply_Q_exact_reads_kt_rows_as_zero(c1, cc):
+    lt = LinearTheory(c1, 3.0, 0.05, cc)
+    eta = np.random.default_rng(10).standard_normal(lt.grid.n_nodes * 2)
+    zeroed = eta.copy()
+    zeroed[lt._kt_rows] = 0.0
+    q = apply_Q_exact(lt, eta)
+    assert q.tobytes() == apply_Q_exact(lt, zeroed).tobytes()
+    # the pivoted factor meets the K_T identity rows to rounding
+    assert np.max(np.abs(q[lt._kt_rows])) <= 1e-14 * np.max(np.abs(q))
+    # the caller's array is left as it was
+    assert np.all(eta[lt._kt_rows] != 0.0)
+
+
+def test_apply_Q_exact_rejects_bad_samples(c1, cc):
+    lt = LinearTheory(c1, 3.0, 0.05, cc)
+    size = lt.grid.n_nodes * 2
+    for shape in ((size - 2,), (size + 2, 2), (lt.grid.n_nodes, 2),
+                  (size, 1, 1)):
+        with pytest.raises(ValueError, match="does not match"):
+            apply_Q_exact(lt, np.ones(shape))
+    # a NaN anywhere, also on a K_T row or in one column of several, and an
+    # inf raise
+    for row in (5, lt._kt_rows[0]):
+        eta = np.ones(size)
+        eta[row] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            apply_Q_exact(lt, eta)
+    eta = np.ones((size, 2))
+    eta[7, 1] = np.inf
+    with pytest.raises(ValueError, match="non-finite"):
+        apply_Q_exact(lt, eta)
 
 
 def test_off_grid_T_rejected(c1, cc):

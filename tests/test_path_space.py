@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.sparse import lil_matrix
 
+from mglue import path_space
 from mglue.harness import path_csv_rows, write_csv
-from mglue.path_space import (DiscretePath, Grid, diff_matrix, differentiate,
+from mglue.path_space import (DiagonalFlowLU, DiscretePath, FlowLU, Grid,
+                              _flow_band, diff_matrix, differentiate,
                               grid_unit, l2_norm, make_grid, norms,
                               path_from_function, sup_norm, symmetric_grid,
                               zero_path)
@@ -282,3 +284,82 @@ def test_diff_matrix_matches_lil_reference(grid):
     p = fourier_path(grid, np.random.default_rng(3))
     np.testing.assert_allclose(D @ p.samples, differentiate(p).samples,
                                rtol=1e-12, atol=1e-9)
+
+
+def band_to_dense(ab, k):
+    """The dense matrix of LAPACK band storage with kl = ku = k."""
+    size = ab.shape[1]
+    M = np.zeros((size, size))
+    for d in range(-k, k + 1):
+        j = np.arange(max(0, -d), min(size, size - d))
+        M[j + d, j] = ab[2 * k + d, j]
+    return M
+
+
+# (eigenvalues, stable count): one or two stable components, and no
+# unstable or no stable one, so each end-row branch runs alone too
+DIAGONALS = [((1.0, -1.0), 1), ((2.0, 1.0, -1.5), 2), ((3.0, 1.0), 2),
+             ((-1.0, -2.0), 0)]
+
+
+class TestDiagonalFlowLU:
+    def relerr(self, got, want):
+        return np.max(np.abs(got - want)) / np.max(np.abs(want))
+
+    @pytest.mark.parametrize("T", [3.0, 12.0])
+    @pytest.mark.parametrize("a,ns", DIAGONALS)
+    def test_matches_band_lu(self, T, a, ns):
+        grid = symmetric_grid(T, 0.05)
+        jac = np.broadcast_to(np.diag(a), (grid.n_nodes, len(a), len(a)))
+        lu = DiagonalFlowLU(grid, a, ns)
+        band = FlowLU(grid, jac, ns)
+        rhs = np.random.default_rng(11).standard_normal(
+            (grid.n_nodes * len(a), 2))
+        for b in (rhs, rhs[:, 0]):
+            got = lu.solve(b)
+            assert got.shape == b.shape
+            assert self.relerr(got, band.solve(b)) <= 1e-13
+
+    @pytest.mark.parametrize("a,ns", DIAGONALS)
+    def test_transposed_solve_matches_dense(self, a, ns):
+        grid = symmetric_grid(3.0, 0.05)
+        k = 2 * len(a)
+        jac = np.broadcast_to(np.diag(a), (grid.n_nodes, len(a), len(a)))
+        M = band_to_dense(_flow_band(grid, jac, ns), k)
+        rhs = np.random.default_rng(12).standard_normal((M.shape[0], 2))
+        lu = DiagonalFlowLU(grid, a, ns)
+        for trans, mat in ((False, M), (True, M.T)):
+            got = lu.solve(rhs, trans=trans)
+            assert self.relerr(got, np.linalg.solve(mat, rhs)) <= 1e-13
+            for j in range(2):
+                assert got[:, j].tobytes() == \
+                    lu.solve(rhs[:, j], trans=trans).tobytes()
+
+    def test_wrong_length_rejected(self):
+        lu = DiagonalFlowLU(symmetric_grid(3.0, 0.05), (1.0, -1.0), 1)
+        with pytest.raises(ValueError, match="does not match"):
+            lu.solve(np.ones(2 * 121 + 2))
+
+    def test_end_rows_follow_diff_matrix(self, monkeypatch):
+        # the factor reads its entries and row operations from the stencil
+        # of diff_matrix: with the end rows scaled by 3 and 5 the neighbour
+        # multipliers become 3 and 5, and the solve still matches the band
+        def scaled_ends(grid):
+            D = diff_matrix(grid).tolil()
+            D[0, :] *= 5.0
+            D[-1, :] *= 3.0
+            return D.tocsr()
+
+        grid = symmetric_grid(3.0, 0.05)
+        a, ns = (2.0, 1.0, -1.5), 2
+        monkeypatch.setattr(path_space, "diff_matrix", scaled_ends)
+        path_space._stencil_band.cache_clear()
+        try:
+            lu = DiagonalFlowLU(grid, a, ns)
+            jac = np.broadcast_to(np.diag(a), (grid.n_nodes, 3, 3))
+            band = FlowLU(grid, jac, ns)
+        finally:
+            path_space._stencil_band.cache_clear()
+        assert (lu.mult_right, lu.mult_left) == (3.0, 5.0)
+        rhs = np.random.default_rng(13).standard_normal(grid.n_nodes * 3)
+        assert self.relerr(lu.solve(rhs), band.solve(rhs)) <= 1e-13
