@@ -8,11 +8,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .path_space import (DiscretePath, differentiate, l2_norm, norms,
-                         sup_norm, symmetric_grid, w12_inner, zero_path)
-from .invariant_manifolds import (HalfTrajectory, build_tangent_system,
-                                  linear_half_path, log_linear_fit,
-                                  shoot_stable, shoot_unstable,
-                                  solve_tangent_lift, theta_inverse)
+                         sup_norm, symmetric_grid, w12_gram, zero_path)
+from .invariant_manifolds import (build_tangent_system, linear_half_path,
+                                  log_linear_fit, shoot_stable,
+                                  shoot_unstable, solve_tangent_lift,
+                                  theta_inverse)
 from .linear_theory import (LinearTheory, apply_D, apply_Q_exact,
                             gamma_infinitesimal, gamma_weights)
 from .newton_picard import NPProblem, np_solve, np_tangent_solve, \
@@ -69,8 +69,7 @@ def apply_F(model, w):
 def _half_samples_on(grid_T, half, T, side):
     """Samples of the shifted half trajectory w(+-T + s) on the [-T, T] grid,
     by index alignment: the half must be sampled at the grid's spacing."""
-    head = half.head if isinstance(half, HalfTrajectory) else half
-    hg = head.grid
+    hg = half.grid
     if abs(hg.h - grid_T.h) >= 1e-12:
         raise ValueError("half-trajectory spacing %r differs from the grid "
                          "spacing %r" % (hg.h, grid_T.h))
@@ -79,9 +78,8 @@ def _half_samples_on(grid_T, half, T, side):
     start = 0.0 if side == "stable" else -2.0 * T
     idx = round((start - hg.t_min) / hg.h) + np.arange(grid_T.n_nodes)
     if idx[0] < 0 or idx[-1] >= hg.n_nodes:
-        raise ValueError("half-trajectory head does not cover the "
-                         "shifted range")
-    return head.samples[idx]
+        raise ValueError("half trajectory does not cover the shifted range")
+    return half.samples[idx]
 
 
 def preglue(cutoff, w_plus, w_minus, T):
@@ -171,7 +169,7 @@ class GlueReport:
     contraction_ratio_max: float
     ev_error: float
     precond: dict               # np_solve's record of the paper's bounds
-    boundary_defect: float      # K_T membership of the correction (exact: 0)
+    boundary_defect: float      # K_T defect of the correction: 0 to rounding
 
 
 def _interior_flow_residual(model, w):
@@ -276,12 +274,8 @@ def glue(model, cutoff, w_plus, w_minus, T, lt):
 
 def ev_error(gamma, w_plus, w_minus):
     """|ev_T(glued path) - (w_+(0), w_-(0))| in the product Euclidean norm."""
-    wp0 = w_plus.head.samples[0] if isinstance(w_plus, HalfTrajectory) \
-        else w_plus.samples[0]
-    wm0 = w_minus.head.samples[-1] if isinstance(w_minus, HalfTrajectory) \
-        else w_minus.samples[-1]
-    left = gamma.samples[0] - wp0
-    right = gamma.samples[-1] - wm0
+    left = gamma.samples[0] - w_plus.samples[0]
+    right = gamma.samples[-1] - w_minus.samples[-1]
     return float(np.sqrt(np.sum(left**2) + np.sum(right**2)))
 
 
@@ -400,12 +394,11 @@ def theta_defect_norm(cutoff, lt, seed_radius):
         diffs = [zero_path(h.grid, n) for h in halves]
         diffs[k] = DiscretePath(half.grid, xi_lin - xi_pull.samples)
         outs.append(preglue(cutoff, *diffs, lt.T))
-    # operator norm: Gram of outputs in W^{1,2} against the diagonal domain
-    # weights of the kernel coefficient basis
-    H = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            H[i, j] = H[j, i] = w12_inner(outs[i], outs[j])
+    # operator norm: Gram H = X G X^T of the outputs (the rows of X) in
+    # W^{1,2} against the diagonal domain weights of the kernel coefficient
+    # basis
+    X = np.stack([out.samples.reshape(-1) for out in outs])
+    H = X @ (w12_gram(lt.grid, n) @ X.T)
     W = np.diag(dom_w)
     M = np.linalg.solve(np.sqrt(W), np.linalg.solve(np.sqrt(W), H).T)
     return float(np.sqrt(max(np.max(np.linalg.eigvalsh(M)), 0.0)))

@@ -3,10 +3,11 @@
 Half-trajectories solve the downward gradient flow on a truncated half-line
 with projection boundary conditions, by collocation (the same second-order
 stencils as path_space.differentiate) and damped Newton, one banded LU
-(path_space.FlowLU) per step.  Tangent lifts solve
-the binary-indexed variational systems whose coefficients are enumerated by
-set partitions of digit sets; the identification theta reads the asymptotic
-kernel coefficient at the truncation time.
+(path_space.FlowLU) per step.  A half trajectory is a path: HalfTrajectory
+is a DiscretePath that also records its side, S and flow residual.  Tangent
+lifts solve the binary-indexed variational systems whose coefficients are
+enumerated by set partitions of digit sets; the identification theta reads
+the asymptotic kernel coefficient at the truncation time.
 """
 
 from dataclasses import dataclass
@@ -103,15 +104,12 @@ def build_tangent_system(m):
 # half trajectories
 
 @dataclass(frozen=True)
-class HalfTrajectory:
+class HalfTrajectory(DiscretePath):
+    """A path on [0, S] (stable) or [-S, 0] (unstable) with its shooting
+    record."""
     side: str               # "stable" | "unstable"
-    head: DiscretePath      # on [0, S] (stable) or [-S, 0] (unstable)
     S: float
     residual: float
-
-    @property
-    def grid(self):
-        return self.head.grid
 
 
 class ShootError(RuntimeError):
@@ -194,8 +192,7 @@ def _shoot(model, seed, S, side, h_max):
     resid = _interior_residual(res, bc_rows)
     if resid > TOL_FLOW:
         raise ShootError("flow residual %.3e above tol_flow" % resid)
-    return HalfTrajectory(side=side, head=DiscretePath(grid, w), S=float(S),
-                          residual=resid)
+    return HalfTrajectory(grid, w, side=side, S=float(S), residual=resid)
 
 
 def _flow_res_with_bc(model, w, h, bc_rows, bc_vals):
@@ -229,7 +226,7 @@ def solve_tangent_lift(model, base, sys_spec, seeds):
     grid = base.grid
     N = grid.n_nodes
     bc_rows = kt_rows(N, n, model.n_stable)
-    W = {0: base.head.samples}
+    W = {0: base.samples}
     lu = FlowLU(grid, model.dgrad_tensor(W[0], 1), model.n_stable)
 
     out = []
@@ -263,7 +260,7 @@ def _tensor_forcing(tensors, args):
 def linearized_residual(model, base, xi):
     """Sup over interior nodes of xi' + dgrad(base) xi (central stencils)."""
     res = differentiate(xi).samples + _tensor_forcing(
-        model.dgrad_tensor(base.head.samples, 1), [xi.samples])
+        model.dgrad_tensor(base.samples, 1), [xi.samples])
     return float(np.max(np.abs(res[1:-1])))
 
 
@@ -333,8 +330,6 @@ def decay_fit(p, window):
     window; rate is the negated slope of the log-linear fit.  FitError when
     fewer than two window values lie above the floor of log_linear_fit (a
     zero seed gives a zero half trajectory)."""
-    if isinstance(p, HalfTrajectory):
-        p = p.head
     s = p.grid.nodes
     g = (np.linalg.norm(p.samples, axis=1)
          + np.linalg.norm(differentiate(p).samples, axis=1))

@@ -12,7 +12,8 @@ glue corrects with the discretized-operator solve, which maps flattened
 node-major samples of shape (size,) or (size, k) to arrays of that shape;
 mglue constants, mglue verify and criterion 04 measure the Duhamel Q.  A
 measured norm is the square root of the top eigenvalue of
-M^T G_out M v = lam G_in v for Gram matrices G_out, G_in: a converged
+M^T G_out M v = lam G_in v for the Gram matrices G_out, G_in of
+path_space (l2_gram, w12_gram), which define the discrete norms: a converged
 standard-form Lanczos eigenvalue (eigsh) of U^{-T} M^T G_out M U^{-1}, with
 G_in = U^T U the banded Cholesky factor; q_matrix and projection_matrix
 return M as a LinearOperator.
@@ -23,12 +24,12 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dtbtrs
-from scipy.sparse import csr_matrix, diags, identity, kron
+from scipy.sparse import csr_matrix, diags, identity
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
-from .path_space import (DiagonalFlowLU, DiscretePath, diff_matrix,
-                         differentiate, grid_unit, kt_rows, on_grid,
-                         symmetric_grid, trapezoid_weights)
+from .path_space import (DiagonalFlowLU, DiscretePath, differentiate,
+                         grid_unit, kt_rows, l2_gram, on_grid,
+                         symmetric_grid, w12_gram)
 
 
 @dataclass(frozen=True)
@@ -58,11 +59,6 @@ class LinearTheory:
         flow operator with the constant Jacobian J = A = diag(a): one
         tridiagonal dgttrf factor per component (DiagonalFlowLU)."""
         return DiagonalFlowLU(self.grid, self.model.a, self.model.n_stable)
-
-    @cached_property
-    def _w12_gram(self):
-        """w12_gram of the grid, shared by the measured norms."""
-        return w12_gram(self.grid, self.model.dim)
 
     @cached_property
     def _kt_rows(self):
@@ -191,21 +187,6 @@ def euclidean_gluing_reference(lt, w_plus_0, w_minus_0):
 # ---------------------------------------------------------------------------
 # measured operator norms
 
-def w12_gram(grid, dim):
-    """Sparse Gram matrix of the discrete W^{1,2} inner product on flattened
-    (node-major) sample vectors."""
-    wts = trapezoid_weights(grid)
-    D1 = diff_matrix(grid)
-    W = diags(wts)
-    G1 = W + D1.T @ W @ D1
-    return kron(G1, identity(dim, format="csr"), format="csr")
-
-
-def l2_gram(grid, dim):
-    wts = trapezoid_weights(grid)
-    return kron(diags(wts), identity(dim, format="csr"), format="csr")
-
-
 def _band_cholesky(gram):
     """Upper Cholesky factor U, gram = U^T U, of a sparse symmetric positive
     definite matrix, in LAPACK upper band storage (row kd + i - j of column j
@@ -271,7 +252,7 @@ def projection_matrix(lt):
 
 
 def measured_projection_norm(lt, rng):
-    G = lt._w12_gram
+    G = w12_gram(lt.grid, lt.model.dim)
     return measured_opnorm(projection_matrix(lt), G, G, rng)
 
 
@@ -293,7 +274,7 @@ def q_matrix(lt):
 
 
 def measured_q_norm(lt, rng):
-    return measured_opnorm(q_matrix(lt), lt._w12_gram,
+    return measured_opnorm(q_matrix(lt), w12_gram(lt.grid, lt.model.dim),
                            l2_gram(lt.grid, lt.model.dim), rng)
 
 
@@ -317,5 +298,6 @@ def d_restricted_min_sv(lt, rng):
     """Smallest singular value of D on K_T from W^{1,2} to L^2, measuring
     ker D_T = E_T: the reciprocal of the measured norm of apply_Q_exact,
     D's inverse on K_T, from L^2 to W^{1,2}."""
-    return 1.0 / measured_opnorm(_q_exact_matrix(lt), lt._w12_gram,
+    return 1.0 / measured_opnorm(_q_exact_matrix(lt),
+                                 w12_gram(lt.grid, lt.model.dim),
                                  l2_gram(lt.grid, lt.model.dim), rng)

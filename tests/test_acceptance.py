@@ -18,7 +18,7 @@ from mglue.linear_theory import (LinearTheory, euclidean_gluing_reference,
                                  gamma_infinitesimal, gamma_svd_bounds,
                                  measured_projection_norm, measured_q_norm)
 from mglue.newton_picard import np_solve, np_tangent_solve
-from mglue.path_space import make_grid, norms
+from mglue.path_space import make_grid, norms, sup_norm
 
 from test_path_space import fourier_path
 from test_invariant_manifolds import stirling2
@@ -44,8 +44,8 @@ def test_criterion_01_euclidean_exactness(e1, ce):
         lt = LinearTheory(e1, T, h, ce)
         for wp, wm in halves:
             rep = glue(e1, BETA, wp, wm, T, lt)
-            ref = euclidean_gluing_reference(lt, wp.head.samples[0],
-                                             wm.head.samples[-1])
+            ref = euclidean_gluing_reference(lt, wp.samples[0],
+                                             wm.samples[-1])
             worst_sup = max(worst_sup,
                             float(np.max(np.abs(rep.path.samples
                                                 - ref.samples))))
@@ -121,8 +121,7 @@ def test_criterion_05_sobolev_constant():
         slack = 1 + 5 * g.h
         for _ in range(1000):
             p = fourier_path(g, rng)
-            n = norms(p)
-            if n.sup > 2 * n.w12 * slack:
+            if sup_norm(p) > 2 * norms(p).w12 * slack:
                 violations += 1
     report(5, violations == 0, "%d violations in 3000 paths" % violations)
 
@@ -206,13 +205,13 @@ def test_criterion_09_tangent_machinery(c1, cc):
     eps1 = 1e-4
     hp = shoot_stable(c1, [0.3 + eps1], S)
     hm = shoot_stable(c1, [0.3 - eps1], S)
-    fd1 = (hp.head.samples - hm.head.samples) / (2 * eps1)
+    fd1 = (hp.samples - hm.samples) / (2 * eps1)
     err1 = float(np.max(np.abs(lifts[0].samples - fd1)))
     eps2 = 3e-3
     hp2 = shoot_stable(c1, [0.3 + eps2], S)
     hm2 = shoot_stable(c1, [0.3 - eps2], S)
-    fd2 = (hp2.head.samples - 2 * base.head.samples
-           + hm2.head.samples) / eps2**2
+    fd2 = (hp2.samples - 2 * base.samples
+           + hm2.samples) / eps2**2
     err2 = float(np.max(np.abs(lifts[2].samples - fd2)))
 
     # decay of all lifts

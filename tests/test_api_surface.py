@@ -37,7 +37,7 @@ CALLER_DIRS = ("src", "tests", "perfbench")
 ALLOWED = {
     ("newton_picard", "ift_certificate", "dF"):
         "entry point for the analytic differential of the gluing map "
-        "(ROADMAP item 4)",
+        "(ROADMAP item 6)",
     ("path_space", "path_from_function", "dim"):
         "input check on the dimension of the sampled function",
     ("morse_model", "compute_constants", "C_decay"):

@@ -3,19 +3,19 @@ import pytest
 from scipy.integrate import solve_ivp
 
 from mglue.gluing import (apply_F, certify_approx_zero, convergence_sweep,
-                          cubic_cutoff, diffeo_criterion, ev_error,
-                          flow_problem, glue, glue_coordinate_rep,
-                          linearized_glue_check, preglue, quintic_cutoff,
-                          shoot_halves, tangent_convergence_sweep,
-                          theta_defect_norm)
-from mglue.invariant_manifolds import shoot_stable, shoot_unstable
+                          cubic_cutoff, diffeo_criterion, flow_problem, glue,
+                          glue_coordinate_rep, linearized_glue_check,
+                          preglue, quintic_cutoff, shoot_halves,
+                          tangent_convergence_sweep, theta_defect_norm)
+from mglue.invariant_manifolds import (linear_half_path, shoot_stable,
+                                       shoot_unstable, theta_inverse)
 from mglue.linear_theory import (LinearTheory, euclidean_gluing_reference,
                                  gamma_infinitesimal, gamma_weights)
 from mglue.morse_model import compute_constants
 from mglue.newton_picard import PreconditionError
 from mglue.path_space import (DiscretePath, differentiate, norms,
                               path_from_function, sup_norm, symmetric_grid,
-                              zero_path)
+                              trapezoid_weights, zero_path)
 
 from test_morse_model import model_3d
 from test_path_space import evaluate_ends
@@ -112,8 +112,8 @@ class TestPreglue:
         for T in (3.0, 5.0):
             wt = preglue(BETA, wp, wm, T)
             left, right = evaluate_ends(wt)
-            assert np.array_equal(left, wp.head.samples[0])
-            assert np.array_equal(right, wm.head.samples[-1])
+            assert np.array_equal(left, wp.samples[0])
+            assert np.array_equal(right, wm.samples[-1])
 
     def test_plateau_identically_zero(self, c1_halves):
         wp, wm = c1_halves
@@ -130,16 +130,16 @@ class TestPreglue:
         wp, wm = c1_halves
         T = 4.0
         a = 1.7
-        wt = preglue(BETA, wp.head, wm.head, T)
-        scaled_p = DiscretePath(wp.grid, a * wp.head.samples)
-        scaled_m = DiscretePath(wm.grid, a * wm.head.samples)
+        wt = preglue(BETA, wp, wm, T)
+        scaled_p = DiscretePath(wp.grid, a * wp.samples)
+        scaled_m = DiscretePath(wm.grid, a * wm.samples)
         wt2 = preglue(BETA, scaled_p, scaled_m, T)
         assert np.max(np.abs(wt2.samples - a * wt.samples)) <= 1e-12
 
     def test_norm_bound(self, c1_halves):
         wp, wm = c1_halves
         bound = 2 * np.sqrt(1 + BETA.sup_dbeta**2) * np.sqrt(
-            norms(wp.head).w12 ** 2 + norms(wm.head).w12 ** 2)
+            norms(wp).w12 ** 2 + norms(wm).w12 ** 2)
         for T in (3.0, 6.0):
             wt = preglue(BETA, wp, wm, T)
             assert norms(wt).w12 <= bound
@@ -160,8 +160,8 @@ class TestPreglue:
         wt = preglue(BETA, wp, wm, 3.0)
         assert wt.grid == symmetric_grid(3.0, 0.04)
         left, right = evaluate_ends(wt)
-        assert np.array_equal(left, wp.head.samples[0])
-        assert np.array_equal(right, wm.head.samples[-1])
+        assert np.array_equal(left, wp.samples[0])
+        assert np.array_equal(right, wm.samples[-1])
 
     def test_two_cutoffs_differ(self, c1_halves):
         wp, wm = c1_halves
@@ -203,8 +203,8 @@ class TestGlue:
         T = 3.0
         lt = LinearTheory(e1, T, 0.02, ce)
         rep = glue(e1, BETA, wp, wm, T, lt)
-        ref = euclidean_gluing_reference(lt, wp.head.samples[0],
-                                         wm.head.samples[-1])
+        ref = euclidean_gluing_reference(lt, wp.samples[0],
+                                         wm.samples[-1])
         assert np.max(np.abs(rep.path.samples - ref.samples)) <= 5e-5
         assert rep.np_iterations <= 2
 
@@ -296,11 +296,57 @@ class TestConvergence:
         assert sw["r2"] >= 0.99
 
 
+def w12_inner_reference(p, q):
+    """The former W^{1,2} inner product: trapezoidal quadrature of
+    p q + p' q' with the stencil derivatives."""
+    wts = trapezoid_weights(p.grid)
+    dp = differentiate(p).samples
+    dq = differentiate(q).samples
+    return float(np.sum(wts * np.sum(p.samples * q.samples + dp * dq,
+                                     axis=1)))
+
+
+def theta_defect_norm_reference(cutoff, lt, seed_radius):
+    """The former theta_defect_norm, whose output Gram is the pairwise loop
+    of w12_inner_reference."""
+    model = lt.model
+    n = model.dim
+    ns = model.n_stable
+    halves = shoot_halves(lt, [seed_radius] * ns, [seed_radius] * (n - ns))
+    outs = []
+    for i, e in enumerate(np.eye(n)):
+        k = int(i >= ns)
+        half = halves[k]
+        v = model.p_minus(e) if k else model.p_plus(e)
+        xi_lin = linear_half_path(model, half.side, v, half.grid.nodes)
+        xi_pull, _ = theta_inverse(model, half, v)
+        diffs = [zero_path(h.grid, n) for h in halves]
+        diffs[k] = DiscretePath(half.grid, xi_lin - xi_pull.samples)
+        outs.append(preglue(cutoff, *diffs, lt.T))
+    H = np.empty((n, n))
+    for i in range(n):
+        for j in range(i, n):
+            H[i, j] = H[j, i] = w12_inner_reference(outs[i], outs[j])
+    W = np.diag(gamma_weights(lt)[0])
+    M = np.linalg.solve(np.sqrt(W), np.linalg.solve(np.sqrt(W), H).T)
+    return float(np.sqrt(max(np.max(np.linalg.eigvalsh(M)), 0.0)))
+
+
 class TestDiffeo:
     def test_theta_defect_small(self, c1, cc):
         lt = LinearTheory(c1, 5.0, 0.02, cc)
         tn = theta_defect_norm(BETA, lt, 0.3)
         assert tn <= 1.0 / (8 * cc.k_gamma_inv * cc.d_proj)
+
+    @pytest.mark.parametrize("name,T", [("c1", 5.0), ("c1", 8.0),
+                                        ("3d", 4.0)])
+    def test_theta_defect_matches_pairwise_reference(self, request, name,
+                                                     T):
+        model = model_3d() if name == "3d" else request.getfixturevalue(name)
+        lt = LinearTheory(model, T, 0.02, compute_constants(
+            model, rng=np.random.default_rng(0)))
+        assert theta_defect_norm(BETA, lt, 0.3) == pytest.approx(
+            theta_defect_norm_reference(BETA, lt, 0.3), rel=1e-13, abs=0.0)
 
     def test_certificate_passes(self, c1, cc):
         lt = LinearTheory(c1, 5.0, 0.02, cc)

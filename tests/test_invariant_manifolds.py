@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import solve_ivp
 from scipy.sparse import block_diag, csr_matrix, identity, kron
 
+from mglue.gluing import ev_error, preglue, quintic_cutoff
 from mglue.invariant_manifolds import (_tensor_forcing, build_tangent_system,
                                        decay_fit,
                                        digit_inverse, digit_map,
@@ -15,7 +16,8 @@ from mglue.invariant_manifolds import (_tensor_forcing, build_tangent_system,
                                        theta_identification, theta_inverse)
 from mglue import path_space
 from mglue.path_space import (DiscretePath, FlowLU, _flow_band, diff_matrix,
-                              make_grid, path_from_function)
+                              make_grid, path_from_function, symmetric_grid,
+                              zero_path)
 
 from test_path_space import assert_same_band
 
@@ -137,22 +139,22 @@ class TestShooting:
         half = shoot_stable(e1, [0.5], 10.0, h_max=0.02)
         assert half.residual <= 1e-10
         s = half.grid.nodes
-        assert np.max(np.abs(half.head.samples[:, 0]
+        assert np.max(np.abs(half.samples[:, 0]
                              - 0.5 * np.exp(-s))) <= 5e-5
-        assert np.max(np.abs(half.head.samples[:, 1])) <= 1e-12
+        assert np.max(np.abs(half.samples[:, 1])) <= 1e-12
 
     def test_e1_unstable_closed_form(self, e1):
         half = shoot_unstable(e1, [0.5], 10.0, h_max=0.02)
         assert half.residual <= 1e-10
         s = half.grid.nodes
-        assert np.max(np.abs(half.head.samples[:, 1]
+        assert np.max(np.abs(half.samples[:, 1]
                              - 0.5 * np.exp(s))) <= 5e-5
-        assert np.max(np.abs(half.head.samples[:, 0])) <= 1e-12
+        assert np.max(np.abs(half.samples[:, 0])) <= 1e-12
 
     def test_zero_seed_gives_constant_zero(self, c1):
         for shoot in (shoot_stable, shoot_unstable):
             half = shoot(c1, [0.0], 8.0)
-            assert np.max(np.abs(half.head.samples)) <= 1e-12
+            assert np.max(np.abs(half.samples)) <= 1e-12
 
     def test_c1_stable_decay(self, c1, cc):
         S = 12.0
@@ -166,7 +168,7 @@ class TestShooting:
         S = 12.0
         half = shoot_unstable(c1, [0.3], S)
         assert half.residual <= 1e-9
-        assert np.linalg.norm(half.head.samples[0]) <= \
+        assert np.linalg.norm(half.samples[0]) <= \
             2 * 0.3 * np.exp(-0.9 * cc.sigma * S)
 
 
@@ -191,7 +193,7 @@ class TestTangentLift:
         lift = solve_tangent_lift(c1, base, build_tangent_system(1), [[1.0]])[0]
         hp = shoot_stable(c1, [0.3 + eps], S)
         hm = shoot_stable(c1, [0.3 - eps], S)
-        fd = (hp.head.samples - hm.head.samples) / (2 * eps)
+        fd = (hp.samples - hm.samples) / (2 * eps)
         assert np.max(np.abs(lift.samples - fd)) <= 1e-5
 
     def test_c1_m2_vs_finite_difference(self, c1):
@@ -201,8 +203,8 @@ class TestTangentLift:
         lifts = solve_tangent_lift(c1, base, spec, [[1.0], [1.0], [0.0]])
         hp = shoot_stable(c1, [0.3 + eps], S)
         hm = shoot_stable(c1, [0.3 - eps], S)
-        fd2 = (hp.head.samples - 2 * base.head.samples
-               + hm.head.samples) / eps**2
+        fd2 = (hp.samples - 2 * base.samples
+               + hm.samples) / eps**2
         assert np.max(np.abs(lifts[2].samples - fd2)) <= 1e-3
 
     def test_lift_decay(self, c1, cc):
@@ -251,6 +253,22 @@ class TestTheta:
         assert np.max(np.abs(lhs - rhs)) <= 1e-8
 
 
+class TestHalfTrajectoryIsAPath:
+    def test_same_bits_as_its_path(self, c1):
+        S = 16.0
+        halves = (shoot_stable(c1, [0.3], S), shoot_unstable(c1, [0.3], S))
+        paths = [DiscretePath(h.grid, h.samples) for h in halves]
+        beta = quintic_cutoff()
+        for T in (3.0, 5.0):
+            assert np.array_equal(preglue(beta, *halves, T).samples,
+                                  preglue(beta, *paths, T).samples)
+        gamma = zero_path(symmetric_grid(5.0, 0.02), c1.dim)
+        assert ev_error(gamma, *halves) == ev_error(gamma, *paths) > 0.0
+        windows = ((2.0, S - 2.0), (-(S - 2.0), -2.0))
+        for half, path, window in zip(halves, paths, windows):
+            assert decay_fit(half, window) == decay_fit(path, window)
+
+
 class TestDecayFit:
     def test_pure_exponential(self):
         g = make_grid(0.0, 10.0, 0.02)
@@ -295,7 +313,7 @@ def collocation_lil_reference(model, base):
     Dk = kron(diff_matrix(base.grid), identity(n, format="csr"),
               format="csr")
     bc_rows = list(range(ns)) + [(N - 1) * n + i for i in range(ns, n)]
-    blocks = np.stack([model.dgrad_tensor(z, 1) for z in base.head.samples])
+    blocks = np.stack([model.dgrad_tensor(z, 1) for z in base.samples])
     return assemble_system_lil_reference(Dk, blocks, bc_rows)
 
 
@@ -308,7 +326,7 @@ class TestAssembly:
         # seed 0 gives the zero trajectory: the Jacobian blocks hold exact
         # zeros, which the reference stores as zeros too
         base = shoot(c1, [seed], S)
-        ab = _flow_band(base.grid, c1.dgrad_tensor(base.head.samples, 1),
+        ab = _flow_band(base.grid, c1.dgrad_tensor(base.samples, 1),
                         c1.n_stable)
         assert_same_band(ab, collocation_lil_reference(c1, base),
                          2 * c1.dim)
@@ -317,7 +335,7 @@ class TestAssembly:
     @pytest.mark.parametrize("shoot", [shoot_stable, shoot_unstable])
     def test_band_solve_matches_dense_solve(self, c1, S, shoot):
         base = shoot(c1, [0.3], S)
-        lu = FlowLU(base.grid, c1.dgrad_tensor(base.head.samples, 1),
+        lu = FlowLU(base.grid, c1.dgrad_tensor(base.samples, 1),
                     c1.n_stable)
         M = collocation_lil_reference(c1, base).toarray()
         rhs = np.random.default_rng(5).standard_normal((M.shape[0], 2))
@@ -348,7 +366,7 @@ class TestAssembly:
 
 class TestStencilCache:
     def factors(self, c1, base):
-        jac = c1.dgrad_tensor(base.head.samples, 1)
+        jac = c1.dgrad_tensor(base.samples, 1)
         lu = FlowLU(base.grid, jac, c1.n_stable)
         return _flow_band(base.grid, jac, c1.n_stable), lu._lu, lu._piv
 
@@ -420,7 +438,7 @@ class TestTangentForcing:
         spec = build_tangent_system(m)
         seeds = [[1.0], [0.5], [0.2], [-0.7], [0.3], [0.1], [0.4]]
         lifts = solve_tangent_lift(c1, base, spec, seeds[:2 ** m - 1])
-        w = base.head.samples
+        w = base.samples
         W = {k + 1: lift.samples for k, lift in enumerate(lifts)}
         eps = np.finfo(float).eps
         for k in range(1, spec.n_components):

@@ -3,22 +3,20 @@ import pytest
 from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
 from scipy.sparse import csr_matrix, diags, identity, kron
 
-from mglue import linear_theory
 from mglue.linear_theory import (KernelElement, LinearTheory,
                                  _band_cholesky, _q_exact_matrix, apply_D,
                                  apply_Q, apply_Q_exact,
                                  d_restricted_min_sv,
                                  euclidean_gluing_reference,
                                  gamma_infinitesimal, gamma_svd_bounds,
-                                 kernel_path, l2_gram, measured_opnorm,
+                                 kernel_path, measured_opnorm,
                                  measured_projection_norm, measured_q_norm,
-                                 projection_matrix, q_matrix,
-                                 w12_gram)
+                                 projection_matrix, q_matrix)
 from mglue.invariant_manifolds import shoot_stable, shoot_unstable
 from mglue.morse_model import MorseModel, compute_constants
 from mglue.path_space import (DiscretePath, _flow_band, diff_matrix, kt_rows,
-                              l2_norm, norms, path_from_function, sup_norm,
-                              zero_path)
+                              l2_gram, l2_norm, norms, path_from_function,
+                              sup_norm, w12_gram, zero_path)
 
 from test_morse_model import model_3d
 from test_path_space import assert_same_band, fourier_path
@@ -256,8 +254,8 @@ class TestEuclideanReference:
         # bits, because the unstable part of w_+(0) and the stable part of
         # w_-(0) are exactly 0 on the Euclidean half trajectories
         lt = LinearTheory(e1, 3.0, 0.02, ce)
-        wp0 = shoot_stable(e1, [0.5], 12.0).head.samples[0]
-        wm0 = shoot_unstable(e1, [0.4], 12.0).head.samples[-1]
+        wp0 = shoot_stable(e1, [0.5], 12.0).samples[0]
+        wm0 = shoot_unstable(e1, [0.4], 12.0).samples[-1]
         assert e1.p_minus(wp0) == 0.0 and e1.p_plus(wm0) == 0.0
         s, a = lt.grid.nodes, e1.a
         former = (np.exp(-np.outer(s + lt.T, a)) * wp0
@@ -425,23 +423,19 @@ def test_measured_norms_3d_match_dense_eigh(which):
     assert got == pytest.approx(ref, rel=1e-12)
 
 
-def test_measured_norms_share_one_gram(monkeypatch, c1, cc):
-    # the W^{1,2} Gram is built once per bundle, and the cached Gram gives
-    # the bits of a fresh one
+def test_measured_norms_share_one_gram(c1, cc):
+    # the W^{1,2} Gram is built once per (grid, dim), and two bundles on one
+    # grid measure the same bits
     lt = LinearTheory(c1, 3.0, 0.1, cc)
     fresh = LinearTheory(c1, 3.0, 0.1, cc)
-    built = []
-    gram = linear_theory.w12_gram
-    monkeypatch.setattr(linear_theory, "w12_gram",
-                        lambda *a: built.append(a) or gram(*a))
-    got = (measured_projection_norm(lt, np.random.default_rng(13)),
-           measured_q_norm(lt, np.random.default_rng(12)),
-           d_restricted_min_sv(lt, np.random.default_rng(14)))
-    assert len(built) == 1
-    monkeypatch.setattr(linear_theory, "w12_gram", gram)
-    assert got == (measured_projection_norm(fresh, np.random.default_rng(13)),
-                   measured_q_norm(fresh, np.random.default_rng(12)),
-                   d_restricted_min_sv(fresh, np.random.default_rng(14)))
+    assert w12_gram(lt.grid, c1.dim) is w12_gram(fresh.grid, c1.dim)
+
+    def measured(bundle):
+        return (measured_projection_norm(bundle, np.random.default_rng(13)),
+                measured_q_norm(bundle, np.random.default_rng(12)),
+                d_restricted_min_sv(bundle, np.random.default_rng(14)))
+
+    assert measured(lt) == measured(fresh)
 
 
 def test_measured_opnorm_rejects_indefinite_gram(c1, cc):

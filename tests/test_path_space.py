@@ -1,5 +1,3 @@
-from dataclasses import astuple
-
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,9 +7,9 @@ from mglue import path_space
 from mglue.harness import path_csv_rows, write_csv
 from mglue.path_space import (DiagonalFlowLU, DiscretePath, FlowLU, Grid,
                               _flow_band, diff_matrix, differentiate,
-                              grid_unit, l2_norm, make_grid, norms,
+                              grid_unit, l2_gram, l2_norm, make_grid, norms,
                               path_from_function, sup_norm, symmetric_grid,
-                              zero_path)
+                              trapezoid_weights, w12_gram, zero_path)
 
 
 def evaluate_ends(p):
@@ -108,7 +106,7 @@ class TestNorms:
         p = DiscretePath(g, np.ones((g.n_nodes, 1)))
         n = norms(p)
         assert n.l2 == pytest.approx(np.sqrt(2.0), abs=1e-12)
-        assert n.sup == 1.0
+        assert sup_norm(p) == 1.0
         assert n.w12 == pytest.approx(np.sqrt(2.0), abs=1e-12)
 
     def test_exponential_l2_closed_form(self):
@@ -119,8 +117,9 @@ class TestNorms:
 
     def test_zero_path(self):
         g = symmetric_grid(1.0, 0.05)
-        n = norms(zero_path(g, 3))
-        assert (n.l2, n.w12, n.sup) == (0.0, 0.0, 0.0)
+        p = zero_path(g, 3)
+        n = norms(p)
+        assert (n.l2, n.w12, sup_norm(p)) == (0.0, 0.0, 0.0)
 
     def test_w12_dominates_l2(self):
         g = symmetric_grid(2.0, 0.02)
@@ -132,27 +131,30 @@ class TestNorms:
         g = symmetric_grid(2.0, 0.02)
         p = fourier_path(g, np.random.default_rng(6))
         for samples in (-p.samples, p.samples[::-1]):
-            m = norms(DiscretePath(g, samples))
+            q = DiscretePath(g, samples)
+            m = norms(q)
             n = norms(p)
             assert m.l2 == pytest.approx(n.l2, rel=1e-12)
             assert m.w12 == pytest.approx(n.w12, rel=1e-9)
-            assert m.sup == n.sup
+            assert sup_norm(q) == sup_norm(p)
 
-    def test_bits_equal_composition(self):
-        # the former norms: l2_norm, the l2_norm of differentiate, sup_norm;
-        # at scale 1e160 the squares overflow without an error (inf - inf
-        # makes the L2 norms nan, compared as equal)
+    def test_matches_composition(self):
+        # the Gram forms agree with the trapezoidal L2 norm of the path and
+        # of its stencil derivative to rounding
         rng = np.random.default_rng(9)
         for T, dim in ((3.0, 2), (8.0, 3), (1.0, 1)):
             g = symmetric_grid(T, 0.02)
-            for scale in (1e-3, 1.0, 1e3, 1e160):
+            for scale in (1e-3, 1.0, 1e3):
                 p = DiscretePath(g, scale * rng.standard_normal(
                     (g.n_nodes, dim)))
-                with np.errstate(over="ignore", invalid="ignore"):
-                    l2 = l2_norm(p)
-                    dl2 = l2_norm(differentiate(p))
-                    ref = (l2, float(np.hypot(l2, dl2)), sup_norm(p))
-                    np.testing.assert_array_equal(astuple(norms(p)), ref)
+                l2 = l2_norm(p)
+                w12 = float(np.hypot(l2, l2_norm(differentiate(p))))
+                n = norms(p)
+                assert n.l2 == l2
+                assert n.w12 == pytest.approx(w12, rel=1e-13, abs=0.0)
+                trapz = np.sqrt(trapezoid_weights(g)
+                                @ np.sum(p.samples ** 2, axis=1))
+                assert l2 == pytest.approx(trapz, rel=1e-13, abs=0.0)
 
     def test_overflowing_derivative_raises(self):
         g = symmetric_grid(1.0, 0.05)
@@ -162,8 +164,14 @@ class TestNorms:
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(ValueError):
                 differentiate(p)
-            with pytest.raises(ValueError):
-                norms(p)
+
+    def test_grams_are_cached_and_read_only(self):
+        g = symmetric_grid(1.0, 0.05)
+        for gram in (l2_gram, w12_gram):
+            G = gram(g, 2)
+            assert gram(g, 2) is G
+            for a in (G.data, G.indices, G.indptr):
+                assert not a.flags.writeable
 
 
 class TestSobolevEmbedding:
@@ -174,8 +182,7 @@ class TestSobolevEmbedding:
             slack = 1 + 5 * g.h
             for _ in range(350):
                 p = fourier_path(g, rng)
-                n = norms(p)
-                assert n.sup <= 2 * n.w12 * slack
+                assert sup_norm(p) <= 2 * norms(p).w12 * slack
 
     def test_ev_bound(self):
         rng = np.random.default_rng(8)
