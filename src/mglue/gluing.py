@@ -4,11 +4,13 @@ the diffeomorphism-criterion verifier.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
-from .path_space import (DiscretePath, differentiate, l2_norm, norms,
-                         sup_norm, symmetric_grid, w12_gram, zero_path)
+from .path_space import (STENCIL_CACHE_SIZE, DiscretePath, differentiate,
+                         l2_norm, norms, sup_norm, symmetric_grid, w12_gram,
+                         zero_path)
 from .invariant_manifolds import (build_tangent_system, linear_half_path,
                                   log_linear_fit, shoot_stable,
                                   shoot_unstable, solve_tangent_lift,
@@ -82,18 +84,28 @@ def _half_samples_on(grid_T, half, T, side):
     return half.samples[idx]
 
 
+@lru_cache(maxsize=STENCIL_CACHE_SIZE)
+def _preglue_weights(cutoff, grid):
+    """The pre-gluing weights 1 - beta(s+2) and beta(s-2) at the grid's
+    nodes s, as read-only (n_nodes, 1) columns, cached per (cutoff, grid)."""
+    s = grid.nodes
+    left = (1.0 - cutoff(s + 2.0))[:, None]
+    right = cutoff(s - 2.0)[:, None]
+    left.setflags(write=False)
+    right.setflags(write=False)
+    return left, right
+
+
 def preglue(cutoff, w_plus, w_minus, T):
     """Pre-glued path on [-T, T] (T >= 3), on the grid of w_plus's spacing:
     w_T(s) = (1 - beta(s+2)) w_+(T+s) + beta(s-2) w_-(-T+s)."""
     if T < 3:
         raise ValueError("need T >= 3")
     grid = symmetric_grid(T, w_plus.grid.h)
-    s = grid.nodes
     wp = _half_samples_on(grid, w_plus, T, "stable")
     wm = _half_samples_on(grid, w_minus, T, "unstable")
-    b_left = 1.0 - cutoff(s + 2.0)
-    b_right = cutoff(s - 2.0)
-    return DiscretePath(grid, b_left[:, None] * wp + b_right[:, None] * wm)
+    b_left, b_right = _preglue_weights(cutoff, grid)
+    return DiscretePath(grid, b_left * wp + b_right * wm)
 
 
 RESID_BANDS = ((-3.0, -1.0), (1.0, 3.0))

@@ -260,7 +260,10 @@ def ift_certificate(F, delta, k, sample_count, rng, dim, fd_eps=1e-6,
     samples; on success spot-verify injectivity on random pairs and Newton
     preimage solves (to a residual of 1e-10) for targets in the
     delta/(2k)-ball.  `slack` is a multiplicative measurement cushion on the
-    two hypothesis bounds."""
+    two hypothesis bounds.  dF(0) is computed once: the variation samples
+    compare against it, and each preimage solve starts at x = 0 with it as
+    its first Newton step's Jacobian (2 dim evaluations of F fewer per
+    preimage for finite differences)."""
     newton_tol = 1e-10
     jac = (lambda x: dF(x)) if dF is not None else (
         lambda x: _fd_jacobian(F, x, fd_eps))
@@ -303,12 +306,13 @@ def ift_certificate(F, delta, k, sample_count, rng, dim, fd_eps=1e-6,
             rng, n, np.linalg.norm)
         x = np.zeros(n)
         ok = False
-        for _ in range(50):
+        for step in range(50):
             r = F(x) - y
             if np.linalg.norm(r) <= newton_tol:
                 ok = True
                 break
-            x = x - np.linalg.solve(jac(x), r)
+            # the first step is taken at x = 0
+            x = x - np.linalg.solve(J0 if step == 0 else jac(x), r)
             if np.linalg.norm(x) > delta * (1 + 1e-9):
                 break
         else:

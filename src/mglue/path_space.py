@@ -139,8 +139,11 @@ def diff_matrix(grid):
 
 
 # grids whose stencil band stays cached: a (5, n_nodes) array each, 60 kB at
-# the 1501 nodes of S = 30, h = 0.02; also the (grid, dim) pairs whose L^2 and
-# W^{1,2} Grams stay cached, about 135 kB for the two at 1201 nodes, dim 2
+# the 1501 nodes of S = 30, h = 0.02; also the (grid, dim, n_stable) triples
+# whose flow-band template stays cached, a (6 dim + 1, n_nodes dim) array
+# each, about 230 kB at 1101 nodes, dim 2; and the (grid, dim) pairs whose
+# L^2 and W^{1,2} Grams and norm forms stay cached, about 135 kB for the two
+# Grams at 1201 nodes, dim 2
 STENCIL_CACHE_SIZE = 32
 
 
@@ -173,6 +176,28 @@ def kt_values(dim, n_stable, v_plus=0.0, v_minus=0.0):
                            np.broadcast_to(v_minus, (dim - n_stable,))])
 
 
+@lru_cache(maxsize=STENCIL_CACHE_SIZE)
+def _flow_band_template(grid, dim, n_stable):
+    """The J-independent part of _flow_band for dim components, read-only:
+    diff_matrix acting on each component, with the K_T boundary rows
+    (kt_rows) replaced by identity rows.  Cached per (grid, dim, n_stable),
+    so a factor copies it and adds only J."""
+    k = 2 * dim
+    size = grid.n_nodes * dim
+    diag = 2 * k
+    ab = np.zeros((size, 3 * k + 1)).T
+    # entry (p, q) of diff_matrix, |p - q| <= 2, acts on each component
+    # c as the entry (p dim + c, q dim + c): on row diag + (p - q) dim
+    ab[diag - k:diag + k + 1:dim] = np.repeat(_stencil_band(grid), dim, axis=1)
+    rows = kt_rows(grid.n_nodes, dim, n_stable)
+    j = rows[:, None] + np.arange(-k, k + 1)
+    inside = (j >= 0) & (j < size)
+    ab[(diag + rows[:, None] - j)[inside], j[inside]] = 0.0
+    ab[diag, rows] = 1.0
+    ab.setflags(write=False)
+    return ab
+
+
 def _flow_band(grid, jac_blocks, n_stable):
     """Collocation matrix of the linearized flow d/ds + J(s) on flattened
     node-major samples: diff_matrix acting on each component, plus the block
@@ -180,29 +205,27 @@ def _flow_band(grid, jac_blocks, n_stable):
     rows (kt_rows) replaced by identity rows.  The one-sided end stencils
     reach two nodes, so the band has kl = ku = k = 2 dim.  It is returned in
     Fortran-ordered LAPACK band storage, which dgbtrf factors in place: row
-    2k + i - j of column j holds entry (i, j), and rows 0..k-1 are zero."""
+    2k + i - j of column j holds entry (i, j), and rows 0..k-1 are zero.
+    It is a copy of the cached _flow_band_template with J added off the
+    K_T rows, so J there, even inf or nan, never reaches the matrix."""
     N, n, _ = jac_blocks.shape
     if N != grid.n_nodes:
         raise ValueError("Jacobian blocks do not match the grid")
-    k = 2 * n
-    size = N * n
-    diag = 2 * k
-    ab = np.zeros((size, 3 * k + 1)).T
+    diag = 4 * n
+    ab = _flow_band_template(grid, n, n_stable).copy(order="F")
     # by[r, q, c] is row r of ab in column q n + c, a view (splitting the
     # last axis of a Fortran-ordered array copies nothing); block q of J
     # holds the entries (q n + a, q n + b)
-    by = ab.reshape(3 * k + 1, N, n)
+    by = ab.reshape(-1, N, n)
     for a in range(n):
+        # row q n + a is a K_T row at the first node if a is stable, at the
+        # last node if not
+        q = slice(1, None) if a < n_stable else slice(None, -1)
         for b in range(n):
-            by[diag + a - b, :, b] = jac_blocks[:, a, b]
-    # entry (p, q) of diff_matrix, |p - q| <= 2, acts on each component
-    # c as the entry (p n + c, q n + c): on row diag + (p - q) n
-    ab[diag - k:diag + k + 1:n] += np.repeat(_stencil_band(grid), n, axis=1)
-    rows = kt_rows(N, n, n_stable)
-    j = rows[:, None] + np.arange(-k, k + 1)
-    inside = (j >= 0) & (j < size)
-    ab[(diag + rows[:, None] - j)[inside], j[inside]] = 0.0
-    ab[diag, rows] = 1.0
+            if a == b:
+                by[diag, q, b] += jac_blocks[q, a, b]
+            else:
+                by[diag + a - b, q, b] = jac_blocks[q, a, b]
     return ab
 
 
@@ -350,13 +373,20 @@ def w12_gram(grid, dim):
     return _read_only(G)
 
 
-def _gram_norm(gram, p):
-    v = p.samples.reshape(-1)
-    return float(np.sqrt(v @ (gram @ v)))
+@lru_cache(maxsize=STENCIL_CACHE_SIZE)
+def _norm_forms(grid, dim):
+    """The two quadratic forms of the norms on flattened node-major samples,
+    cached per (grid, dim): the diagonal of l2_gram as a read-only array,
+    and w12_gram."""
+    w = np.repeat(trapezoid_weights(grid), dim)
+    w.setflags(write=False)
+    return w, w12_gram(grid, dim)
 
 
 def l2_norm(p):
-    return _gram_norm(l2_gram(p.grid, p.dim), p)
+    v = p.samples.reshape(-1)
+    w, _ = _norm_forms(p.grid, p.dim)
+    return float(np.sqrt(v @ (w * v)))
 
 
 def sup_norm(p):
@@ -366,5 +396,9 @@ def sup_norm(p):
 
 def norms(p):
     """L2 and W^{1,2} norms of a path, each the square root of its Gram
-    quadratic form; an overflowing form gives inf or nan."""
-    return PathNorms(l2=l2_norm(p), w12=_gram_norm(w12_gram(p.grid, p.dim), p))
+    quadratic form (the L2 one as the weighted sum of the diagonal Gram, the
+    same bits as its matvec); an overflowing form gives inf or nan."""
+    v = p.samples.reshape(-1)
+    w, G = _norm_forms(p.grid, p.dim)
+    return PathNorms(l2=float(np.sqrt(v @ (w * v))),
+                     w12=float(np.sqrt(v @ (G @ v))))

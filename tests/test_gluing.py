@@ -169,6 +169,22 @@ class TestPreglue:
         b = preglue(cubic_cutoff(), wp, wm, 3.0)
         assert np.max(np.abs(a.samples - b.samples)) >= 1e-3
 
+    @pytest.mark.parametrize("cutoff", [quintic_cutoff(), cubic_cutoff()],
+                             ids=["quintic", "cubic"])
+    def test_cached_weights_same_bits_as_formula(self, c1_halves, cutoff):
+        # the weights come from a cache per (cutoff, grid); the pre-glued
+        # samples are those of the formula with the cutoff evaluated anew
+        wp, wm = c1_halves
+        T = 4.0
+        s = symmetric_grid(T, wp.grid.h).nodes
+        i = round(T / wp.grid.h)
+        want = ((1.0 - cutoff(s + 2.0))[:, None] * wp.samples[:2 * i + 1]
+                + cutoff(s - 2.0)[:, None] * wm.samples[-2 * i - 1:])
+        for _ in range(2):
+            got = preglue(cutoff, wp, wm, T).samples
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
 
 class TestCertifyApproxZero:
     def test_zero_halves(self, c1):

@@ -19,7 +19,9 @@ from mglue.path_space import (DiscretePath, FlowLU, _flow_band, diff_matrix,
                               make_grid, path_from_function, symmetric_grid,
                               zero_path)
 
-from test_path_space import assert_same_band
+from test_morse_model import model_3d
+from test_path_space import (assert_same_band, assert_same_bits,
+                             clear_stencil_caches, flow_band_reference)
 
 
 class TestDigits:
@@ -354,14 +356,14 @@ class TestAssembly:
 
         monkeypatch.setattr(path_space, "diff_matrix", stencil_without_node_4)
         grid = make_grid(0.0, 1.0, 0.05)
-        # the stencil band is cached per grid: drop any band built from the
-        # real diff_matrix, and the broken one on the way out
-        path_space._stencil_band.cache_clear()
+        # the stencil band and the flow-band template are cached: drop any
+        # built from the real diff_matrix, and the broken ones on the way out
+        clear_stencil_caches()
         try:
             with pytest.raises(RuntimeError, match="singular"):
                 FlowLU(grid, np.zeros((grid.n_nodes, 2, 2)), 1)
         finally:
-            path_space._stencil_band.cache_clear()
+            clear_stencil_caches()
 
 
 class TestStencilCache:
@@ -374,7 +376,7 @@ class TestStencilCache:
     def test_cold_and_warm_cache_same_bits(self, c1, shoot):
         base = shoot(c1, [0.3], 4.0)
         warm = self.factors(c1, base)
-        path_space._stencil_band.cache_clear()
+        clear_stencil_caches()
         cold = self.factors(c1, base)
         again = self.factors(c1, base)
         for a, b, c in zip(warm, cold, again):
@@ -389,7 +391,7 @@ class TestStencilCache:
             return diff_matrix(grid)
 
         monkeypatch.setattr(path_space, "diff_matrix", counted_diff_matrix)
-        path_space._stencil_band.cache_clear()
+        clear_stencil_caches()
         grid = make_grid(0.0, 2.0, 0.05)
         for _ in range(3):
             FlowLU(grid, np.ones((grid.n_nodes, 2, 2)), 1)
@@ -403,6 +405,20 @@ class TestStencilCache:
     def test_cache_is_bounded(self):
         assert path_space._stencil_band.cache_info().maxsize == \
             path_space.STENCIL_CACHE_SIZE
+
+    @pytest.mark.parametrize("name,seed", [("c1", [0.3]),
+                                           ("3d", [0.2, 0.2])])
+    def test_band_from_template_same_bits_as_reference(self, request, name,
+                                                       seed):
+        # the band copied from the cached template, with J added, is the
+        # former builder's band on the Jacobians along a stable half
+        model = model_3d() if name == "3d" else request.getfixturevalue(name)
+        base = shoot_stable(model, seed, 4.0)
+        jac = model.dgrad_tensor(base.samples, 1)
+        for _ in range(2):
+            assert_same_bits(_flow_band(base.grid, jac, model.n_stable),
+                             flow_band_reference(base.grid, jac,
+                                                 model.n_stable))
 
 
 def tangent_forcing_references(model, w, W, ell, args):

@@ -8,10 +8,11 @@ from mglue.gluing import flow_problem, preglue, quintic_cutoff, shoot_halves
 from mglue.invariant_manifolds import build_tangent_system, solve_tangent_lift
 from mglue.linear_theory import LinearTheory
 from mglue.newton_picard import (MAX_ITER, TOL_ZERO, ContractionError,
-                                 NPProblem, NPResult, _fd_jacobian,
-                                 _neumann_solve, estimate_c2,
-                                 ift_certificate, np_differential, np_solve,
-                                 np_tangent_solve, precondition_check)
+                                 IFTCertificate, NPProblem, NPResult,
+                                 _fd_jacobian, _neumann_solve, _unit,
+                                 estimate_c2, ift_certificate,
+                                 np_differential, np_solve, np_tangent_solve,
+                                 precondition_check)
 
 
 def xy2_problem(delta=2.0, c=1.0):
@@ -471,3 +472,111 @@ class TestIFT:
             return np.array([x[0], 0.0 * x[1]])
         with pytest.raises(ValueError):
             ift_certificate(F, 0.5, 1.0, 10, rng, dim=2)
+
+
+def ift_certificate_reference(F, delta, k, sample_count, rng, dim,
+                              fd_eps=1e-6, slack=1.0, n_pairs=200,
+                              n_preimages=20, dF=None):
+    """The former ift_certificate, whose preimage solves evaluate the
+    Jacobian at x = 0 again on their first Newton step."""
+    jac = (lambda x: dF(x)) if dF is not None else (
+        lambda x: _fd_jacobian(F, x, fd_eps))
+    n = dim
+    J0 = jac(np.zeros(n))
+    inv0 = 1.0 / float(np.linalg.svd(J0, compute_uv=False)[-1])
+    assert inv0 <= k * slack
+    worst = 0.0
+    worst_x = np.zeros(n)
+    for _ in range(sample_count):
+        x = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(
+            rng, n, np.linalg.norm)
+        var = float(np.linalg.norm(jac(x) - J0, 2))
+        if var > worst:
+            worst, worst_x = var, x
+    assert worst <= slack / (2.0 * k)
+    inj_fail = 0
+    for _ in range(n_pairs):
+        x = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n,
+                                                           np.linalg.norm)
+        y = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n,
+                                                           np.linalg.norm)
+        if np.linalg.norm(x - y) < 1e-12:
+            continue
+        lhs = np.linalg.norm(F(x) - F(y))
+        if lhs < np.linalg.norm(x - y) / (2.0 * k) * (1 - 1e-6):
+            inj_fail += 1
+    pre_fail = 0
+    for _ in range(n_preimages):
+        y = delta / (2.0 * k) * rng.uniform(0, 1) ** (1.0 / n) * _unit(
+            rng, n, np.linalg.norm)
+        x = np.zeros(n)
+        ok = False
+        for _ in range(50):
+            r = F(x) - y
+            if np.linalg.norm(r) <= 1e-10:
+                ok = True
+                break
+            x = x - np.linalg.solve(jac(x), r)
+            if np.linalg.norm(x) > delta * (1 + 1e-9):
+                break
+        else:
+            ok = np.linalg.norm(F(x) - y) <= 1e-10
+        if not (ok and np.linalg.norm(x) <= delta * (1 + 1e-9)):
+            pre_fail += 1
+    return IFTCertificate(
+        ok=(inj_fail == 0 and pre_fail == 0),
+        inv_norm_at_0=inv0, k_bound=float(k),
+        max_variation=worst, variation_bound=1.0 / (2.0 * k),
+        injectivity_checked=n_pairs, injectivity_failures=inj_fail,
+        preimages_checked=n_preimages, preimage_failures=pre_fail,
+        worst_sample=worst_x, slack=float(slack))
+
+
+class TestIFTSavedWork:
+    A = np.array([[1.0, 0.2, 0.0], [0.0, 1.1, -0.1], [0.1, 0.0, 0.9]])
+
+    def counted_maps(self, dim):
+        """A mildly nonlinear map on R^dim and its differential, each
+        recording its calls."""
+        A = self.A[:dim, :dim]
+        calls = {"F": 0, "dF": 0}
+
+        def F(x):
+            calls["F"] += 1
+            return A @ x + 0.05 * x ** 2 + 0.02 * x[0] * x
+
+        def dF(x):
+            calls["dF"] += 1
+            return A + np.diag(0.1 * x + 0.02 * x[0]) + np.outer(
+                0.02 * x, np.eye(dim)[0])
+
+        return F, dF, calls
+
+    def run(self, certify, dim, analytic, seed=8):
+        F, dF, calls = self.counted_maps(dim)
+        rng = np.random.default_rng(seed)
+        cert = certify(F, 0.5, 2.0, 3, rng, dim=dim, fd_eps=1e-5, n_pairs=5,
+                       n_preimages=4, dF=dF if analytic else None)
+        return cert, calls, rng.bit_generator.state
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("analytic", [False, True])
+    def test_same_bits_as_former_loop(self, dim, analytic):
+        cert, _, state = self.run(ift_certificate, dim, analytic)
+        ref, _, ref_state = self.run(ift_certificate_reference, dim, analytic)
+        assert cert.ok and state == ref_state
+        for field in dataclasses.fields(IFTCertificate):
+            assert_same_bits(getattr(cert, field.name),
+                             getattr(ref, field.name))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_jacobian_at_zero(self, dim):
+        # each of the 4 preimage solves reuses dF(0): 2 dim evaluations of
+        # F fewer with finite differences, one call of dF fewer without
+        _, calls, _ = self.run(ift_certificate, dim, False)
+        _, ref_calls, _ = self.run(ift_certificate_reference, dim, False)
+        assert ref_calls["F"] - calls["F"] == 4 * 2 * dim
+        _, calls, _ = self.run(ift_certificate, dim, True)
+        _, ref_calls, _ = self.run(ift_certificate_reference, dim, True)
+        assert ref_calls["dF"] - calls["dF"] == 4
+        assert ref_calls["F"] == calls["F"]

@@ -156,6 +156,21 @@ class TestNorms:
                                 @ np.sum(p.samples ** 2, axis=1))
                 assert l2 == pytest.approx(trapz, rel=1e-13, abs=0.0)
 
+    def test_same_bits_as_gram_forms(self):
+        # L2 as the weighted sum v @ (w * v) is the diagonal Gram's matvec
+        # bit for bit, and norms reads both forms from one cached lookup
+        rng = np.random.default_rng(10)
+        for T, dim in ((3.0, 2), (8.0, 3), (1.0, 1)):
+            g = symmetric_grid(T, 0.02)
+            for scale in (1e-3, 1.0, 1e3):
+                p = DiscretePath(g, scale * rng.standard_normal(
+                    (g.n_nodes, dim)))
+                v = p.samples.reshape(-1)
+                l2 = float(np.sqrt(v @ (l2_gram(g, dim) @ v)))
+                w12 = float(np.sqrt(v @ (w12_gram(g, dim) @ v)))
+                assert l2_norm(p) == l2
+                assert norms(p) == path_space.PathNorms(l2=l2, w12=w12)
+
     def test_overflowing_derivative_raises(self):
         g = symmetric_grid(1.0, 0.05)
         samples = np.zeros((g.n_nodes, 2))
@@ -172,6 +187,11 @@ class TestNorms:
             assert gram(g, 2) is G
             for a in (G.data, G.indices, G.indptr):
                 assert not a.flags.writeable
+        w, G = path_space._norm_forms(g, 2)
+        assert path_space._norm_forms(g, 2)[0] is w
+        assert not w.flags.writeable
+        assert_same_csr(G, w12_gram(g, 2))
+        assert w.tobytes() == l2_gram(g, 2).diagonal().tobytes()
 
 
 class TestSobolevEmbedding:
@@ -293,6 +313,40 @@ def test_diff_matrix_matches_lil_reference(grid):
                                rtol=1e-12, atol=1e-9)
 
 
+def clear_stencil_caches():
+    """Drop the cached stencil bands and the flow-band templates built from
+    them, for a test that replaces diff_matrix."""
+    path_space._stencil_band.cache_clear()
+    path_space._flow_band_template.cache_clear()
+
+
+def flow_band_reference(grid, jac_blocks, n_stable):
+    """The former _flow_band: J written into a zero band, the stencil added
+    on each component, then the K_T rows zeroed and given a unit diagonal."""
+    N, n, _ = jac_blocks.shape
+    k = 2 * n
+    size = N * n
+    diag = 2 * k
+    ab = np.zeros((size, 3 * k + 1)).T
+    by = ab.reshape(3 * k + 1, N, n)
+    for a in range(n):
+        for b in range(n):
+            by[diag + a - b, :, b] = jac_blocks[:, a, b]
+    ab[diag - k:diag + k + 1:n] += np.repeat(path_space._stencil_band(grid),
+                                             n, axis=1)
+    rows = path_space.kt_rows(N, n, n_stable)
+    j = rows[:, None] + np.arange(-k, k + 1)
+    inside = (j >= 0) & (j < size)
+    ab[(diag + rows[:, None] - j)[inside], j[inside]] = 0.0
+    ab[diag, rows] = 1.0
+    return ab
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
 def band_to_dense(ab, k):
     """The dense matrix of LAPACK band storage with kl = ku = k."""
     size = ab.shape[1]
@@ -360,13 +414,63 @@ class TestDiagonalFlowLU:
         grid = symmetric_grid(3.0, 0.05)
         a, ns = (2.0, 1.0, -1.5), 2
         monkeypatch.setattr(path_space, "diff_matrix", scaled_ends)
-        path_space._stencil_band.cache_clear()
+        clear_stencil_caches()
         try:
             lu = DiagonalFlowLU(grid, a, ns)
             jac = np.broadcast_to(np.diag(a), (grid.n_nodes, 3, 3))
             band = FlowLU(grid, jac, ns)
         finally:
-            path_space._stencil_band.cache_clear()
+            clear_stencil_caches()
         assert (lu.mult_right, lu.mult_left) == (3.0, 5.0)
         rhs = np.random.default_rng(13).standard_normal(grid.n_nodes * 3)
         assert self.relerr(lu.solve(rhs), band.solve(rhs)) <= 1e-13
+
+
+class TestFlowBandTemplate:
+    @pytest.mark.parametrize("a,ns", DIAGONALS)
+    def test_diagonal_same_bits_as_reference(self, a, ns):
+        grid = symmetric_grid(3.0, 0.05)
+        jac = np.broadcast_to(np.diag(a), (grid.n_nodes, len(a), len(a)))
+        assert_same_bits(_flow_band(grid, jac, ns),
+                         flow_band_reference(grid, jac, ns))
+
+    @pytest.mark.parametrize("dim,ns", [(1, 0), (1, 1), (2, 1), (3, 2)])
+    def test_random_blocks_same_bits_as_reference(self, dim, ns):
+        # random blocks with signed zeros: off-diagonal entries keep their
+        # sign, diagonal ones are added to the stencil
+        grid = make_grid(0.0, 2.0, 0.05)
+        jac = np.random.default_rng(4).standard_normal(
+            (grid.n_nodes, dim, dim))
+        jac[::3] = -0.0
+        band = _flow_band(grid, jac, ns)
+        assert band.flags.f_contiguous and band.flags.writeable
+        assert_same_bits(band, flow_band_reference(grid, jac, ns))
+
+    def test_k_t_rows_stay_identity_rows(self):
+        # inf and nan in J on the K_T rows never reach the band: no inf * 0
+        grid = symmetric_grid(1.0, 0.05)
+        dim, ns = 3, 2
+        jac = np.ones((grid.n_nodes, dim, dim))
+        jac[0, :ns] = np.inf
+        jac[-1, ns:] = np.nan
+        M = band_to_dense(_flow_band(grid, jac, ns), 2 * dim)
+        rows = path_space.kt_rows(grid.n_nodes, dim, ns)
+        assert_same_bits(M[rows], np.eye(M.shape[0])[rows])
+        others = np.setdiff1d(np.arange(M.shape[0]), rows)
+        assert np.isfinite(M[others]).all()
+
+    def test_template_read_only_and_unchanged_by_factors(self):
+        grid = make_grid(0.0, 1.0, 0.05)
+        template = path_space._flow_band_template(grid, 2, 1)
+        before = template.copy()
+        with pytest.raises(ValueError):
+            template[8, 0] = 1.0
+        jac = np.random.default_rng(6).standard_normal((grid.n_nodes, 2, 2))
+        for _ in range(2):
+            FlowLU(grid, jac, 1)
+        assert path_space._flow_band_template(grid, 2, 1) is template
+        assert_same_bits(template, before)
+
+    def test_cache_is_bounded(self):
+        assert path_space._flow_band_template.cache_info().maxsize == \
+            path_space.STENCIL_CACHE_SIZE
