@@ -36,18 +36,6 @@ class Cutoff:
         out = np.polyval(self.poly, u)
         return np.where(s <= -1.0, 0.0, np.where(s >= 1.0, 1.0, out))
 
-    def derivative(self, s):
-        s = np.asarray(s, dtype=float)
-        u = (s + 1.0) / 2.0
-        dpoly = np.polyder(np.poly1d(list(self.poly)))
-        out = dpoly(np.clip(u, 0.0, 1.0)) * 0.5
-        return np.where((s <= -1.0) | (s >= 1.0), 0.0, out)
-
-    @property
-    def sup_dbeta(self):
-        s = np.linspace(-1, 1, 4001)
-        return float(np.max(np.abs(self.derivative(s))))
-
 
 def quintic_cutoff():
     """Smoothstep of order 5: 6u^5 - 15u^4 + 10u^3 (C^2 at the breakpoints)."""
@@ -175,7 +163,9 @@ class GlueReport:
     path: DiscretePath
     preglue_resid_l2: float
     np_iterations: int
-    residual_final: float       # sup over enforced flow rows of the output
+    # sup over the interior nodes (both end nodes excluded) of the
+    # Euclidean node norm of apply_F on the output
+    residual_final: float
     correction_norm: float
     bound_2c_F: float
     contraction_ratio_max: float
@@ -445,9 +435,8 @@ def tangent_convergence_sweep(model, cutoff, seeds, tangent_seeds, T_list,
         wt = _preglue_in_ball(cutoff, wp, wm, lt)
         xt = preglue(cutoff, lift_p, lift_m, T)
         prob = flow_problem(lt)
-        (x, xi), res = np_tangent_solve(
-            prob, wt.samples.reshape(-1), xt.samples.reshape(-1),
-            c2=1.0 / (4.0 * prob.c * prob.delta))
+        (x, xi), res = np_tangent_solve(prob, wt.samples.reshape(-1),
+                                        xt.samples.reshape(-1))
         gamma = DiscretePath(grid, x.reshape(-1, model.dim))
         tgamma = DiscretePath(grid, xi.reshape(-1, model.dim))
         base_ev = ev_error(gamma, wp, wm)

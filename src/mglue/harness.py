@@ -18,9 +18,8 @@ from .morse_model import (compute_constants, model_c1, model_e1,
 from .linear_theory import (LinearTheory, euclidean_gluing_reference,
                             gamma_svd_bounds, measured_projection_norm,
                             measured_q_norm)
-from .invariant_manifolds import (FitError, ShootError, decay_fit,
-                                  digit_map, partitions, shoot_stable,
-                                  shoot_unstable)
+from .invariant_manifolds import (FitError, decay_fit, digit_map,
+                                  partitions, shoot_stable, shoot_unstable)
 from .gluing import (certify_approx_zero, convergence_sweep, cubic_cutoff,
                      glue, preglue, quintic_cutoff, shoot_halves,
                      tangent_convergence_sweep)
@@ -470,7 +469,7 @@ def main(argv=None):
     except OSError as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
-    except (PreconditionError, ContractionError, ShootError, FitError) as e:
+    except (PreconditionError, ContractionError, FitError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 2
 

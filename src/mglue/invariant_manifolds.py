@@ -2,8 +2,9 @@
 
 Half-trajectories solve the downward gradient flow on a truncated half-line
 with projection boundary conditions, by collocation (the same second-order
-stencils as path_space.differentiate) and damped Newton, one banded LU
-(path_space.FlowLU) per step.  A half trajectory is a path: HalfTrajectory
+stencils as path_space.differentiate) and full Newton steps, one banded LU
+(path_space.FlowLU) per step; a step that does not reduce the residual ends
+the shoot with ShootError.  A half trajectory is a path: HalfTrajectory
 is a DiscretePath that also records its side, S and flow residual.  Tangent
 lifts solve the binary-indexed variational systems whose coefficients are
 enumerated by set partitions of digit sets; the identification theta reads
@@ -14,12 +15,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .newton_picard import ContractionError
 from .path_space import (DiscretePath, FlowLU, differentiate, kt_rows,
                          kt_values, make_grid, stencil_derivative)
 
 TOL_FLOW = 1e-9
 MAX_ITER = 50
-MAX_HALVINGS = 20
 
 
 # ---------------------------------------------------------------------------
@@ -112,8 +113,9 @@ class HalfTrajectory(DiscretePath):
     residual: float
 
 
-class ShootError(RuntimeError):
-    pass
+class ShootError(ContractionError):
+    """Newton's method for a half trajectory failed to contract: a full step
+    did not reduce the residual, or MAX_ITER steps did not reach TOL_FLOW."""
 
 
 def _half_grid(side, S, h_max):
@@ -171,30 +173,20 @@ def _shoot(model, seed, S, side, h_max):
     w = linear_half_path(model, side, seed, grid.nodes)
     res = _flow_res_with_bc(model, w, grid.h, bc_rows, bc_vals)
     rnorm = np.linalg.norm(res)
-    for it in range(MAX_ITER):
-        if _interior_residual(res, bc_rows) < TOL_FLOW:
-            break
+    for _ in range(MAX_ITER):
+        resid = _interior_residual(res, bc_rows)
+        if resid < TOL_FLOW:
+            return HalfTrajectory(grid, w, side=side, S=float(S),
+                                  residual=resid)
         step = FlowLU(grid, model.dgrad_tensor(w, 1), ns).solve(-res)
-        lam = 1.0
-        for _ in range(MAX_HALVINGS):
-            w_new = w + lam * step.reshape(N, n)
-            res_new = _flow_res_with_bc(model, w_new, grid.h, bc_rows,
-                                        bc_vals)
-            rnorm_new = np.linalg.norm(res_new)
-            if rnorm_new < rnorm or rnorm == 0.0:
-                break
-            lam *= 0.5
-        else:
-            raise ShootError("damped Newton stalled (seed outside "
-                             "computable neighborhood)")
-        w, res, rnorm = w_new, res_new, rnorm_new
-    else:
-        raise ShootError("Newton did not converge in %d iterations" % MAX_ITER)
-
-    resid = _interior_residual(res, bc_rows)
-    if resid > TOL_FLOW:
-        raise ShootError("flow residual %.3e above tol_flow" % resid)
-    return HalfTrajectory(grid, w, side=side, S=float(S), residual=resid)
+        w = w + step.reshape(N, n)
+        res = _flow_res_with_bc(model, w, grid.h, bc_rows, bc_vals)
+        rnorm_new = np.linalg.norm(res)
+        if not rnorm_new < rnorm:       # a nan residual stops here too
+            raise ShootError("Newton step did not reduce the flow residual "
+                             "(seed outside computable neighborhood)")
+        rnorm = rnorm_new
+    raise ShootError("Newton did not converge in %d iterations" % MAX_ITER)
 
 
 def _flow_res_with_bc(model, w, h, bc_rows, bc_vals):

@@ -31,15 +31,9 @@ class NPProblem:
     x0: np.ndarray
     c: float                    # bound for ||Q||
     delta: float                # admissible-ball radius
-    norm_dom: callable = None   # domain norm (default Euclidean)
-    norm_cod: callable = None   # codomain norm (default Euclidean)
+    norm_dom: callable          # domain norm
+    norm_cod: callable          # codomain norm
     dN: callable = None         # x -> (v -> dN(x) v), analytic
-
-    def __post_init__(self):
-        if self.norm_dom is None:
-            object.__setattr__(self, "norm_dom", np.linalg.norm)
-        if self.norm_cod is None:
-            object.__setattr__(self, "norm_cod", np.linalg.norm)
 
     def F(self, x):
         """The map itself, D x + N(x)."""
@@ -154,19 +148,15 @@ def np_differential(p, x1, v):
     return _neumann_solve(p, x1, v - p.apply_Q(p.apply_D(v)))
 
 
-def np_tangent_solve(p, x1, xi1, c2=None):
+def np_tangent_solve(p, x1, xi1):
     """Tangent-map solve: Newton-Picard on the doubled problem
     TF(x, xi) = (F(x), dF(x) xi) with initial point (x0, 0), linear part
     D + D, remainder TN(x, xi) = (N(x), dN(x) xi), right inverse Q + Q (one
-    call of apply_Q on two columns) and the fiber-rescaled max norm.
-    Returns ((x, xi), NPResult)."""
+    call of apply_Q on two columns), p's c and delta, and the max norm
+    max(||x||, ||xi||) on both sides.  Returns ((x, xi), NPResult)."""
     x1 = np.asarray(x1, dtype=float)
     xi1 = np.asarray(xi1, dtype=float)
     n = x1.size
-    if c2 is None:
-        c2 = estimate_c2(p)
-    delta_hat = min(p.delta, 1.0 / (4.0 * p.c * max(c2, 1e-300)))
-    wt = delta_hat / p.delta
 
     def split(z, at):
         return z[:at], z[at:]
@@ -186,41 +176,25 @@ def np_tangent_solve(p, x1, xi1, c2=None):
 
     def tnorm_dom(z):
         x, xi = split(z, n)
-        return max(p.norm_dom(x), wt * p.norm_dom(xi))
+        return max(p.norm_dom(x), p.norm_dom(xi))
 
     def tnorm_cod(z):
         y, eta = split(z, z.size // 2)
-        return max(p.norm_cod(y), wt * p.norm_cod(eta))
+        return max(p.norm_cod(y), p.norm_cod(eta))
 
     tp = NPProblem(N=TN, apply_D=TD, apply_Q=TQ,
                    x0=np.concatenate([p.x0, np.zeros_like(p.x0)]),
-                   c=p.c, delta=delta_hat, norm_dom=tnorm_dom,
+                   c=p.c, delta=p.delta, norm_dom=tnorm_dom,
                    norm_cod=tnorm_cod)
     res = np_solve(tp, np.concatenate([x1, xi1]))
     x, xi = split(res.x, n)
     return (x, xi), res
 
 
-def estimate_c2(p, samples=5, rng=None):
-    """Sampled bound for ||d2F|| = ||d2N|| (D is linear) on the delta-ball
-    by finite differences of dN, with a 1.1 safety factor."""
-    if rng is None:
-        rng = np.random.default_rng(7)
-    n = len(np.asarray(p.x0))
-    worst = 0.0
-    e = 1e-4 * p.delta
-    for _ in range(samples):
-        x = np.asarray(p.x0) + p.delta * 0.5 * _unit(rng, n, p.norm_dom)
-        u = _unit(rng, n, p.norm_dom)
-        v = _unit(rng, n, p.norm_dom)
-        d2 = (p.dN(x + e * u)(v) - p.dN(x - e * u)(v)) / (2 * e)
-        worst = max(worst, p.norm_cod(d2))
-    return 1.1 * worst
-
-
-def _unit(rng, n, norm):
+def _unit(rng, n):
+    """A standard normal draw in R^n scaled to Euclidean norm 1."""
     v = rng.standard_normal(n)
-    return v / max(norm(v), 1e-300)
+    return v / max(np.linalg.norm(v), 1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -279,8 +253,7 @@ def ift_certificate(F, delta, k, sample_count, rng, dim, fd_eps=1e-6,
     worst = 0.0
     worst_x = np.zeros(n)
     for _ in range(sample_count):
-        x = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(
-            rng, n, np.linalg.norm)
+        x = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n)
         var = float(np.linalg.norm(jac(x) - J0, 2))
         if var > worst:
             worst, worst_x = var, x
@@ -291,10 +264,8 @@ def ift_certificate(F, delta, k, sample_count, rng, dim, fd_eps=1e-6,
     # conclusions (failures flag implementation bugs, hypotheses held)
     inj_fail = 0
     for _ in range(n_pairs):
-        x = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n,
-                                                           np.linalg.norm)
-        y = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n,
-                                                           np.linalg.norm)
+        x = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n)
+        y = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n)
         if np.linalg.norm(x - y) < 1e-12:
             continue
         lhs = np.linalg.norm(F(x) - F(y))
@@ -302,8 +273,7 @@ def ift_certificate(F, delta, k, sample_count, rng, dim, fd_eps=1e-6,
             inj_fail += 1
     pre_fail = 0
     for _ in range(n_preimages):
-        y = delta / (2.0 * k) * rng.uniform(0, 1) ** (1.0 / n) * _unit(
-            rng, n, np.linalg.norm)
+        y = delta / (2.0 * k) * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n)
         x = np.zeros(n)
         ok = False
         for step in range(50):

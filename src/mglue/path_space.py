@@ -113,15 +113,6 @@ def zero_path(grid, dim):
     return DiscretePath(grid, np.zeros((grid.n_nodes, dim)))
 
 
-def path_from_function(grid, fn, dim=None):
-    """Sample a vector-valued callable fn(s) -> R^dim at the grid nodes.
-    Each value is flattened, so fn may return shape (dim,) or (1, dim)."""
-    vals = np.array([np.ravel(fn(s)) for s in grid.nodes], dtype=float)
-    if dim is not None and vals.shape[1] != dim:
-        raise ValueError("function dimension mismatch")
-    return DiscretePath(grid, vals)
-
-
 def diff_matrix(grid):
     """Sparse (n_nodes, n_nodes) CSR matrix of the second-order stencils of
     differentiate: central differences at interior nodes, one-sided at the

@@ -233,8 +233,7 @@ def test_criterion_09_tangent_machinery(c1, cc):
                   solve_tangent_lift(c1, wm, build_tangent_system(1),
                                      [[1.0]])[0],
                   T).samples.reshape(-1)
-    (x, _), _ = np_tangent_solve(
-        prob, x1, xi1, c2=1.0 / (4.0 * cc.c_rightinv * cc.delta4))
+    (x, _), _ = np_tangent_solve(prob, x1, xi1)
     base_gap = float(np.max(np.abs(x - np_solve(prob, x1).x)))
 
     # differential norms of the corrected gluing at the origin: the

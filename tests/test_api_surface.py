@@ -38,8 +38,6 @@ ALLOWED = {
     ("newton_picard", "ift_certificate", "dF"):
         "entry point for the analytic differential of the gluing map "
         "(ROADMAP item 6)",
-    ("path_space", "path_from_function", "dim"):
-        "input check on the dimension of the sampled function",
     ("morse_model", "compute_constants", "C_decay"):
         "the decay prefactor that sets the paper's crossover time T0",
     ("gluing", "estimate_decay_constant"):
@@ -52,10 +50,6 @@ ALLOWED = {
     ("linear_theory", "d_restricted_min_sv"):
         "ker D_T = E_T as the reciprocal of the measured norm of glue's Q, "
         "checked against the dense reference",
-    ("path_space", "path_from_function"):
-        "sampling a closed-form path on a grid",
-    ("gluing", "Cutoff.sup_dbeta"):
-        "sup |beta'| in the pre-gluing norm bound",
 }
 
 

@@ -4,9 +4,11 @@ import os
 import numpy as np
 import pytest
 
-from mglue import harness
+from mglue import harness, invariant_manifolds
 from mglue.harness import (ConfigError, ExperimentConfig, load_config, main,
                            write_csv)
+
+from test_invariant_manifolds import TEXT_QUARTIC
 
 
 def write_cfg(tmp_path, name="exp.cfg", **over):
@@ -272,6 +274,37 @@ class TestCommands:
         assert captured.err.count("\n") == 1
         assert captured.out == ""
         assert not list(out.glob("decay_*"))
+
+    def test_decay_shooting_failure_exits_2(self, tmp_path, capsys,
+                                            monkeypatch):
+        # the quartic model's unstable half from seed 2 fails to shoot: a
+        # contraction failure, exit 2 with one error line and no decay file;
+        # the failing shoot stops at its first Newton step (the damped
+        # reference makes 50 factors there)
+        (tmp_path / "quartic.cfg").write_text(
+            "dim = 2\nindex = 1\neig = 1,-1\nnonlinearity = %s\n"
+            % TEXT_QUARTIC)
+        (tmp_path / "decay.cfg").write_text(
+            "model = quartic.cfg\nT_list = 3\nh = 0.02\nseed_minus = 2.0\n")
+        unstable_factors = []
+        lu = invariant_manifolds.FlowLU
+
+        def counting(grid, *rest):
+            if grid.nodes[-1] == 0.0:
+                unstable_factors.append(grid)
+            return lu(grid, *rest)
+
+        monkeypatch.setattr(invariant_manifolds, "FlowLU", counting)
+        out = tmp_path / "out"
+        assert main(["decay", "--config", str(tmp_path / "decay.cfg"),
+                     "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: Newton step did not reduce")
+        assert captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+        assert captured.out == ""
+        assert not list(out.glob("decay_*"))
+        assert 1 <= len(unstable_factors) <= 2
 
     def test_determinism_byte_identical(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, T_list="3,4", model="e1")

@@ -7,21 +7,26 @@ from scipy.integrate import solve_ivp
 from scipy.sparse import block_diag, csr_matrix, identity, kron
 
 from mglue.gluing import ev_error, preglue, quintic_cutoff
-from mglue.invariant_manifolds import (_tensor_forcing, build_tangent_system,
-                                       decay_fit,
+from mglue.invariant_manifolds import (MAX_ITER, TOL_FLOW, HalfTrajectory,
+                                       ShootError, _flow_res_with_bc,
+                                       _half_grid, _interior_residual,
+                                       _seed_values, _tensor_forcing,
+                                       build_tangent_system, decay_fit,
                                        digit_inverse, digit_map,
-                                       hamming_weight, partitions,
-                                       shoot_stable, shoot_unstable,
+                                       hamming_weight, linear_half_path,
+                                       partitions, shoot_stable,
+                                       shoot_unstable,
                                        solve_tangent_lift,
                                        theta_identification, theta_inverse)
 from mglue import path_space
+from mglue.morse_model import MorseModel, model_c1
 from mglue.path_space import (DiscretePath, FlowLU, _flow_band, diff_matrix,
-                              make_grid, path_from_function, symmetric_grid,
-                              zero_path)
+                              make_grid, symmetric_grid, zero_path)
 
 from test_morse_model import model_3d
 from test_path_space import (assert_same_band, assert_same_bits,
-                             clear_stencil_caches, flow_band_reference)
+                             clear_stencil_caches, flow_band_reference,
+                             path_from_function)
 
 
 class TestDigits:
@@ -172,6 +177,80 @@ class TestShooting:
         assert half.residual <= 1e-9
         assert np.linalg.norm(half.samples[0]) <= \
             2 * 0.3 * np.exp(-0.9 * cc.sigma * S)
+
+
+# a quartic model whose unstable half from seed 2 lies outside the
+# neighbourhood in which the shooting Newton iteration contracts
+TEXT_QUARTIC = "0.3*x1^2*x2^2 + 0.2*x1^3*x2 + 0.1*x2^4"
+
+
+def model_quartic():
+    return MorseModel(dim=2, index=1, eig=(1.0, -1.0),
+                      nonlinearity=TEXT_QUARTIC)
+
+
+def shoot_damped_reference(model, seed, S, side, h_max):
+    """The former _shoot: damped Newton, halving each step up to 20 times
+    until the residual 2-norm drops, ShootError when no halving does."""
+    seed = np.atleast_1d(np.asarray(seed, dtype=float))
+    n = model.dim
+    ns = model.n_stable
+    grid = _half_grid(side, S, h_max)
+    N = grid.n_nodes
+    bc_rows = path_space.kt_rows(N, n, ns)
+    bc_vals = _seed_values(model, side, seed)
+    w = linear_half_path(model, side, seed, grid.nodes)
+    res = _flow_res_with_bc(model, w, grid.h, bc_rows, bc_vals)
+    rnorm = np.linalg.norm(res)
+    for _ in range(MAX_ITER):
+        if _interior_residual(res, bc_rows) < TOL_FLOW:
+            break
+        step = FlowLU(grid, model.dgrad_tensor(w, 1), ns).solve(-res)
+        lam = 1.0
+        for _ in range(20):
+            w_new = w + lam * step.reshape(N, n)
+            res_new = _flow_res_with_bc(model, w_new, grid.h, bc_rows,
+                                        bc_vals)
+            rnorm_new = np.linalg.norm(res_new)
+            if rnorm_new < rnorm or rnorm == 0.0:
+                break
+            lam *= 0.5
+        else:
+            raise ShootError("damped Newton stalled")
+        w, res, rnorm = w_new, res_new, rnorm_new
+    else:
+        raise ShootError("Newton did not converge")
+    resid = _interior_residual(res, bc_rows)
+    if resid > TOL_FLOW:
+        raise ShootError("flow residual above tol_flow")
+    return HalfTrajectory(grid, w, side=side, S=float(S), residual=resid)
+
+
+class TestFullNewtonShoot:
+    """The shoot takes the full Newton step and stops at the first step
+    that does not reduce the residual 2-norm: the bits of the former damped
+    shoot wherever it succeeds, and a failure wherever it fails."""
+
+    @pytest.mark.parametrize("make_model",
+                             [model_c1, model_3d, model_quartic],
+                             ids=["c1", "3d", "quartic"])
+    @pytest.mark.parametrize("side", ["stable", "unstable"])
+    def test_same_bits_as_damped_shoot(self, make_model, side):
+        model = make_model()
+        shoot = shoot_stable if side == "stable" else shoot_unstable
+        size = model.n_stable if side == "stable" else model.index
+        for seed in (-3.0, -2.0, -1.0, -0.3, 0.3, 1.0, 2.0, 3.0):
+            try:
+                ref = shoot_damped_reference(model, [seed] * size, 12.0,
+                                             side, 0.02)
+            except ShootError:
+                with pytest.raises(ShootError):
+                    shoot(model, [seed] * size, 12.0)
+                continue
+            half = shoot(model, [seed] * size, 12.0)
+            assert_same_bits(half.samples, ref.samples)
+            assert half.residual.hex() == ref.residual.hex()
+            assert half.grid == ref.grid
 
 
 class TestTangentLift:

@@ -15,11 +15,12 @@ from mglue.linear_theory import (KernelElement, LinearTheory,
 from mglue.invariant_manifolds import shoot_stable, shoot_unstable
 from mglue.morse_model import MorseModel, compute_constants
 from mglue.path_space import (DiscretePath, _flow_band, diff_matrix, kt_rows,
-                              l2_gram, l2_norm, norms, path_from_function,
-                              sup_norm, w12_gram, zero_path)
+                              l2_gram, l2_norm, norms, sup_norm, w12_gram,
+                              zero_path)
 
 from test_morse_model import model_3d
-from test_path_space import assert_same_band, fourier_path
+from test_path_space import (assert_same_band, fourier_path,
+                             path_from_function)
 
 
 def interior_sup(p):

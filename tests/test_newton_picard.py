@@ -10,7 +10,7 @@ from mglue.linear_theory import LinearTheory
 from mglue.newton_picard import (MAX_ITER, TOL_ZERO, ContractionError,
                                  IFTCertificate, NPProblem, NPResult,
                                  _fd_jacobian, _neumann_solve, _unit,
-                                 estimate_c2, ift_certificate,
+                                 ift_certificate,
                                  np_differential, np_solve, np_tangent_solve,
                                  precondition_check)
 
@@ -29,7 +29,8 @@ def xy2_problem(delta=2.0, c=1.0):
         return lambda v: np.array([2 * x[1] * v[1]])
 
     return NPProblem(N=N, apply_D=lambda v: Dm @ v, apply_Q=lambda w: Qm @ w,
-                     x0=np.zeros(2), c=c, delta=delta, dN=dN)
+                     x0=np.zeros(2), c=c, delta=delta,
+                     norm_dom=np.linalg.norm, norm_cod=np.linalg.norm, dN=dN)
 
 
 def linear_problem(dF_scale=1.0):
@@ -42,7 +43,8 @@ def linear_problem(dF_scale=1.0):
 
     return NPProblem(N=lambda v: b, apply_D=lambda v: A @ v,
                      apply_Q=lambda w: Ainv @ w, x0=np.zeros(2), c=2.0,
-                     delta=10.0,
+                     delta=10.0, norm_dom=np.linalg.norm,
+                     norm_cod=np.linalg.norm,
                      dN=lambda x: lambda v: (dF_scale - 1.0) * (A @ v))
 
 
@@ -154,7 +156,7 @@ def assert_close(norm, x, ref):
 
 
 def flow_case_at(c1, cc, T):
-    """(flow problem, pre-glued x1, pre-glued tangent xi1, c2) of c1 at T
+    """(flow problem, pre-glued x1, pre-glued tangent xi1) of c1 at T
     from the seeds 0.3 / -0.2, as tangent_convergence_sweep sets them up."""
     lt = LinearTheory(c1, T, 0.02, cc)
     wp, wm = shoot_halves(lt, [0.3], [-0.2])
@@ -164,8 +166,7 @@ def flow_case_at(c1, cc, T):
     beta = quintic_cutoff()
     x1 = preglue(beta, wp, wm, T).samples.reshape(-1)
     xi1 = preglue(beta, lift_p, lift_m, T).samples.reshape(-1)
-    prob = flow_problem(lt)
-    return prob, x1, xi1, 1.0 / (4.0 * prob.c * prob.delta)
+    return flow_problem(lt), x1, xi1
 
 
 @pytest.fixture(scope="module", params=[3.0, 8.0])
@@ -205,13 +206,13 @@ class TestSavedWork:
                              "D": 2 * ref.iterations + 1,
                              "Q": ref.iterations}
 
-    def check_tangent(self, p, x1, xi1, c2, monkeypatch):
-        (x, xi), res = np_tangent_solve(p, x1, xi1, c2=c2)
+    def check_tangent(self, p, x1, xi1, monkeypatch):
+        (x, xi), res = np_tangent_solve(p, x1, xi1)
         with monkeypatch.context() as m:
             m.setattr(newton_picard, "np_solve", np_solve_remainder_reference)
-            (x_plain, xi_plain), plain = np_tangent_solve(p, x1, xi1, c2=c2)
+            (x_plain, xi_plain), plain = np_tangent_solve(p, x1, xi1)
             m.setattr(newton_picard, "np_solve", np_solve_reference)
-            (x_ref, xi_ref), ref = np_tangent_solve(p, x1, xi1, c2=c2)
+            (x_ref, xi_ref), ref = np_tangent_solve(p, x1, xi1)
         assert_same_bits(x, x_plain)
         assert_same_bits(xi, xi_plain)
         assert_same_result(res, plain)
@@ -220,20 +221,19 @@ class TestSavedWork:
         assert_close(p.norm_dom, xi, xi_ref)
 
     def test_flow_problem_np_solve(self, flow_case, monkeypatch):
-        p, x1, _, _ = flow_case
+        p, x1, _ = flow_case
         seen = count_apply_F(monkeypatch)
         self.check_np_solve(p, x1)
         assert seen == []
 
     def test_flow_problem_tangent_solve(self, flow_case, monkeypatch):
-        p, x1, xi1, c2 = flow_case
-        self.check_tangent(p, x1, xi1, c2, monkeypatch)
+        self.check_tangent(*flow_case, monkeypatch)
 
     @pytest.mark.parametrize("case", range(len(small_cases())))
     def test_small_problems(self, case, monkeypatch):
         p, x1, xi1 = small_cases()[case]
         self.check_np_solve(p, x1)
-        self.check_tangent(p, x1, xi1, None, monkeypatch)
+        self.check_tangent(p, x1, xi1, monkeypatch)
 
     def test_exact_zero_one_F_call(self):
         # F(x1) = D x1 + N(x1), and nothing else
@@ -247,14 +247,14 @@ class TestSavedWork:
         # first for the precondition's F), D x1 and D xi1 once, and one Q
         # call on two columns per iteration; former solves made 7 doubled
         # F calls, each two derivative stencils and an apply_F
-        p, x1, xi1, c2 = flow_case_at(c1, cc, 5.0)
+        p, x1, xi1 = flow_case_at(c1, cc, 5.0)
         cp, calls = counted(p)
         shapes = []
         apply_Q = cp.apply_Q
         cp = dataclasses.replace(
             cp, apply_Q=lambda v: shapes.append(v.shape) or apply_Q(v))
         seen = count_apply_F(monkeypatch)
-        _, res = np_tangent_solve(cp, x1, xi1, c2=c2)
+        _, res = np_tangent_solve(cp, x1, xi1)
         assert res.iterations == 7
         assert calls == {"N": 7, "dN": 7, "D": 2, "Q": 7}
         assert shapes == [(x1.size, 2)] * 7
@@ -329,7 +329,7 @@ class TestNpSolve:
         assert np.linalg.norm(corr - qd) <= 1e-10 * np.linalg.norm(corr)
 
     def test_flow_correction_in_image_of_q(self, flow_case):
-        p, x1, _, _ = flow_case
+        p, x1, _ = flow_case
         corr = np_solve(p, x1).x - x1
         qd = p.apply_Q(p.apply_D(corr))
         assert p.norm_dom(corr - qd) <= 1e-10 * p.norm_dom(corr)
@@ -443,12 +443,6 @@ class TestTangentSolve:
         assert abs(p.dF(x)(xi)[0]) <= 1e-9
         assert abs((xi - xi1)[1]) <= 1e-12    # xi - xi1 in im Q
 
-    def test_c2_estimate_positive(self):
-        # sampled directional estimate of the exact curvature norm 2
-        p = xy2_problem()
-        c2 = estimate_c2(p, samples=50, rng=np.random.default_rng(3))
-        assert 1.0 <= c2 <= 2.2 * 1.1
-
 
 class TestIFT:
     def test_identity_map(self):
@@ -488,18 +482,15 @@ def ift_certificate_reference(F, delta, k, sample_count, rng, dim,
     worst = 0.0
     worst_x = np.zeros(n)
     for _ in range(sample_count):
-        x = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(
-            rng, n, np.linalg.norm)
+        x = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n)
         var = float(np.linalg.norm(jac(x) - J0, 2))
         if var > worst:
             worst, worst_x = var, x
     assert worst <= slack / (2.0 * k)
     inj_fail = 0
     for _ in range(n_pairs):
-        x = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n,
-                                                           np.linalg.norm)
-        y = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n,
-                                                           np.linalg.norm)
+        x = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n)
+        y = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n)
         if np.linalg.norm(x - y) < 1e-12:
             continue
         lhs = np.linalg.norm(F(x) - F(y))
@@ -507,8 +498,7 @@ def ift_certificate_reference(F, delta, k, sample_count, rng, dim,
             inj_fail += 1
     pre_fail = 0
     for _ in range(n_preimages):
-        y = delta / (2.0 * k) * rng.uniform(0, 1) ** (1.0 / n) * _unit(
-            rng, n, np.linalg.norm)
+        y = delta / (2.0 * k) * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n)
         x = np.zeros(n)
         ok = False
         for _ in range(50):

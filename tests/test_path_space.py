@@ -8,8 +8,15 @@ from mglue.harness import path_csv_rows, write_csv
 from mglue.path_space import (DiagonalFlowLU, DiscretePath, FlowLU, Grid,
                               _flow_band, diff_matrix, differentiate,
                               grid_unit, l2_gram, l2_norm, make_grid, norms,
-                              path_from_function, sup_norm, symmetric_grid,
-                              trapezoid_weights, w12_gram, zero_path)
+                              sup_norm, symmetric_grid, trapezoid_weights,
+                              w12_gram, zero_path)
+
+
+def path_from_function(grid, fn):
+    """Sample a vector-valued callable fn(s) at the grid nodes.  Each value
+    is flattened, so fn may return shape (dim,) or (1, dim)."""
+    vals = np.array([np.ravel(fn(s)) for s in grid.nodes], dtype=float)
+    return DiscretePath(grid, vals)
 
 
 def evaluate_ends(p):
