@@ -57,9 +57,10 @@ class ExperimentConfig:
 
     Keys: model (builtin name or path to a model config file), cutoff
     (quintic|cubic), seed_plus, seed_minus (comma lists), T_list, h, out,
-    seed (rng), S, C_decay.  Any other key is a ConfigError, and so is a
-    non-finite number, a bad model file, a T or S off the grid of the paths,
-    S < 2 max(T_list), or a grid [0, S] of more than MAX_GRID_NODES nodes."""
+    seed (of the rng of compute_constants' delta_mu sampling), S, C_decay.
+    Any other key is a ConfigError, and so is a non-finite number, a bad
+    model file, a T or S off the grid of the paths, S < 2 max(T_list), or a
+    grid [0, S] of more than MAX_GRID_NODES nodes."""
 
     def __init__(self, raw, base_dir="."):
         unknown = sorted(set(raw) - set(_CONFIG_KEYS))
@@ -198,13 +199,11 @@ def cmd_constants(cfg):
     model = cfg.model
     consts = cfg.constants()
     slack = 1.0 + 5.0 * cfg.grid_h
-    master = cfg.rng()
     rows = []
     for T in cfg.T_list:
-        rng = np.random.default_rng(int(master.integers(2**63)))
         lt = LinearTheory(model, T, cfg.h, consts)
-        pi = measured_projection_norm(lt, rng)
-        q = measured_q_norm(lt, rng)
+        pi = measured_projection_norm(lt)
+        q = measured_q_norm(lt)
         gmax, gmin = gamma_svd_bounds(lt)
         rows.append([T, pi, consts.d_proj, q, consts.c_rightinv,
                      gmax, gmin, consts.k_gamma_inv])
@@ -303,12 +302,10 @@ def cmd_tangent(cfg):
     # projection norm for every m, and since d >= sqrt(8) > 1 the bound d
     # lies below d^(2^m).  One row per T therefore covers every order.
     slack = 1.0 + 5.0 * cfg.grid_h
-    master = cfg.rng()
     brows = []
     for T in cfg.T_list:
         lt = LinearTheory(model, T, cfg.h, consts)
-        rng = np.random.default_rng(master.integers(2**63))
-        brows.append([T, measured_projection_norm(lt, rng),
+        brows.append([T, measured_projection_norm(lt),
                       consts.d_proj * slack])
     write_csv(os.path.join(cfg.out, "tangent_norms.csv"),
               ["T", "norm_measured", "bound"], brows)
@@ -343,12 +340,13 @@ def cmd_decay(cfg):
 
 def _verify_checks(cfg):
     """Deterministic check matrix over the shipped models.  Yields
-    (name, measured, bound, ok) tuples."""
+    (name, measured, bound, ok) tuples; a check passes when measured <= bound,
+    or measured >= bound with at_least, unless ok is given."""
     out = []
 
-    def check(name, measured, bound, ok=None):
+    def check(name, measured, bound, ok=None, at_least=False):
         if ok is None:
-            ok = measured <= bound
+            ok = measured >= bound if at_least else measured <= bound
         out.append((name, float(measured), float(bound), bool(ok)))
 
     rng = cfg.rng()
@@ -367,7 +365,8 @@ def _verify_checks(cfg):
     gmax, gmin = gamma_svd_bounds(lt)
     check("E1 gamma operator norm", gmax, 1.0 + 1e-9)
     check("E1 gamma min singular value >= sqrt(1-e^-12)",
-          np.sqrt(1.0 - np.exp(-12.0 * ce.sigma)) - 1e-9, gmin)
+          gmin, np.sqrt(1.0 - np.exp(-12.0 * ce.sigma)) - 1e-9,
+          at_least=True)
 
     wp, wm = shoot_halves(lt, [0.5], [0.4])
     wt = preglue(beta, wp, wm, T)
@@ -399,15 +398,13 @@ def _verify_checks(cfg):
     check("C1 contraction ratio", repc.contraction_ratio_max, 0.55)
     fit = decay_fit(wpc, (2.0, wpc.S - 2.0))
     check("C1 stable-trajectory decay rate >= 0.9 sigma",
-          0.9 * cc.sigma, fit.rate)
+          fit.rate, 0.9 * cc.sigma, at_least=True)
 
-    m_rng = np.random.default_rng(rng.integers(2**63))
-    pi = measured_projection_norm(ltc, m_rng)
-    check("C1 measured projection norm <= d (1+5h)", pi,
+    check("C1 projection norm (exact) <= d (1+5h)",
+          measured_projection_norm(ltc),
           cc.d_proj * (1.0 + 5.0 * cfg.grid_h))
-    q = measured_q_norm(ltc, m_rng)
-    check("C1 measured right-inverse norm <= c (1+5h)", q,
-          cc.c_rightinv * (1.0 + 5.0 * cfg.grid_h))
+    check("C1 Duhamel Q norm (Lanczos, lower bound) <= c (1+5h)",
+          measured_q_norm(ltc), cc.c_rightinv * (1.0 + 5.0 * cfg.grid_h))
 
     check("digit set of 9 is {1,4}", 0.0, 0.0,
           ok=digit_map(9) == {1, 4})

@@ -115,7 +115,8 @@ class HalfTrajectory(DiscretePath):
 
 class ShootError(ContractionError):
     """Newton's method for a half trajectory failed to contract: a full step
-    did not reduce the residual, or MAX_ITER steps did not reach TOL_FLOW."""
+    did not reduce the residual, or MAX_ITER steps did not reach TOL_FLOW.
+    The message names the side and the seed."""
 
 
 def _half_grid(side, S, h_max):
@@ -183,10 +184,13 @@ def _shoot(model, seed, S, side, h_max):
         res = _flow_res_with_bc(model, w, grid.h, bc_rows, bc_vals)
         rnorm_new = np.linalg.norm(res)
         if not rnorm_new < rnorm:       # a nan residual stops here too
-            raise ShootError("Newton step did not reduce the flow residual "
-                             "(seed outside computable neighborhood)")
+            raise ShootError("%s half from seed %s: Newton step did not "
+                             "reduce the flow residual (seed outside "
+                             "computable neighborhood)"
+                             % (side, seed.tolist()))
         rnorm = rnorm_new
-    raise ShootError("Newton did not converge in %d iterations" % MAX_ITER)
+    raise ShootError("%s half from seed %s: Newton did not converge in %d "
+                     "iterations" % (side, seed.tolist(), MAX_ITER))
 
 
 def _flow_res_with_bc(model, w, h, bc_rows, bc_vals):

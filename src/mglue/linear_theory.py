@@ -10,20 +10,20 @@ the infinitesimal gluing map, and norm bounds.
 
 glue corrects with the discretized-operator solve, which maps flattened
 node-major samples of shape (size,) or (size, k) to arrays of that shape;
-mglue constants, mglue verify and criterion 04 measure the Duhamel Q.  A
-measured norm is the square root of the top eigenvalue of
-M^T G_out M v = lam G_in v for the Gram matrices G_out, G_in of
-path_space (l2_gram, w12_gram), which define the discrete norms: a converged
-standard-form Lanczos eigenvalue (eigsh) of U^{-T} M^T G_out M U^{-1}, with
-G_in = U^T U the banded Cholesky factor; q_matrix and projection_matrix
-return M as a LinearOperator.
+mglue constants, mglue verify and criterion 04 measure the Duhamel Q.  The
+norms are those of the Gram matrices of path_space (l2_gram, w12_gram).
+The kernel projection Pi = E S^T (projection_matrix) is a sparse matrix of
+rank n, and its W^{1,2} norm is exact: an n x n eigenproblem after one
+sparse solve.  The norms of the two right inverses from L^2 to W^{1,2} are
+converged Lanczos eigenvalues (eigsh) of M^T G_out M whitened by the
+diagonal L^2 weights, from a fixed start vector, so no measured norm
+depends on a seed.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg.lapack import dpbtrf, dtbtrs
 from scipy.sparse import csr_matrix, diags, identity
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
@@ -187,73 +187,56 @@ def euclidean_gluing_reference(lt, w_plus_0, w_minus_0):
 # ---------------------------------------------------------------------------
 # measured operator norms
 
-def _band_cholesky(gram):
-    """Upper Cholesky factor U, gram = U^T U, of a sparse symmetric positive
-    definite matrix, in LAPACK upper band storage (row kd + i - j of column j
-    holds U[i, j]) with kd the widest upper offset of gram's entries."""
-    g = gram.tocoo()
-    upper = g.col >= g.row
-    rows, cols = g.row[upper], g.col[upper]
-    kd = int(np.max(cols - rows))
-    ab = np.zeros((kd + 1, g.shape[0]))
-    np.add.at(ab, (kd + rows - cols, cols), g.data[upper])
-    U, info = dpbtrf(ab)
-    if info != 0:
-        raise RuntimeError("Gram matrix is not positive definite (dpbtrf "
-                           "info %d)" % info)
-    return U
-
-
-def _band_triangular_solve(U, b, trans):
-    """U^{-1} b (trans "N") or U^{-T} b (trans "T") for the band factor U."""
-    x, info = dtbtrs(U, b, trans=trans)
-    if info != 0:
-        raise RuntimeError("band triangular solve failed (dtbtrs info %d)"
-                           % info)
-    return x
-
-
-def measured_opnorm(M, gram_out, gram_in, rng):
-    """Largest singular value of the operator M between the weighted spaces
-    given by sparse Gram matrices: sqrt of the top eigenvalue of
-    M^T G_out M v = lam G_in v.  With G_in = U^T U (banded Cholesky), that is
-    the top eigenvalue of the symmetric U^{-T} M^T G_out M U^{-1}, converged
-    by implicitly restarted Lanczos in standard mode.  The start vector
-    comes from rng, so a fixed seed fixes every bit."""
-    n = M.shape[1]
-    U = _band_cholesky(gram_in)
+def measured_opnorm(M, gram_out, w_in):
+    """Largest singular value of the operator M from the L^2-type space of
+    the diagonal weights w_in (the diagonal of l2_gram) to the space of the
+    sparse Gram matrix gram_out: sqrt of the top eigenvalue of
+    M^T G_out M v = lam diag(w_in) v.  Whitened by dividing by sqrt(w_in),
+    that is the top eigenvalue of a symmetric matrix, converged by
+    implicitly restarted Lanczos in standard mode from the fixed start
+    vector (cos 0, cos 1, ..., cos(n-1)), so the value depends on M and the
+    two norms only.  On the shipped models that vector needs fewer Lanczos
+    steps than the mean of random starts, and the vector of ones up to
+    twice as many.  A Ritz value is a lower bound of the operator norm."""
+    root = np.sqrt(w_in)
+    n = root.size
 
     def matvec(x):
-        y = _band_triangular_solve(U, np.ravel(x), "N")
-        return _band_triangular_solve(U, M.T @ (gram_out @ (M @ y)), "T")
+        return M.T @ (gram_out @ (M @ (np.ravel(x) / root))) / root
 
     lam = eigsh(LinearOperator((n, n), dtype=float, matvec=matvec), k=1,
-                which="LA", v0=rng.standard_normal(n),
+                which="LA", v0=np.cos(np.arange(n)),
                 return_eigenvectors=False)
     return float(np.sqrt(lam[0]))
 
 
 def projection_matrix(lt):
-    """The kernel projection on flattened samples as a rank-n LinearOperator:
-    v -> E * v[kt_rows], with column i of E the kernel basis path of
-    component i; the adjoint puts the column sums of E * w on kt_rows."""
+    """The kernel projection Pi = E S^T on flattened samples as a sparse
+    matrix of rank n: S selects the kt_rows, and column kt_rows[c] of Pi is
+    column c of E, the kernel basis path of component c."""
     m = lt.model
-    rows = lt._kt_rows
     E = kernel_path(lt, KernelElement(np.ones(m.n_stable),
                                       np.ones(m.dim - m.n_stable))).samples
-
-    def rmatvec(w):
-        out = np.zeros(E.size)
-        out[rows] = np.sum(E * np.reshape(w, E.shape), axis=0)
-        return out
-
-    return LinearOperator((E.size, E.size), dtype=float, rmatvec=rmatvec,
-                          matvec=lambda v: (E * np.ravel(v)[rows]).ravel())
+    cols = np.tile(lt._kt_rows, lt.grid.n_nodes)
+    return csr_matrix((E.ravel(), (np.arange(E.size), cols)),
+                      shape=(E.size, E.size))
 
 
-def measured_projection_norm(lt, rng):
+def measured_projection_norm(lt):
+    """The exact W^{1,2} operator norm of Pi = E S^T, G = w12_gram: with
+    u = S^T v, |Pi v|_G^2 = u^T (E^T G E) u, and the least |v|_G^2 with
+    S^T v = u is u^T (S^T G^{-1} S)^{-1} u, so the norm is the square root
+    of the top eigenvalue of (E^T G E)(S^T G^{-1} S).  One sparse solve on
+    the n columns of S, then an n x n symmetric eigenproblem through the
+    Cholesky factor L L^T of S^T G^{-1} S."""
     G = w12_gram(lt.grid, lt.model.dim)
-    return measured_opnorm(projection_matrix(lt), G, G, rng)
+    rows = lt._kt_rows
+    S = np.zeros((G.shape[0], rows.size))
+    S[rows, np.arange(rows.size)] = 1.0
+    E = projection_matrix(lt) @ S
+    L = np.linalg.cholesky(splu(G.tocsc()).solve(S)[rows])
+    lam = np.linalg.eigvalsh(L.T @ (E.T @ (G @ E)) @ L)
+    return float(np.sqrt(lam[-1]))
 
 
 def q_matrix(lt):
@@ -273,9 +256,9 @@ def q_matrix(lt):
                           rmatvec=rmatvec)
 
 
-def measured_q_norm(lt, rng):
+def measured_q_norm(lt):
     return measured_opnorm(q_matrix(lt), w12_gram(lt.grid, lt.model.dim),
-                           l2_gram(lt.grid, lt.model.dim), rng)
+                           l2_gram(lt.grid, lt.model.dim).diagonal())
 
 
 def _q_exact_matrix(lt):
@@ -294,10 +277,10 @@ def _q_exact_matrix(lt):
                           rmatvec=rmatvec)
 
 
-def d_restricted_min_sv(lt, rng):
+def d_restricted_min_sv(lt):
     """Smallest singular value of D on K_T from W^{1,2} to L^2, measuring
     ker D_T = E_T: the reciprocal of the measured norm of apply_Q_exact,
     D's inverse on K_T, from L^2 to W^{1,2}."""
     return 1.0 / measured_opnorm(_q_exact_matrix(lt),
                                  w12_gram(lt.grid, lt.model.dim),
-                                 l2_gram(lt.grid, lt.model.dim), rng)
+                                 l2_gram(lt.grid, lt.model.dim).diagonal())

@@ -89,9 +89,11 @@ def np_solve(p, x1):
     Iterates Phi(x) = x1 - Q(N(x) + D x1) until the step norm drops below
     TOL_ZERO * max(1, ||x1||); step-size stopping bounds the distance to the
     fixed point through the geometric tail.  Each step costs one N, one Q
-    and one norm; D x1 comes from the precondition record.  The
-    admissibility bounds of precondition_check are measured and returned in
-    `precond`, not enforced."""
+    and one norm; D x1 comes from the precondition record.  A step of
+    non-finite norm (from a non-finite x1 or an overflow) raises
+    ContractionError at once.  The admissibility bounds of
+    precondition_check are measured and returned in `precond`, not
+    enforced."""
     x1 = np.asarray(x1, dtype=float)
     pre, f1, d1 = precondition_check(p, x1)
     tol = TOL_ZERO * max(1.0, p.norm_dom(x1))
@@ -109,6 +111,10 @@ def np_solve(p, x1):
         rhs = f1 if iters == 1 else p.N(x) + d1
         x_new = x1 - p.apply_Q(rhs)
         step = p.norm_dom(x_new - x)
+        if not np.isfinite(step):
+            # a nan ratio would pass the ratio test below
+            raise ContractionError("step %d has non-finite norm %r"
+                                   % (iters, step))
         if prev_step is not None and prev_step > 0:
             r = step / prev_step
             ratios.append(float(r))

@@ -183,7 +183,7 @@ class TestCommands:
                                                monkeypatch):
         measured = harness.measured_q_norm
         monkeypatch.setattr(harness, "measured_q_norm",
-                            lambda lt, rng: 10.0 * measured(lt, rng))
+                            lambda lt: 10.0 * measured(lt))
         cfg = write_cfg(tmp_path, T_list="3", model="e1")
         assert main(["constants", "--config", cfg,
                      "--out", str(tmp_path / "o")]) == 2
@@ -233,9 +233,10 @@ class TestCommands:
         cfg = write_cfg(tmp_path, T_list="3,4")
         files = ("tangent_sweep.csv", "tangent_norms.csv")
         runs = []
-        for name in ("a", "b"):
+        for name, seed in (("a", "1"), ("b", "2")):
             out = str(tmp_path / name)
-            assert main(["tangent", "--config", cfg, "--out", out]) == 0
+            assert main(["tangent", "--config", cfg, "--out", out,
+                         "--seed", seed]) == 0
             runs.append([open(os.path.join(out, f), "rb").read()
                          for f in files])
         assert runs[0] == runs[1]
@@ -299,19 +300,24 @@ class TestCommands:
         assert main(["decay", "--config", str(tmp_path / "decay.cfg"),
                      "--out", str(out)]) == 2
         captured = capsys.readouterr()
-        assert captured.err.startswith("error: Newton step did not reduce")
+        assert captured.err.startswith("error: unstable half from seed "
+                                       "[2.0]: Newton step did not reduce")
         assert captured.err.count("\n") == 1
         assert "Traceback" not in captured.err
         assert captured.out == ""
         assert not list(out.glob("decay_*"))
         assert 1 <= len(unstable_factors) <= 2
 
-    def test_determinism_byte_identical(self, tmp_path, capsys):
-        cfg = write_cfg(tmp_path, T_list="3,4", model="e1")
+    @pytest.mark.parametrize("model", ["e1", "c1"])
+    def test_constants_byte_identical_across_seeds(self, tmp_path, capsys,
+                                                   model):
+        # the measured norms use no rng, and the seed's delta_mu sampling
+        # reaches no column
+        cfg = write_cfg(tmp_path, T_list="3,4", model=model)
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
-        for out in (out1, out2):
+        for out, seed in ((out1, "1"), (out2, "2")):
             assert main(["constants", "--config", cfg, "--out", out,
-                         "--seed", "5"]) == 0
+                         "--seed", seed]) == 0
         a = open(os.path.join(out1, "constants.csv"), "rb").read()
         b = open(os.path.join(out2, "constants.csv"), "rb").read()
         assert a == b
@@ -324,6 +330,29 @@ class TestCommands:
         a = open(os.path.join(out1, "verify_report.txt"), "rb").read()
         b = open(os.path.join(out2, "verify_report.txt"), "rb").read()
         assert a == b
+
+    def test_verify_report_columns(self, tmp_path, capsys):
+        # a ">=" row prints its measured value under "measured" and its
+        # floor under "bound"; the norm rows name what they measure
+        cfg = write_cfg(tmp_path, T_list="3")
+        out = str(tmp_path / "out")
+        assert main(["verify", "--config", cfg, "--out", out]) == 0
+        rows = {}
+        for line in open(os.path.join(out, "verify_report.txt"),
+                         "rb").read().decode().split("\r\n")[:-2]:
+            name, rest = line.split(" measured ")
+            measured, bound, verdict = rest.replace("bound", "").split()
+            rows[name.strip()] = (float(measured), float(bound), verdict)
+        assert all(v == "PASS" for _, _, v in rows.values())
+        rate, floor, _ = rows["C1 stable-trajectory decay rate >= 0.9 sigma"]
+        assert rate == pytest.approx(0.99993, abs=1e-5)
+        assert floor == pytest.approx(0.9)
+        gmin, floor, _ = rows["E1 gamma min singular value >= sqrt(1-e^-12)"]
+        assert gmin == pytest.approx(np.sqrt(1.0 - np.exp(-12.0)), abs=1e-12)
+        assert floor == pytest.approx(gmin - 1e-9, abs=1e-12)
+        pi, d, _ = rows["C1 projection norm (exact) <= d (1+5h)"]
+        q, c, _ = rows["C1 Duhamel Q norm (Lanczos, lower bound) <= c (1+5h)"]
+        assert 1.0 < pi < d and 1.0 < q < c
 
     def test_glue_wrong_seed_dimension_exits_1(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, seed_plus="0.3,0.1")

@@ -356,6 +356,25 @@ class TestNpSolve:
         assert_same_bits(d1, p.apply_D(x1))
         assert rec["fx_norm"] == np.linalg.norm(f1)
 
+    @pytest.mark.parametrize("start", [1e120, np.nan])
+    def test_non_finite_step_stops_at_once(self, start):
+        # N(1e120) overflows to inf and a nan start stays nan: the first
+        # step has no finite norm, and its nan ratios would pass the ratio
+        # test for all MAX_ITER steps
+        calls = []
+
+        def N(x):
+            calls.append(1)
+            return 1e3 * x**3
+
+        p = NPProblem(N=N, apply_D=lambda x: x, apply_Q=lambda y: y,
+                      x0=np.zeros(3), c=1.0, delta=1.0,
+                      norm_dom=np.linalg.norm, norm_cod=np.linalg.norm)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ContractionError, match="non-finite"):
+                np_solve(p, np.array([start, 0.0, 0.0]))
+        assert len(calls) <= 2
+
 
 class TestNpDifferential:
     def test_identity_minus_p_at_origin(self):
