@@ -139,19 +139,17 @@ def _rate_over_T(rows, key):
     return fit if fit is not None else (float("inf"), 0.0, 1.0)
 
 
-def estimate_decay_constant(model, cutoff, seed_box, T_list):
-    """C(K+, K-) realized as the measured max over a 5 x 5 seed grid of
-    fitted prefactors, times a safety factor of 1.2."""
-    r_plus, r_minus = seed_box
-    S = 2.0 * max(T_list) + 6.0
-    worst = 0.0
-    for xp in np.linspace(-r_plus, r_plus, 5):
-        for ym in np.linspace(-r_minus, r_minus, 5):
-            wp = shoot_stable(model, [xp] * model.n_stable, S)
-            wm = shoot_unstable(model, [ym] * model.index, S)
-            fit = certify_approx_zero(model, cutoff, wp, wm, T_list)
-            worst = max(worst, fit["C_fit"])
-    return 1.2 * worst
+def estimate_decay_constant(model, cutoff, seed_pairs, T_list, S, h_max):
+    """C(K+, K-) realized as the max over the (stable seed, unstable seed)
+    pairs of the prefactors fitted to the pre-glued residual over T_list,
+    with the halves shot to S at spacing h_max, times a safety factor of
+    1.2."""
+    return 1.2 * max(
+        certify_approx_zero(model, cutoff,
+                            shoot_stable(model, sp, S, h_max=h_max),
+                            shoot_unstable(model, sm, S, h_max=h_max),
+                            T_list)["C_fit"]
+        for sp, sm in seed_pairs)
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,9 @@ from .linear_theory import (LinearTheory, euclidean_gluing_reference,
                             measured_q_norm)
 from .invariant_manifolds import (FitError, decay_fit, digit_map,
                                   partitions, shoot_stable, shoot_unstable)
-from .gluing import (certify_approx_zero, convergence_sweep, cubic_cutoff,
-                     glue, preglue, quintic_cutoff, shoot_halves,
-                     tangent_convergence_sweep)
+from .gluing import (convergence_sweep, cubic_cutoff,
+                     estimate_decay_constant, glue, preglue, quintic_cutoff,
+                     shoot_halves, tangent_convergence_sweep)
 from .newton_picard import TOL_ZERO, ContractionError, PreconditionError
 from .path_space import grid_unit, on_grid
 
@@ -57,7 +57,9 @@ class ExperimentConfig:
 
     Keys: model (builtin name or path to a model config file), cutoff
     (quintic|cubic), seed_plus, seed_minus (comma lists), T_list, h, out,
-    seed (of the rng of compute_constants' delta_mu sampling), S, C_decay.
+    seed (of the rng of compute_constants' delta_mu sampling, so it reaches
+    delta_mu, T0 and glue's precondition record, not the measured norms),
+    S, C_decay.
     Any other key is a ConfigError, and so is a non-finite number, a bad
     model file, a T or S off the grid of the paths, S < 2 max(T_list), or a
     grid [0, S] of more than MAX_GRID_NODES nodes."""
@@ -247,11 +249,9 @@ def _decay_prefactor(cfg):
         return cfg.C_decay
     T_fit = cfg.T_list if len(cfg.T_list) >= 2 else [3.0, 5.0, 7.0]
     S = max(cfg.S, 2.0 * max(T_fit) + 2.0)
-    fit = certify_approx_zero(
-        cfg.model, cfg.cutoff,
-        shoot_stable(cfg.model, cfg.seed_plus, S, h_max=cfg.h),
-        shoot_unstable(cfg.model, cfg.seed_minus, S, h_max=cfg.h), T_fit)
-    return 1.2 * fit["C_fit"]
+    return estimate_decay_constant(cfg.model, cfg.cutoff,
+                                   [(cfg.seed_plus, cfg.seed_minus)], T_fit,
+                                   S, cfg.h)
 
 
 def cmd_converge(cfg):

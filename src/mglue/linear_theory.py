@@ -11,13 +11,13 @@ the infinitesimal gluing map, and norm bounds.
 glue corrects with the discretized-operator solve, which maps flattened
 node-major samples of shape (size,) or (size, k) to arrays of that shape;
 mglue constants, mglue verify and criterion 04 measure the Duhamel Q.  The
-norms are those of the Gram matrices of path_space (l2_gram, w12_gram).
-The kernel projection Pi = E S^T (projection_matrix) is a sparse matrix of
-rank n, and its W^{1,2} norm is exact: an n x n eigenproblem after one
-sparse solve.  The norms of the two right inverses from L^2 to W^{1,2} are
-converged Lanczos eigenvalues (eigsh) of M^T G_out M whitened by the
-diagonal L^2 weights, from a fixed start vector, so no measured norm
-depends on a seed.
+norms are those of path_space (the L^2 weights l2_weights and the W^{1,2}
+Gram w12_gram).  The kernel projection Pi = E S^T (projection_matrix) is a
+sparse matrix of rank n, and its W^{1,2} norm is exact: an n x n
+eigenproblem after one sparse solve.  The norm of the Duhamel Q from L^2 to
+W^{1,2} is a converged Lanczos eigenvalue (eigsh) of Q^T G_out Q whitened by
+the L^2 weights, from a fixed start vector, so no measured norm depends on
+a seed.
 """
 
 from dataclasses import dataclass
@@ -28,7 +28,7 @@ from scipy.sparse import csr_matrix, diags, identity
 from scipy.sparse.linalg import LinearOperator, eigsh, splu
 
 from .path_space import (DiagonalFlowLU, DiscretePath, differentiate,
-                         grid_unit, kt_rows, l2_gram, on_grid,
+                         grid_unit, kt_rows, l2_weights, on_grid,
                          symmetric_grid, w12_gram)
 
 
@@ -189,8 +189,8 @@ def euclidean_gluing_reference(lt, w_plus_0, w_minus_0):
 
 def measured_opnorm(M, gram_out, w_in):
     """Largest singular value of the operator M from the L^2-type space of
-    the diagonal weights w_in (the diagonal of l2_gram) to the space of the
-    sparse Gram matrix gram_out: sqrt of the top eigenvalue of
+    the diagonal weights w_in (l2_weights) to the space of the sparse Gram
+    matrix gram_out: sqrt of the top eigenvalue of
     M^T G_out M v = lam diag(w_in) v.  Whitened by dividing by sqrt(w_in),
     that is the top eigenvalue of a symmetric matrix, converged by
     implicitly restarted Lanczos in standard mode from the fixed start
@@ -258,29 +258,4 @@ def q_matrix(lt):
 
 def measured_q_norm(lt):
     return measured_opnorm(q_matrix(lt), w12_gram(lt.grid, lt.model.dim),
-                           l2_gram(lt.grid, lt.model.dim).diagonal())
-
-
-def _q_exact_matrix(lt):
-    """apply_Q_exact as a LinearOperator: M^{-1} P, with M the discretized D
-    (its per-component tridiagonal LU) and P the zeroing of the K_T rows, so
-    its adjoint P M^{-T} is the transposed solve with the K_T rows then set
-    to zero."""
-    def rmatvec(w):
-        out = lt._exact_lu.solve(np.ravel(w), trans=True)
-        out[lt._kt_rows] = 0.0
-        return out
-
-    size = lt.grid.n_nodes * lt.model.dim
-    return LinearOperator((size, size), dtype=float,
-                          matvec=lambda v: apply_Q_exact(lt, v),
-                          rmatvec=rmatvec)
-
-
-def d_restricted_min_sv(lt):
-    """Smallest singular value of D on K_T from W^{1,2} to L^2, measuring
-    ker D_T = E_T: the reciprocal of the measured norm of apply_Q_exact,
-    D's inverse on K_T, from L^2 to W^{1,2}."""
-    return 1.0 / measured_opnorm(_q_exact_matrix(lt),
-                                 w12_gram(lt.grid, lt.model.dim),
-                                 l2_gram(lt.grid, lt.model.dim).diagonal())
+                           l2_weights(lt.grid, lt.model.dim))

@@ -4,10 +4,11 @@ Paths live on [t_min, t_max] with an odd number of uniformly spaced nodes
 (so that s = 0 is a node whenever the interval is symmetric).  All operations
 are pure; Grid and DiscretePath instances are treated as immutable values.
 
-The discrete L^2 and W^{1,2} inner products are defined once, by their Gram
-matrices l2_gram and w12_gram (trapezoidal weights, and the diff_matrix
-stencil for the derivative); the norms are the square roots of their
-quadratic forms, and sup_norm is the one nodewise sup.
+The discrete L^2 inner product is defined once, by its diagonal weights
+l2_weights (the trapezoidal weights), and the W^{1,2} one by its Gram matrix
+w12_gram (those weights, and the diff_matrix stencil for the derivative);
+the norms are the square roots of their quadratic forms, and sup_norm is the
+one nodewise sup.
 """
 
 from dataclasses import dataclass
@@ -40,10 +41,6 @@ class Grid:
     @property
     def nodes(self):
         return self.t_min + self.h * np.arange(self.n_nodes)
-
-    @property
-    def span(self):
-        return self.t_max - self.t_min
 
 
 def grid_unit(h_max):
@@ -133,8 +130,8 @@ def diff_matrix(grid):
 # the 1501 nodes of S = 30, h = 0.02; also the (grid, dim, n_stable) triples
 # whose flow-band template stays cached, a (6 dim + 1, n_nodes dim) array
 # each, about 230 kB at 1101 nodes, dim 2; and the (grid, dim) pairs whose
-# L^2 and W^{1,2} Grams and norm forms stay cached, about 135 kB for the two
-# Grams at 1201 nodes, dim 2
+# L^2 weights and W^{1,2} Gram stay cached, about 115 kB for the two at 1201
+# nodes, dim 2
 STENCIL_CACHE_SIZE = 32
 
 
@@ -249,8 +246,8 @@ class DiagonalFlowLU:
     at the other end reaches two nodes; adding a multiple of its neighbour
     row (the row operation E_c) cancels that second off-diagonal entry, so
     T_c = E_c M_c is tridiagonal.  Each T_c is factored by dgttrf, and solve
-    applies M_c^{-1} = T_c^{-1} E_c or M_c^{-T} = E_c^T T_c^{-T} per
-    component by dgttrs, on the node-major layout of FlowLU."""
+    applies M_c^{-1} = T_c^{-1} E_c per component by dgttrs, on the
+    node-major layout of FlowLU."""
 
     def __init__(self, grid, a, n_stable):
         a = np.asarray(a, dtype=float)
@@ -285,9 +282,9 @@ class DiagonalFlowLU:
                                    "%d)" % info)
             self._factors.append(lu)
 
-    def solve(self, rhs, trans=False):
-        """The solution x of M x = rhs, or of M^T x = rhs if trans, for rhs
-        of shape (size,) or (size, k) in the node-major layout."""
+    def solve(self, rhs):
+        """The solution x of M x = rhs for rhs of shape (size,) or (size, k)
+        in the node-major layout."""
         N, n = self.shape
         if rhs.shape[0] != N * n:
             raise ValueError("right-hand side does not match the operator")
@@ -295,20 +292,15 @@ class DiagonalFlowLU:
         # b[c].T is component c as an (N, k) Fortran array for dgttrs
         b = np.empty((n, rhs.size // (N * n), N))
         b[...] = rhs.reshape(N, n, -1).transpose(1, 2, 0)
-        if not trans:
-            b[:ns, :, -1] += self.mult_right * b[:ns, :, -2]
-            b[ns:, :, 0] += self.mult_left * b[ns:, :, 1]
+        b[:ns, :, -1] += self.mult_right * b[:ns, :, -2]
+        b[ns:, :, 0] += self.mult_left * b[ns:, :, 1]
         out = np.empty((N, n, b.shape[1]))
         for c, lu in enumerate(self._factors):
-            x, info = dgttrs(*lu, b[c].T, trans="T" if trans else "N",
-                             overwrite_b=1)
+            x, info = dgttrs(*lu, b[c].T, overwrite_b=1)
             if info != 0:
                 raise RuntimeError("tridiagonal solve failed (dgttrs info "
                                    "%d)" % info)
             out[:, c] = x
-        if trans:
-            out[-2, :ns] += self.mult_right * out[-1, :ns]
-            out[1, ns:] += self.mult_left * out[0, ns:]
         return out.reshape(rhs.shape)
 
 
@@ -336,20 +328,15 @@ def trapezoid_weights(grid):
     return w
 
 
-def _read_only(gram):
-    for a in (gram.data, gram.indices, gram.indptr):
-        a.setflags(write=False)
-    return gram
-
-
 @lru_cache(maxsize=STENCIL_CACHE_SIZE)
-def l2_gram(grid, dim):
-    """Gram matrix of the discrete L^2 inner product (trapezoidal weights)
-    on flattened node-major samples: sparse, read-only, cached per
+def l2_weights(grid, dim):
+    """Weights of the discrete L^2 inner product (the trapezoidal weights,
+    repeated per component) on flattened node-major samples, the definition
+    of that product: <u, v> = u @ (w * v).  Read-only, cached per
     (grid, dim)."""
-    G = kron(diags(trapezoid_weights(grid)), identity(dim, format="csr"),
-             format="csr")
-    return _read_only(G)
+    w = np.repeat(trapezoid_weights(grid), dim)
+    w.setflags(write=False)
+    return w
 
 
 @lru_cache(maxsize=STENCIL_CACHE_SIZE)
@@ -361,23 +348,14 @@ def w12_gram(grid, dim):
     W = diags(trapezoid_weights(grid))
     D1 = diff_matrix(grid)
     G = kron(W + D1.T @ W @ D1, identity(dim, format="csr"), format="csr")
-    return _read_only(G)
-
-
-@lru_cache(maxsize=STENCIL_CACHE_SIZE)
-def _norm_forms(grid, dim):
-    """The two quadratic forms of the norms on flattened node-major samples,
-    cached per (grid, dim): the diagonal of l2_gram as a read-only array,
-    and w12_gram."""
-    w = np.repeat(trapezoid_weights(grid), dim)
-    w.setflags(write=False)
-    return w, w12_gram(grid, dim)
+    for a in (G.data, G.indices, G.indptr):
+        a.setflags(write=False)
+    return G
 
 
 def l2_norm(p):
     v = p.samples.reshape(-1)
-    w, _ = _norm_forms(p.grid, p.dim)
-    return float(np.sqrt(v @ (w * v)))
+    return float(np.sqrt(v @ (l2_weights(p.grid, p.dim) * v)))
 
 
 def sup_norm(p):
@@ -386,10 +364,8 @@ def sup_norm(p):
 
 
 def norms(p):
-    """L2 and W^{1,2} norms of a path, each the square root of its Gram
-    quadratic form (the L2 one as the weighted sum of the diagonal Gram, the
-    same bits as its matvec); an overflowing form gives inf or nan."""
+    """L2 and W^{1,2} norms of a path, each the square root of its quadratic
+    form (l2_weights, w12_gram); an overflowing form gives inf or nan."""
     v = p.samples.reshape(-1)
-    w, G = _norm_forms(p.grid, p.dim)
-    return PathNorms(l2=float(np.sqrt(v @ (w * v))),
-                     w12=float(np.sqrt(v @ (G @ v))))
+    return PathNorms(l2=float(np.sqrt(v @ (l2_weights(p.grid, p.dim) * v))),
+                     w12=float(np.sqrt(v @ (w12_gram(p.grid, p.dim) @ v))))

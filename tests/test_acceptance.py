@@ -127,7 +127,10 @@ def test_criterion_05_sobolev_constant():
 
 def test_criterion_06_evaluation_convergence(c1, cc):
     T_list = list(range(3, 11))
-    C = estimate_decay_constant(c1, BETA, (0.3, 0.3), T_list)
+    box = np.linspace(-0.3, 0.3, 5)
+    C = estimate_decay_constant(c1, BETA, [([xp], [ym]) for xp in box
+                                           for ym in box],
+                                T_list, 2.0 * max(T_list) + 6.0, 0.02)
     sw = convergence_sweep(c1, BETA, ([0.3], [0.3]), T_list, constants=cc)
     c = cc.c_rightinv
     over = 0

@@ -40,16 +40,11 @@ ALLOWED = {
         "(ROADMAP item 6)",
     ("morse_model", "compute_constants", "C_decay"):
         "the decay prefactor that sets the paper's crossover time T0",
-    ("gluing", "estimate_decay_constant"):
-        "the measured C(K+, K-) of the theorem regime (ROADMAP item 5)",
     ("newton_picard", "np_differential"):
         "differential of the Newton-Picard map, for the tangent lifts "
         "(ROADMAP item 6)",
     ("gluing", "linearized_glue_check"):
         "acceptance criterion 07: the linearized gluing map",
-    ("linear_theory", "d_restricted_min_sv"):
-        "ker D_T = E_T as the reciprocal of the measured norm of glue's Q, "
-        "checked against the dense reference",
 }
 
 

@@ -3,10 +3,8 @@ import pytest
 from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
 from scipy.sparse import csr_matrix, diags, identity, issparse, kron
 
-from mglue.linear_theory import (KernelElement, LinearTheory,
-                                 _q_exact_matrix, apply_D,
+from mglue.linear_theory import (KernelElement, LinearTheory, apply_D,
                                  apply_Q, apply_Q_exact,
-                                 d_restricted_min_sv,
                                  euclidean_gluing_reference,
                                  gamma_infinitesimal, gamma_svd_bounds,
                                  kernel_path, measured_opnorm,
@@ -15,7 +13,7 @@ from mglue.linear_theory import (KernelElement, LinearTheory,
 from mglue.invariant_manifolds import shoot_stable, shoot_unstable
 from mglue.morse_model import MorseModel, compute_constants
 from mglue.path_space import (DiscretePath, _flow_band, diff_matrix, kt_rows,
-                              l2_gram, l2_norm, norms, sup_norm, w12_gram,
+                              l2_norm, l2_weights, norms, sup_norm, w12_gram,
                               zero_path)
 
 from test_morse_model import model_3d
@@ -267,10 +265,10 @@ class TestEuclideanReference:
 
 class TestUniformity:
     def test_kernel_of_restricted_d_trivial(self, e1, ce):
-        vals = [d_restricted_min_sv(LinearTheory(e1, T, 0.02, ce))
-                for T in (3.0, 5.0, 8.0)]
+        vals = [d_restricted_min_sv_dense_reference(
+                    LinearTheory(e1, T, 0.05, ce)) for T in (3.0, 5.0, 8.0)]
         # grid-stable positive floor; the continuum bound 1/c is diluted by
-        # an O(sqrt(h)) boundary mode, so the floor is empirical at h = 0.02
+        # an O(sqrt(h)) boundary mode, so the floor is empirical at h = 0.05
         assert all(v >= 0.05 for v in vals)
         assert (max(vals) - min(vals)) / min(vals) <= 0.05
 
@@ -391,7 +389,7 @@ def test_norm_operators_match_dense_references(c1, cc):
 def test_measured_norms_match_dense_eigh(c1, cc, h):
     lt = LinearTheory(c1, 3.0, h, cc)
     Gw = w12_gram(lt.grid, c1.dim)
-    Gl = l2_gram(lt.grid, c1.dim)
+    Gl = diags(l2_weights(lt.grid, c1.dim))
     q = measured_q_norm(lt)
     assert q == pytest.approx(
         dense_opnorm_reference(q_matrix_dense_reference(lt), Gw, Gl),
@@ -435,7 +433,7 @@ def test_measured_norms_3d_match_dense_eigh(which):
     lt = LinearTheory(model, 3.0, 0.1,
                       compute_constants(model, rng=np.random.default_rng(0)))
     Gw = w12_gram(lt.grid, model.dim)
-    Gl = l2_gram(lt.grid, model.dim)
+    Gl = diags(l2_weights(lt.grid, model.dim))
     if which == "Q":
         got = measured_q_norm(lt)
         ref = dense_opnorm_reference(q_matrix_dense_reference(lt), Gw, Gl)
@@ -454,34 +452,52 @@ def test_measured_norms_share_one_gram(c1, cc):
     assert w12_gram(lt.grid, c1.dim) is w12_gram(fresh.grid, c1.dim)
 
     def measured(bundle):
-        return (measured_projection_norm(bundle),
-                measured_q_norm(bundle),
-                d_restricted_min_sv(bundle))
+        return measured_projection_norm(bundle), measured_q_norm(bundle)
 
     assert measured(lt) == measured(fresh)
 
 
 def d_restricted_min_sv_dense_reference(lt):
-    """The former computation: dense restrictions, Cholesky factors of both
-    Gram matrices and the full SVD of the whitened matrix."""
+    """Smallest singular value of D on K_T from W^{1,2} to L^2, the
+    reciprocal of the L^2 -> W^{1,2} norm of apply_Q_exact (D's inverse on
+    K_T): dense restrictions, Cholesky factors of both Gram matrices and the
+    full SVD of the whitened matrix."""
     n = lt.model.dim
     N = lt.grid.n_nodes
     keep = np.ones(N * n, dtype=bool)
     keep[kt_rows(N, n, lt.model.n_stable)] = False
     M = d_system_matrix_lil_reference(lt).toarray()[np.ix_(keep, keep)]
     Gin = w12_gram(lt.grid, n).toarray()[np.ix_(keep, keep)]
-    Gout = l2_gram(lt.grid, n).toarray()[np.ix_(keep, keep)]
+    Gout = np.diag(l2_weights(lt.grid, n)[keep])
     Lin = cholesky(Gin, lower=True)
     Lout = cholesky(Gout, lower=True)
     B = Lout.T @ solve_triangular(Lin, M.T, lower=True).T
     return float(np.min(svdvals(B)))
 
 
+@pytest.mark.parametrize("h,norm", [(0.05, 8.8064), (0.025, 12.5509),
+                                    (0.0125, 17.8188)])
+def test_glue_q_norm_grows_as_h_shrinks(c1, cc, h, norm):
+    # the L^2 -> W^{1,2} norm of the Q that glue corrects with grows like
+    # h^{-1/2}, far above the certified c = sqrt(5) (ROADMAP item 3)
+    lt = LinearTheory(c1, 3.0, h, cc)
+    assert 1.0 / d_restricted_min_sv_dense_reference(lt) == \
+        pytest.approx(norm, abs=5e-5)
+
+
 @pytest.mark.parametrize("T", [3.0, 5.0, 8.0])
-def test_d_restricted_min_sv_matches_dense_reference(e1, ce, T):
-    lt = LinearTheory(e1, T, 0.02, ce)
-    assert d_restricted_min_sv(lt) == \
-        pytest.approx(d_restricted_min_sv_dense_reference(lt), rel=1e-10)
+def test_apply_Q_exact_norm_is_the_reciprocal_dense_min_sv(e1, ce, T):
+    # the dense reference measures the Q that glue corrects with: apply_Q_exact
+    # on the unit vectors off the K_T rows, normed from L^2 to W^{1,2}
+    lt = LinearTheory(e1, T, 0.05, ce)
+    size = lt.grid.n_nodes * e1.dim
+    keep = np.ones(size, dtype=bool)
+    keep[lt._kt_rows] = False
+    Q = apply_Q_exact(lt, np.eye(size)[:, keep])
+    norm = dense_opnorm_reference(Q, w12_gram(lt.grid, e1.dim),
+                                  diags(l2_weights(lt.grid, e1.dim)[keep]))
+    assert norm == pytest.approx(1.0 / d_restricted_min_sv_dense_reference(lt),
+                                 rel=1e-9)
 
 
 def d_system_matrix_lil_reference(lt):
@@ -525,27 +541,16 @@ def bundle(name, request, T=3.0, h=0.05):
 
 
 @pytest.mark.parametrize("name", ["c1", "e1", "model_3d"])
-@pytest.mark.parametrize("trans", [False, True])
-def test_exact_lu_solves_the_lil_reference(request, name, trans):
+@pytest.mark.parametrize("T", [3.0, 8.0])
+def test_exact_lu_solves_the_lil_reference(request, name, T):
     # the stable and the unstable components take the two end-row branches
     # of the tridiagonal factor
-    lt = bundle(name, request)
+    lt = bundle(name, request, T=T)
     M = d_system_matrix_lil_reference(lt).toarray()
     rhs = np.random.default_rng(7).standard_normal(M.shape[0])
-    want = np.linalg.solve(M.T if trans else M, rhs)
-    assert np.max(np.abs(lt._exact_lu.solve(rhs, trans=trans) - want)) <= \
+    want = np.linalg.solve(M, rhs)
+    assert np.max(np.abs(lt._exact_lu.solve(rhs) - want)) <= \
         1e-12 * np.max(np.abs(want))
-
-
-def test_q_exact_adjoint(c1, cc):
-    # <Q x, y> = <x, Q^T y>: the transposed tridiagonal solve with the K_T
-    # rows zeroed is the adjoint of apply_Q_exact
-    lt = LinearTheory(c1, 3.0, 0.05, cc)
-    Q = _q_exact_matrix(lt)
-    rng = np.random.default_rng(8)
-    for _ in range(4):
-        x, y = rng.standard_normal((2, Q.shape[0]))
-        assert (Q @ x) @ y == pytest.approx(x @ (Q.T @ y), rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["c1", "model_3d"])

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.sparse import lil_matrix
+from scipy.sparse import diags, identity, kron, lil_matrix
 
 from mglue import path_space
 from mglue.harness import path_csv_rows, write_csv
 from mglue.path_space import (DiagonalFlowLU, DiscretePath, FlowLU, Grid,
                               _flow_band, diff_matrix, differentiate,
-                              grid_unit, l2_gram, l2_norm, make_grid, norms,
-                              sup_norm, symmetric_grid, trapezoid_weights,
-                              w12_gram, zero_path)
+                              grid_unit, l2_norm, l2_weights, make_grid,
+                              norms, sup_norm, symmetric_grid,
+                              trapezoid_weights, w12_gram, zero_path)
 
 
 def path_from_function(grid, fn):
@@ -26,7 +26,7 @@ def evaluate_ends(p):
 
 def fourier_path(grid, rng, dim=2, modes=10):
     """Random band-limited path: sum of <= `modes` Fourier modes."""
-    span = grid.span
+    span = grid.t_max - grid.t_min
     s = grid.nodes
     out = np.zeros((grid.n_nodes, dim))
     for _ in range(modes):
@@ -165,7 +165,7 @@ class TestNorms:
 
     def test_same_bits_as_gram_forms(self):
         # L2 as the weighted sum v @ (w * v) is the diagonal Gram's matvec
-        # bit for bit, and norms reads both forms from one cached lookup
+        # bit for bit, and the weights are that Gram's diagonal
         rng = np.random.default_rng(10)
         for T, dim in ((3.0, 2), (8.0, 3), (1.0, 1)):
             g = symmetric_grid(T, 0.02)
@@ -173,7 +173,11 @@ class TestNorms:
                 p = DiscretePath(g, scale * rng.standard_normal(
                     (g.n_nodes, dim)))
                 v = p.samples.reshape(-1)
-                l2 = float(np.sqrt(v @ (l2_gram(g, dim) @ v)))
+                gram = kron(diags(trapezoid_weights(g)),
+                            identity(dim, format="csr"), format="csr")
+                assert l2_weights(g, dim).tobytes() == \
+                    gram.diagonal().tobytes()
+                l2 = float(np.sqrt(v @ (gram @ v)))
                 w12 = float(np.sqrt(v @ (w12_gram(g, dim) @ v)))
                 assert l2_norm(p) == l2
                 assert norms(p) == path_space.PathNorms(l2=l2, w12=w12)
@@ -189,16 +193,13 @@ class TestNorms:
 
     def test_grams_are_cached_and_read_only(self):
         g = symmetric_grid(1.0, 0.05)
-        for gram in (l2_gram, w12_gram):
-            G = gram(g, 2)
-            assert gram(g, 2) is G
-            for a in (G.data, G.indices, G.indptr):
-                assert not a.flags.writeable
-        w, G = path_space._norm_forms(g, 2)
-        assert path_space._norm_forms(g, 2)[0] is w
+        w = l2_weights(g, 2)
+        assert l2_weights(g, 2) is w
         assert not w.flags.writeable
-        assert_same_csr(G, w12_gram(g, 2))
-        assert w.tobytes() == l2_gram(g, 2).diagonal().tobytes()
+        G = w12_gram(g, 2)
+        assert w12_gram(g, 2) is G
+        for a in (G.data, G.indices, G.indptr):
+            assert not a.flags.writeable
 
 
 class TestSobolevEmbedding:
@@ -389,19 +390,17 @@ class TestDiagonalFlowLU:
             assert self.relerr(got, band.solve(b)) <= 1e-13
 
     @pytest.mark.parametrize("a,ns", DIAGONALS)
-    def test_transposed_solve_matches_dense(self, a, ns):
+    def test_solve_matches_dense(self, a, ns):
         grid = symmetric_grid(3.0, 0.05)
         k = 2 * len(a)
         jac = np.broadcast_to(np.diag(a), (grid.n_nodes, len(a), len(a)))
         M = band_to_dense(_flow_band(grid, jac, ns), k)
         rhs = np.random.default_rng(12).standard_normal((M.shape[0], 2))
         lu = DiagonalFlowLU(grid, a, ns)
-        for trans, mat in ((False, M), (True, M.T)):
-            got = lu.solve(rhs, trans=trans)
-            assert self.relerr(got, np.linalg.solve(mat, rhs)) <= 1e-13
-            for j in range(2):
-                assert got[:, j].tobytes() == \
-                    lu.solve(rhs[:, j], trans=trans).tobytes()
+        got = lu.solve(rhs)
+        assert self.relerr(got, np.linalg.solve(M, rhs)) <= 1e-13
+        for j in range(2):
+            assert got[:, j].tobytes() == lu.solve(rhs[:, j]).tobytes()
 
     def test_wrong_length_rejected(self):
         lu = DiagonalFlowLU(symmetric_grid(3.0, 0.05), (1.0, -1.0), 1)
