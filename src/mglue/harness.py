@@ -57,9 +57,7 @@ class ExperimentConfig:
 
     Keys: model (builtin name or path to a model config file), cutoff
     (quintic|cubic), seed_plus, seed_minus (comma lists), T_list, h, out,
-    seed (of the rng of compute_constants' delta_mu sampling, so it reaches
-    delta_mu, T0 and glue's precondition record, not the measured norms),
-    S, C_decay.
+    seed (an integer that is parsed and reaches no output), S, C_decay.
     Any other key is a ConfigError, and so is a non-finite number, a bad
     model file, a T or S off the grid of the paths, S < 2 max(T_list), or a
     grid [0, S] of more than MAX_GRID_NODES nodes."""
@@ -132,12 +130,14 @@ class ExperimentConfig:
             raise ConfigError("S = %r is below 2 max(T_list) = %r"
                               % (self.S, 2.0 * max(self.T_list)))
 
-    def rng(self):
-        return np.random.default_rng(self.rng_seed)
-
     def constants(self):
-        return compute_constants(self.model, epsilon=self.epsilon,
-                                 delta_max=self.delta_max, rng=self.rng())
+        """The model's constants; a model without them (no positive
+        admissible radius) is a ConfigError."""
+        try:
+            return compute_constants(self.model, epsilon=self.epsilon,
+                                     delta_max=self.delta_max)
+        except ValueError as exc:
+            raise ConfigError("model constants: %s" % exc) from exc
 
 
 def load_config(path, out_override=None, seed_override=None):
@@ -349,9 +349,8 @@ def _verify_checks(cfg):
             ok = measured >= bound if at_least else measured <= bound
         out.append((name, float(measured), float(bound), bool(ok)))
 
-    rng = cfg.rng()
     e1 = model_e1()
-    ce = compute_constants(e1, rng=np.random.default_rng(rng.integers(2**63)))
+    ce = compute_constants(e1)
     check("E1 right-inverse constant c = sqrt(5)",
           abs(ce.c_rightinv - np.sqrt(5.0)), 1e-12)
     check("E1 projection constant d = 2*sqrt(2)",
@@ -387,7 +386,7 @@ def _verify_checks(cfg):
           rep.boundary_defect, 1e-14)
 
     c1 = model_c1()
-    cc = compute_constants(c1, rng=np.random.default_rng(rng.integers(2**63)))
+    cc = compute_constants(c1)
     ltc = LinearTheory(c1, T, cfg.h, cc)
     wpc, wmc = shoot_halves(ltc, [0.3], [0.3])
     repc = glue(c1, beta, wpc, wmc, T, ltc)
@@ -463,7 +462,7 @@ def main(argv=None):
         return 1
     try:
         return COMMANDS[args.command](cfg)
-    except OSError as e:
+    except (ConfigError, OSError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1
     except (PreconditionError, ContractionError, FitError) as e:

@@ -6,10 +6,17 @@ vanishes at 0.  f_nl is held as its monomial terms ((exponents), coefficient),
 the form sympy.Poly(...).terms() returns; sympy is imported only to read
 polynomial text.  The module provides the gradient, the derivative tensors of
 the gradient up to order 3, and all model-derived constants.
+
+The radii delta_mu rest on a certified bound on the deviation of the
+Hessian from A: one slope per degree of f_nl (deviation_slopes), the smaller
+of a Frobenius norm read off the coefficients and the max over a
+deterministic net on the sphere plus a Lipschitz term, and the root of the
+resulting polynomial in the radius.  No constant depends on a seed.
 """
 
-from dataclasses import dataclass, field
-from math import exp, log, sqrt
+from dataclasses import dataclass, field, replace
+from fractions import Fraction
+from math import exp, factorial, inf, log, prod, sqrt
 from operator import index
 
 import numpy as np
@@ -222,67 +229,127 @@ def k_gamma_formula(model):
     return 1.0 / (1.0 - exp(-12.0 * model.sigma))
 
 
-# sphere samples per dimension, and the factor on a sampled sup that covers
-# the sampling gap
-SPHERE_SAMPLES = 1000
-SAMPLING_SAFETY = 1.05
+# grid points per face of the cube whose faces x_i = +1, normalized, are the
+# deterministic net on half the unit sphere
+NET_FACE_POINTS = 1024
+# allowance for floating-point rounding: each net value may err by at most
+# ROUNDING times the Frobenius slope, and each slope by ROUNDING relative
+ROUNDING = 1e-9
 
 
-def _point_devs(model, z):
-    """||dgrad(z) - A||_op at each point of the batch z, unscaled."""
-    # batched (m, n, n) Hessian deviation, symmetric (the Hessian of the
-    # scalar perturbation)
-    dev = model.nonlinear_tensor(z, 1)
-    return np.abs(np.linalg.eigvalsh(dev)).max(axis=-1)
+def _frobenius_slope(part):
+    """F_k = ||T_k||_F/(k-2)! of the constant k-th derivative tensor T_k of
+    one degree-k part: the entries of monomial alpha equal c_alpha alpha! and
+    fill k!/alpha! places, so ||T_k||_F^2 = k! sum_alpha alpha! c_alpha^2.
+    The sum is exact, in rationals, so that no factorial overflows a float;
+    inf when F_k^2 does."""
+    k = sum(part[0][0])
+    square = sum(factorial(k) * prod(map(factorial, e)) * Fraction(c) ** 2
+                 for e, c in part) / factorial(k - 2) ** 2
+    try:
+        return sqrt(square)
+    except OverflowError:
+        return inf
 
 
-def _rho_mu(model, mu, c, rng, delta_max):
-    """Largest rho with sampled sup_{|z|<=rho} ||dgrad - A|| <= 1/(mu c),
-    by bisection to a resolution of 1e-6.
+def _sphere_net(dim):
+    """(unit vectors, r): the grid points with g steps per axis on the dim
+    faces x_i = +1 of the cube [-1, 1]^dim, normalized, and their chordal
+    covering radius r = sqrt(dim - 1)/g.  g is the largest with at most
+    NET_FACE_POINTS points per face.  No points (r = inf) when r >= 1:
+    there the net cannot beat the Frobenius slope (deviation_slopes).
 
-    Each probe first tries the sample that maximised the last evaluation
-    of all samples: if that one sample is above the target, so is the
-    sampled sup, and the probe ends there.  eigvalsh gives a matrix the same
-    bits alone as inside the batch, and rounding keeps SAMPLING_SAFETY * s
-    monotone in s, so every decision equals that of the full evaluation."""
-    target = 1.0 / (mu * c)
-    resolution = 1e-6
-    u = rng.standard_normal((SPHERE_SAMPLES * model.dim, model.dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-    worst = 0
+    Every unit u is within r of a net vector or of its negative: for i with
+    |u_i| maximal, x = u/|u_i| or -x lies on face i, within sqrt(dim - 1)/g
+    of a grid point p, and radial projection onto the sphere is 1-Lipschitz
+    outside the unit ball, where x and p lie."""
+    if dim == 1:
+        return np.ones((1, 1)), 0.0
+    g = int(NET_FACE_POINTS ** (1.0 / (dim - 1)) + 1e-9) - 1
+    if g * g <= dim - 1:
+        return np.empty((0, dim)), np.inf
+    axis = np.linspace(-1.0, 1.0, g + 1)
+    face = np.stack(np.meshgrid(*[axis] * (dim - 1), indexing="ij"),
+                    axis=-1).reshape(-1, dim - 1)
+    net = np.concatenate([np.insert(face, i, 1.0, axis=1)
+                          for i in range(dim)])
+    return net / np.linalg.norm(net, axis=1, keepdims=True), sqrt(dim - 1) / g
 
-    def within(rho):
-        nonlocal worst
-        # `not <=` rather than `>`: a NaN deviation fails here as it does in
-        # the full evaluation
-        one = _point_devs(model, rho * u[worst:worst + 1])
-        if not SAMPLING_SAFETY * float(one[0]) <= target:
-            return False
-        devs = _point_devs(model, rho * u)
-        worst = int(np.argmax(devs))
-        return SAMPLING_SAFETY * float(devs[worst]) <= target
 
-    cap = 2.0 * delta_max
-    if within(cap):
+def deviation_slopes(model):
+    """{k: s_k} for each degree k >= 2 of f_nl, with
+    sup_{|z| <= rho} ||dgrad(z) - A||_2 <= phi(rho) = sum_k s_k rho^(k-2).
+
+    The degree-k part of f_nl adds H_k(z) = T_k[z^(k-2)]/(k-2)! to dgrad - A,
+    where T_k is its constant k-th derivative tensor.  H_k is homogeneous of
+    degree k - 2, so s_k only has to bound ||H_k(u)||_2 over unit u.  It is
+    1 + ROUNDING times the smaller of two bounds:
+      F_k = ||T_k||_F/(k-2)!, since contracting with unit vectors does not
+        raise the Frobenius norm, which bounds the spectral norm;
+      max_net ||H_k(p)||_2 + L_k r + ROUNDING F_k over the net of
+        _sphere_net, which covers every unit u up to sign within r, and
+        ||H_k(-u)|| = ||H_k(u)||.  On the unit ball
+        dH_k(z)[w] = T_k[z^(k-3), w]/(k-3)!, so H_k is L_k-Lipschitz along
+        a chord, with L_k = ||T_k||_F/(k-3)! = (k-2) F_k.  ROUNDING F_k
+        covers the rounding of the net values: each entry, and so each
+        eigenvalue, errs by a few units of roundoff per term times F_k.
+    The factor 1 + ROUNDING covers the rounding of F_k and of the root taken
+    from phi.  The net is evaluated only where it can win, L_k r < F_k."""
+    net, r = _sphere_net(model.dim)
+    parts = {}
+    for e, c in model.nonlinearity:
+        parts.setdefault(sum(e), []).append((e, c))
+    slopes = {}
+    for k, part in sorted(parts.items()):
+        if k < 2:
+            continue  # a term of degree 1 does not reach the Hessian
+        frob = _frobenius_slope(part)
+        s = frob
+        if len(net) and (k - 2) * r < 1.0 and np.isfinite(frob):
+            dev = replace(model, nonlinearity=part).nonlinear_tensor(net, 1)
+            top = float(np.abs(np.linalg.eigvalsh(dev)).max())
+            s = min(s, top + (k - 2) * frob * r + ROUNDING * frob)
+        slopes[k] = s * (1.0 + ROUNDING)
+    return slopes
+
+
+def _admissible_radius(slopes, target, cap):
+    """Largest rho <= cap with phi(rho) = sum_k s_k rho^(k-2) <= target, by
+    bisection of the nondecreasing phi to float resolution."""
+    def phi(rho):
+        try:
+            return sum(s * rho ** (k - 2) for k, s in slopes.items())
+        except OverflowError:
+            return inf
+
+    if phi(cap) <= target:
         return cap  # nonlinearity too weak to bite before the cap
-    if not within(resolution):
-        raise ValueError("no positive admissible radius (degenerate scale)")
     lo, hi = 0.0, cap
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if within(mid):
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if phi(mid) <= target:
             lo = mid
         else:
             hi = mid
+    if lo == 0.0:
+        raise ValueError("no positive admissible radius (degenerate scale)")
     return lo
 
 
 def compute_constants(model, epsilon=None, C_decay=1.0, delta_max=1.0,
                       rng=None):
-    """All model-derived constants; delta_mu by bisection on the sampled
-    operator-norm deviation, T0 from the decay prefactor."""
-    if rng is None:
-        rng = np.random.default_rng(0)
+    """All model-derived constants: c, d and k from their formulas, delta_mu
+    from the certified deviation bound, T0 from the decay prefactor.  `rng`
+    is accepted and unread; no constant depends on a seed.
+
+    delta_mu = rho_mu / 2, where rho_mu is the largest rho <= 2 delta_max
+    with phi(rho) <= 1/(mu c) (deviation_slopes).  For |z| <= rho_mu,
+    splitting f_nl by degree,
+      ||dgrad(z) - A||_2 = ||sum_k H_k(z)||_2 <= sum_k ||H_k(z)||_2
+                         <= sum_k s_k |z|^(k-2) <= phi(rho_mu) <= 1/(mu c),
+    since each ||H_k(z)||_2 = |z|^(k-2) ||H_k(z/|z|)||_2 and phi is
+    nondecreasing; the last step holds to a few units of roundoff, which
+    the factor 1 + ROUNDING in each s_k covers.  No positive root (an
+    infinite slope, say) is a ValueError."""
     sigma = model.sigma
     if epsilon is None:
         epsilon = 0.9 * sigma
@@ -292,9 +359,11 @@ def compute_constants(model, epsilon=None, C_decay=1.0, delta_max=1.0,
     d = d_proj_formula(model)
     k = k_gamma_formula(model)
     mu_star = 4.0 * k + 1.0
+    slopes = deviation_slopes(model)
     delta_mu = {}
     for mu in (2.0, 4.0, mu_star):
-        delta_mu[mu] = 0.5 * _rho_mu(model, mu, c, rng, delta_max)
+        delta_mu[mu] = 0.5 * _admissible_radius(slopes, 1.0 / (mu * c),
+                                                2.0 * delta_max)
     delta4 = delta_mu[4.0]
     thresh = delta4 / (4.0 * c)
     if C_decay < thresh * exp(-epsilon * 3.0):

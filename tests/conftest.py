@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from mglue.morse_model import compute_constants, model_c1, model_e1
@@ -16,9 +15,9 @@ def c1():
 
 @pytest.fixture(scope="session")
 def ce(e1):
-    return compute_constants(e1, rng=np.random.default_rng(0))
+    return compute_constants(e1)
 
 
 @pytest.fixture(scope="session")
 def cc(c1):
-    return compute_constants(c1, rng=np.random.default_rng(0))
+    return compute_constants(c1)

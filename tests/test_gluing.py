@@ -88,9 +88,7 @@ class TestFlowProblemRemainder:
         # of the sum of their magnitudes
         model = model_3d() if name == "model_3d" else \
             request.getfixturevalue(name)
-        lt = LinearTheory(model, T, 0.02,
-                          compute_constants(model,
-                                            rng=np.random.default_rng(0)))
+        lt = LinearTheory(model, T, 0.02, compute_constants(model))
         p = flow_problem(lt)
         rng = np.random.default_rng(int(T))
         for scale in (0.05, 0.3, 1.0):
@@ -366,8 +364,7 @@ class TestDiffeo:
     def test_theta_defect_matches_pairwise_reference(self, request, name,
                                                      T):
         model = model_3d() if name == "3d" else request.getfixturevalue(name)
-        lt = LinearTheory(model, T, 0.02, compute_constants(
-            model, rng=np.random.default_rng(0)))
+        lt = LinearTheory(model, T, 0.02, compute_constants(model))
         assert theta_defect_norm(BETA, lt, 0.3) == pytest.approx(
             theta_defect_norm_reference(BETA, lt, 0.3), rel=1e-13, abs=0.0)
 

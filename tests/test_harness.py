@@ -8,7 +8,7 @@ from mglue import harness, invariant_manifolds
 from mglue.harness import (ConfigError, ExperimentConfig, load_config, main,
                            write_csv)
 
-from test_invariant_manifolds import TEXT_QUARTIC
+from test_morse_model import TEXT_QUARTIC
 
 
 def write_cfg(tmp_path, name="exp.cfg", **over):
@@ -308,11 +308,34 @@ class TestCommands:
         assert not list(out.glob("decay_*"))
         assert 1 <= len(unstable_factors) <= 2
 
+    def test_constants_overflowing_bound_exits_1(self, tmp_path, capsys):
+        # the certified deviation slope overflows, so no radius is admissible:
+        # a config error, one error line and no traceback
+        (tmp_path / "huge.cfg").write_text(
+            "dim = 2\nindex = 1\neig = 1,-1\nnonlinearity = 1e200*x1^2*x2\n")
+        cfg = write_cfg(tmp_path, model="huge.cfg")
+        out = tmp_path / "out"
+        assert main(["constants", "--config", cfg, "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ("error: model constants: no positive "
+                                "admissible radius (degenerate scale)\n")
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_constants_of_a_degree_171_model(self, tmp_path, capsys):
+        # 171! overflows a float, the slope read off the coefficient does not
+        (tmp_path / "high.cfg").write_text(
+            "dim = 2\nindex = 1\neig = 1,-1\nnonlinearity = x1^170*x2\n")
+        cfg = write_cfg(tmp_path, model="high.cfg")
+        out = tmp_path / "out"
+        assert main(["constants", "--config", cfg, "--out", str(out)]) == 0
+        assert capsys.readouterr().err == ""
+        assert (out / "constants.csv").exists()
+
     @pytest.mark.parametrize("model", ["e1", "c1"])
     def test_constants_byte_identical_across_seeds(self, tmp_path, capsys,
                                                    model):
-        # the measured norms use no rng, and the seed's delta_mu sampling
-        # reaches no column
+        # neither the constants nor the measured norms use an rng
         cfg = write_cfg(tmp_path, T_list="3,4", model=model)
         out1, out2 = str(tmp_path / "a"), str(tmp_path / "b")
         for out, seed in ((out1, "1"), (out2, "2")):

@@ -19,11 +19,11 @@ from mglue.invariant_manifolds import (MAX_ITER, TOL_FLOW, HalfTrajectory,
                                        solve_tangent_lift,
                                        theta_identification, theta_inverse)
 from mglue import path_space
-from mglue.morse_model import MorseModel, model_c1
+from mglue.morse_model import model_c1
 from mglue.path_space import (DiscretePath, FlowLU, _flow_band, diff_matrix,
                               make_grid, symmetric_grid, zero_path)
 
-from test_morse_model import model_3d
+from test_morse_model import model_3d, model_quartic
 from test_path_space import (assert_same_band, assert_same_bits,
                              clear_stencil_caches, flow_band_reference,
                              path_from_function)
@@ -177,16 +177,6 @@ class TestShooting:
         assert half.residual <= 1e-9
         assert np.linalg.norm(half.samples[0]) <= \
             2 * 0.3 * np.exp(-0.9 * cc.sigma * S)
-
-
-# a quartic model whose unstable half from seed 2 lies outside the
-# neighbourhood in which the shooting Newton iteration contracts
-TEXT_QUARTIC = "0.3*x1^2*x2^2 + 0.2*x1^3*x2 + 0.1*x2^4"
-
-
-def model_quartic():
-    return MorseModel(dim=2, index=1, eig=(1.0, -1.0),
-                      nonlinearity=TEXT_QUARTIC)
 
 
 def shoot_damped_reference(model, seed, S, side, h_max):

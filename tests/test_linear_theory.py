@@ -430,8 +430,7 @@ def test_measured_norms_3d_match_dense_eigh(which):
     # n = 3: Pi's norm is a 3 x 3 eigenproblem, and Q's Lanczos solve runs
     # on three components
     model = model_3d()
-    lt = LinearTheory(model, 3.0, 0.1,
-                      compute_constants(model, rng=np.random.default_rng(0)))
+    lt = LinearTheory(model, 3.0, 0.1, compute_constants(model))
     Gw = w12_gram(lt.grid, model.dim)
     Gl = diags(l2_weights(lt.grid, model.dim))
     if which == "Q":
@@ -533,7 +532,7 @@ def bundle(name, request, T=3.0, h=0.05):
     stable components and one unstable)."""
     if name == "model_3d":
         model = model_3d()
-        consts = compute_constants(model, rng=np.random.default_rng(0))
+        consts = compute_constants(model)
     else:
         model = request.getfixturevalue(name)
         consts = request.getfixturevalue({"e1": "ce", "c1": "cc"}[name])
@@ -608,6 +607,7 @@ def test_off_grid_T_rejected(c1, cc):
     with pytest.raises(ValueError, match="not a node"):
         LinearTheory(c1, 3.01, 0.02, cc)
     # ceil(T0 / h) h and twice it, as criterion 08 and its benchmark use
-    for T in (4.08, 8.16):
+    T0 = np.ceil(cc.T0 / 0.02) * 0.02
+    for T in (T0, 2 * T0):
         lt = LinearTheory(c1, T, 0.02, cc)
         assert lt.grid.t_max == pytest.approx(T, abs=1e-12)

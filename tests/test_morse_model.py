@@ -3,9 +3,9 @@ import pytest
 import sympy as sp
 
 from mglue import morse_model
-from mglue.morse_model import (SAMPLING_SAFETY, SPHERE_SAMPLES, TENSOR_ORDER,
-                               MorseModel, compute_constants,
-                               c_rightinv_formula, d_proj_formula,
+from mglue.morse_model import (ROUNDING, TENSOR_ORDER, MorseModel,
+                               compute_constants, c_rightinv_formula,
+                               d_proj_formula, deviation_slopes,
                                k_gamma_formula, model_c1, model_e1,
                                model_from_config, parse_flat_config,
                                polynomial_terms)
@@ -85,12 +85,15 @@ class TestConstants:
         assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
 
     def test_c1_delta4_vs_hand_bound(self, c1, cc):
-        # deviation matrix 2*lam*[[y,x],[x,0]] has norm <= 2*lam*(1+sqrt2)r
-        # on |z|<=r, so rho >= 1/(4*c*lam*(1+sqrt2))/safety; agree within 20%
+        # the deviation 2*lam*[[y,x],[x,0]] has norm at most 4*lam/sqrt(3) r
+        # on |z| <= r, with equality at y^2 = r^2/3, so rho_4 is the closed
+        # form 1/(4 c s_3) with s_3 just above 4*lam/sqrt(3)
         c = cc.c_rightinv
-        hand = 1.0 / (4 * c * LAM * (1 + np.sqrt(2))) / 1.05
         rho4 = 2 * cc.delta_mu[4.0]
-        assert abs(rho4 - hand) / hand <= 0.2
+        assert rho4 == pytest.approx(1.0 / (4 * c * deviation_slopes(c1)[3]),
+                                     rel=1e-15)
+        hand = 1.0 / (4 * c * 4 * LAM / np.sqrt(3))
+        assert hand * (1 - 2e-3) <= rho4 <= hand
 
     def test_t0_bound(self, cc):
         # C * exp(-eps*T0) < delta4 / (4c)
@@ -142,27 +145,12 @@ class TestConfig:
         assert eps is None and delta_max == 1.0
 
 
-def sampled_sup_dev(model, z):
-    """max over the points z of ||dgrad(z) - A||_op, scaled by the safety
-    factor for the sampling gap."""
-    return SAMPLING_SAFETY * float(np.max(morse_model._point_devs(model, z)))
-
-
-def sup_dgrad_deviation(model, rho, rng):
-    """Sampled sup over the sphere |z| = rho of ||dgrad(z) - A||_op,
-    scaled by a safety factor for the sampling gap."""
-    z = rng.standard_normal((SPHERE_SAMPLES * model.dim, model.dim))
-    z *= rho / np.linalg.norm(z, axis=1, keepdims=True)
-    return sampled_sup_dev(model, z)
-
-
-def test_sup_deviation_linear_model_zero(e1):
-    assert sup_dgrad_deviation(e1, 1.0, np.random.default_rng(0)) <= 1e-14
-
-
 C1_TEXT = "0.1*x1^2*x2"
 TEXT_3D = "0.1*x1^2*x2 + 0.05*x1*x2*x3 - 0.07*x3^3"
 TEXT_MIXED = "0.1*x1^2*x2 + 0.3*x1^4 - 0.2*x2^4"
+# a quartic model whose unstable half from seed 2 lies outside the
+# neighbourhood in which the shooting Newton iteration contracts
+TEXT_QUARTIC = "0.3*x1^2*x2^2 + 0.2*x1^3*x2 + 0.1*x2^4"
 
 
 # A cubic 3-D model: its Hessian entries are linear in z, so the derivative
@@ -172,9 +160,8 @@ def model_3d():
                       nonlinearity=TEXT_3D)
 
 
-# Cubic models have Hessian deviations linear in z, so the sample that
-# maximises the deviation is the same at every radius; here the quartic terms
-# move it between the probes of the bisection.
+# Two degrees, so the admissible radius is the root of a quadratic in rho
+# rather than a closed form.
 def model_mixed():
     return MorseModel(dim=2, index=1, eig=(1.0, -1.0),
                       nonlinearity=TEXT_MIXED)
@@ -263,71 +250,119 @@ class TestBatchedEvaluation:
                                   model.dgrad_tensor(Z[1, 2], order))
 
 
-def rho_mu_reference(model, mu, c, rng, delta_max):
-    """The former bisection for the admissible radius: every probe
-    evaluates all sampled directions."""
-    target = 1.0 / (mu * c)
-    resolution = 1e-6
-    u = rng.standard_normal((SPHERE_SAMPLES * model.dim, model.dim))
-    u /= np.linalg.norm(u, axis=1, keepdims=True)
-
-    def sup_dev(rho):
-        return sampled_sup_dev(model, rho * u)
-
-    cap = 2.0 * delta_max
-    if sup_dev(cap) <= target:
-        return cap
-    if sup_dev(resolution) > target:
-        raise ValueError("no positive admissible radius (degenerate scale)")
-    lo, hi = 0.0, cap
-    while hi - lo > resolution:
-        mid = 0.5 * (lo + hi)
-        if sup_dev(mid) <= target:
-            lo = mid
-        else:
-            hi = mid
-    return lo
+def model_quartic():
+    return MorseModel(dim=2, index=1, eig=(1.0, -1.0),
+                      nonlinearity=TEXT_QUARTIC)
 
 
-class TestEarlyExitBisection:
-    @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("make",
-                             [model_e1, model_c1, model_3d, model_mixed])
-    def test_constants_bit_equal_reference(self, monkeypatch, make, seed):
-        # e1 takes the cap path, the others bisect
+# The closed-form root of one degree may put phi a few units of roundoff
+# above its target; the factor 1 + ROUNDING in each slope covers that.
+ROOT_ROUNDING = 4 * np.finfo(float).eps
+
+
+def phi(slopes, rho):
+    """The certified deviation bound sum_k s_k rho^(k-2) at radius rho."""
+    return sum(s * rho ** (k - 2) for k, s in slopes.items())
+
+
+def ball_points(dim, rho, count, rng):
+    """count points drawn uniformly from the ball |z| <= rho."""
+    z = rng.standard_normal((count, dim))
+    z /= np.linalg.norm(z, axis=1, keepdims=True)
+    return z * rho * rng.uniform(size=(count, 1)) ** (1.0 / dim)
+
+
+class TestCertifiedSlopes:
+    def test_c1_slope_between_sup_and_net_bound(self, c1):
+        # the sup over unit z of ||dgrad(z) - A|| is 0.4/sqrt(3) exactly;
+        # the net adds at most ||T_3||_F r, the rounding allowance ROUNDING
+        exact = 0.4 / np.sqrt(3.0)
+        frob = morse_model._frobenius_slope(c1.nonlinearity)
+        r = morse_model._sphere_net(2)[1]
+        s3 = deviation_slopes(c1)[3]
+        assert exact <= s3
+        assert s3 <= (exact + frob * r + ROUNDING * frob) * (1 + ROUNDING)
+        assert s3 < frob  # the net wins over the Frobenius slope
+
+    @pytest.mark.parametrize("make", [model_c1, model_3d])
+    def test_frobenius_closed_form(self, make):
+        # cubic models: F_3 = ||T_3||_F/1!
         model = make()
-        got = compute_constants(model, rng=np.random.default_rng(seed))
-        monkeypatch.setattr(morse_model, "_rho_mu", rho_mu_reference)
-        ref = compute_constants(model, rng=np.random.default_rng(seed))
-        assert got.delta_mu == ref.delta_mu
-        assert got.T0 == ref.T0
+        frob = morse_model._frobenius_slope(model.nonlinearity)
+        assert frob == pytest.approx(
+            np.linalg.norm(model.nonlinear_tensor(np.zeros(model.dim), 2)),
+            rel=1e-14)
 
-    def test_fewer_full_evaluations(self, monkeypatch, c1):
-        full = []
-        point_devs = morse_model._point_devs
+    @pytest.mark.parametrize("dim", [2, 3, 4])
+    def test_net_covers_the_sphere_up_to_sign(self, dim):
+        net, r = morse_model._sphere_net(dim)
+        assert np.allclose(np.linalg.norm(net, axis=1), 1.0)
+        u = np.random.default_rng(dim).standard_normal((2000, dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        near = np.abs(u @ net.T).max(axis=1)  # cosine to the nearest +-net
+        assert np.sqrt(np.maximum(2.0 - 2.0 * near, 0.0)).max() <= r
 
-        def counting(model, z):
-            if len(z) > 1:
-                full.append(len(z))
-            return point_devs(model, z)
+    def test_linear_model_has_no_slopes(self, e1):
+        assert deviation_slopes(e1) == {}
 
-        monkeypatch.setattr(morse_model, "_point_devs", counting)
-        c = c_rightinv_formula(c1)
-        for mu in (2.0, 4.0, 4.0 * k_gamma_formula(c1) + 1.0):
-            counts = []
-            for rho_mu in (rho_mu_reference, morse_model._rho_mu):
-                full.clear()
-                rho_mu(c1, mu, c, np.random.default_rng(0), 1.0)
-                counts.append(len(full))
-            assert counts[0] == 23
-            assert counts[1] < counts[0]
+    @pytest.mark.parametrize("make", [model_e1, model_c1, model_3d,
+                                      model_mixed, model_quartic])
+    def test_sampled_never_exceeds_certified(self, make):
+        model = make()
+        cs = compute_constants(model)
+        slopes = deviation_slopes(model)
+        rng = np.random.default_rng(7)
+        for mu, delta in cs.delta_mu.items():
+            rho = 2.0 * delta
+            assert phi(slopes, rho) <= (1.0 + ROOT_ROUNDING) / (
+                mu * cs.c_rightinv)
+            z = ball_points(model.dim, rho, 10**5, rng)
+            dev = np.abs(np.linalg.eigvalsh(model.nonlinear_tensor(z, 1)))
+            assert dev.max() <= phi(slopes, rho)
 
-    def test_sup_deviation_value_kept(self, c1):
-        z = np.random.default_rng(4).standard_normal((SPHERE_SAMPLES * 2, 2))
-        z *= 0.3 / np.linalg.norm(z, axis=1, keepdims=True)
-        dev = c1.dgrad_tensor(z, 1) - c1.A
-        ref = SAMPLING_SAFETY * float(np.max(np.abs(np.linalg.eigvalsh(dev))))
-        assert sup_dgrad_deviation(c1, 0.3, np.random.default_rng(4)) == ref
+    @pytest.mark.parametrize("make", [model_c1, model_mixed, model_quartic])
+    def test_radius_is_the_largest_root(self, make):
+        # rho_mu is the largest rho with phi(rho) <= 1/(mu c), to float
+        # resolution
+        model = make()
+        cs = compute_constants(model)
+        slopes = deviation_slopes(model)
+        for mu, delta in cs.delta_mu.items():
+            target = 1.0 / (mu * cs.c_rightinv)
+            rho = 2.0 * delta
+            assert phi(slopes, rho) <= target * (1.0 + ROOT_ROUNDING)
+            assert phi(slopes, rho * (1 + 1e-14)) > target
+
+    @pytest.mark.parametrize("make", [model_e1, model_c1, model_3d,
+                                      model_mixed, model_quartic])
+    def test_constants_do_not_depend_on_rng(self, make):
+        model = make()
+        ref = compute_constants(model, rng=None)
+        for seed in range(5):
+            assert compute_constants(
+                model, rng=np.random.default_rng(seed)) == ref
+
+    def test_high_degree_slope_is_finite(self):
+        # 171! and 170! overflow a float, F_171 = 170 sqrt(171) does not
+        model = MorseModel(dim=2, index=1, eig=(1.0, -1.0),
+                           nonlinearity="x1^170*x2")
+        frob = morse_model._frobenius_slope(model.nonlinearity)
+        assert frob == pytest.approx(170.0 * np.sqrt(171.0), rel=1e-15)
+        cs = compute_constants(model)
+        slopes = deviation_slopes(model)
+        assert 0.0 < slopes[171] <= frob * (1 + ROUNDING)
+        # at a cap of 2000, s_171 rho^169 overflows a float before the root
+        assert compute_constants(model, delta_max=1e3).delta_mu == cs.delta_mu
+        z = ball_points(2, 2.0 * cs.delta_mu[2.0], 10**4,
+                        np.random.default_rng(3))
+        dev = np.abs(np.linalg.eigvalsh(model.nonlinear_tensor(z, 1)))
+        assert dev.max() <= phi(slopes, 2.0 * cs.delta_mu[2.0])
+
+    def test_overflowing_bound_raises(self):
+        huge = MorseModel(dim=2, index=1, eig=(1.0, -1.0),
+                          nonlinearity="1e200*x1^2*x2")
+        with pytest.raises(ValueError, match="no positive admissible radius"):
+            compute_constants(huge)
 
 
 class TestTermRepresentation:
