@@ -3,30 +3,33 @@
 Provides the operator D: zeta -> d/ds zeta + A zeta, the explicit kernel
 parametrization, the projection onto the kernel along the complement K_T
 (paths whose stable component vanishes at -T and unstable component at +T),
-two right inverses with image in K_T, each a solve with a cached LU (the
-componentwise exponential-integrator Duhamel recursion, a sparse LU, and the
-discretized operator, one tridiagonal LU per component since A is diagonal),
+two right inverses with image in K_T, each one banded solve per component
+since A is diagonal (the exponential-integrator Duhamel recursion, a unit
+bidiagonal dtbtrs solve, and the discretized operator, a tridiagonal LU),
 the infinitesimal gluing map, and norm bounds.
 
 glue corrects with the discretized-operator solve, which maps flattened
 node-major samples of shape (size,) or (size, k) to arrays of that shape;
 mglue constants, mglue verify and criterion 04 measure the Duhamel Q.  The
 norms are those of path_space (the L^2 weights l2_weights and the W^{1,2}
-Gram w12_gram).  The kernel projection Pi = E S^T (projection_matrix) is a
-sparse matrix of rank n, and its W^{1,2} norm is exact: an n x n
-eigenproblem after one sparse solve.  The norm of the Duhamel Q from L^2 to
-W^{1,2} is a converged Lanczos eigenvalue (eigsh) of Q^T G_out Q whitened by
-the L^2 weights, from a fixed start vector, so no measured norm depends on
-a seed.
+Gram w12_gram).  Q, both norms and the kernel projection Pi = E S^T
+(projection_matrix, a sparse matrix of rank n) decouple by component, so
+Pi's W^{1,2} norm has a closed form, a maximum over the components, and
+the norm of the Duhamel Q from L^2 to W^{1,2} is taken over the distinct
+rates |a_i|: a converged Lanczos eigenvalue (eigsh) of Q^T G_out Q whitened
+by the L^2 weights, from a fixed start vector, so no measured norm depends
+on a seed.
 """
 
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import csr_matrix, diags, identity
-from scipy.sparse.linalg import LinearOperator, eigsh, splu
+from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
+from scipy.sparse import csr_matrix
+from scipy.sparse.linalg import LinearOperator, eigsh
 
+from .morse_model import MorseModel
 from .path_space import (DiagonalFlowLU, DiscretePath, differentiate,
                          grid_unit, kt_rows, l2_weights, on_grid,
                          symmetric_grid, w12_gram)
@@ -68,26 +71,29 @@ class LinearTheory:
 
     @cached_property
     def _duhamel_lu(self):
-        """(LU of L, R, R^T) of the Duhamel right inverse
-        Q = L^{-1} R on node-major samples.  Row k*n + i of L z = R e is the
-        trapezoidal step z[k] - f z[p] = s h/2 (e[k] + f e[p]) of component
-        i, f = exp(-|a_i| h), from p = k - 1, s = 1 if stable and p = k + 1,
-        s = -1 if unstable.  The K_T rows, with no previous node p, read
-        z = 0.  q_matrix's adjoint multiplies by the stored R^T."""
-        m = self.model
-        N = self.grid.n_nodes
-        size = N * m.dim
-        keep = np.ones(size)
-        keep[kt_rows(N, m.dim, m.n_stable)] = 0.0
-        rows = np.flatnonzero(keep)
-        sign = np.tile(np.where(m.a > 0, 1, -1), N)
-        f = np.tile(np.exp(-np.abs(m.a) * self.grid.h), N)
-        step = csr_matrix((f[rows], (rows, rows - m.dim * sign[rows])),
-                          shape=(size, size))
-        eye = identity(size, format="csr")
-        half = diags(0.5 * self.grid.h * sign * keep)
-        R = half @ (eye + step)
-        return splu((eye - step).tocsc()), R, R.T
+        """(bands, r0, r1) of the Duhamel right inverse Q = L^{-1} R, one
+        system per component c since A is diagonal.  Row k of L_c z = R_c e
+        is the trapezoidal step z[k] - f z[p] = s h/2 (e[k] + f e[p]),
+        f = exp(-|a_c| h), from p = k - 1, s = 1 if c is stable and from
+        p = k + 1, s = -1 if not.  The K_T row, with no previous node p,
+        reads z = 0.  bands[c] is the unit bidiagonal L_c in LAPACK band
+        storage for dtbtrs (kd = 1, diag = 'U', so the unit row is unread):
+        -f below the diagonal (uplo = 'L') if c is stable, above it
+        (uplo = 'U') if not.  r0 = s h/2 and r1 = s h f/2, per component,
+        are the coefficients of R."""
+        a = self.model.a
+        h = self.grid.h
+        f = np.exp(-np.abs(a) * h)
+        bands = []
+        for c, fc in enumerate(f):
+            band = np.ones((2, self.grid.n_nodes), order="F")
+            if c < self.model.n_stable:
+                band[1, :-1] = -fc
+            else:
+                band[0, 1:] = -fc
+            bands.append(band)
+        r0 = np.where(a > 0, 0.5, -0.5) * h
+        return bands, r0[:, None], (r0 * f)[:, None]
 
 
 def _check_grid(lt, p):
@@ -113,17 +119,35 @@ def kernel_path(lt, ke):
     return DiscretePath(lt.grid, np.concatenate([plus, minus], axis=1))
 
 
+def _duhamel_solve(lt, rhs, trans):
+    """L^{-1} rhs (trans 'N') or L^{-T} rhs (trans 'T') of _duhamel_lu, for
+    rhs of shape (n, n_nodes) with row c component c: one dtbtrs per
+    component.  A unit triangular solve has no pivot that can vanish."""
+    ns = lt.model.n_stable
+    out = np.empty(rhs.shape)
+    for c, band in enumerate(lt._duhamel_lu[0]):
+        out[c] = dtbtrs(band, rhs[c], uplo="L" if c < ns else "U",
+                        trans=trans, diag="U")[0]
+    return out
+
+
 def apply_Q(lt, eta):
     """Right inverse by componentwise Duhamel recursion.
 
     Stable components integrate forward from -T with zero initial value,
     unstable components backward from +T; the in-kernel local integral uses
-    the trapezoidal rule.  One solve with the cached LU (_duhamel_lu); the
-    image lies in K_T exactly."""
+    the trapezoidal rule.  R applied on shifted slices, then one unit
+    bidiagonal solve per component (_duhamel_lu); the image lies in K_T
+    exactly."""
     _check_grid(lt, eta)
-    lu, R, _ = lt._duhamel_lu
-    z = lu.solve(R @ eta.samples.reshape(-1))
-    return DiscretePath(eta.grid, z.reshape(eta.samples.shape))
+    _, r0, r1 = lt._duhamel_lu
+    ns = lt.model.n_stable
+    e = eta.samples.T
+    # R e, with the K_T row (first node if stable, last if not) left at 0
+    rhs = np.zeros(e.shape)
+    rhs[:ns, 1:] = r0[:ns] * e[:ns, 1:] + r1[:ns] * e[:ns, :-1]
+    rhs[ns:, :-1] = r0[ns:] * e[ns:, :-1] + r1[ns:] * e[ns:, 1:]
+    return DiscretePath(eta.grid, _duhamel_solve(lt, rhs, "N").T)
 
 
 def apply_Q_exact(lt, eta):
@@ -200,9 +224,10 @@ def measured_opnorm(M, gram_out, w_in):
     twice as many.  A Ritz value is a lower bound of the operator norm."""
     root = np.sqrt(w_in)
     n = root.size
+    Mt = M.T
 
     def matvec(x):
-        return M.T @ (gram_out @ (M @ (np.ravel(x) / root))) / root
+        return Mt @ (gram_out @ (M @ (np.ravel(x) / root))) / root
 
     lam = eigsh(LinearOperator((n, n), dtype=float, matvec=matvec), k=1,
                 which="LA", v0=np.cos(np.arange(n)),
@@ -223,39 +248,87 @@ def projection_matrix(lt):
 
 
 def measured_projection_norm(lt):
-    """The exact W^{1,2} operator norm of Pi = E S^T, G = w12_gram: with
-    u = S^T v, |Pi v|_G^2 = u^T (E^T G E) u, and the least |v|_G^2 with
-    S^T v = u is u^T (S^T G^{-1} S)^{-1} u, so the norm is the square root
-    of the top eigenvalue of (E^T G E)(S^T G^{-1} S).  One sparse solve on
-    the n columns of S, then an n x n symmetric eigenproblem through the
-    Cholesky factor L L^T of S^T G^{-1} S."""
-    G = w12_gram(lt.grid, lt.model.dim)
-    rows = lt._kt_rows
-    S = np.zeros((G.shape[0], rows.size))
-    S[rows, np.arange(rows.size)] = 1.0
-    E = projection_matrix(lt) @ S
-    L = np.linalg.cholesky(splu(G.tocsc()).solve(S)[rows])
-    lam = np.linalg.eigvalsh(L.T @ (E.T @ (G @ E)) @ L)
-    return float(np.sqrt(lam[-1]))
+    """The exact W^{1,2} operator norm of Pi = E S^T, in closed form.  With
+    u = S^T v, |Pi v|_G^2 = u^T (E^T G E) u for G = w12_gram, and the least
+    |v|_G^2 with S^T v = u is u^T (S^T G^{-1} S)^{-1} u, so the norm is the
+    square root of the top eigenvalue of (E^T G E)(S^T G^{-1} S).  Both
+    factors are diagonal: G = kron(G1, I) does not couple components,
+    column c of E, the kernel basis path e_c, lives on component c, and
+    column c of S is the unit vector of node k_c of component c (the first
+    node if c is stable, the last if not).  So
+      |Pi|^2 = max_c (e_c^T G1 e_c) (G1^{-1})_{k_c k_c},
+    from one Cholesky factor (dpbtrf) of the pentadiagonal G1 and one solve
+    (dpbtrs) on the unit vectors of the two end nodes."""
+    m = lt.model
+    N = lt.grid.n_nodes
+    G1 = w12_gram(lt.grid, 1)
+    # Pi maps the constant path 1 to the sum of the kernel basis paths,
+    # whose component c is e_c
+    e = (projection_matrix(lt) @ np.ones(N * m.dim)).reshape(N, m.dim)
+    energy = np.einsum("kc,kc->c", e, G1 @ e)
+    # lower band storage, kd = 2: row d holds the d-th subdiagonal
+    band = np.zeros((3, N))
+    for d in range(3):
+        band[d, :N - d] = G1.diagonal(-d)
+    chol, info = dpbtrf(band, lower=1)
+    if info != 0:
+        raise RuntimeError("W^{1,2} Gram is not positive definite (dpbtrf "
+                           "info %d)" % info)
+    ends = np.zeros((N, 2))
+    ends[0, 0] = ends[-1, 1] = 1.0
+    inv = dpbtrs(chol, ends, lower=1)[0]
+    inv_kk = np.where(np.arange(m.dim) < m.n_stable, inv[0, 0], inv[-1, 1])
+    return float(np.sqrt(np.max(energy * inv_kk)))
 
 
 def q_matrix(lt):
     """The Duhamel right inverse apply_Q on flattened sample vectors as a
     LinearOperator (not the LU right inverse apply_Q_exact that glue
-    corrects with).  Its adjoint is R^T L^{-T}, with the LU of L."""
-    lu, _, Rt = lt._duhamel_lu
+    corrects with).  Its adjoint is R^T L^{-T}: the transposed bidiagonal
+    solves, then R^T on shifted slices."""
+    n = lt.model.dim
+    ns = lt.model.n_stable
+    _, r0, r1 = lt._duhamel_lu
 
     def matvec(v):
-        eta = DiscretePath(lt.grid, np.reshape(v, (-1, lt.model.dim)))
+        eta = DiscretePath(lt.grid, np.reshape(v, (-1, n)))
         return apply_Q(lt, eta).samples.ravel()
 
     def rmatvec(v):
-        return Rt @ lu.solve(np.ravel(v), trans="T")
+        w = _duhamel_solve(lt, np.reshape(v, (-1, n)).T, "T")
+        # R^T reads nothing from the K_T row, which R leaves at 0
+        w[:ns, 0] = 0.0
+        w[ns:, -1] = 0.0
+        out = r0 * w
+        out[:ns, :-1] += r1[:ns] * w[:ns, 1:]
+        out[ns:, 1:] += r1[ns:] * w[ns:, :-1]
+        return out.T.ravel()
 
-    return LinearOperator(Rt.shape, dtype=float, matvec=matvec,
+    size = lt.grid.n_nodes * n
+    return LinearOperator((size, size), dtype=float, matvec=matvec,
                           rmatvec=rmatvec)
 
 
 def measured_q_norm(lt):
-    return measured_opnorm(q_matrix(lt), w12_gram(lt.grid, lt.model.dim),
-                           l2_weights(lt.grid, lt.model.dim))
+    """The L^2 -> W^{1,2} norm of the Duhamel Q of lt, by measured_opnorm
+    on the Duhamel Q of the all-stable diagonal model whose eigenvalues are
+    the distinct rates |a_i| of lt.model, on lt's grid.  The two norms agree:
+      - Q, w12_gram = kron(G1, I) and l2_weights = repeat(w1, n) are block
+        diagonal by component, so |Q| is the largest norm of a block
+        Q_c from the weights w1 to the Gram G1;
+      - a block depends only on the rate |a_c| and on the side of c;
+      - the unstable block of a rate is -J Q_s J, with Q_s the stable block
+        of that rate and J the reversal of the nodes (substitute
+        k -> N-1-k in the recursion);
+      - J is an isometry of w1, since the trapezoid weights are symmetric,
+        and of G1, since J D1 J = -D1 for the central stencils and for the
+        one-sided end stencils of diff_matrix.
+    So |Q| is the largest stable-block norm over the distinct rates, the
+    norm of the rates model's Q, and each Lanczos step runs on
+    n_rates * N samples instead of n * N."""
+    rates = np.unique(np.abs(lt.model.a))[::-1]
+    k = rates.size
+    bundle = LinearTheory(MorseModel(dim=k, index=0, eig=tuple(rates)),
+                          lt.T, lt.grid.h, lt.constants)
+    return measured_opnorm(q_matrix(bundle), w12_gram(lt.grid, k),
+                           l2_weights(lt.grid, k))

@@ -413,4 +413,8 @@ def model_from_config(cfg):
     delta_max = float(cfg.get("delta_max", 1.0))
     if not 0.0 < delta_max < np.inf:
         raise ValueError("need 0 < delta_max < inf")
+    # compute_constants caps the admissible radius at 2 delta_max
+    if not np.isfinite(2.0 * delta_max):
+        raise ValueError("need 2 delta_max finite, got delta_max = %r"
+                         % delta_max)
     return model, epsilon, delta_max

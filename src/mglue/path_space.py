@@ -22,6 +22,9 @@ from scipy.sparse import csr_matrix, diags, identity, kron
 
 @dataclass(frozen=True)
 class Grid:
+    """A uniform grid, equal to another with the same three fields.  Its
+    hash is computed once, at construction: the per-grid caches below look
+    a grid up on every call."""
     t_min: float
     t_max: float
     n_nodes: int
@@ -33,6 +36,11 @@ class Grid:
             raise ValueError("need at least 9 nodes")
         if self.n_nodes % 2 == 0:
             raise ValueError("n_nodes must be odd")
+        object.__setattr__(self, "_hash",
+                           hash((self.t_min, self.t_max, self.n_nodes)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def h(self):

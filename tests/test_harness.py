@@ -124,13 +124,15 @@ class TestConfig:
          "need 0 < delta_max < inf"),
         ("dim = 2\nindex = 1\neig = 1,-1\ndelta_max = -1\n",
          "need 0 < delta_max < inf"),
+        ("dim = 2\nindex = 1\neig = 1,-1\ndelta_max = 1e308\n",
+         "need 2 delta_max finite"),
         ("dim = 2\nindex = 1\neig = inf,-1\n",
          "eig must be finite, got inf, -1.0"),
         ("dim = 2\nindex = 1\neig = nan,-1\n",
          "eig must be finite, got nan, -1.0"),
     ], ids=["typo", "no_eig", "no_dim", "no_index", "epsilon_5",
-            "epsilon_nan", "delta_max_inf", "delta_max_negative", "eig_inf",
-            "eig_nan"])
+            "epsilon_nan", "delta_max_inf", "delta_max_negative",
+            "delta_max_overflow", "eig_inf", "eig_nan"])
     def test_bad_model_file_rejected(self, tmp_path, capsys, text, message):
         (tmp_path / "mdl.cfg").write_text(text)
         cfg = write_cfg(tmp_path, model="mdl.cfg")

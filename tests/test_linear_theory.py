@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
 from scipy.sparse import csr_matrix, diags, identity, issparse, kron
 
+from mglue import linear_theory
 from mglue.linear_theory import (KernelElement, LinearTheory, apply_D,
                                  apply_Q, apply_Q_exact,
                                  euclidean_gluing_reference,
@@ -373,9 +374,11 @@ def test_norm_operators_adjoint_identity(c1, cc, T):
         assert defect <= 1e-13 * np.linalg.norm(u) * np.linalg.norm(v)
 
 
-def test_norm_operators_match_dense_references(c1, cc):
-    lt = LinearTheory(c1, 3.0, 0.1, cc)
-    eye = np.eye(lt.grid.n_nodes * c1.dim)
+@pytest.mark.parametrize("name", ["c1", "model_3d", "repeated"])
+def test_norm_operators_match_dense_references(request, name):
+    # both sides of the bidiagonal solve and of R, forward and transposed
+    lt = bundle(name, request, h=0.1)
+    eye = np.eye(lt.grid.n_nodes * lt.model.dim)
     Q = q_matrix_dense_reference(lt)
     P = projection_matrix_dense_reference(lt)
     assert np.max(np.abs(q_matrix(lt) @ eye - Q)) <= 1e-14 * np.max(np.abs(Q))
@@ -527,16 +530,68 @@ def test_d_system_matrix_matches_lil_reference(c1, cc, T, h):
                      d_system_matrix_lil_reference(lt), 2 * c1.dim)
 
 
+# besides the cubic model_3d, two linear models: a rate repeated on the
+# stable side, and each rate on both sides
+OTHER_MODELS = {
+    "model_3d": model_3d,
+    "repeated": lambda: MorseModel(dim=3, index=1, eig=(1.0, 1.0, -1.0)),
+    "mirrored": lambda: MorseModel(dim=4, index=2,
+                                   eig=(2.0, 1.0, -1.0, -2.0)),
+}
+
+
 def bundle(name, request, T=3.0, h=0.05):
-    """LinearTheory of the fixture model e1 or c1, or of model_3d (two
-    stable components and one unstable)."""
-    if name == "model_3d":
-        model = model_3d()
+    """LinearTheory of the fixture model e1 or c1, or of a model of
+    OTHER_MODELS (model_3d: two stable components and one unstable)."""
+    if name in OTHER_MODELS:
+        model = OTHER_MODELS[name]()
         consts = compute_constants(model)
     else:
         model = request.getfixturevalue(name)
         consts = request.getfixturevalue({"e1": "ce", "c1": "cc"}[name])
     return LinearTheory(model, T, h, consts)
+
+
+def test_unstable_block_is_the_reflected_stable_block(request):
+    # component 3 (rate 2) and component 2 (rate 1) are unstable: their
+    # blocks are -J Q_s J with J the node reversal and Q_s the stable block
+    # of the same rate, components 0 and 1
+    lt = bundle("mirrored", request)
+    Q = q_matrix(lt) @ np.eye(lt.grid.n_nodes * 4)
+    block = [Q[c::4, c::4] for c in range(4)]
+    for s, u in ((0, 3), (1, 2)):
+        reflected = -block[s][::-1, ::-1]
+        assert np.max(np.abs(block[u] - reflected)) <= \
+            1e-15 * np.max(np.abs(block[s]))
+    # no block couples two components
+    assert not Q[0::4, 1::4].any() and not Q[2::4, 3::4].any()
+
+
+@pytest.mark.parametrize("name,n_rates", [("e1", 1), ("c1", 1),
+                                          ("model_3d", 3), ("repeated", 1),
+                                          ("mirrored", 2)])
+def test_decoupled_norms_match_the_coupled_dense_references(
+        request, monkeypatch, name, n_rates):
+    # measured_q_norm runs Lanczos on one block per distinct rate, and the
+    # closed-form projection norm is the dense eigenproblem's
+    lt = bundle(name, request, T=3.0, h=0.05)
+    n = lt.model.dim
+    Gw = w12_gram(lt.grid, n)
+    sizes = []
+
+    def spy(M, gram_out, w_in):
+        sizes.append(M.shape[1])
+        return measured_opnorm(M, gram_out, w_in)
+
+    monkeypatch.setattr(linear_theory, "measured_opnorm", spy)
+    q = measured_q_norm(lt)
+    assert sizes == [n_rates * lt.grid.n_nodes]
+    assert q == pytest.approx(
+        dense_opnorm_reference(q_matrix_dense_reference(lt), Gw,
+                               diags(l2_weights(lt.grid, n))), rel=1e-12)
+    assert measured_projection_norm(lt) == pytest.approx(
+        dense_opnorm_reference(projection_matrix_dense_reference(lt), Gw, Gw),
+        rel=1e-12)
 
 
 @pytest.mark.parametrize("name", ["c1", "e1", "model_3d"])

@@ -144,6 +144,22 @@ class TestConfig:
         assert np.allclose(m.grad(z), c1.grad(z), atol=1e-14)
         assert eps is None and delta_max == 1.0
 
+    @pytest.mark.parametrize("value", ["1e308", "8.99e307"])
+    def test_delta_max_whose_double_overflows_rejected(self, value):
+        # compute_constants caps the radius at 2 delta_max, which would be
+        # inf and reach the reports as Infinity
+        cfg = parse_flat_config("dim = 2\nindex = 1\neig = 1,-1\n"
+                                "delta_max = %s\n" % value)
+        with pytest.raises(ValueError, match="need 2 delta_max finite"):
+            model_from_config(cfg)
+
+    def test_largest_delta_max_kept(self):
+        # the largest double whose double is finite
+        top = float(np.finfo(float).max) / 2
+        cfg = parse_flat_config("dim = 2\nindex = 1\neig = 1,-1\n"
+                                "delta_max = %r\n" % top)
+        assert model_from_config(cfg)[2] == top
+
 
 C1_TEXT = "0.1*x1^2*x2"
 TEXT_3D = "0.1*x1^2*x2 + 0.05*x1*x2*x3 - 0.07*x3^3"

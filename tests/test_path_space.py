@@ -73,6 +73,18 @@ class TestGrid:
         with pytest.raises(ValueError):
             Grid(-1.0, 1.0, 10)
 
+    def test_equal_grids_share_the_per_grid_caches(self):
+        # two grids built apart are equal and hash alike, so each cache
+        # lookup finds the other's entry
+        g, other = symmetric_grid(3.0, 0.05), make_grid(-3.0, 3.0, 0.05)
+        assert g is not other and g == other and hash(g) == hash(other)
+        assert l2_weights(other, 2) is l2_weights(g, 2)
+        assert w12_gram(other, 2) is w12_gram(g, 2)
+        # equality and the hash are those of the three fields
+        assert hash(g) == hash((g.t_min, g.t_max, g.n_nodes))
+        assert g != Grid(g.t_min, g.t_max, g.n_nodes + 2)
+        assert repr(g) == "Grid(t_min=-3.0, t_max=3.0, n_nodes=121)"
+
 
 class TestDifferentiate:
     def test_constant_path(self):
