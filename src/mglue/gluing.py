@@ -1,6 +1,6 @@
 """The gluing pipeline: cutoff, pre-gluing, approximate-zero certification,
-Newton-Picard correction to a true flow line, linearized-gluing checks, and
-the diffeomorphism-criterion verifier.
+Newton-Picard correction to a true flow line and its tangent, and the
+diffeomorphism-criterion verifier.
 """
 
 from dataclasses import dataclass
@@ -15,8 +15,7 @@ from .invariant_manifolds import (build_tangent_system, linear_half_path,
                                   log_linear_fit, shoot_stable,
                                   shoot_unstable, solve_tangent_lift,
                                   theta_inverse)
-from .linear_theory import (LinearTheory, apply_D, apply_Q_exact,
-                            gamma_infinitesimal, gamma_weights)
+from .linear_theory import LinearTheory, apply_D, apply_Q_exact, gamma_weights
 from .newton_picard import NPProblem, np_solve, np_tangent_solve, \
     PreconditionError, ift_certificate
 
@@ -182,9 +181,7 @@ def flow_problem(lt):
     flattened node-major samples: D = apply_D (the linearization at 0_T),
     the remainder N = apply_F - D, which is grad f_nl nodewise, and dN its
     nodewise linearization, Q = apply_Q_exact (the exact discrete right
-    inverse with K_T boundary structure, which takes the flattened samples
-    or the k columns of a (size, k) array in one solve), and the W^{1,2}
-    and L^2 norms."""
+    inverse with K_T boundary structure), and the W^{1,2} and L^2 norms."""
     grid = lt.grid
     model = lt.model
     n = model.dim
@@ -277,25 +274,6 @@ def ev_error(gamma, w_plus, w_minus):
     left = gamma.samples[0] - w_plus.samples[0]
     right = gamma.samples[-1] - w_minus.samples[-1]
     return float(np.sqrt(np.sum(left**2) + np.sum(right**2)))
-
-
-def linearized_glue_check(cutoff, lt):
-    """Central finite differences (step 1e-4) of the gluing map along the
-    kernel basis directions at the origin, against the infinitesimal gluing
-    map."""
-    fd_eps = 1e-4
-    ns = lt.model.n_stable
-
-    def glued(seed):
-        wp, wm = shoot_halves(lt, seed[:ns], seed[ns:])
-        return glue(lt.model, cutoff, wp, wm, lt.T, lt).path.samples
-
-    details = []
-    for e in np.eye(lt.model.dim):
-        fd = (glued(fd_eps * e) - glued(-fd_eps * e)) / (2.0 * fd_eps)
-        ref = gamma_infinitesimal(lt, e[:ns], e[ns:])
-        details.append(float(np.max(np.abs(fd - ref.samples))))
-    return {"sup_discrepancy": max(details), "per_direction": details}
 
 
 def convergence_sweep(model, cutoff, seeds, T_list, constants, h_max=0.02,
@@ -409,9 +387,11 @@ def theta_defect_norm(cutoff, lt, seed_radius):
 
 def tangent_convergence_sweep(model, cutoff, seeds, tangent_seeds, T_list,
                               constants, order_m=1, h_max=0.02, S=None):
-    """Pre-glue the tangent lifts componentwise, correct with the doubled
-    Newton-Picard solve, and record the tangent evaluation errors over T.
-    The base path is pre-glued under glue's hypothesis (_preglue_in_ball)."""
+    """Pre-glue the tangent lifts componentwise, correct the base path with
+    np_solve and its tangent with the Newton-Picard differential at the
+    glued path (np_tangent_solve), and record the tangent evaluation errors
+    over T; np_iters counts the tangent solve's iterations.  The base path
+    is pre-glued under glue's hypothesis (_preglue_in_ball)."""
     if order_m == 0:
         return convergence_sweep(model, cutoff, seeds, T_list, constants,
                                  h_max=h_max, S=S)

@@ -6,7 +6,7 @@ parametrization, the projection onto the kernel along the complement K_T
 two right inverses with image in K_T, each one banded solve per component
 since A is diagonal (the exponential-integrator Duhamel recursion, a unit
 bidiagonal dtbtrs solve, and the discretized operator, a tridiagonal LU),
-the infinitesimal gluing map, and norm bounds.
+the weights of the infinitesimal gluing map, and norm bounds.
 
 glue corrects with the discretized-operator solve, which maps flattened
 node-major samples of shape (size,) or (size, k) to arrays of that shape;
@@ -166,15 +166,6 @@ def apply_Q_exact(lt, eta):
     rhs = eta.copy()
     rhs[lt._kt_rows] = 0.0
     return lt._exact_lu.solve(rhs)
-
-
-def gamma_infinitesimal(lt, xi0, eta0):
-    """Infinitesimal gluing: coefficients (xi0, eta0) of the stable/unstable
-    kernel elements, realized as the explicit glued kernel path."""
-    if lt.T < 3:
-        raise ValueError("need T >= 3")
-    return kernel_path(lt, KernelElement(v_plus=np.atleast_1d(xi0),
-                                         v_minus=np.atleast_1d(eta0)))
 
 
 def gamma_weights(lt):

@@ -6,10 +6,12 @@ and its nonlinear remainder N = F - D, with a right inverse Q of D
 (DQ = Id).  The correction iterates the contraction
     Phi(x) = x1 - Q(F(x) - D(x - x1)) = x1 - Q(N(x) + D x1),
 whose fixed point x satisfies F(x) = 0 (to the right-inverse defect) with
-x - x1 in the image of Q and ||x - x1|| <= 2 c ||F(x1)||.
+x - x1 in the image of Q and ||x - x1|| <= 2 c ||F(x1)||.  The same loop,
+on the problem linearized at a point, gives the differential of the map
+and the tangent of the glued path.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,8 +28,7 @@ class ContractionError(RuntimeError):
 class NPProblem:
     N: callable                 # vector -> vector, the remainder F - D
     apply_D: callable           # vector -> vector, linear
-    # right inverse of D: a vector, or the k columns of a (size, k) array
-    apply_Q: callable
+    apply_Q: callable           # vector -> vector, a right inverse of D
     x0: np.ndarray
     c: float                    # bound for ||Q||
     delta: float                # admissible-ball radius
@@ -58,13 +59,10 @@ class NPResult:
         return max(self.contraction_ratios) if self.contraction_ratios else 0.0
 
 
-# stopping rules: the Newton-Picard step and the Neumann step are small
-# relative to max(1, ||input||); both loops raise ContractionError when they
-# run out of terms
+# stopping rule: the Newton-Picard step is small relative to
+# max(1, ||x1||); the loop raises ContractionError when it runs out of steps
 TOL_ZERO = 1e-12
 MAX_ITER = 200
-NEUMANN_TOL = 1e-12
-NEUMANN_MAX_TERMS = 100
 
 
 def precondition_check(p, x1):
@@ -89,14 +87,20 @@ def np_solve(p, x1):
     Iterates Phi(x) = x1 - Q(N(x) + D x1) until the step norm drops below
     TOL_ZERO * max(1, ||x1||); step-size stopping bounds the distance to the
     fixed point through the geometric tail.  Each step costs one N, one Q
-    and one norm; D x1 comes from the precondition record.  A step of
-    non-finite norm (from a non-finite x1 or an overflow) raises
-    ContractionError at once.  The admissibility bounds of
+    and one norm; D x1 comes from the precondition record.  A start point
+    x1 or a step of non-finite norm (from a non-finite x1 or an overflow)
+    raises ContractionError at once.  The admissibility bounds of
     precondition_check are measured and returned in `precond`, not
     enforced."""
     x1 = np.asarray(x1, dtype=float)
     pre, f1, d1 = precondition_check(p, x1)
-    tol = TOL_ZERO * max(1.0, p.norm_dom(x1))
+    x1_norm = p.norm_dom(x1)
+    if not (np.isfinite(x1_norm) and np.isfinite(pre["fx_norm"])):
+        # an infinite tolerance would accept x1 as an exact zero
+        raise ContractionError("start point has non-finite norms: "
+                               "||x1|| = %r, ||F(x1)|| = %r"
+                               % (x1_norm, pre["fx_norm"]))
+    tol = TOL_ZERO * max(1.0, x1_norm)
     if pre["fx_norm"] <= tol:
         # already a zero: the correction map restricts to the identity
         return NPResult(x=x1.copy(), iterations=0, correction_norm=0.0,
@@ -132,69 +136,24 @@ def np_solve(p, x1):
                     contraction_ratios=tuple(ratios), precond=pre)
 
 
-def _neumann_solve(p, x1, w):
-    """Solve (Id + Q dF(x1) - P) u = w, P = QD, that is
-    (Id + Q dN(x1)) u = w, by the Neumann iteration u <- w - Q dN(x1) u from
-    u = w, to a step below NEUMANN_TOL * max(1, ||w||); ContractionError
-    after NEUMANN_MAX_TERMS terms."""
-    dN1 = p.dN(x1)
-    u = w.copy()
-    for _ in range(NEUMANN_MAX_TERMS):
-        u_new = w - p.apply_Q(dN1(u))
-        if p.norm_dom(u_new - u) <= NEUMANN_TOL * max(1.0, p.norm_dom(w)):
-            return u_new
-        u = u_new
-    raise ContractionError("Neumann iteration did not converge")
-
-
 def np_differential(p, x1, v):
-    """Differential of the Newton-Picard map at x1 applied to v:
-    (Id + Q dF(x1) - P)^{-1} (Id - P) v with P = QD."""
-    v = np.asarray(v, dtype=float)
-    return _neumann_solve(p, x1, v - p.apply_Q(p.apply_D(v)))
+    """Differential of the Newton-Picard map at the zero x1 applied to v,
+    as the NPResult of np_solve on the problem linearized at x1 (remainder
+    dN(x1)) from v.  Differentiating the fixed point x = y - Q(N(x) + D y)
+    in y along v gives xi = v - Q(dN(x) xi + D v), the same contraction on
+    the problem linearized at x; at x = x1 its fixed point is
+    (Id + Q dN(x1))^{-1} (Id - P) v with P = QD."""
+    return np_solve(replace(p, N=p.dN(x1), dN=None), v)
 
 
 def np_tangent_solve(p, x1, xi1):
-    """Tangent-map solve: Newton-Picard on the doubled problem
-    TF(x, xi) = (F(x), dF(x) xi) with initial point (x0, 0), linear part
-    D + D, remainder TN(x, xi) = (N(x), dN(x) xi), right inverse Q + Q (one
-    call of apply_Q on two columns), p's c and delta, and the max norm
-    max(||x||, ||xi||) on both sides.  Returns ((x, xi), NPResult)."""
-    x1 = np.asarray(x1, dtype=float)
-    xi1 = np.asarray(xi1, dtype=float)
-    n = x1.size
-
-    def split(z, at):
-        return z[:at], z[at:]
-
-    def TN(z):
-        x, xi = split(z, n)
-        return np.concatenate([p.N(x), p.dN(x)(xi)])
-
-    def TD(z):
-        x, xi = split(z, n)
-        return np.concatenate([p.apply_D(x), p.apply_D(xi)])
-
-    # the codomain is two copies of F's codomain: its halves are the two
-    # columns of one Q call
-    def TQ(z):
-        return p.apply_Q(z.reshape(2, -1).T).T.reshape(-1)
-
-    def tnorm_dom(z):
-        x, xi = split(z, n)
-        return max(p.norm_dom(x), p.norm_dom(xi))
-
-    def tnorm_cod(z):
-        y, eta = split(z, z.size // 2)
-        return max(p.norm_cod(y), p.norm_cod(eta))
-
-    tp = NPProblem(N=TN, apply_D=TD, apply_Q=TQ,
-                   x0=np.concatenate([p.x0, np.zeros_like(p.x0)]),
-                   c=p.c, delta=p.delta, norm_dom=tnorm_dom,
-                   norm_cod=tnorm_cod)
-    res = np_solve(tp, np.concatenate([x1, xi1]))
-    x, xi = split(res.x, n)
-    return (x, xi), res
+    """Tangent-map solve: the glued path x = np_solve(p, x1).x, then its
+    tangent xi = np_differential(p, x, xi1).x, since differentiating
+    x = x1 - Q(N(x) + D x1) along xi1 gives xi = xi1 - Q(dN(x) xi + D xi1).
+    Returns ((x, xi), the tangent solve's NPResult)."""
+    res = np_solve(p, x1)
+    tres = np_differential(p, res.x, xi1)
+    return (res.x, tres.x), tres
 
 
 def _unit(rng, n):

@@ -8,20 +8,22 @@ import numpy as np
 from mglue.gluing import (certify_approx_zero, convergence_sweep,
                           cubic_cutoff, diffeo_criterion,
                           estimate_decay_constant, flow_problem, glue,
-                          linearized_glue_check, preglue, quintic_cutoff)
+                          preglue, quintic_cutoff)
 from mglue.harness import main
 from mglue.invariant_manifolds import (build_tangent_system, decay_fit,
                                        digit_inverse, digit_map, partitions,
                                        shoot_stable, shoot_unstable,
                                        solve_tangent_lift)
 from mglue.linear_theory import (LinearTheory, euclidean_gluing_reference,
-                                 gamma_infinitesimal, gamma_svd_bounds,
-                                 measured_projection_norm, measured_q_norm)
+                                 gamma_svd_bounds, measured_projection_norm,
+                                 measured_q_norm)
 from mglue.newton_picard import np_solve, np_tangent_solve
 from mglue.path_space import make_grid, norms, sup_norm
 
-from test_path_space import fourier_path
+from test_gluing import linearized_glue_check
 from test_invariant_manifolds import stirling2
+from test_linear_theory import gamma_infinitesimal
+from test_path_space import fourier_path
 
 BETA = quintic_cutoff()
 

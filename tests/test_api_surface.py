@@ -43,11 +43,6 @@ ALLOWED = {
     ("morse_model", "compute_constants", "rng"):
         "accepted and unread: the benchmark's workloads pass it; it goes "
         "with the config seed in the next benchmark change (ROADMAP item 1)",
-    ("newton_picard", "np_differential"):
-        "differential of the Newton-Picard map, for the tangent lifts "
-        "(ROADMAP item 6)",
-    ("gluing", "linearized_glue_check"):
-        "acceptance criterion 07: the linearized gluing map",
 }
 
 

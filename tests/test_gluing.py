@@ -4,13 +4,13 @@ from scipy.integrate import solve_ivp
 
 from mglue.gluing import (apply_F, certify_approx_zero, convergence_sweep,
                           cubic_cutoff, diffeo_criterion, flow_problem, glue,
-                          glue_coordinate_rep, linearized_glue_check,
-                          preglue, quintic_cutoff, shoot_halves,
-                          tangent_convergence_sweep, theta_defect_norm)
+                          glue_coordinate_rep, preglue, quintic_cutoff,
+                          shoot_halves, tangent_convergence_sweep,
+                          theta_defect_norm)
 from mglue.invariant_manifolds import (linear_half_path, shoot_stable,
                                        shoot_unstable, theta_inverse)
 from mglue.linear_theory import (LinearTheory, euclidean_gluing_reference,
-                                 gamma_infinitesimal, gamma_weights)
+                                 gamma_weights)
 from mglue.morse_model import compute_constants
 from mglue.newton_picard import PreconditionError
 from mglue.path_space import (DiscretePath, differentiate, norms, sup_norm,
@@ -18,8 +18,28 @@ from mglue.path_space import (DiscretePath, differentiate, norms, sup_norm,
 
 from test_morse_model import model_3d
 from test_path_space import evaluate_ends, path_from_function
+from test_linear_theory import gamma_infinitesimal
 
 BETA = quintic_cutoff()
+
+
+def linearized_glue_check(cutoff, lt):
+    """Acceptance criterion 07: central finite differences (step 1e-4) of
+    the gluing map along the kernel basis directions at the origin, against
+    the infinitesimal gluing map."""
+    fd_eps = 1e-4
+    ns = lt.model.n_stable
+
+    def glued(seed):
+        wp, wm = shoot_halves(lt, seed[:ns], seed[ns:])
+        return glue(lt.model, cutoff, wp, wm, lt.T, lt).path.samples
+
+    details = []
+    for e in np.eye(lt.model.dim):
+        fd = (glued(fd_eps * e) - glued(-fd_eps * e)) / (2.0 * fd_eps)
+        ref = gamma_infinitesimal(lt, e[:ns], e[ns:])
+        details.append(float(np.max(np.abs(fd - ref.samples))))
+    return {"sup_discrepancy": max(details), "per_direction": details}
 
 
 def sup_dbeta(cutoff):

@@ -6,8 +6,7 @@ from scipy.sparse import csr_matrix, diags, identity, issparse, kron
 from mglue import linear_theory
 from mglue.linear_theory import (KernelElement, LinearTheory, apply_D,
                                  apply_Q, apply_Q_exact,
-                                 euclidean_gluing_reference,
-                                 gamma_infinitesimal, gamma_svd_bounds,
+                                 euclidean_gluing_reference, gamma_svd_bounds,
                                  kernel_path, measured_opnorm,
                                  measured_projection_norm, measured_q_norm,
                                  projection_matrix, q_matrix)
@@ -20,6 +19,15 @@ from mglue.path_space import (DiscretePath, _flow_band, diff_matrix, kt_rows,
 from test_morse_model import model_3d
 from test_path_space import (assert_same_band, fourier_path,
                              path_from_function)
+
+
+def gamma_infinitesimal(lt, xi0, eta0):
+    """Infinitesimal gluing: coefficients (xi0, eta0) of the stable/unstable
+    kernel elements, realized as the explicit glued kernel path."""
+    if lt.T < 3:
+        raise ValueError("need T >= 3")
+    return kernel_path(lt, KernelElement(v_plus=np.atleast_1d(xi0),
+                                         v_minus=np.atleast_1d(eta0)))
 
 
 def interior_sup(p):

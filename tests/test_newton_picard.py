@@ -9,8 +9,7 @@ from mglue.invariant_manifolds import build_tangent_system, solve_tangent_lift
 from mglue.linear_theory import LinearTheory
 from mglue.newton_picard import (MAX_ITER, TOL_ZERO, ContractionError,
                                  IFTCertificate, NPProblem, NPResult,
-                                 _fd_jacobian, _neumann_solve, _unit,
-                                 ift_certificate,
+                                 _fd_jacobian, _unit, ift_certificate,
                                  np_differential, np_solve, np_tangent_solve,
                                  precondition_check)
 
@@ -49,16 +48,80 @@ def linear_problem(dF_scale=1.0):
 
 
 def np_neumann_defect(p, x1, rng):
-    """Measured norm of (Id + Q dF(x1) - P)^{-1} - Id on 20 random probes;
-    bounded by 1/(mu - 1) when ||dF(x1) - D|| <= 1/(mu c) for some
+    """Measured norm of D Phi(x1) - (Id - P) on 20 random probes, where
+    D Phi(x1) = (Id + Q dF(x1) - P)^{-1} (Id - P) is the differential of the
+    Newton-Picard map (np_differential) and P = QD: the defect of
+    (Id + Q dF(x1) - P)^{-1} - Id on the image of Id - P.  Bounded by
+    ||Id - P|| / (mu - 1) when ||dF(x1) - D|| <= 1/(mu c) for some
     mu > 1."""
     worst = 0.0
     n = len(np.asarray(p.x0))
     for _ in range(20):
         v = rng.standard_normal(n)
-        u = _neumann_solve(p, x1, v)
-        worst = max(worst, p.norm_dom(u - v) / p.norm_dom(v))
+        u = np_differential(p, x1, v).x
+        w = v - p.apply_Q(p.apply_D(v))
+        worst = max(worst, p.norm_dom(u - w) / p.norm_dom(v))
     return float(worst)
+
+
+NEUMANN_TOL = 1e-12
+NEUMANN_MAX_TERMS = 100
+
+
+def neumann_solve_reference(p, x1, w):
+    """The former _neumann_solve: (Id + Q dN(x1)) u = w by the Neumann
+    iteration u <- w - Q dN(x1) u from u = w, to a step below
+    NEUMANN_TOL * max(1, ||w||); ContractionError after NEUMANN_MAX_TERMS
+    terms."""
+    dN1 = p.dN(x1)
+    u = w.copy()
+    for _ in range(NEUMANN_MAX_TERMS):
+        u_new = w - p.apply_Q(dN1(u))
+        if p.norm_dom(u_new - u) <= NEUMANN_TOL * max(1.0, p.norm_dom(w)):
+            return u_new
+        u = u_new
+    raise ContractionError("Neumann iteration did not converge")
+
+
+def np_differential_reference(p, x1, v):
+    """The former np_differential: the Neumann solve of
+    (Id + Q dN(x1)) u = (Id - P) v, P = QD."""
+    v = np.asarray(v, dtype=float)
+    return neumann_solve_reference(p, x1, v - p.apply_Q(p.apply_D(v)))
+
+
+def np_tangent_solve_reference(p, x1, xi1):
+    """The former np_tangent_solve: np_solve on the doubled problem
+    TF(x, xi) = (F(x), dF(x) xi) with linear part D + D, remainder
+    (N(x), dN(x) xi), right inverse Q + Q (one call of apply_Q on two
+    columns), p's c and delta, and the max norm max(||x||, ||xi||) on both
+    sides.  Returns ((x, xi), NPResult)."""
+    x1 = np.asarray(x1, dtype=float)
+    xi1 = np.asarray(xi1, dtype=float)
+    n = x1.size
+
+    def TN(z):
+        return np.concatenate([p.N(z[:n]), p.dN(z[:n])(z[n:])])
+
+    def TD(z):
+        return np.concatenate([p.apply_D(z[:n]), p.apply_D(z[n:])])
+
+    def TQ(z):
+        return p.apply_Q(z.reshape(2, -1).T).T.reshape(-1)
+
+    def tnorm_dom(z):
+        return max(p.norm_dom(z[:n]), p.norm_dom(z[n:]))
+
+    def tnorm_cod(z):
+        m = z.size // 2
+        return max(p.norm_cod(z[:m]), p.norm_cod(z[m:]))
+
+    tp = NPProblem(N=TN, apply_D=TD, apply_Q=TQ,
+                   x0=np.concatenate([p.x0, np.zeros_like(p.x0)]),
+                   c=p.c, delta=p.delta, norm_dom=tnorm_dom,
+                   norm_cod=tnorm_cod)
+    res = np_solve(tp, np.concatenate([x1, xi1]))
+    return (res.x[:n], res.x[n:]), res
 
 
 def _np_loop(p, x1, step_rhs):
@@ -187,7 +250,8 @@ class TestSavedWork:
     evaluated F(x) and D(x - x1) on each step, to rounding.  It takes D x1
     and F(x1) = D x1 + N(x1) from the precondition and evaluates nothing
     at the result: one D in all, one N for F(x1) and one per step after
-    the first, one Q per step, and no apply_F."""
+    the first, one Q per step, and no apply_F.  np_tangent_solve runs the
+    same loop twice, on the problem and on its linearization."""
 
     def check_np_solve(self, p, x1):
         plain = np_solve_remainder_reference(p, x1)
@@ -243,21 +307,31 @@ class TestSavedWork:
         assert calls == {"N": 1, "dN": 0, "D": 1, "Q": 0}
 
     def test_tangent_solve_F_calls_c1_T5(self, c1, cc, monkeypatch):
-        # the doubled remainder (N(x), dN(x) xi) once per iteration (the
-        # first for the precondition's F), D x1 and D xi1 once, and one Q
-        # call on two columns per iteration; former solves made 7 doubled
-        # F calls, each two derivative stencils and an apply_F
+        # the base solve: N once per iteration (the first for the
+        # precondition's F) and D x1 once; the tangent solve: dN once, at
+        # the glued path, its linear map once per iteration and D xi1 once;
+        # one single-column Q per iteration of each.  The former doubled
+        # solve made 7 doubled N and dN calls and 7 two-column Q calls
         p, x1, xi1 = flow_case_at(c1, cc, 5.0)
         cp, calls = counted(p)
         shapes = []
-        apply_Q = cp.apply_Q
+        applied = []
+        apply_Q, dN = cp.apply_Q, cp.dN
+
+        def counting_dN(x):
+            lin = dN(x)
+            return lambda v: applied.append(1) or lin(v)
+
         cp = dataclasses.replace(
-            cp, apply_Q=lambda v: shapes.append(v.shape) or apply_Q(v))
+            cp, apply_Q=lambda v: shapes.append(v.shape) or apply_Q(v),
+            dN=counting_dN)
         seen = count_apply_F(monkeypatch)
         _, res = np_tangent_solve(cp, x1, xi1)
+        # 6 base and 7 tangent iterations
         assert res.iterations == 7
-        assert calls == {"N": 7, "dN": 7, "D": 2, "Q": 7}
-        assert shapes == [(x1.size, 2)] * 7
+        assert calls == {"N": 6, "dN": 1, "D": 2, "Q": 6 + 7}
+        assert len(applied) == 7
+        assert shapes == [x1.shape] * (6 + 7)
         assert seen == []
 
 
@@ -356,6 +430,31 @@ class TestNpSolve:
         assert_same_bits(d1, p.apply_D(x1))
         assert rec["fx_norm"] == np.linalg.norm(f1)
 
+    def test_overflowing_start_norms_raise(self):
+        # ||x1|| and ||F(x1)|| overflow to inf, so the tolerance
+        # TOL_ZERO * max(1, ||x1||) would be inf and accept x1 as a zero
+        calls = []
+
+        def N(x):
+            calls.append(1)
+            return 0.1 * x**2
+
+        p = NPProblem(N=N, apply_D=lambda x: x, apply_Q=lambda y: y,
+                      x0=np.zeros(2), c=1.0, delta=1.0,
+                      norm_dom=np.linalg.norm, norm_cod=np.linalg.norm)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ContractionError, match="non-finite"):
+                np_solve(p, np.array([1e200, 1e200]))
+        assert len(calls) == 1
+
+    def test_differential_overflowing_direction_raises(self):
+        # the differential runs through np_solve, so the start check holds
+        # for its direction too
+        with np.errstate(over="ignore"):
+            with pytest.raises(ContractionError, match="non-finite"):
+                np_differential(xy2_problem(), np.array([0.1, 0.0]),
+                                np.array([1e200, 1e200]))
+
     @pytest.mark.parametrize("start", [1e120, np.nan])
     def test_non_finite_step_stops_at_once(self, start):
         # N(1e120) overflows to inf and a nan start stays nan: the first
@@ -381,7 +480,7 @@ class TestNpDifferential:
         p = xy2_problem()
         for v in (np.array([1.0, 0.0]), np.array([0.0, 1.0]),
                   np.array([0.4, -0.7])):
-            out = np_differential(p, p.x0, v)
+            out = np_differential(p, p.x0, v).x
             expect = v - np.array([v[0], 0.0])     # (Id - P) v, P = Q D
             assert np.allclose(out, expect, atol=1e-12)
 
@@ -389,7 +488,8 @@ class TestNpDifferential:
         p = linear_problem()
         # ker D is trivial here; (Id - P) = 0 for an invertible D with Q its
         # inverse, so the differential vanishes identically
-        out = np_differential(p, np.array([0.2, 0.1]), np.array([1.0, 1.0]))
+        out = np_differential(p, np.array([0.2, 0.1]),
+                              np.array([1.0, 1.0])).x
         assert np.allclose(out, 0.0, atol=1e-12)
 
     def test_matches_finite_difference(self):
@@ -399,7 +499,7 @@ class TestNpDifferential:
         eps = 1e-5
         fd = (np_solve(p, x1 + eps * v).x - np_solve(p, x1 - eps * v).x) / (
             2 * eps)
-        out = np_differential(p, x1, v)
+        out = np_differential(p, x1, v).x
         assert np.max(np.abs(out - fd)) <= 1e-4
 
 
@@ -411,8 +511,8 @@ class TestNeumannDefect:
         assert d <= 1e-10
 
     def test_unconverged_solve_raises(self):
-        # with dF = 3A and P = QD = Id the Neumann step is u <- w - 2u,
-        # which diverges
+        # with dF = 3A and P = QD = Id the step of the linearized
+        # Newton-Picard map is u <- -2u, which diverges
         p = linear_problem(dF_scale=3.0)
         with pytest.raises(ContractionError):
             np_neumann_defect(p, np.array([0.1, 0.1]),
@@ -461,6 +561,57 @@ class TestTangentSolve:
         (x, xi), _ = np_tangent_solve(p, x1, xi1)
         assert abs(p.dF(x)(xi)[0]) <= 1e-9
         assert abs((xi - xi1)[1]) <= 1e-12    # xi - xi1 in im Q
+
+
+def flow_cases_c1(c1, cc):
+    """(flow problem, x1, xi1) of c1 for T = 3..8 and four seed pairs, the
+    halves and their tangent lifts shot once per pair to S = 22."""
+    lts = [LinearTheory(c1, T, 0.02, cc) for T in range(3, 9)]
+    spec = build_tangent_system(1)
+    beta = quintic_cutoff()
+    cases = []
+    for sp, sm in ((0.3, -0.2), (-0.3, 0.2), (0.2, 0.25), (-0.1, -0.3)):
+        wp, wm = shoot_halves(lts[-1], [sp], [sm])
+        lift_p = solve_tangent_lift(c1, wp, spec, [[1.0]])[0]
+        lift_m = solve_tangent_lift(c1, wm, spec, [[1.0]])[0]
+        for lt in lts:
+            cases.append((flow_problem(lt),
+                          preglue(beta, wp, wm, lt.T).samples.reshape(-1),
+                          preglue(beta, lift_p, lift_m,
+                                  lt.T).samples.reshape(-1)))
+    return cases
+
+
+def assert_rel(norm, x, ref, start, tol):
+    """norm(x - ref) within tol times the larger of norm(ref) and the
+    start's norm, the scale of the solvers' stopping rules."""
+    assert norm(x - ref) <= tol * max(norm(ref), norm(start))
+
+
+class TestFormerSolvers:
+    """np_tangent_solve (np_solve, then np_differential at the glued path)
+    against the former doubled solve, to 1e-12 relative in the domain norm
+    in both x and xi, and np_differential against the former Neumann
+    solve, to 1e-11 relative."""
+
+    def check(self, p, x1, xi1):
+        (x, xi), _ = np_tangent_solve(p, x1, xi1)
+        (x_ref, xi_ref), _ = np_tangent_solve_reference(p, x1, xi1)
+        assert_rel(p.norm_dom, x, x_ref, x1, 1e-12)
+        assert_rel(p.norm_dom, xi, xi_ref, xi1, 1e-12)
+        # the differential at the glued path, and at the start
+        for at in (x, x1):
+            u = np_differential(p, at, xi1).x
+            assert_rel(p.norm_dom, u, np_differential_reference(p, at, xi1),
+                       xi1, 1e-11)
+
+    def test_c1_flow_cases(self, c1, cc):
+        for case in flow_cases_c1(c1, cc):
+            self.check(*case)
+
+    @pytest.mark.parametrize("case", range(len(small_cases())))
+    def test_small_problems(self, case):
+        self.check(*small_cases()[case])
 
 
 class TestIFT:
