@@ -9,8 +9,8 @@ from functools import lru_cache
 import numpy as np
 
 from .path_space import (STENCIL_CACHE_SIZE, DiscretePath, differentiate,
-                         l2_norm, norms, sup_norm, symmetric_grid, w12_gram,
-                         zero_path)
+                         l2_norm, make_grid, norms, sup_norm, symmetric_grid,
+                         w12_gram, zero_path)
 from .invariant_manifolds import (build_tangent_system, linear_half_path,
                                   log_linear_fit, shoot_stable,
                                   shoot_unstable, solve_tangent_lift,
@@ -166,6 +166,9 @@ class GlueReport:
     correction_norm: float
     bound_2c_F: float
     contraction_ratio_max: float
+    # |ev_T(path) - (w_+(0), w_-(0))| against the halves passed to glue;
+    # from linear_halves the reference is the linear w_+-(0), and the
+    # certificate's gluing map discards this value
     ev_error: float
     precond: dict               # np_solve's record of the paper's bounds
     boundary_defect: float      # K_T defect of the correction: 0 to rounding
@@ -224,11 +227,27 @@ def shoot_halves(lt, seed_p, seed_m):
             shoot_unstable(lt.model, seed_m, S, h_max=lt.grid.h))
 
 
+def linear_halves(lt, seed_p, seed_m):
+    """The linear model's stable and unstable half paths from the two seeds
+    (linear_half_path), on [0, 2T] and [-2T, 0] at the spacing of lt's
+    grid: the range that preglue reads.  They carry the seeds as their K_T
+    data, as the shot halves do."""
+    T, h = lt.T, lt.grid.h
+    gp = make_grid(0.0, 2.0 * T, h)
+    gm = make_grid(-2.0 * T, 0.0, h)
+    return (DiscretePath(gp, linear_half_path(lt.model, "stable", seed_p,
+                                              gp.nodes)),
+            DiscretePath(gm, linear_half_path(lt.model, "unstable", seed_m,
+                                              gm.nodes)))
+
+
 def _preglue_in_ball(cutoff, w_plus, w_minus, lt):
     """Pre-glued path on lt's grid (ValueError for halves at another
     spacing), under the one hypothesis of the gluing map: it lies in the sup
     ball of radius 2 delta_2, on which the linearization deviates from D by
-    at most 1/(2c); PreconditionError otherwise."""
+    at most 1/(2c); PreconditionError otherwise.  In an evaluation of
+    glue_coordinate_rep the halves are linear_halves, so this tests the
+    linear pre-glued path."""
     wt = preglue(cutoff, w_plus, w_minus, lt.T)
     if wt.grid != lt.grid:
         raise ValueError("halves not at the bundle grid spacing %r" % lt.grid.h)
@@ -306,7 +325,13 @@ def glue_coordinate_rep(cutoff, lt, scale=1.0):
     """Local-coordinate representative of the gluing map on weighted kernel
     coefficients: seeds -> boundary kernel coefficients of the glued path,
     orthonormalized by the exact coefficient weights so the linearization at
-    0 matches the infinitesimal-gluing singular values."""
+    0 matches the infinitesimal-gluing singular values.
+
+    Each evaluation glues the linear halves (linear_halves), not shot ones.
+    The correction keeps the K_T rows of the pre-glued path, and those rows
+    are the two seeds for either pair of halves, so both start points lead
+    to the same zero: the glued line with that K_T data.  The value equals
+    the shot-halves value up to the rounding of the correction."""
     model = lt.model
     ns = model.n_stable
     dom_w, img_w = gamma_weights(lt)
@@ -317,7 +342,7 @@ def glue_coordinate_rep(cutoff, lt, scale=1.0):
         u = np.asarray(u, dtype=float) * scale
         seed_p = u[:ns] / sd[:ns]
         seed_m = u[ns:] / sd[ns:]
-        wp, wm = shoot_halves(lt, seed_p, seed_m)
+        wp, wm = linear_halves(lt, seed_p, seed_m)
         rep = glue(model, cutoff, wp, wm, lt.T, lt)
         v_plus = model.p_plus(rep.path.samples[0])
         v_minus = model.p_minus(rep.path.samples[-1])

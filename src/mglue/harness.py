@@ -58,9 +58,11 @@ class ExperimentConfig:
     Keys: model (builtin name or path to a model config file), cutoff
     (quintic|cubic), seed_plus, seed_minus (comma lists), T_list, h, out,
     seed (an integer that is parsed and reaches no output), S, C_decay.
-    Any other key is a ConfigError, and so is a non-finite number, a bad
-    model file, a T or S off the grid of the paths, S < 2 max(T_list), or a
-    grid [0, S] of more than MAX_GRID_NODES nodes."""
+    Any other key is a ConfigError, and so is a non-finite number, a
+    T_list that is not strictly increasing or starts below 3, a C_decay
+    <= 0, a bad model file, a T or S off the grid of the paths,
+    S < 2 max(T_list), or a grid [0, S] of more than MAX_GRID_NODES
+    nodes."""
 
     def __init__(self, raw, base_dir="."):
         unknown = sorted(set(raw) - set(_CONFIG_KEYS))
@@ -102,8 +104,11 @@ class ExperimentConfig:
         for key in ("T_list", "h", "seed_plus", "seed_minus", "S", "C_decay"):
             if not np.all(np.isfinite(getattr(self, key) or 0.0)):
                 raise ConfigError("%s must be finite" % key)
-        if sorted(self.T_list) != self.T_list or min(self.T_list) < 3:
-            raise ConfigError("T_list must be sorted with min >= 3")
+        if np.any(np.diff(self.T_list) <= 0) or min(self.T_list) < 3:
+            raise ConfigError("T_list must be strictly increasing with "
+                              "min >= 3")
+        if self.C_decay is not None and self.C_decay <= 0:
+            raise ConfigError("C_decay must be positive")
         if self.h <= 0:
             raise ConfigError("h must be positive")
         for k, want in (("seed_plus", self.model.n_stable),
@@ -183,7 +188,10 @@ def write_csv(path, header, rows):
 
 
 def write_json(path, obj):
-    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Strict JSON: a non-finite float is a ValueError, not Infinity or NaN
+    in the file."""
+    _atomic_write(path, json.dumps(obj, indent=2, sort_keys=True,
+                                   allow_nan=False) + "\n")
 
 
 def path_csv_rows(p):
@@ -255,6 +263,9 @@ def _decay_prefactor(cfg):
 
 
 def cmd_converge(cfg):
+    """converge.csv, one row per T, and converge_fit.json with the fitted
+    exponential rate of ev_error over T and its r2; both are null when
+    fewer than two ev errors lie above the fit's floor (one T, say)."""
     model = cfg.model
     consts = cfg.constants()
     C = _decay_prefactor(cfg)
@@ -271,11 +282,15 @@ def cmd_converge(cfg):
     write_csv(os.path.join(cfg.out, "converge.csv"),
               ["T", "preglue_resid", "np_iters", "corr_norm", "bound_2cF",
                "ev_error", "ev_bound"], rows)
+    fitted = np.isfinite(sw["rate_fit"])
     write_json(os.path.join(cfg.out, "converge_fit.json"),
-               {"rate_fit": sw["rate_fit"], "r2": sw["r2"],
-                "C_decay": float(C)})
-    print("ev convergence: fitted rate %.4f (r2 %.6f) over T in %s"
-          % (sw["rate_fit"], sw["r2"], cfg.T_list))
+               {"rate_fit": sw["rate_fit"] if fitted else None,
+                "r2": sw["r2"] if fitted else None, "C_decay": float(C)})
+    if fitted:
+        print("ev convergence: fitted rate %.4f (r2 %.6f) over T in %s"
+              % (sw["rate_fit"], sw["r2"], cfg.T_list))
+    else:
+        print("ev convergence: no rate fitted over T in %s" % cfg.T_list)
     return 0
 
 

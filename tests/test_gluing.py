@@ -4,17 +4,19 @@ from scipy.integrate import solve_ivp
 
 from mglue.gluing import (apply_F, certify_approx_zero, convergence_sweep,
                           cubic_cutoff, diffeo_criterion, flow_problem, glue,
-                          glue_coordinate_rep, preglue, quintic_cutoff,
-                          shoot_halves, tangent_convergence_sweep,
-                          theta_defect_norm)
+                          glue_coordinate_rep, linear_halves, preglue,
+                          quintic_cutoff, shoot_halves,
+                          tangent_convergence_sweep, theta_defect_norm)
 from mglue.invariant_manifolds import (linear_half_path, shoot_stable,
                                        shoot_unstable, theta_inverse)
 from mglue.linear_theory import (LinearTheory, euclidean_gluing_reference,
                                  gamma_weights)
 from mglue.morse_model import compute_constants
 from mglue.newton_picard import PreconditionError
-from mglue.path_space import (DiscretePath, differentiate, norms, sup_norm,
-                              symmetric_grid, trapezoid_weights, zero_path)
+from mglue import gluing
+from mglue.path_space import (DiscretePath, differentiate, make_grid, norms,
+                              sup_norm, symmetric_grid, trapezoid_weights,
+                              zero_path)
 
 from test_morse_model import model_3d
 from test_path_space import evaluate_ends, path_from_function
@@ -371,6 +373,70 @@ def theta_defect_norm_reference(cutoff, lt, seed_radius):
     W = np.diag(gamma_weights(lt)[0])
     M = np.linalg.solve(np.sqrt(W), np.linalg.solve(np.sqrt(W), H).T)
     return float(np.sqrt(max(np.max(np.linalg.eigvalsh(M)), 0.0)))
+
+
+def glue_coordinate_rep_shooting_reference(cutoff, lt, scale=1.0):
+    """The former glue_coordinate_rep, which glued the two halves shot to
+    S = 2T + 6 from the seeds instead of the linear halves."""
+    model = lt.model
+    ns = model.n_stable
+    dom_w, img_w = gamma_weights(lt)
+    sd = np.sqrt(dom_w)
+    si = np.sqrt(img_w)
+
+    def F(u):
+        u = np.asarray(u, dtype=float) * scale
+        wp, wm = shoot_halves(lt, u[:ns] / sd[:ns], u[ns:] / sd[ns:])
+        rep = glue(model, cutoff, wp, wm, lt.T, lt)
+        v_plus = model.p_plus(rep.path.samples[0])
+        v_minus = model.p_minus(rep.path.samples[-1])
+        return np.concatenate([v_plus * si[:ns], v_minus * si[ns:]]) / scale
+
+    return F
+
+
+class TestLinearHalves:
+    @pytest.mark.parametrize("name", ["c1", "model_3d"])
+    @pytest.mark.parametrize("twice", [False, True])
+    def test_map_matches_shooting_reference(self, request, name, twice):
+        # the K_T data of the pre-glued path are the seeds for either pair
+        # of halves, so the glued line, and the map, agree to rounding
+        model = model_3d() if name == "model_3d" else \
+            request.getfixturevalue(name)
+        consts = compute_constants(model)
+        h = 0.02
+        T = np.ceil(consts.T0 / h) * h * (2 if twice else 1)
+        lt = LinearTheory(model, T, h, consts)
+        F = glue_coordinate_rep(BETA, lt, scale=0.3)
+        G = glue_coordinate_rep_shooting_reference(BETA, lt, scale=0.3)
+        # 18 points of the certificate's seed box [-1, 1]^dim / sqrt(dim)
+        rng = np.random.default_rng(int(10 * T))
+        for u in rng.uniform(-1.0, 1.0, (18, model.dim)) / np.sqrt(model.dim):
+            assert np.max(np.abs(F(u) - G(u))) <= 1e-13
+
+    def test_map_evaluation_does_not_shoot(self, c1, cc, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a map evaluation shot a half trajectory")
+        monkeypatch.setattr(gluing, "shoot_stable", refuse)
+        monkeypatch.setattr(gluing, "shoot_unstable", refuse)
+        lt = LinearTheory(c1, 5.0, 0.02, cc)
+        F = glue_coordinate_rep(BETA, lt, scale=0.3)
+        assert np.all(np.isfinite(F([0.4, -0.3])))
+
+    @pytest.mark.parametrize("name", ["c1", "model_3d"])
+    def test_seeds_are_the_preglued_kt_data(self, request, name):
+        model = model_3d() if name == "model_3d" else \
+            request.getfixturevalue(name)
+        lt = LinearTheory(model, 4.0, 0.02, compute_constants(model))
+        ns = model.n_stable
+        seed_p = [0.3, -0.17][:ns]
+        seed_m = [0.23, 0.11][:model.dim - ns]
+        wp, wm = linear_halves(lt, seed_p, seed_m)
+        assert wp.grid == make_grid(0.0, 8.0, 0.02)
+        assert wm.grid == make_grid(-8.0, 0.0, 0.02)
+        wt = preglue(BETA, wp, wm, lt.T)
+        assert np.array_equal(model.p_plus(wt.samples[0]), seed_p)
+        assert np.array_equal(model.p_minus(wt.samples[-1]), seed_m)
 
 
 class TestDiffeo:

@@ -32,6 +32,27 @@ class TestConfig:
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, T_list="5,3"))
 
+    @pytest.mark.parametrize("t_list", ["3,3", "3,4,4"])
+    def test_repeated_t_rejected(self, tmp_path, capsys, t_list):
+        # a rate fitted over one distinct T is no fit at all
+        cfg = write_cfg(tmp_path, T_list=t_list)
+        with pytest.raises(ConfigError, match="strictly increasing"):
+            load_config(cfg)
+        assert main(["converge", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: T_list") and err.count("\n") == 1
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_c_decay_rejected(self, tmp_path, capsys, value):
+        cfg = write_cfg(tmp_path, C_decay=value)
+        with pytest.raises(ConfigError, match="C_decay must be positive"):
+            load_config(cfg)
+        assert main(["converge", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == "error: C_decay must be positive\n"
+
     def test_t_below_three_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             load_config(write_cfg(tmp_path, T_list="2,3"))
@@ -156,6 +177,24 @@ class TestConfig:
         assert cfg.out == "/tmp/x" and cfg.rng_seed == 99
 
 
+def strict_json_load(path):
+    """json.load that raises on the non-standard constants Infinity,
+    -Infinity and NaN instead of reading them as floats."""
+    def refuse(name):
+        raise ValueError("non-finite JSON constant %s" % name)
+    with open(path) as f:
+        return json.load(f, parse_constant=refuse)
+
+
+class TestJson:
+    @pytest.mark.parametrize("value", [float("inf"), float("nan")])
+    def test_non_finite_value_refused(self, tmp_path, value):
+        path = tmp_path / "x.json"
+        with pytest.raises(ValueError):
+            harness.write_json(str(path), {"v": value})
+        assert not path.exists()
+
+
 class TestCsv:
     def test_rfc4180_crlf_and_digits(self, tmp_path):
         path = str(tmp_path / "t.csv")
@@ -229,6 +268,16 @@ class TestCommands:
             .decode().split("\r\n")[1].split(",")
         assert float(row[5]) == pytest.approx(np.sqrt(2) * np.exp(-6),
                                               rel=1e-3)
+
+    def test_converge_one_t_writes_null_fit(self, tmp_path, capsys):
+        # one T gives no rate: the sidecar says null, in strict JSON
+        cfg = write_cfg(tmp_path, T_list="3")
+        out = str(tmp_path / "out")
+        assert main(["converge", "--config", cfg, "--out", out]) == 0
+        fit = strict_json_load(os.path.join(out, "converge_fit.json"))
+        assert fit["rate_fit"] is None and fit["r2"] is None
+        assert fit["C_decay"] > 0
+        assert "no rate fitted" in capsys.readouterr().out
 
     def test_tangent_one_norm_row_per_t_and_deterministic(self, tmp_path,
                                                           capsys):
