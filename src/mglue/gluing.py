@@ -57,7 +57,8 @@ def apply_F(model, w):
 
 def _half_samples_on(grid_T, half, T, side):
     """Samples of the shifted half trajectory w(+-T + s) on the [-T, T] grid,
-    by index alignment: the half must be sampled at the grid's spacing."""
+    by index alignment, as a view of the half's samples: the half must be
+    sampled at the grid's spacing."""
     hg = half.grid
     if abs(hg.h - grid_T.h) >= 1e-12:
         raise ValueError("half-trajectory spacing %r differs from the grid "
@@ -65,10 +66,10 @@ def _half_samples_on(grid_T, half, T, side):
     # arguments T + s for s in [-T, T], i.e. [0, 2T] from [0, S] (stable),
     # or -T + s in [-2T, 0] from [-S, 0] (unstable)
     start = 0.0 if side == "stable" else -2.0 * T
-    idx = round((start - hg.t_min) / hg.h) + np.arange(grid_T.n_nodes)
-    if idx[0] < 0 or idx[-1] >= hg.n_nodes:
+    first = round((start - hg.t_min) / hg.h)
+    if first < 0 or first + grid_T.n_nodes > hg.n_nodes:
         raise ValueError("half trajectory does not cover the shifted range")
-    return half.samples[idx]
+    return half.samples[first:first + grid_T.n_nodes]
 
 
 @lru_cache(maxsize=STENCIL_CACHE_SIZE)
@@ -181,10 +182,13 @@ def _interior_flow_residual(model, w):
 
 def flow_problem(lt):
     """Newton-Picard problem of the flow section on the grid of lt, on
-    flattened node-major samples: D = apply_D (the linearization at 0_T),
-    the remainder N = apply_F - D, which is grad f_nl nodewise, and dN its
-    nodewise linearization, Q = apply_Q_exact (the exact discrete right
-    inverse with K_T boundary structure), and the W^{1,2} and L^2 norms."""
+    flattened node-major samples, a vector or a (size, k) block of them: D =
+    apply_D (the linearization at 0_T), the remainder N = apply_F - D, which
+    is grad f_nl nodewise, and dN its nodewise linearization, Q =
+    apply_Q_exact (the exact discrete right inverse with K_T boundary
+    structure), and the W^{1,2} and L^2 norms of a vector.  N, D, Q and the
+    maps of dN act on a block column by column, with the bits of each
+    column alone."""
     grid = lt.grid
     model = lt.model
     n = model.dim
@@ -193,10 +197,13 @@ def flow_problem(lt):
         return DiscretePath(grid, v.reshape(-1, n))
 
     def N(v):
-        return model.nonlinear_tensor(v.reshape(-1, n), 0).reshape(-1)
+        # the points of column j are the rows of cols[j].reshape(-1, n)
+        cols = v.reshape(len(v), -1).T
+        f = model.nonlinear_tensor(cols.reshape(len(cols), -1, n), 0)
+        return f.reshape(cols.shape).T.reshape(v.shape)
 
     def Dop(v):
-        return apply_D(lt, path(v)).samples.reshape(-1)
+        return apply_D(lt, v)
 
     def Qop(v):
         return apply_Q_exact(lt, v)
@@ -209,8 +216,9 @@ def flow_problem(lt):
 
     def dN(x):
         jac = model.nonlinear_tensor(x.reshape(-1, n), 1)
-        return lambda v: np.einsum("jab,jb->ja", jac,
-                                   v.reshape(-1, n)).reshape(-1)
+        return lambda v: np.einsum("jab,jb...->ja...", jac,
+                                   v.reshape(-1, n, *v.shape[1:])
+                                   ).reshape(v.shape)
 
     consts = lt.constants
     return NPProblem(N=N, apply_D=Dop, apply_Q=Qop,
@@ -266,20 +274,39 @@ def glue(model, cutoff, w_plus, w_minus, T, lt):
 
     The one hypothesis checked is that of _preglue_in_ball.  The paper's
     bounds ||x1 - x0|| < delta/8 and ||F(x1)|| < delta/(4c) are measured and
-    reported in `precond`, not enforced."""
+    reported in `precond`, not enforced.
+
+    w_plus and w_minus are two halves, or two equal-length lists of halves:
+    then each pair is pre-glued and checked in turn, the pre-glued paths
+    are corrected by one np_solve on their block, and the list of one
+    GlueReport per pair equals the reports of the pairs glued alone."""
     if (lt.T, lt.model) != (float(T), model):
         raise ValueError("linear-theory bundle is for a different T or model")
-    wt = _preglue_in_ball(cutoff, w_plus, w_minus, lt)
+    single = isinstance(w_plus, DiscretePath)
+    if not single and len(w_plus) != len(w_minus):
+        raise ValueError("%d stable halves against %d unstable ones"
+                         % (len(w_plus), len(w_minus)))
+    pairs = [(w_plus, w_minus)] if single else list(zip(w_plus, w_minus))
+    x1s = [_preglue_in_ball(cutoff, wp, wm, lt).samples.reshape(-1)
+           for wp, wm in pairs]
     prob = flow_problem(lt)
-    x1 = wt.samples.reshape(-1)
-    res = np_solve(prob, x1)
+    res = np_solve(prob, x1s[0] if single else np.stack(x1s, axis=1))
+    cols = [res] if single else map(res.column, range(len(pairs)))
+    reps = [_glue_report(prob, lt, r, x1, wp, wm)
+            for r, x1, (wp, wm) in zip(cols, x1s, pairs)]
+    return reps[0] if single else reps
+
+
+def _glue_report(prob, lt, res, x1, w_plus, w_minus):
+    """The GlueReport of one pair of halves from the NPResult of its
+    pre-glued path x1."""
     pre_resid = res.precond["fx_norm"]
-    gamma = DiscretePath(lt.grid, res.x.reshape(-1, model.dim))
+    gamma = DiscretePath(lt.grid, res.x.reshape(-1, lt.model.dim))
     return GlueReport(
-        T=float(T), path=gamma,
+        T=lt.T, path=gamma,
         preglue_resid_l2=pre_resid,
         np_iterations=res.iterations,
-        residual_final=_interior_flow_residual(model, gamma),
+        residual_final=_interior_flow_residual(lt.model, gamma),
         correction_norm=res.correction_norm,
         bound_2c_F=2.0 * prob.c * pre_resid,
         contraction_ratio_max=res.contraction_ratio_max,
@@ -331,7 +358,11 @@ def glue_coordinate_rep(cutoff, lt, scale=1.0):
     The correction keeps the K_T rows of the pre-glued path, and those rows
     are the two seeds for either pair of halves, so both start points lead
     to the same zero: the glued line with that K_T data.  The value equals
-    the shot-halves value up to the rounding of the correction."""
+    the shot-halves value up to the rounding of the correction.
+
+    The map takes a point of shape (n,) or a (k, n) block of points, whose
+    rows are glued by one call of glue on lists; each row's value has the
+    bits of that point alone."""
     model = lt.model
     ns = model.n_stable
     dom_w, img_w = gamma_weights(lt)
@@ -339,14 +370,17 @@ def glue_coordinate_rep(cutoff, lt, scale=1.0):
     si = np.sqrt(img_w)
 
     def F(u):
-        u = np.asarray(u, dtype=float) * scale
-        seed_p = u[:ns] / sd[:ns]
-        seed_m = u[ns:] / sd[ns:]
-        wp, wm = linear_halves(lt, seed_p, seed_m)
-        rep = glue(model, cutoff, wp, wm, lt.T, lt)
-        v_plus = model.p_plus(rep.path.samples[0])
-        v_minus = model.p_minus(rep.path.samples[-1])
-        return np.concatenate([v_plus * si[:ns], v_minus * si[ns:]]) / scale
+        u = np.asarray(u, dtype=float)
+        U = np.atleast_2d(u) * scale
+        halves = [linear_halves(lt, v[:ns] / sd[:ns], v[ns:] / sd[ns:])
+                  for v in U]
+        reps = glue(model, cutoff, [wp for wp, _ in halves],
+                    [wm for _, wm in halves], lt.T, lt)
+        out = np.array([np.concatenate([
+            model.p_plus(rep.path.samples[0]) * si[:ns],
+            model.p_minus(rep.path.samples[-1]) * si[ns:]]) / scale
+            for rep in reps])
+        return out.reshape(u.shape[:-1] + out.shape[-1:])
 
     return F
 
@@ -357,7 +391,10 @@ def diffeo_criterion(model, cutoff, lt, sample_count, rng, seed_box_radius,
     the (empirically certified) seed box: quantitative-IFT hypotheses with
     k from the infinitesimal-gluing inverse bound, plus the Theta_T smallness
     sample on the kernel basis.  Jacobians are central differences with step
-    1e-4; both bounds get the measurement slack 1 + 5h."""
+    1e-4; both bounds get the measurement slack 1 + 5h.  The certificate
+    evaluates the gluing map on blocks: each finite-difference Jacobian's
+    2 n points, and the injectivity pairs' points, are one glue call and
+    one Newton-Picard solve."""
     if model != lt.model:
         raise ValueError("linear-theory bundle is for a different model")
     consts = lt.constants

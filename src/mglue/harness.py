@@ -24,7 +24,7 @@ from .gluing import (convergence_sweep, cubic_cutoff,
                      estimate_decay_constant, glue, preglue, quintic_cutoff,
                      shoot_halves, tangent_convergence_sweep)
 from .newton_picard import TOL_ZERO, ContractionError, PreconditionError
-from .path_space import grid_unit, on_grid
+from .path_space import MIN_NODES, grid_unit, on_grid
 
 FMT = "%.17g"
 
@@ -47,6 +47,15 @@ _CONFIG_KEYS = ("model", "cutoff", "seed_plus", "seed_minus", "T_list", "h",
                 "out", "seed", "S", "C_decay")
 
 
+def _check_grid_nodes(T, h):
+    """ConfigError when the grid [-T, T] of spacing 1/grid_unit(h) has fewer
+    than MIN_NODES nodes."""
+    nodes = round(2.0 * T * grid_unit(h)) + 1
+    if nodes < MIN_NODES:
+        raise ConfigError("h = %r gives %d nodes on [-%g, %g], fewer than %d"
+                          % (h, nodes, T, T, MIN_NODES))
+
+
 def _read_flat_config(path):
     with open(path, encoding="utf-8") as f:
         return parse_flat_config(f.read())
@@ -61,8 +70,8 @@ class ExperimentConfig:
     Any other key is a ConfigError, and so is a non-finite number, a
     T_list that is not strictly increasing or starts below 3, a C_decay
     <= 0, a bad model file, a T or S off the grid of the paths,
-    S < 2 max(T_list), or a grid [0, S] of more than MAX_GRID_NODES
-    nodes."""
+    S < 2 max(T_list), a grid [0, S] of more than MAX_GRID_NODES nodes, or
+    a grid [-T, T] or [0, S] of fewer than MIN_NODES nodes."""
 
     def __init__(self, raw, base_dir="."):
         unknown = sorted(set(raw) - set(_CONFIG_KEYS))
@@ -134,6 +143,9 @@ class ExperimentConfig:
         if self.S < 2.0 * max(self.T_list):
             raise ConfigError("S = %r is below 2 max(T_list) = %r"
                               % (self.S, 2.0 * max(self.T_list)))
+        # [0, S] holds at least the nodes of [-T, T] for the largest T
+        for T in self.T_list:
+            _check_grid_nodes(T, self.h)
 
     def constants(self):
         """The model's constants; a model without them (no positive
@@ -353,6 +365,10 @@ def cmd_decay(cfg):
 # ---------------------------------------------------------------------------
 # verification matrix
 
+# the check matrix's bundles are on [-VERIFY_T, VERIFY_T] at the config's h
+VERIFY_T = 3.0
+
+
 def _verify_checks(cfg):
     """Deterministic check matrix over the shipped models.  Yields
     (name, measured, bound, ok) tuples; a check passes when measured <= bound,
@@ -374,7 +390,7 @@ def _verify_checks(cfg):
           1e-12)
 
     beta = quintic_cutoff()
-    T = 3.0
+    T = VERIFY_T
     lt = LinearTheory(e1, T, cfg.h, ce)
     gmax, gmin = gamma_svd_bounds(lt)
     check("E1 gamma operator norm", gmax, 1.0 + 1e-9)
@@ -429,6 +445,7 @@ def _verify_checks(cfg):
 
 
 def cmd_verify(cfg):
+    _check_grid_nodes(VERIFY_T, cfg.h)
     checks = _verify_checks(cfg)
     lines = []
     all_ok = True

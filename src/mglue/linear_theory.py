@@ -30,8 +30,8 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, eigsh
 
 from .morse_model import MorseModel
-from .path_space import (DiagonalFlowLU, DiscretePath, differentiate,
-                         grid_unit, kt_rows, l2_weights, on_grid,
+from .path_space import (DiagonalFlowLU, DiscretePath, grid_unit, kt_rows,
+                         l2_weights, on_grid, stencil_derivative,
                          symmetric_grid, w12_gram)
 
 
@@ -104,10 +104,16 @@ def _check_grid(lt, p):
 
 
 def apply_D(lt, zeta):
-    """d/ds zeta + A zeta, nodewise."""
-    _check_grid(lt, zeta)
-    dz = differentiate(zeta)
-    return DiscretePath(zeta.grid, dz.samples + zeta.samples * lt.model.a)
+    """d/ds zeta + A zeta, nodewise: of a path, or of flattened node-major
+    samples of shape (size,) or (size, k), column by column, returned in
+    that shape."""
+    if isinstance(zeta, DiscretePath):
+        _check_grid(lt, zeta)
+        out = apply_D(lt, zeta.samples.reshape(-1))
+        return DiscretePath(zeta.grid, out.reshape(zeta.samples.shape))
+    w = zeta.reshape(lt.grid.n_nodes, lt.model.dim, -1)
+    out = stencil_derivative(w, lt.grid.h) + w * lt.model.a[:, None]
+    return out.reshape(zeta.shape)
 
 
 def kernel_path(lt, ke):

@@ -26,9 +26,13 @@ class ContractionError(RuntimeError):
 
 @dataclass(frozen=True)
 class NPProblem:
-    N: callable                 # vector -> vector, the remainder F - D
-    apply_D: callable           # vector -> vector, linear
-    apply_Q: callable           # vector -> vector, a right inverse of D
+    """N, apply_D and apply_Q map a vector to a vector, and a (size, k)
+    block column by column to a block, each column with the bits it has
+    alone; np_solve iterates blocks through them.  The norms take one
+    vector, as before."""
+    N: callable                 # the remainder F - D
+    apply_D: callable           # linear
+    apply_Q: callable           # a right inverse of D
     x0: np.ndarray
     c: float                    # bound for ||Q||
     delta: float                # admissible-ball radius
@@ -48,15 +52,31 @@ class NPProblem:
 
 @dataclass(frozen=True)
 class NPResult:
+    """The result of np_solve.  For a (size, k) block of start points, x is
+    the block of zeros, iterations the sum of the columns' steps, and the
+    other fields hold one entry per column, column_iterations the steps;
+    column(j) is the result of column j alone."""
     x: np.ndarray
     iterations: int
     correction_norm: float
     contraction_ratios: tuple
     precond: dict
+    column_iterations: tuple = None
 
     @property
     def contraction_ratio_max(self):
+        """The largest ratio of a vector's result (of column(j) for a
+        block's)."""
         return max(self.contraction_ratios) if self.contraction_ratios else 0.0
+
+    def column(self, j):
+        """Column j of a block result, as np_solve returns it for that
+        column's start point alone."""
+        return NPResult(x=self.x[:, j].copy(),
+                        iterations=self.column_iterations[j],
+                        correction_norm=self.correction_norm[j],
+                        contraction_ratios=self.contraction_ratios[j],
+                        precond=self.precond[j])
 
 
 # stopping rule: the Newton-Picard step is small relative to
@@ -65,24 +85,34 @@ TOL_ZERO = 1e-12
 MAX_ITER = 200
 
 
+def _columns(a):
+    """The vector a, or the columns of the block a as contiguous vectors
+    (the rows of one transposed copy)."""
+    return [a] if a.ndim == 1 else list(a.T.copy())
+
+
 def precondition_check(p, x1):
     """Measure the two admissibility bounds ||x1 - x0|| < delta/8 and
     ||F(x1)|| < delta/(4c): (record, F(x1), D x1), with
-    F(x1) = D x1 + N(x1)."""
-    dx = p.norm_dom(x1 - p.x0)
+    F(x1) = D x1 + N(x1).  For a (size, k) block x1 the record is a tuple
+    of one record per column, and F(x1) and D x1 are blocks."""
+    x1 = np.asarray(x1, dtype=float)
+    dx = [p.norm_dom(c) for c in _columns((x1.T - p.x0).T)]
     d1 = p.apply_D(x1)
     f1 = d1 + p.N(x1)
-    fx = p.norm_cod(f1)
-    return {
-        "dx_norm": float(dx), "dx_bound": p.delta / 8.0,
-        "dx_ok": bool(dx < p.delta / 8.0),
-        "fx_norm": float(fx), "fx_bound": p.delta / (4.0 * p.c),
-        "fx_ok": bool(fx < p.delta / (4.0 * p.c)),
-    }, f1, d1
+    fx = [p.norm_cod(c) for c in _columns(f1)]
+    records = tuple({
+        "dx_norm": float(a), "dx_bound": p.delta / 8.0,
+        "dx_ok": bool(a < p.delta / 8.0),
+        "fx_norm": float(b), "fx_bound": p.delta / (4.0 * p.c),
+        "fx_ok": bool(b < p.delta / (4.0 * p.c)),
+    } for a, b in zip(dx, fx))
+    return (records[0] if x1.ndim == 1 else records), f1, d1
 
 
 def np_solve(p, x1):
-    """Newton-Picard correction from the approximate zero x1.
+    """Newton-Picard correction from the approximate zero x1, a vector or a
+    (size, k) block of start points.
 
     Iterates Phi(x) = x1 - Q(N(x) + D x1) until the step norm drops below
     TOL_ZERO * max(1, ||x1||); step-size stopping bounds the distance to the
@@ -91,49 +121,90 @@ def np_solve(p, x1):
     x1 or a step of non-finite norm (from a non-finite x1 or an overflow)
     raises ContractionError at once.  The admissibility bounds of
     precondition_check are measured and returned in `precond`, not
-    enforced."""
+    enforced.
+
+    A block is iterated in the same loop: N and Q act on the block of the
+    columns still iterating, each column is measured by norm_dom on its
+    own, and a column stops at its own stopping step.  So each column has
+    the steps, norms, ratios and bits of its own solve (NPResult.column),
+    and the block fails with the exception of its first failing column.
+    A vector is a block of one whose column the callables see as a
+    vector.  A block result's `iterations` is the sum over the columns."""
     x1 = np.asarray(x1, dtype=float)
     pre, f1, d1 = precondition_check(p, x1)
-    x1_norm = p.norm_dom(x1)
-    if not (np.isfinite(x1_norm) and np.isfinite(pre["fx_norm"])):
-        # an infinite tolerance would accept x1 as an exact zero
-        raise ContractionError("start point has non-finite norms: "
-                               "||x1|| = %r, ||F(x1)|| = %r"
-                               % (x1_norm, pre["fx_norm"]))
-    tol = TOL_ZERO * max(1.0, x1_norm)
-    if pre["fx_norm"] <= tol:
-        # already a zero: the correction map restricts to the identity
-        return NPResult(x=x1.copy(), iterations=0, correction_norm=0.0,
-                        contraction_ratios=(), precond=pre)
-    x = x1.copy()
-    ratios = []
-    prev_step = None
-    iters = 0
-    for iters in range(1, MAX_ITER + 1):
+    vector = x1.ndim == 1
+    pre = (pre,) if vector else pre
+    starts = _columns(x1)
+    k = len(starts)
+    # at x0 = 0 the record's ||x1 - x0|| is ||x1||, to the bit
+    at_origin = not np.any(p.x0)
+    tols = []
+    for c, rec in zip(starts, pre):
+        x1_norm = rec["dx_norm"] if at_origin else p.norm_dom(c)
+        if not (np.isfinite(x1_norm) and np.isfinite(rec["fx_norm"])):
+            # an infinite tolerance would accept x1 as an exact zero
+            raise ContractionError("start point has non-finite norms: "
+                                   "||x1|| = %r, ||F(x1)|| = %r"
+                                   % (x1_norm, rec["fx_norm"]))
+        tols.append(TOL_ZERO * max(1.0, x1_norm))
+    iters = [0] * k
+    ratios = [[] for _ in range(k)]
+    prev_step = [None] * k
+    xs = [None] * k             # the zero of each column, once it stops
+    # the active columns, and their start points, D x1, iterates and first
+    # right-hand side; a column already at a zero takes no step: the
+    # correction map restricts to the identity there
+    act = [j for j in range(k) if pre[j]["fx_norm"] > tols[j]]
+    x1a, d1a, rhs = (a[:, act] if 0 < len(act) < k else a
+                     for a in (x1, d1, f1))
+    x = x1a
+    step_no = 0
+    while act:
+        step_no += 1
+        if step_no > MAX_ITER:
+            raise ContractionError("no convergence in %d iterations"
+                                   % MAX_ITER)
         # the first step is from x = x1, where N(x1) + D x1 = F(x1) is the
         # precondition's
-        rhs = f1 if iters == 1 else p.N(x) + d1
-        x_new = x1 - p.apply_Q(rhs)
-        step = p.norm_dom(x_new - x)
-        if not np.isfinite(step):
-            # a nan ratio would pass the ratio test below
-            raise ContractionError("step %d has non-finite norm %r"
-                                   % (iters, step))
-        if prev_step is not None and prev_step > 0:
-            r = step / prev_step
-            ratios.append(float(r))
-            if r > 0.95:
-                raise ContractionError(
-                    "contraction ratio %.3f > 0.95 (hypothesis breakdown)" % r)
-        prev_step = step
+        if step_no > 1:
+            rhs = p.N(x) + d1a
+        x_new = x1a - p.apply_Q(rhs)
+        keep = []
+        for j, diff in zip(act, _columns(x_new - x)):
+            step = p.norm_dom(diff)
+            if not np.isfinite(step):
+                # a nan ratio would pass the ratio test below
+                raise ContractionError("step %d has non-finite norm %r"
+                                       % (step_no, step))
+            if prev_step[j] is not None and prev_step[j] > 0:
+                r = step / prev_step[j]
+                ratios[j].append(float(r))
+                if r > 0.95:
+                    raise ContractionError(
+                        "contraction ratio %.3f > 0.95 (hypothesis "
+                        "breakdown)" % r)
+            prev_step[j] = step
+            iters[j] = step_no
+            keep.append(step > tols[j])
         x = x_new
-        if step <= tol:
-            break
-    else:
-        raise ContractionError("no convergence in %d iterations" % MAX_ITER)
-    return NPResult(x=x, iterations=iters,
-                    correction_norm=float(p.norm_dom(x - x1)),
-                    contraction_ratios=tuple(ratios), precond=pre)
+        if not all(keep):
+            for j, xj, kp in zip(act, _columns(x), keep):
+                if not kp:
+                    xs[j] = xj
+            act = [j for j, kp in zip(act, keep) if kp]
+            if act:
+                x1a, d1a, x = (a[:, keep] for a in (x1a, d1a, x))
+    xs = [s.copy() if xj is None else xj for s, xj in zip(starts, xs)]
+    corr = tuple(float(p.norm_dom(xj - s)) if n else 0.0
+                 for s, xj, n in zip(starts, xs, iters))
+    if vector:
+        return NPResult(x=xs[0], iterations=iters[0],
+                        correction_norm=corr[0],
+                        contraction_ratios=tuple(ratios[0]), precond=pre[0])
+    return NPResult(x=np.stack(xs, axis=1), iterations=sum(iters),
+                    correction_norm=corr,
+                    contraction_ratios=tuple(map(tuple, ratios)),
+                    precond=pre, column_iterations=tuple(iters))
 
 
 def np_differential(p, x1, v):
@@ -181,15 +252,19 @@ class IFTCertificate:
 
 
 def _fd_jacobian(F, x, eps):
-    """Central differences of F at x: 2 n evaluations of F."""
+    """Central differences of F at x: the 2 n points x + eps e_j and
+    x - eps e_j, evaluated by F as one (2 n, n) block."""
     x = np.asarray(x, dtype=float)
-    n = x.size
-    cols = []
-    for j in range(n):
-        e = np.zeros(n)
-        e[j] = eps
-        cols.append((F(x + e) - F(x - e)) / (2 * eps))
-    return np.stack(cols, axis=1)
+    E = eps * np.eye(x.size)
+    vals = F(np.concatenate([x + E, x - E]))
+    return np.ascontiguousarray(((vals[:x.size] - vals[x.size:])
+                                 / (2 * eps)).T)
+
+
+def _ball_point(rng, delta, n):
+    """A point of the delta-ball in R^n: radius delta u^(1/n) for a uniform
+    u, then a _unit direction."""
+    return delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n)
 
 
 def ift_certificate(F, delta, k, sample_count, rng, dim, fd_eps=1e-6,
@@ -202,7 +277,14 @@ def ift_certificate(F, delta, k, sample_count, rng, dim, fd_eps=1e-6,
     two hypothesis bounds.  dF(0) is computed once: the variation samples
     compare against it, and each preimage solve starts at x = 0 with it as
     its first Newton step's Jacobian (2 dim evaluations of F fewer per
-    preimage for finite differences)."""
+    preimage for finite differences).
+
+    F maps a point of shape (dim,), or a (m, dim) block of points row by
+    row.  The 2 dim points of each finite-difference Jacobian are one
+    block, and so are the points of the injectivity pairs: all pairs are
+    drawn first, and the pairs closer than 1e-12, which are skipped, are
+    left out of the block and of injectivity_checked.  The preimage Newton
+    solves evaluate F one point at a time."""
     newton_tol = 1e-10
     jac = (lambda x: dF(x)) if dF is not None else (
         lambda x: _fd_jacobian(F, x, fd_eps))
@@ -218,7 +300,7 @@ def ift_certificate(F, delta, k, sample_count, rng, dim, fd_eps=1e-6,
     worst = 0.0
     worst_x = np.zeros(n)
     for _ in range(sample_count):
-        x = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n)
+        x = _ball_point(rng, delta, n)
         var = float(np.linalg.norm(jac(x) - J0, 2))
         if var > worst:
             worst, worst_x = var, x
@@ -227,18 +309,19 @@ def ift_certificate(F, delta, k, sample_count, rng, dim, fd_eps=1e-6,
             "max ||dF(x) - dF(0)|| = %.6g exceeds 1/(2k) = %.6g at x = %s"
             % (worst, 1.0 / (2 * k), worst_x))
     # conclusions (failures flag implementation bugs, hypotheses held)
+    pairs = [(_ball_point(rng, delta, n), _ball_point(rng, delta, n))
+             for _ in range(n_pairs)]
+    pairs = [(x, y) for x, y in pairs if np.linalg.norm(x - y) >= 1e-12]
     inj_fail = 0
-    for _ in range(n_pairs):
-        x = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n)
-        y = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n)
-        if np.linalg.norm(x - y) < 1e-12:
-            continue
-        lhs = np.linalg.norm(F(x) - F(y))
-        if lhs < np.linalg.norm(x - y) / (2.0 * k) * (1 - 1e-6):
-            inj_fail += 1
+    if pairs:
+        vals = F(np.array([x for x, _ in pairs] + [y for _, y in pairs]))
+        for (x, y), fx, fy in zip(pairs, vals, vals[len(pairs):]):
+            lhs = np.linalg.norm(fx - fy)
+            if lhs < np.linalg.norm(x - y) / (2.0 * k) * (1 - 1e-6):
+                inj_fail += 1
     pre_fail = 0
     for _ in range(n_preimages):
-        y = delta / (2.0 * k) * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n)
+        y = _ball_point(rng, delta / (2.0 * k), n)
         x = np.zeros(n)
         ok = False
         for step in range(50):
@@ -258,6 +341,6 @@ def ift_certificate(F, delta, k, sample_count, rng, dim, fd_eps=1e-6,
         ok=(inj_fail == 0 and pre_fail == 0),
         inv_norm_at_0=inv0, k_bound=float(k),
         max_variation=worst, variation_bound=1.0 / (2.0 * k),
-        injectivity_checked=n_pairs, injectivity_failures=inj_fail,
+        injectivity_checked=len(pairs), injectivity_failures=inj_fail,
         preimages_checked=n_preimages, preimage_failures=pre_fail,
         worst_sample=worst_x, slack=float(slack))

@@ -20,6 +20,10 @@ from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
 from scipy.sparse import csr_matrix, diags, identity, kron
 
 
+# fewest nodes a Grid may have
+MIN_NODES = 9
+
+
 @dataclass(frozen=True)
 class Grid:
     """A uniform grid, equal to another with the same three fields.  Its
@@ -32,8 +36,8 @@ class Grid:
     def __post_init__(self):
         if not self.t_min < self.t_max:
             raise ValueError("need t_min < t_max")
-        if self.n_nodes < 9:
-            raise ValueError("need at least 9 nodes")
+        if self.n_nodes < MIN_NODES:
+            raise ValueError("need at least %d nodes" % MIN_NODES)
         if self.n_nodes % 2 == 0:
             raise ValueError("n_nodes must be odd")
         object.__setattr__(self, "_hash",

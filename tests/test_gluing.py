@@ -439,6 +439,87 @@ class TestLinearHalves:
         assert np.array_equal(model.p_minus(wt.samples[-1]), seed_m)
 
 
+def assert_same_report(rep, ref):
+    """Bit-equal GlueReports: the path and every other field."""
+    assert rep.path.grid == ref.path.grid
+    assert rep.path.samples.tobytes() == ref.path.samples.tobytes()
+    for field in ("T", "preglue_resid_l2", "np_iterations", "residual_final",
+                  "correction_norm", "bound_2c_F", "contraction_ratio_max",
+                  "ev_error", "precond", "boundary_defect"):
+        assert getattr(rep, field) == getattr(ref, field), field
+
+
+class TestBlocks:
+    """glue on lists of halves solves their pre-glued paths as one block, and
+    the map of glue_coordinate_rep takes a block of points: each pair and
+    each point has the bits of its solo evaluation."""
+
+    @pytest.mark.parametrize("T", [4.0, 8.0])
+    def test_glue_lists_equal_solo(self, c1, cc, T):
+        lt = LinearTheory(c1, T, 0.02, cc)
+        halves = [shoot_halves(lt, [sp], [sm]) for sp, sm in
+                  ((0.3, -0.2), (-0.3, 0.2), (0.0, 0.0), (0.2, 0.25))]
+        halves.append(linear_halves(lt, [0.1], [-0.15]))
+        reps = glue(c1, BETA, [wp for wp, _ in halves],
+                    [wm for _, wm in halves], T, lt)
+        assert len(reps) == len(halves)
+        for rep, (wp, wm) in zip(reps, halves):
+            assert_same_report(rep, glue(c1, BETA, wp, wm, T, lt))
+        # the zero seeds glue in no iterations, the others do not
+        assert reps[2].np_iterations == 0
+        assert min(r.np_iterations for r in reps[:2] + reps[3:]) > 0
+
+    def test_glue_list_of_one(self, c1, cc):
+        lt = LinearTheory(c1, 4.0, 0.02, cc)
+        wp, wm = shoot_halves(lt, [0.3], [0.3])
+        [rep] = glue(c1, BETA, [wp], [wm], 4.0, lt)
+        assert_same_report(rep, glue(c1, BETA, wp, wm, 4.0, lt))
+
+    def test_glue_lists_of_unequal_length(self, c1, cc):
+        lt = LinearTheory(c1, 4.0, 0.02, cc)
+        wp, wm = linear_halves(lt, [0.3], [0.3])
+        with pytest.raises(ValueError, match="2 stable halves against 1"):
+            glue(c1, BETA, [wp, wp], [wm], 4.0, lt)
+
+    def test_pair_outside_the_ball_fails_the_list(self, c1, cc):
+        # the seeds (1.5, 1.5) leave the contraction ball at T = 3, alone
+        # or second in a list
+        lt = LinearTheory(c1, 3.0, 0.02, cc)
+        good = linear_halves(lt, [0.3], [0.3])
+        bad = linear_halves(lt, [1.5], [1.5])
+        with pytest.raises(PreconditionError, match="contraction ball"):
+            glue(c1, BETA, *bad, 3.0, lt)
+        with pytest.raises(PreconditionError, match="contraction ball"):
+            glue(c1, BETA, [good[0], bad[0]], [good[1], bad[1]], 3.0, lt)
+
+    @pytest.mark.parametrize("name", ["c1", "model_3d"])
+    @pytest.mark.parametrize("twice", [False, True])
+    def test_map_block_equals_points(self, request, name, twice):
+        model = model_3d() if name == "model_3d" else \
+            request.getfixturevalue(name)
+        consts = compute_constants(model)
+        h = 0.02
+        T = np.ceil(consts.T0 / h) * h * (2 if twice else 1)
+        F = glue_coordinate_rep(BETA, LinearTheory(model, T, h, consts),
+                                scale=0.3)
+        rng = np.random.default_rng(int(10 * T))
+        for k in (1, 4, 8):
+            U = rng.uniform(-1.0, 1.0, (k, model.dim)) / np.sqrt(model.dim)
+            out = F(U)
+            assert out.shape == (k, model.dim)
+            assert out.tobytes() == np.array([F(u) for u in U]).tobytes()
+
+    def test_map_block_outside_the_ball_fails(self, c1, cc):
+        lt = LinearTheory(c1, 3.0, 0.02, cc)
+        F = glue_coordinate_rep(BETA, lt, scale=1.0)
+        sd = np.sqrt(gamma_weights(lt)[0])
+        far = 1.5 * sd
+        with pytest.raises(PreconditionError):
+            F(far)
+        with pytest.raises(PreconditionError):
+            F(np.stack([0.1 * sd, far]))
+
+
 class TestDiffeo:
     def test_theta_defect_small(self, c1, cc):
         lt = LinearTheory(c1, 5.0, 0.02, cc)

@@ -437,3 +437,32 @@ class TestCommands:
 
     def test_bad_usage_exits_nonzero(self, capsys):
         assert main(["frobnicate", "--config", "x"]) == 1
+
+
+class TestCoarseGrid:
+    """A grid [-T, T] of fewer than 9 nodes is a config error: exit 1 with
+    one error line and no output file, not a traceback from Grid."""
+
+    @pytest.mark.parametrize("command", ["glue", "constants", "verify",
+                                         "converge", "tangent", "decay"])
+    def test_h_1_t_3_exits_1(self, tmp_path, capsys, command):
+        cfg = write_cfg(tmp_path, h="1", T_list="3")
+        out = tmp_path / "out"
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: h = 1.0 gives 7 nodes on [-3, 3], fewer than 9\n")
+        assert not out.exists()
+
+    def test_nine_nodes_accepted(self, tmp_path):
+        cfg = load_config(write_cfg(tmp_path, h="1", T_list="4"))
+        assert cfg.T_list == [4.0]
+
+    def test_verify_checks_its_own_grid(self, tmp_path, capsys):
+        # T_list = 4 passes at h = 1, but the check matrix builds its
+        # bundles on [-3, 3]
+        cfg = write_cfg(tmp_path, h="1", T_list="4")
+        out = tmp_path / "out"
+        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: h = 1.0 gives 7 nodes on [-3, 3], fewer than 9\n")
+        assert not out.exists()

@@ -62,6 +62,24 @@ class TestApplyD:
         assert np.max(np.abs(lhs.samples - rhs)) <= 1e-9 * (
             1 + np.max(np.abs(rhs)))
 
+    @pytest.mark.parametrize("name", ["c1", "model_3d"])
+    def test_flattened_samples_have_the_path_bits(self, request, name):
+        # a flattened vector, or each column of a (size, k) block, maps to
+        # the bits of the path form, in its own shape
+        model = model_3d() if name == "model_3d" else \
+            request.getfixturevalue(name)
+        lt = LinearTheory(model, 3.0, 0.02, compute_constants(model))
+        rng = np.random.default_rng(1)
+        paths = [fourier_path(lt.grid, rng, dim=model.dim) for _ in range(3)]
+        block = np.stack([p.samples.reshape(-1) for p in paths], axis=1)
+        out = apply_D(lt, block)
+        assert out.shape == block.shape
+        for j, p in enumerate(paths):
+            ref = apply_D(lt, p).samples.reshape(-1)
+            vec = apply_D(lt, p.samples.reshape(-1))
+            assert vec.tobytes() == ref.tobytes()
+            assert np.ascontiguousarray(out[:, j]).tobytes() == ref.tobytes()
+
 
 def project(lt, z):
     """projection_matrix applied to the path z."""

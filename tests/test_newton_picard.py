@@ -14,10 +14,18 @@ from mglue.newton_picard import (MAX_ITER, TOL_ZERO, ContractionError,
                                  precondition_check)
 
 
+def columnwise(M):
+    """v -> M v of a vector, or of each column of a block, summed over the
+    columns of M in a fixed order: a column has the same bits alone and in
+    a block (a matrix product need not)."""
+    return lambda v: sum(np.multiply.outer(M[:, j], v[j])
+                         for j in range(M.shape[1]))
+
+
 def xy2_problem(delta=2.0, c=1.0):
     """F(x, y) = x + y^2 with D = dF(0) restricted through im Q = e_x: the
-    remainder is N(x, y) = y^2.  D and Q are matrices, so Q also takes the
-    columns of a (1, k) array."""
+    remainder is N(x, y) = y^2.  D, Q, N and dN also map the columns of a
+    block."""
     Dm = np.array([[1.0, 0.0]])
     Qm = np.array([[1.0], [0.0]])
 
@@ -27,23 +35,25 @@ def xy2_problem(delta=2.0, c=1.0):
     def dN(x):
         return lambda v: np.array([2 * x[1] * v[1]])
 
-    return NPProblem(N=N, apply_D=lambda v: Dm @ v, apply_Q=lambda w: Qm @ w,
+    return NPProblem(N=N, apply_D=columnwise(Dm), apply_Q=columnwise(Qm),
                      x0=np.zeros(2), c=c, delta=delta,
                      norm_dom=np.linalg.norm, norm_cod=np.linalg.norm, dN=dN)
 
 
 def linear_problem(dF_scale=1.0):
-    """F(v) = A v + b with D = A, Q = A^{-1}, the remainder N = b and the
-    differential dF_scale * A (exact for dF_scale = 1), so dN is
-    (dF_scale - 1) A."""
+    """F(v) = A v + b with D = A, Q = A^{-1}, the remainder N = b (in each
+    column of a block) and the differential dF_scale * A (exact for
+    dF_scale = 1), so dN is (dF_scale - 1) A."""
     A = np.array([[2.0, 1.0], [0.0, 3.0]])
     Ainv = np.linalg.inv(A)
     b = np.array([0.1, -0.2])
 
-    return NPProblem(N=lambda v: b, apply_D=lambda v: A @ v,
-                     apply_Q=lambda w: Ainv @ w, x0=np.zeros(2), c=2.0,
-                     delta=10.0, norm_dom=np.linalg.norm,
-                     norm_cod=np.linalg.norm,
+    def N(v):
+        return b if v.ndim == 1 else np.repeat(b[:, None], v.shape[1], axis=1)
+
+    return NPProblem(N=N, apply_D=columnwise(A), apply_Q=columnwise(Ainv),
+                     x0=np.zeros(2), c=2.0, delta=10.0,
+                     norm_dom=np.linalg.norm, norm_cod=np.linalg.norm,
                      dN=lambda x: lambda v: (dF_scale - 1.0) * (A @ v))
 
 
@@ -335,9 +345,123 @@ class TestSavedWork:
         assert seen == []
 
 
+def divergent_problem():
+    """Phi(x) = -2 x^2 componentwise (N(x) = 2 x^2, D = Q = Id): a start
+    point of norm 0.1 converges, one of norm 0.9 breaks the ratio test."""
+    return NPProblem(N=lambda v: 2.0 * v**2, apply_D=lambda v: v,
+                     apply_Q=lambda w: w, x0=np.zeros(2), c=1.0, delta=1.0,
+                     norm_dom=np.linalg.norm, norm_cod=np.linalg.norm)
+
+
+def block_cases():
+    """(problem, block of start points) for the small problems: the
+    columns take different step counts, and the third column of xy2's and
+    of the linear problem's block is a zero to rounding."""
+    return [(xy2_problem(), np.array([[0.1, 0.1, -0.04, 0.02],
+                                      [0.05, 0.2, 0.2, -0.1]])),
+            (linear_problem(), np.array([[0.3, -0.2, -1.0 / 12.0],
+                                         [-0.1, 0.4, 1.0 / 15.0]])),
+            (divergent_problem(), np.array([[0.1, -0.05], [0.02, 0.07]]))]
+
+
+def assert_block_is_solo(p, X1):
+    """np_solve on the block X1 against np_solve on each column: every
+    field of every column bit for bit, and the block's iterations the sum
+    of the columns'."""
+    res = np_solve(p, X1)
+    solo = [np_solve(p, np.ascontiguousarray(c)) for c in X1.T]
+    assert res.x.shape == X1.shape
+    assert res.iterations == sum(r.iterations for r in solo)
+    assert res.column_iterations == tuple(r.iterations for r in solo)
+    for j, ref in enumerate(solo):
+        assert_same_result(res.column(j), ref)
+        assert_same_bits(res.x[:, j], ref.x)
+        assert res.correction_norm[j] == ref.correction_norm
+        assert res.contraction_ratios[j] == ref.contraction_ratios
+        assert res.precond[j] == ref.precond
+    return res
+
+
+class TestBlocks:
+    """np_solve on a (size, k) block iterates the columns in one loop, each
+    to its own stopping step: every column has the bits of its solo
+    solve."""
+
+    def test_c1_flow_cases(self, c1, cc):
+        # per T, the four seed pairs of flow_cases_c1 as one block
+        cases = flow_cases_c1(c1, cc)
+        for i in range(6):
+            group = cases[i::6]
+            assert_block_is_solo(group[0][0],
+                                 np.stack([x1 for _, x1, _ in group], axis=1))
+
+    @pytest.mark.parametrize("case", range(len(block_cases())))
+    def test_small_problems(self, case):
+        res = assert_block_is_solo(*block_cases()[case])
+        assert len(set(res.column_iterations)) > 1
+
+    def test_block_of_one_is_the_vector(self, flow_case):
+        p, x1, _ = flow_case
+        assert_same_result(np_solve(p, x1[:, None]).column(0),
+                           np_solve(p, x1))
+
+    def test_active_columns_shrink(self):
+        # N and Q see the block of the columns still iterating, and a
+        # column at an exact zero (the third) never iterates
+        p, X1 = block_cases()[0]
+        shapes = []
+        cp = dataclasses.replace(
+            p, apply_Q=lambda w: shapes.append(w.shape) or p.apply_Q(w))
+        res = np_solve(cp, X1)
+        widths = [s[1] for s in shapes]
+        assert widths[0] == 3 and widths == sorted(widths, reverse=True)
+        assert len(widths) == max(res.column_iterations)
+        assert sum(widths) == res.iterations
+        assert res.column_iterations[2] == 0
+
+    def test_failing_column_fails_the_block(self):
+        p = divergent_problem()
+        bad = np.array([0.9, 0.0])
+        with pytest.raises(ContractionError, match="contraction ratio"):
+            np_solve(p, bad)
+        with pytest.raises(ContractionError, match="contraction ratio"):
+            np_solve(p, np.stack([np.array([0.1, 0.0]), bad], axis=1))
+
+    def test_non_finite_column_fails_the_block(self):
+        p = divergent_problem()
+        X1 = np.array([[0.1, np.nan], [0.0, 0.0]])
+        with pytest.raises(ContractionError, match="non-finite"):
+            np_solve(p, X1[:, 1])
+        with pytest.raises(ContractionError, match="non-finite"):
+            np_solve(p, X1)
+
+    def test_flow_callables_map_columns(self, flow_case):
+        # N, D, Q and the maps of dN act on a block column by column, with
+        # each column's bits; the norms take one vector
+        p, x1, xi1 = flow_case
+        X = np.stack([x1, xi1, 0.5 * x1 - xi1], axis=1)
+        dN = p.dN(x1)
+        for fn in (p.N, p.apply_D, p.apply_Q, dN):
+            out = fn(X)
+            assert out.shape == X.shape
+            for j, c in enumerate(X.T):
+                assert_same_bits(np.ascontiguousarray(out[:, j]),
+                                 fn(np.ascontiguousarray(c)))
+
+    def test_precondition_check_of_a_block(self, flow_case):
+        p, x1, _ = flow_case
+        X1 = np.stack([x1, 0.5 * x1], axis=1)
+        recs, F1, D1 = precondition_check(p, X1)
+        for j, c in enumerate(X1.T):
+            rec, f1, d1 = precondition_check(p, np.ascontiguousarray(c))
+            assert recs[j] == rec
+            assert_same_bits(F1[:, j], f1)
+            assert_same_bits(D1[:, j], d1)
+
+
 def fd_jacobian_reference(F, x, eps):
-    """The former _fd_jacobian: F(x) evaluated for the row count, then the
-    columns filled in place."""
+    """The _fd_jacobian before the per-point one: F(x) evaluated for the
+    row count, then the columns filled in place."""
     x = np.asarray(x, dtype=float)
     n = x.size
     J = np.empty((len(F(x)), n))
@@ -348,17 +472,34 @@ def fd_jacobian_reference(F, x, eps):
     return J
 
 
-def test_fd_jacobian_two_calls_per_column():
+def fd_jacobian_per_point(F, x, eps):
+    """The former _fd_jacobian: central differences of F at x, one point
+    at a time, 2 n evaluations of F."""
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    cols = []
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = eps
+        cols.append((F(x + e) - F(x - e)) / (2 * eps))
+    return np.stack(cols, axis=1)
+
+
+def test_fd_jacobian_one_block():
+    # F on (..., 3) arrays: the 2 n points are one call, and each column
+    # has the bits of the per-point differences
     calls = []
 
     def F(x):
-        calls.append(x)
-        return np.array([np.sin(x[0]) * x[1], x[0] ** 3, x[1] - x[2] ** 2])
+        calls.append(np.shape(x))
+        return np.stack([np.sin(x[..., 0]) * x[..., 1], x[..., 0] ** 3,
+                         x[..., 1] - x[..., 2] ** 2], axis=-1)
 
     x = np.array([0.3, -0.7, 1.1])
     J = _fd_jacobian(F, x, 1e-4)
-    assert len(calls) == 2 * x.size
+    assert calls == [(2 * x.size, x.size)]
     assert_same_bits(J, fd_jacobian_reference(F, x, 1e-4))
+    assert_same_bits(J, fd_jacobian_per_point(F, x, 1e-4))
 
 
 class TestNpSolve:
@@ -633,18 +774,70 @@ class TestIFT:
     def test_singular_jacobian_fails(self):
         rng = np.random.default_rng(6)
         def F(x):
-            return np.array([x[0], 0.0 * x[1]])
+            return np.stack([x[..., 0], 0.0 * x[..., 1]], axis=-1)
         with pytest.raises(ValueError):
             ift_certificate(F, 0.5, 1.0, 10, rng, dim=2)
+
+    @pytest.mark.parametrize("case", ["identity", "mild"])
+    def test_equals_reference(self, case):
+        # the TestIFT maps: same fields, bit for bit, and the same draws
+        F, delta, dim = {"identity": (lambda x: x, 1.0, 3),
+                         "mild": (lambda x: x + x**2 / 10, 0.5, 1)}[case]
+        rng, ref_rng = np.random.default_rng(4), np.random.default_rng(4)
+        cert = ift_certificate(F, delta, 1.0, 10, rng, dim=dim)
+        ref = ift_certificate_reference(F, delta, 1.0, 10, ref_rng, dim=dim)
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_same_certificate(cert, ref)
+
+    def test_equals_reference_on_criterion_08_map(self, c1, cc):
+        # diffeo_criterion's certificate at T0, with fewer samples: the
+        # blocks of the gluing map give the per-point certificate
+        h = 0.02
+        lt = LinearTheory(c1, np.ceil(cc.T0 / h) * h, h, cc)
+        F = gluing.glue_coordinate_rep(quintic_cutoff(), lt, scale=0.3)
+        kwargs = dict(dim=c1.dim, fd_eps=1e-4, slack=1.0 + 5.0 * h,
+                      n_pairs=20, n_preimages=3)
+        rng, ref_rng = np.random.default_rng(100), np.random.default_rng(100)
+        cert = ift_certificate(F, 1.0, cc.k_gamma_inv, 3, rng, **kwargs)
+        ref = ift_certificate_reference(F, 1.0, cc.k_gamma_inv, 3, ref_rng,
+                                        **kwargs)
+        assert cert.ok and cert.injectivity_checked == 20
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_same_certificate(cert, ref)
+
+    def test_pairs_closer_than_1e_12_not_counted(self):
+        # in a ball of radius 1e-14 every pair is skipped, so none is
+        # checked and F sees no pair block
+        calls = []
+
+        def F(x):
+            calls.append(np.shape(x))
+            return x
+
+        cert = ift_certificate(F, 1e-14, 1.0, 2, np.random.default_rng(7),
+                               dim=2, n_pairs=6, n_preimages=2)
+        assert cert.ok
+        assert cert.injectivity_checked == 0
+        assert (12, 2) not in calls
+        full = ift_certificate(F, 1.0, 1.0, 2, np.random.default_rng(7),
+                               dim=2, n_pairs=6, n_preimages=2)
+        assert full.injectivity_checked == 6
+
+
+def assert_same_certificate(cert, ref):
+    for field in dataclasses.fields(IFTCertificate):
+        assert_same_bits(getattr(cert, field.name), getattr(ref, field.name))
 
 
 def ift_certificate_reference(F, delta, k, sample_count, rng, dim,
                               fd_eps=1e-6, slack=1.0, n_pairs=200,
                               n_preimages=20, dF=None):
-    """The former ift_certificate, whose preimage solves evaluate the
-    Jacobian at x = 0 again on their first Newton step."""
+    """The former ift_certificate, which evaluated F one point at a time
+    (fd_jacobian_per_point) and whose preimage solves evaluate the Jacobian
+    at x = 0 again on their first Newton step; it counts the pairs it
+    compares."""
     jac = (lambda x: dF(x)) if dF is not None else (
-        lambda x: _fd_jacobian(F, x, fd_eps))
+        lambda x: fd_jacobian_per_point(F, x, fd_eps))
     n = dim
     J0 = jac(np.zeros(n))
     inv0 = 1.0 / float(np.linalg.svd(J0, compute_uv=False)[-1])
@@ -658,11 +851,13 @@ def ift_certificate_reference(F, delta, k, sample_count, rng, dim,
             worst, worst_x = var, x
     assert worst <= slack / (2.0 * k)
     inj_fail = 0
+    inj_checked = 0
     for _ in range(n_pairs):
         x = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n)
         y = delta * rng.uniform(0, 1) ** (1.0 / n) * _unit(rng, n)
         if np.linalg.norm(x - y) < 1e-12:
             continue
+        inj_checked += 1
         lhs = np.linalg.norm(F(x) - F(y))
         if lhs < np.linalg.norm(x - y) / (2.0 * k) * (1 - 1e-6):
             inj_fail += 1
@@ -687,7 +882,7 @@ def ift_certificate_reference(F, delta, k, sample_count, rng, dim,
         ok=(inj_fail == 0 and pre_fail == 0),
         inv_norm_at_0=inv0, k_bound=float(k),
         max_variation=worst, variation_bound=1.0 / (2.0 * k),
-        injectivity_checked=n_pairs, injectivity_failures=inj_fail,
+        injectivity_checked=inj_checked, injectivity_failures=inj_fail,
         preimages_checked=n_preimages, preimage_failures=pre_fail,
         worst_sample=worst_x, slack=float(slack))
 
@@ -696,14 +891,17 @@ class TestIFTSavedWork:
     A = np.array([[1.0, 0.2, 0.0], [0.0, 1.1, -0.1], [0.1, 0.0, 0.9]])
 
     def counted_maps(self, dim):
-        """A mildly nonlinear map on R^dim and its differential, each
-        recording its calls."""
+        """A mildly nonlinear map on R^dim, on a point or a block of them,
+        and its differential at a point, counting the points F evaluates
+        and the calls of dF.  A x is summed in a fixed order, so a point
+        has the same bits alone and in a block."""
         A = self.A[:dim, :dim]
         calls = {"F": 0, "dF": 0}
 
         def F(x):
-            calls["F"] += 1
-            return A @ x + 0.05 * x ** 2 + 0.02 * x[0] * x
+            calls["F"] += len(np.atleast_2d(x))
+            lin = sum(x[..., j, None] * A[:, j] for j in range(dim))
+            return lin + 0.05 * x ** 2 + 0.02 * x[..., :1] * x
 
         def dF(x):
             calls["dF"] += 1
@@ -725,9 +923,20 @@ class TestIFTSavedWork:
         cert, _, state = self.run(ift_certificate, dim, analytic)
         ref, _, ref_state = self.run(ift_certificate_reference, dim, analytic)
         assert cert.ok and state == ref_state
-        for field in dataclasses.fields(IFTCertificate):
-            assert_same_bits(getattr(cert, field.name),
-                             getattr(ref, field.name))
+        assert_same_certificate(cert, ref)
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_blocks_of_points(self, dim):
+        # dF(0) and each of the 3 variation samples are one block of 2 dim
+        # points, the 5 pairs one block of 10; the preimage solves then
+        # evaluate F at single points and their Jacobians as blocks
+        F, _, _ = self.counted_maps(dim)
+        shapes = []
+        ift_certificate(lambda x: shapes.append(np.shape(x)) or F(x), 0.5,
+                        2.0, 3, np.random.default_rng(8), dim=dim,
+                        fd_eps=1e-5, n_pairs=5, n_preimages=4)
+        assert shapes[:5] == [(2 * dim, dim)] * 4 + [(10, dim)]
+        assert set(shapes[5:]) <= {(dim,), (2 * dim, dim)}
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_one_jacobian_at_zero(self, dim):
