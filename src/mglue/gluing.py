@@ -393,8 +393,8 @@ def diffeo_criterion(model, cutoff, lt, sample_count, rng, seed_box_radius,
     sample on the kernel basis.  Jacobians are central differences with step
     1e-4; both bounds get the measurement slack 1 + 5h.  The certificate
     evaluates the gluing map on blocks: each finite-difference Jacobian's
-    2 n points, and the injectivity pairs' points, are one glue call and
-    one Newton-Picard solve."""
+    2 n points, and each block of newton_picard.PAIR_BLOCK injectivity
+    pairs, are one glue call and one Newton-Picard solve."""
     if model != lt.model:
         raise ValueError("linear-theory bundle is for a different model")
     consts = lt.constants

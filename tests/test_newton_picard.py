@@ -400,6 +400,15 @@ class TestBlocks:
         res = assert_block_is_solo(*block_cases()[case])
         assert len(set(res.column_iterations)) > 1
 
+    @pytest.mark.parametrize("case", range(len(block_cases())))
+    def test_contraction_ratio_max_over_columns(self, case):
+        res = np_solve(*block_cases()[case])
+        cols = [res.column(j).contraction_ratio_max
+                for j in range(len(res.column_iterations))]
+        # a number, not the largest of the columns' tuples of ratios
+        assert isinstance(res.contraction_ratio_max, float)
+        assert res.contraction_ratio_max == max(cols)
+
     def test_block_of_one_is_the_vector(self, flow_case):
         p, x1, _ = flow_case
         assert_same_result(np_solve(p, x1[:, None]).column(0),
@@ -803,6 +812,46 @@ class TestIFT:
                                         **kwargs)
         assert cert.ok and cert.injectivity_checked == 20
         assert rng.bit_generator.state == ref_rng.bit_generator.state
+        assert_same_certificate(cert, ref)
+
+    def test_map_of_single_points_raises(self):
+        # a map written for one point turns a block into the wrong shape:
+        # in the finite-difference Jacobian, and in the pair block when dF
+        # is analytic
+        def F(x):
+            return np.array([x[0], x[1] + x[2] ** 2, 2.0 * x[2]])
+
+        def dF(x):
+            return np.array([[1.0, 0, 0], [0, 1.0, 2 * x[2]], [0, 0, 2.0]])
+
+        for kwargs in ({}, {"dF": dF}):
+            with pytest.raises(ValueError, match="row by row"):
+                ift_certificate(F, 0.1, 1.0, 2, np.random.default_rng(3),
+                                dim=3, n_pairs=4, **kwargs)
+
+    def test_pairs_in_blocks_of_pair_block(self):
+        # 2 PAIR_BLOCK + 3 pairs: two full blocks and one of 3, each point
+        # with the bits of the per-point certificate
+        shapes = []
+        A = np.array([[1.0, 0.3], [-0.2, 0.9]])
+
+        def F(x):
+            shapes.append(np.shape(x))
+            return (x[..., :1] * A[:, 0] + x[..., 1:] * A[:, 1]
+                    + 0.05 * x ** 2)
+
+        def dF(x):
+            return A + np.diag(0.1 * x)
+
+        n_pairs = 2 * newton_picard.PAIR_BLOCK + 3
+        kwargs = dict(dim=2, n_pairs=n_pairs, n_preimages=2, dF=dF)
+        cert = ift_certificate(F, 0.5, 2.0, 2, np.random.default_rng(9),
+                               **kwargs)
+        blocks = [s for s in shapes if s != (2,)]
+        assert blocks == [(2 * newton_picard.PAIR_BLOCK, 2)] * 2 + [(6, 2)]
+        ref = ift_certificate_reference(F, 0.5, 2.0, 2,
+                                        np.random.default_rng(9), **kwargs)
+        assert cert.ok and cert.injectivity_checked == n_pairs
         assert_same_certificate(cert, ref)
 
     def test_pairs_closer_than_1e_12_not_counted(self):
