@@ -253,8 +253,9 @@ class IFTCertificate:
 
 
 # the injectivity pairs go to F in blocks of this many pairs: timed on
-# criterion 08's gluing map (c1, h = 0.02), 16-point blocks cost 0.50 and
-# 0.60 ms per point at T0 and 2 T0, one 400-point block 0.55 and 0.84 ms
+# criterion 08's gluing map (c1, h = 0.02, a 2-core Xeon), 16-point blocks
+# cost 0.50 and 0.60 ms per point at T0 and 2 T0, one 400-point block 0.55
+# and 0.84 ms, and its temporaries added 90 MB to the peak RSS
 PAIR_BLOCK = 8
 
 
