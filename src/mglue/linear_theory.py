@@ -96,21 +96,9 @@ class LinearTheory:
         return bands, r0[:, None], (r0 * f)[:, None]
 
 
-def _check_grid(lt, p):
-    if p.grid.n_nodes != lt.grid.n_nodes or \
-            abs(p.grid.t_min - lt.grid.t_min) > 1e-12 or \
-            abs(p.grid.t_max - lt.grid.t_max) > 1e-12:
-        raise ValueError("path grid does not match the bundle grid")
-
-
 def apply_D(lt, zeta):
-    """d/ds zeta + A zeta, nodewise: of a path, or of flattened node-major
-    samples of shape (size,) or (size, k), column by column, returned in
-    that shape."""
-    if isinstance(zeta, DiscretePath):
-        _check_grid(lt, zeta)
-        out = apply_D(lt, zeta.samples.reshape(-1))
-        return DiscretePath(zeta.grid, out.reshape(zeta.samples.shape))
+    """d/ds zeta + A zeta, nodewise, of flattened node-major samples of
+    shape (size,) or (size, k), column by column, returned in that shape."""
     w = zeta.reshape(lt.grid.n_nodes, lt.model.dim, -1)
     out = stencil_derivative(w, lt.grid.h) + w * lt.model.a[:, None]
     return out.reshape(zeta.shape)
@@ -142,18 +130,18 @@ def apply_Q(lt, eta):
 
     Stable components integrate forward from -T with zero initial value,
     unstable components backward from +T; the in-kernel local integral uses
-    the trapezoidal rule.  R applied on shifted slices, then one unit
-    bidiagonal solve per component (_duhamel_lu); the image lies in K_T
+    the trapezoidal rule.  eta holds flattened node-major samples of shape
+    (size,), and so does the image.  R applied on shifted slices, then one
+    unit bidiagonal solve per component (_duhamel_lu); the image lies in K_T
     exactly."""
-    _check_grid(lt, eta)
     _, r0, r1 = lt._duhamel_lu
     ns = lt.model.n_stable
-    e = eta.samples.T
+    e = np.reshape(eta, (-1, lt.model.dim)).T
     # R e, with the K_T row (first node if stable, last if not) left at 0
     rhs = np.zeros(e.shape)
     rhs[:ns, 1:] = r0[:ns] * e[:ns, 1:] + r1[:ns] * e[:ns, :-1]
     rhs[ns:, :-1] = r0[ns:] * e[ns:, :-1] + r1[ns:] * e[ns:, 1:]
-    return DiscretePath(eta.grid, _duhamel_solve(lt, rhs, "N").T)
+    return _duhamel_solve(lt, rhs, "N").T.ravel()
 
 
 def apply_Q_exact(lt, eta):
@@ -288,8 +276,7 @@ def q_matrix(lt):
     _, r0, r1 = lt._duhamel_lu
 
     def matvec(v):
-        eta = DiscretePath(lt.grid, np.reshape(v, (-1, n)))
-        return apply_Q(lt, eta).samples.ravel()
+        return apply_Q(lt, v)
 
     def rmatvec(v):
         w = _duhamel_solve(lt, np.reshape(v, (-1, n)).T, "T")

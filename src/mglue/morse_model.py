@@ -2,10 +2,11 @@
 
 A model is f(z) = 1/2 <z, Az> + f_nl(z) with A = diag(a_1 >= ... >= a_{n-k}
 > 0 > a_{n-k+1} >= ... >= a_n) and a polynomial perturbation f_nl whose 2-jet
-vanishes at 0.  f_nl is held as its monomial terms ((exponents), coefficient),
-the form sympy.Poly(...).terms() returns; sympy is imported only to read
-polynomial text.  The module provides the gradient, the derivative tensors of
-the gradient up to order 3, and all model-derived constants.
+vanishes at 0.  f_nl is held as its monomial terms ((exponents), coefficient);
+polynomial text is read into those terms by polynomial_terms, a small
+recursive-descent reader with exact rational coefficients.  The module
+provides the gradient, the derivative tensors of the gradient up to order 3,
+and all model-derived constants.
 
 The radii delta_mu rest on a certified bound on the deviation of the
 Hessian from A: one slope per degree of f_nl (deviation_slopes), the smaller
@@ -14,10 +15,11 @@ deterministic net on the sphere plus a Lipschitz term, and the root of the
 resulting polynomial in the radius.  No constant depends on a seed.
 """
 
+import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import exp, factorial, inf, log, prod, sqrt
-from operator import index
+from math import exp, factorial, inf, isfinite, log, prod, sqrt
+from operator import add, index
 
 import numpy as np
 
@@ -26,18 +28,129 @@ import numpy as np
 TENSOR_ORDER = 3
 
 
+# one token of polynomial text: a number, a name x<k> or an operator
+_TOKEN = re.compile(r"\s*(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
+                    r"|x[1-9]\d*|\*\*|[-+*/^()])")
+
+
+def _add(p, q, sign=1):
+    out = dict(p)
+    for e, c in q.items():
+        out[e] = out.get(e, 0) + sign * c
+    return {e: c for e, c in out.items() if c}
+
+
+def _mul(p, q):
+    out = {}
+    for e, c in p.items():
+        for f, d in q.items():
+            g = tuple(map(add, e, f))
+            out[g] = out.get(g, 0) + c * d
+    return {e: c for e, c in out.items() if c}
+
+
 def polynomial_terms(text, dim):
     """Monomial terms ((exponents), coefficient) of a polynomial in
-    x1..x<dim> written as text (`^` or `**` for powers)."""
-    import sympy as sp
-    xs = sp.symbols("x1:%d" % (dim + 1))
+    x1..x<dim> written as text, in descending exponent order.
+
+    The grammar: numbers (3, 0.05, .5, 1e200), the names x1..x<dim>, binary
+    and unary + and -, *, / by a nonzero constant, ^ or ** with a
+    non-negative integer literal exponent, and parentheses, multiplied out.
+    An integer literal is exact and a decimal literal is its double
+    float(literal).  The polynomial is a dict {exponents: coefficient},
+    added and multiplied exactly in Fractions, and each coefficient is
+    rounded to a double once, at the end, so none depends on the order of
+    the terms; one beyond the double range is +-inf, which MorseModel
+    rejects.  Any other text is a ValueError."""
+    error = ValueError("nonlinearity %r is not a polynomial in x1..x%d"
+                       % (text, dim))
+    tokens, pos, end = [], 0, len(text.rstrip())
+    while pos < end:
+        if not (m := _TOKEN.match(text, pos)):
+            raise error
+        tokens.append(m.group(1))
+        pos = m.end()
+    tokens.append("")  # the end
+    zero = (0,) * dim
+    at = 0
+
+    def take(*ops):
+        """The next token if it is one of ops, or any token if none given."""
+        nonlocal at
+        tok = tokens[at]
+        if tok and (tok in ops or not ops):
+            at += 1
+            return tok
+        return None
+
+    def expr():  # term ((+|-) term)*
+        p = term()
+        while op := take("+", "-"):
+            p = _add(p, term(), 1 if op == "+" else -1)
+        return p
+
+    def term():  # factor ((*|/) factor)*
+        p = factor()
+        while op := take("*", "/"):
+            q = factor()
+            if op == "/":
+                if set(q) != {zero}:
+                    raise error
+                q = {zero: Fraction(1) / q[zero]}
+            p = _mul(p, q)
+        return p
+
+    def factor():  # (+|-) factor | atom ((^|**) integer)?
+        if op := take("+", "-"):
+            return _add({}, factor(), 1 if op == "+" else -1)
+        p = atom()
+        if not take("^", "**"):
+            return p
+        k = take()
+        if not (k and k.isdigit()):
+            raise error
+        k = int(k)
+        if len(p) == 1:  # a monomial: no term-by-term products
+            ((e, c),) = p.items()
+            return {tuple(k * j for j in e): c ** k}
+        out = {zero: 1}
+        for _ in range(k):
+            out = _mul(out, p)
+        return out
+
+    def atom():  # number | x<k> | ( expr )
+        a = take()
+        if not a:
+            raise error
+        if a[0].isdigit() or a[0] == ".":
+            v = float(a)
+            c = Fraction(a) if a.isdigit() else Fraction(v) if isfinite(v) \
+                else v
+            return {zero: c} if c else {}
+        if a[0] == "x" and int(a[1:]) <= dim:
+            k = int(a[1:])
+            return {zero[:k - 1] + (1,) + zero[k:]: 1}
+        if a == "(":
+            p = expr()
+            if take(")"):
+                return p
+        raise error
+
     try:
-        expr = sp.sympify(text, locals={s.name: s for s in xs},
-                          convert_xor=True)
-        return tuple((e, float(c)) for e, c in sp.Poly(expr, *xs).terms())
-    except (TypeError, sp.PolynomialError) as exc:
-        raise ValueError("nonlinearity %r is not a polynomial in x1..x%d"
-                         % (text, dim)) from exc
+        poly = expr()
+    except RecursionError:  # parentheses nested beyond the stack
+        raise error from None
+    if tokens[at]:
+        raise error
+
+    def rounded(c):
+        try:
+            return float(c)
+        except OverflowError:
+            return inf if c > 0 else -inf
+
+    return tuple(sorted(((e, rounded(c)) for e, c in poly.items()),
+                        reverse=True))
 
 
 def _derivative_tables(terms, dim):
@@ -86,7 +199,7 @@ class MorseModel:
         if isinstance(terms, str):
             terms = polynomial_terms(terms, self.dim)
         # constants do not change grad f; descending exponents, the order of
-        # Poly.terms()
+        # polynomial_terms
         terms = tuple(sorted(((tuple(map(index, e)), float(c))
                               for e, c in terms if c and any(e)), reverse=True))
         if len(dict(terms)) != len(terms) or \
@@ -380,7 +493,8 @@ def compute_constants(model, epsilon=None, C_decay=1.0, delta_max=1.0,
 # flat `key = value` model config files
 
 def parse_flat_config(text):
-    """Flat `key = value` config with # comments; values kept as strings."""
+    """Flat `key = value` config with # comments; values kept as strings.
+    A line without `=` or a repeated key is a ValueError."""
     out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -388,8 +502,10 @@ def parse_flat_config(text):
             continue
         if "=" not in line:
             raise ValueError("line %d: expected key = value" % lineno)
-        key, val = line.split("=", 1)
-        out[key.strip()] = val.strip()
+        key, val = (part.strip() for part in line.split("=", 1))
+        if key in out:
+            raise ValueError("line %d: repeated key %s" % (lineno, key))
+        out[key] = val
     return out
 
 

@@ -151,9 +151,11 @@ class TestConfig:
          "eig must be finite, got inf, -1.0"),
         ("dim = 2\nindex = 1\neig = nan,-1\n",
          "eig must be finite, got nan, -1.0"),
+        ("dim = 2\nindex = 1\neig = 1,-1\nnonlinearity = 0.1*x1^2*x2\n"
+         "nonlinearity = 0.2*x1^2*x2\n", "line 5: repeated key nonlinearity"),
     ], ids=["typo", "no_eig", "no_dim", "no_index", "epsilon_5",
             "epsilon_nan", "delta_max_inf", "delta_max_negative",
-            "delta_max_overflow", "eig_inf", "eig_nan"])
+            "delta_max_overflow", "eig_inf", "eig_nan", "repeated_key"])
     def test_bad_model_file_rejected(self, tmp_path, capsys, text, message):
         (tmp_path / "mdl.cfg").write_text(text)
         cfg = write_cfg(tmp_path, model="mdl.cfg")
@@ -164,6 +166,16 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: model file ") and message in err
         assert err.count("\n") == 1
+
+    def test_repeated_key_rejected(self, tmp_path, capsys):
+        # the second T_list would otherwise win silently
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("model = c1\nT_list = 3\nT_list = 4\nh = 0.02\n")
+        assert main(["glue", "--config", str(cfg),
+                     "--out", str(tmp_path / "out")]) == 1
+        assert capsys.readouterr().err == \
+            "error: line 3: repeated key T_list\n"
+        assert not (tmp_path / "out").exists()
 
     def test_model_file_epsilon_kept(self, tmp_path):
         (tmp_path / "mdl.cfg").write_text(

@@ -1,9 +1,9 @@
-"""The import path of the built-in models stays light: sympy is imported only
-to read a model file's polynomial.  scipy.interpolate has no user under src/
-(half trajectories are aligned with the gluing grid by index, never
-resampled); the guard stays so that none comes back unnoticed.  Each case
-runs in a fresh interpreter, because this test session may have imported
-both already."""
+"""The import path of every run stays light: no run imports sympy, not
+even one that reads a model file's polynomial, which morse_model parses
+itself.  scipy.interpolate has no user under src/ (half trajectories are
+aligned with the gluing grid by index, never resampled).  The guards stay so
+that neither comes back unnoticed.  Each case runs in a fresh interpreter,
+because this test session may have imported both already."""
 
 import json
 import os
@@ -48,12 +48,12 @@ def test_builtin_models_import_neither_sympy_nor_interpolate(tmp_path,
     assert run_constants(tmp_path, model) == []
 
 
-@pytest.mark.parametrize("nonlinearity,loaded", [
-    ("nonlinearity = 0.1*x1^2*x2\n", ["sympy"]),
-    ("", []),                     # no polynomial to read
+@pytest.mark.parametrize("nonlinearity", [
+    "nonlinearity = 0.1*x1^2*x2\n",
+    "",                           # no polynomial to read
 ])
-def test_model_file_imports_sympy_for_its_polynomial(tmp_path, nonlinearity,
-                                                     loaded):
+def test_model_file_imports_neither_sympy_nor_interpolate(tmp_path,
+                                                          nonlinearity):
     (tmp_path / "mdl.cfg").write_text(
         "dim = 2\nindex = 1\neig = 1,-1\n" + nonlinearity)
-    assert run_constants(tmp_path, "mdl.cfg") == loaded
+    assert run_constants(tmp_path, "mdl.cfg") == []

@@ -34,19 +34,31 @@ def interior_sup(p):
     return float(np.max(np.linalg.norm(p.samples[1:-1], axis=1)))
 
 
+def D_path(lt, p):
+    """apply_D on the flattened samples of the path p, as a path."""
+    return DiscretePath(lt.grid, apply_D(lt, p.samples.reshape(-1))
+                        .reshape(p.samples.shape))
+
+
+def Q_path(lt, p):
+    """apply_Q on the flattened samples of the path p, as a path."""
+    return DiscretePath(lt.grid, apply_Q(lt, p.samples.reshape(-1))
+                        .reshape(p.samples.shape))
+
+
 class TestApplyD:
     def test_kernel_element_residual_fine_grid(self, e1, ce):
         lt = LinearTheory(e1, 3.0, 2e-4, ce)
         kp = kernel_path(lt, KernelElement(v_plus=np.array([1.0]),
                                            v_minus=np.array([1.0])))
-        res = apply_D(lt, kp)
+        res = D_path(lt, kp)
         assert interior_sup(res) <= 1e-8
 
     def test_affine_hand_value(self, e1, ce):
         lt = LinearTheory(e1, 3.0, 0.02, ce)
         p = path_from_function(lt.grid,
                                lambda s: np.stack([s, 0 * s], axis=-1))
-        out = apply_D(lt, p)
+        out = D_path(lt, p)
         assert np.allclose(out.samples[:, 0], 1.0 + lt.grid.nodes,
                            atol=1e-10)
         assert np.allclose(out.samples[:, 1], 0.0, atol=1e-12)
@@ -56,16 +68,16 @@ class TestApplyD:
         rng = np.random.default_rng(0)
         p = fourier_path(lt.grid, rng)
         q = fourier_path(lt.grid, rng)
-        lhs = apply_D(lt, DiscretePath(lt.grid,
-                                       2 * p.samples - 3 * q.samples))
-        rhs = 2 * apply_D(lt, p).samples - 3 * apply_D(lt, q).samples
+        lhs = D_path(lt, DiscretePath(lt.grid,
+                                      2 * p.samples - 3 * q.samples))
+        rhs = 2 * D_path(lt, p).samples - 3 * D_path(lt, q).samples
         assert np.max(np.abs(lhs.samples - rhs)) <= 1e-9 * (
             1 + np.max(np.abs(rhs)))
 
     @pytest.mark.parametrize("name", ["c1", "model_3d"])
     def test_flattened_samples_have_the_path_bits(self, request, name):
-        # a flattened vector, or each column of a (size, k) block, maps to
-        # the bits of the path form, in its own shape
+        # each column of a (size, k) block maps to the bits of its own
+        # flattened vector, in the shape of the block
         model = model_3d() if name == "model_3d" else \
             request.getfixturevalue(name)
         lt = LinearTheory(model, 3.0, 0.02, compute_constants(model))
@@ -75,7 +87,7 @@ class TestApplyD:
         out = apply_D(lt, block)
         assert out.shape == block.shape
         for j, p in enumerate(paths):
-            ref = apply_D(lt, p).samples.reshape(-1)
+            ref = D_path(lt, p).samples.reshape(-1)
             vec = apply_D(lt, p.samples.reshape(-1))
             assert vec.tobytes() == ref.tobytes()
             assert np.ascontiguousarray(out[:, j]).tobytes() == ref.tobytes()
@@ -131,20 +143,20 @@ class TestProjectE:
 class TestApplyQ:
     def test_zero(self, e1, ce):
         lt = LinearTheory(e1, 3.0, 0.02, ce)
-        out = apply_Q(lt, zero_path(lt.grid, 2))
+        out = Q_path(lt, zero_path(lt.grid, 2))
         assert sup_norm(out) == 0.0
 
     def test_constant_forcing_closed_form(self, e1, ce):
         lt = LinearTheory(e1, 3.0, 0.02, ce)
         eta = DiscretePath(lt.grid, np.tile([1.0, 0.0], (lt.grid.n_nodes, 1)))
-        z = apply_Q(lt, eta)
+        z = Q_path(lt, eta)
         expect = 1.0 - np.exp(-(lt.grid.nodes + 3.0))
         assert np.max(np.abs(z.samples[:, 0] - expect)) <= 1e-4
         assert np.max(np.abs(z.samples[:, 1])) <= 1e-12
 
     def test_image_in_complement_exactly(self, e1, ce):
         lt = LinearTheory(e1, 3.0, 0.02, ce)
-        z = apply_Q(lt, fourier_path(lt.grid, np.random.default_rng(6)))
+        z = Q_path(lt, fourier_path(lt.grid, np.random.default_rng(6)))
         assert z.samples[0, 0] == 0.0 and z.samples[-1, 1] == 0.0
 
     def test_norm_bound_on_corpus(self, e1, ce):
@@ -153,7 +165,7 @@ class TestApplyQ:
         rng = np.random.default_rng(7)
         for _ in range(50):
             eta = fourier_path(lt.grid, rng)
-            assert norms(apply_Q(lt, eta)).w12 <= \
+            assert norms(Q_path(lt, eta)).w12 <= \
                 ce.c_rightinv * l2_norm(eta) * slack
 
     def test_exact_right_inverse_identity(self, e1, ce):
@@ -164,7 +176,7 @@ class TestApplyQ:
         q = apply_Q_exact(lt, eta.samples.ravel())
         assert q.shape == (eta.samples.size,)
         image = DiscretePath(lt.grid, q.reshape(eta.samples.shape))
-        defect = apply_D(lt, image).samples - eta.samples
+        defect = D_path(lt, image).samples - eta.samples
         assert np.max(np.abs(defect[1:-1])) <= 1e-6
 
     def test_duhamel_defect_second_order(self, e1, ce):
@@ -174,7 +186,7 @@ class TestApplyQ:
             lt = LinearTheory(e1, 3.0, h, ce)
             eta = path_from_function(
                 lt.grid, lambda s: np.stack([np.cos(s), np.sin(s)], axis=-1))
-            defect = apply_D(lt, apply_Q(lt, eta)).samples - eta.samples
+            defect = D_path(lt, Q_path(lt, eta)).samples - eta.samples
             vals.append(np.max(np.abs(defect[1:-1])))
         assert vals[0] <= 1e-3
         assert vals[1] <= vals[0] / 3.0
@@ -242,7 +254,7 @@ class TestEuclideanReference:
     def test_flow_residual_fine_grid(self, e1, ce):
         lt = LinearTheory(e1, 3.0, 2e-4, ce)
         ref = euclidean_gluing_reference(lt, [0.5, 0.0], [0.0, 0.4])
-        res = apply_D(lt, ref)
+        res = D_path(lt, ref)
         assert interior_sup(res) <= 1e-8
 
     def test_ev_identity(self, e1, ce):
@@ -385,7 +397,7 @@ def test_apply_Q_matches_loop_reference(request, model, consts, T):
     eta = DiscretePath(lt.grid, np.random.default_rng(14).standard_normal(
         (lt.grid.n_nodes, lt.model.dim)))
     ref = apply_Q_loop_reference(lt, eta)
-    assert np.max(np.abs(apply_Q(lt, eta).samples - ref)) <= \
+    assert np.max(np.abs(Q_path(lt, eta).samples - ref)) <= \
         1e-14 * np.max(np.abs(ref))
 
 

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from mglue import morse_model
 from mglue.morse_model import (ROUNDING, TENSOR_ORDER, MorseModel,
@@ -135,6 +136,10 @@ class TestConfig:
     def test_flat_parse(self):
         cfg = parse_flat_config("a = 1\n# comment\nb= x^2 \n\n")
         assert cfg == {"a": "1", "b": "x^2"}
+
+    def test_repeated_key_rejected(self):
+        with pytest.raises(ValueError, match="^line 3: repeated key a$"):
+            parse_flat_config("a = 1\n# a = 0\na = 2\n")
 
     def test_model_roundtrip(self, c1):
         cfg = parse_flat_config(
@@ -456,3 +461,82 @@ class TestTermRepresentation:
         assert np.array_equal(m.dgrad_tensor(z, 1), m.A)
         assert not np.any(m.dgrad_tensor(z, 3))
         assert m.dgrad_tensor(z, 3).shape == (12,) * 4
+
+
+# The terms of every model text in the tests and CI, and of one text whose
+# float products would miss the exactly rounded x1^3 coefficient -2/3 by an
+# ulp, recorded as float .hex().
+RECORDED_TERMS = {
+    (C1_TEXT, 2): (((2, 1), "0x1.999999999999ap-4"),),
+    (TEXT_3D, 3): (((2, 1, 0), "0x1.999999999999ap-4"),
+                   ((1, 1, 1), "0x1.999999999999ap-5"),
+                   ((0, 0, 3), "-0x1.1eb851eb851ecp-4")),
+    (TEXT_MIXED, 2): (((4, 0), "0x1.3333333333333p-2"),
+                      ((2, 1), "0x1.999999999999ap-4"),
+                      ((0, 4), "-0x1.999999999999ap-3")),
+    (TEXT_QUARTIC, 2): (((3, 1), "0x1.999999999999ap-3"),
+                        ((2, 2), "0x1.3333333333333p-2"),
+                        ((0, 4), "0x1.999999999999ap-4")),
+    ("x1^170*x2", 2): (((170, 1), "0x1.0000000000000p+0"),),
+    ("1e200*x1^2*x2", 2): (((2, 1), "0x1.4e718d7d7625ap+664"),),
+    ("x1^5 + 0.5*x1^3*x2^2", 2): (((5, 0), "0x1.0000000000000p+0"),
+                                  ((3, 2), "0x1.0000000000000p-1")),
+    ("x1^3 - x1^3", 2): (),
+    ("0", 2): (),
+    ("x1**3/3 - (x1+x2)^3", 2): (((3, 0), "-0x1.5555555555555p-1"),
+                                 ((2, 1), "-0x1.8000000000000p+1"),
+                                 ((1, 2), "-0x1.8000000000000p+1"),
+                                 ((0, 3), "-0x1.0000000000000p+0")),
+}
+
+
+def hex_terms(terms):
+    return tuple((e, c.hex()) for e, c in terms)
+
+
+class TestPolynomialReader:
+    @pytest.mark.parametrize("text,dim", list(RECORDED_TERMS))
+    def test_recorded_terms(self, text, dim):
+        assert hex_terms(polynomial_terms(text, dim)) == \
+            RECORDED_TERMS[text, dim]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.dictionaries(
+        st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+        st.floats(allow_nan=False, allow_infinity=False).filter(bool),
+        min_size=1, max_size=8))
+    def test_repr_round_trip(self, terms):
+        text = " + ".join("%r*x1^%d*x2**%d*x3^%d" % ((c,) + e)
+                          for e, c in terms.items())
+        assert hex_terms(polynomial_terms(text, 3)) == \
+            hex_terms(sorted(terms.items(), reverse=True))
+
+    @pytest.mark.parametrize("first,second", [
+        ("0.1*0.3*x1^3", "x1^3*0.3*0.1"),
+        ("0.1*x1^3 + 0.2*x1^3 + 0.3*x1^3", "0.3*x1^3 + 0.2*x1^3 + 0.1*x1^3"),
+    ])
+    def test_coefficients_do_not_depend_on_order(self, first, second):
+        assert hex_terms(polynomial_terms(first, 2)) == \
+            hex_terms(polynomial_terms(second, 2))
+
+    @pytest.mark.parametrize("text", [
+        "", "x1 +* x2", "sin(x1)", "y^3", "x3", "x0", "x01", "x1^2.5",
+        "x1^-1", "x1/x2", "2x1", "pi*x1^3", "E*x1^3", "sqrt(2)*x1^3",
+        "x1^2^3", "x1^(1+2)", "x1^3/0", "(x1^3", "x1^3)", "x1^3 x2",
+        pytest.param("(" * 5000 + "x1^3" + ")" * 5000, id="nested_5000"),
+    ])
+    def test_text_outside_the_grammar_raises(self, text):
+        with pytest.raises(ValueError) as exc:
+            polynomial_terms(text, 2)
+        assert str(exc.value) == \
+            "nonlinearity %r is not a polynomial in x1..x2" % text
+
+    @pytest.mark.parametrize("text", ["1e400*x1^3", "-10^400*x1^3",
+                                      "1e400*x1^3 - 1e400*x1^3"])
+    def test_coefficient_beyond_double_range_is_not_finite(self, text):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            MorseModel(dim=2, index=1, eig=(1.0, -1.0), nonlinearity=text)
+
+    def test_power_of_a_monomial_is_one_term(self):
+        assert polynomial_terms("(2*x1^3*x2)^40", 2) == \
+            (((120, 40), 2.0 ** 40),)
