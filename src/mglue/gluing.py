@@ -4,7 +4,7 @@ diffeomorphism-criterion verifier.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -15,7 +15,9 @@ from .invariant_manifolds import (build_tangent_system, linear_half_path,
                                   log_linear_fit, shoot_stable,
                                   shoot_unstable, solve_tangent_lift,
                                   theta_inverse)
-from .linear_theory import LinearTheory, apply_D, apply_Q_exact, gamma_weights
+from .linear_theory import (LinearTheory, apply_D, apply_Q_exact,
+                            gamma_weights, measurement_slack)
+from .morse_model import MIN_GLUING_T
 from .newton_picard import NPProblem, np_solve, np_tangent_solve, \
     PreconditionError, ift_certificate
 
@@ -85,10 +87,10 @@ def _preglue_weights(cutoff, grid):
 
 
 def preglue(cutoff, w_plus, w_minus, T):
-    """Pre-glued path on [-T, T] (T >= 3), on the grid of w_plus's spacing:
+    """Pre-glued path on [-T, T], on the grid of w_plus's spacing:
     w_T(s) = (1 - beta(s+2)) w_+(T+s) + beta(s-2) w_-(-T+s)."""
-    if T < 3:
-        raise ValueError("need T >= 3")
+    if T < MIN_GLUING_T:
+        raise ValueError("need T >= %d" % MIN_GLUING_T)
     grid = symmetric_grid(T, w_plus.grid.h)
     wp = _half_samples_on(grid, w_plus, T, "stable")
     wm = _half_samples_on(grid, w_minus, T, "unstable")
@@ -202,12 +204,6 @@ def flow_problem(lt):
         f = model.nonlinear_tensor(cols.reshape(len(cols), -1, n), 0)
         return f.reshape(cols.shape).T.reshape(v.shape)
 
-    def Dop(v):
-        return apply_D(lt, v)
-
-    def Qop(v):
-        return apply_Q_exact(lt, v)
-
     def norm_dom(v):
         return norms(path(v)).w12
 
@@ -221,16 +217,22 @@ def flow_problem(lt):
                                    ).reshape(v.shape)
 
     consts = lt.constants
-    return NPProblem(N=N, apply_D=Dop, apply_Q=Qop,
+    return NPProblem(N=N, apply_D=partial(apply_D, lt),
+                     apply_Q=partial(apply_Q_exact, lt),
                      x0=np.zeros(grid.n_nodes * n), c=consts.c_rightinv,
                      delta=consts.delta4, norm_dom=norm_dom,
                      norm_cod=norm_cod, dN=dN)
 
 
+def half_trajectory_length(T):
+    """S = 2T + 6: halves glued at lengths up to T are shot to this S."""
+    return 2.0 * T + 6.0
+
+
 def shoot_halves(lt, seed_p, seed_m):
     """The stable and the unstable half trajectory of lt's model from the
-    two seeds, shot to S = 2T + 6 on the spacing of lt's grid."""
-    S = 2.0 * lt.T + 6.0
+    two seeds, shot to half_trajectory_length(T) at lt's grid spacing."""
+    S = half_trajectory_length(lt.T)
     return (shoot_stable(lt.model, seed_p, S, h_max=lt.grid.h),
             shoot_unstable(lt.model, seed_m, S, h_max=lt.grid.h))
 
@@ -328,7 +330,7 @@ def convergence_sweep(model, cutoff, seeds, T_list, constants, h_max=0.02,
     fitted exponential rate."""
     seed_p, seed_m = seeds
     if S is None:
-        S = 2.0 * max(T_list) + 6.0
+        S = half_trajectory_length(max(T_list))
     wp = shoot_stable(model, seed_p, S, h_max=h_max)
     wm = shoot_unstable(model, seed_m, S, h_max=h_max)
     rows = []
@@ -391,7 +393,7 @@ def diffeo_criterion(model, cutoff, lt, sample_count, rng, seed_box_radius,
     the (empirically certified) seed box: quantitative-IFT hypotheses with
     k from the infinitesimal-gluing inverse bound, plus the Theta_T smallness
     sample on the kernel basis.  Jacobians are central differences with step
-    1e-4; both bounds get the measurement slack 1 + 5h.  The certificate
+    1e-4; both bounds get the slack measurement_slack(h).  The certificate
     evaluates the gluing map on blocks: each finite-difference Jacobian's
     2 n points, and each block of newton_picard.PAIR_BLOCK injectivity
     pairs, are one glue call and one Newton-Picard solve."""
@@ -400,7 +402,7 @@ def diffeo_criterion(model, cutoff, lt, sample_count, rng, seed_box_radius,
     consts = lt.constants
     k = consts.k_gamma_inv
     d = consts.d_proj
-    slack = 1.0 + 5.0 * lt.grid.h
+    slack = measurement_slack(lt.grid.h)
     F = glue_coordinate_rep(cutoff, lt, scale=seed_box_radius)
     cert = ift_certificate(F, 1.0, k, sample_count, rng, dim=model.dim,
                            fd_eps=1e-4, slack=slack, n_pairs=n_pairs,
@@ -462,7 +464,7 @@ def tangent_convergence_sweep(model, cutoff, seeds, tangent_seeds, T_list,
     seed_p, seed_m = seeds
     tseed_p, tseed_m = tangent_seeds
     if S is None:
-        S = 2.0 * max(T_list) + 6.0
+        S = half_trajectory_length(max(T_list))
     spec1 = build_tangent_system(1)
     wp = shoot_stable(model, seed_p, S, h_max=h_max)
     wm = shoot_unstable(model, seed_m, S, h_max=h_max)

@@ -13,16 +13,17 @@ import tempfile
 
 import numpy as np
 
-from .morse_model import (compute_constants, model_c1, model_e1,
-                          model_from_config, parse_flat_config)
+from .morse_model import (MIN_GLUING_T, compute_constants, model_c1,
+                          model_e1, model_from_config, parse_flat_config)
 from .linear_theory import (LinearTheory, euclidean_gluing_reference,
                             gamma_svd_bounds, measured_projection_norm,
-                            measured_q_norm)
+                            measured_q_norm, measurement_slack)
 from .invariant_manifolds import (FitError, decay_fit, digit_map,
                                   partitions, shoot_stable, shoot_unstable)
 from .gluing import (convergence_sweep, cubic_cutoff,
-                     estimate_decay_constant, glue, preglue, quintic_cutoff,
-                     shoot_halves, tangent_convergence_sweep)
+                     estimate_decay_constant, glue, half_trajectory_length,
+                     preglue, quintic_cutoff, shoot_halves,
+                     tangent_convergence_sweep)
 from .newton_picard import TOL_ZERO, ContractionError, PreconditionError
 from .path_space import MIN_NODES, grid_unit, on_grid
 
@@ -42,6 +43,7 @@ class ConfigError(Exception):
 
 
 _BUILTIN_MODELS = {"e1": model_e1, "c1": model_c1}
+_CUTOFFS = {"quintic": quintic_cutoff, "cubic": cubic_cutoff}
 
 _CONFIG_KEYS = ("model", "cutoff", "seed_plus", "seed_minus", "T_list", "h",
                 "out", "seed", "S", "C_decay")
@@ -65,11 +67,12 @@ class ExperimentConfig:
     """Flat key = value experiment description.
 
     Keys: model (builtin name or path to a model config file), cutoff
-    (quintic|cubic), seed_plus, seed_minus (comma lists), T_list, h, out,
-    seed (an integer that is parsed and reaches no output), S, C_decay.
+    (quintic|cubic), seed_plus, seed_minus (comma lists, empty for no
+    values), T_list, h, out, seed (an integer that is parsed and reaches no
+    output), S (default half_trajectory_length(max(T_list))), C_decay.
     Any other key is a ConfigError, and so is a non-finite number, a
-    T_list that is not strictly increasing or starts below 3, a C_decay
-    <= 0, a bad model file, a T or S off the grid of the paths,
+    T_list that is not strictly increasing or starts below MIN_GLUING_T, a
+    C_decay <= 0, a bad model file, a T or S off the grid of the paths,
     S < 2 max(T_list), a grid [0, S] of more than MAX_GRID_NODES nodes, or
     a grid [-T, T] or [0, S] of fewer than MIN_NODES nodes."""
 
@@ -92,30 +95,27 @@ class ExperimentConfig:
             except ValueError as exc:
                 raise ConfigError("model file %s: %s" % (path, exc)) from exc
         cname = raw.get("cutoff", "quintic").strip().lower()
-        if cname == "quintic":
-            self.cutoff = quintic_cutoff()
-        elif cname == "cubic":
-            self.cutoff = cubic_cutoff()
-        else:
+        if cname not in _CUTOFFS:
             raise ConfigError("unknown cutoff: %s" % cname)
+        self.cutoff = _CUTOFFS[cname]()
         self.T_list = [float(t) for t in
                        raw.get("T_list", "3,4,5,6,7,8").split(",")]
         self.h = float(raw.get("h", "0.02"))
-        self.seed_plus = [float(v) for v in
-                          raw.get("seed_plus", "0.3").split(",")]
-        self.seed_minus = [float(v) for v in
-                           raw.get("seed_minus", "0.3").split(",")]
+        for key in ("seed_plus", "seed_minus"):
+            text = raw.get(key, "0.3")      # empty: no values
+            setattr(self, key,
+                    [float(v) for v in text.split(",")] if text else [])
         self.out = raw.get("out", ".")
-        self.rng_seed = int(raw.get("seed", "0"))
-        self.S = float(raw["S"]) if "S" in raw else 2.0 * max(self.T_list) + 6.0
+        int(raw.get("seed", "0"))       # a non-integer seed is an error
+        self.S = float(raw.get("S", half_trajectory_length(max(self.T_list))))
         self.C_decay = float(raw["C_decay"]) if "C_decay" in raw else None
         # an unset C_decay (None) counts as finite
         for key in ("T_list", "h", "seed_plus", "seed_minus", "S", "C_decay"):
             if not np.all(np.isfinite(getattr(self, key) or 0.0)):
                 raise ConfigError("%s must be finite" % key)
-        if np.any(np.diff(self.T_list) <= 0) or min(self.T_list) < 3:
+        if np.any(np.diff(self.T_list) <= 0) or self.T_list[0] < MIN_GLUING_T:
             raise ConfigError("T_list must be strictly increasing with "
-                              "min >= 3")
+                              "min >= %d" % MIN_GLUING_T)
         if self.C_decay is not None and self.C_decay <= 0:
             raise ConfigError("C_decay must be positive")
         if self.h <= 0:
@@ -143,9 +143,8 @@ class ExperimentConfig:
         if self.S < 2.0 * max(self.T_list):
             raise ConfigError("S = %r is below 2 max(T_list) = %r"
                               % (self.S, 2.0 * max(self.T_list)))
-        # [0, S] holds at least the nodes of [-T, T] for the largest T
-        for T in self.T_list:
-            _check_grid_nodes(T, self.h)
+        # the least T has the fewest nodes, and [0, S] more than any [-T, T]
+        _check_grid_nodes(self.T_list[0], self.h)
 
     def constants(self):
         """The model's constants; a model without them (no positive
@@ -157,15 +156,13 @@ class ExperimentConfig:
             raise ConfigError("model constants: %s" % exc) from exc
 
 
-def load_config(path, out_override=None, seed_override=None):
+def load_config(path, out_override=None):
     if not os.path.exists(path):
         raise ConfigError("config file not found: %s" % path)
     cfg = ExperimentConfig(_read_flat_config(path),
                            base_dir=os.path.dirname(path) or ".")
     if out_override is not None:
         cfg.out = out_override
-    if seed_override is not None:
-        cfg.rng_seed = int(seed_override)
     return cfg
 
 
@@ -218,12 +215,11 @@ def path_csv_rows(p):
 # commands
 
 def cmd_constants(cfg):
-    model = cfg.model
     consts = cfg.constants()
-    slack = 1.0 + 5.0 * cfg.grid_h
+    slack = measurement_slack(cfg.grid_h)
     rows = []
     for T in cfg.T_list:
-        lt = LinearTheory(model, T, cfg.h, consts)
+        lt = LinearTheory(cfg.model, T, cfg.h, consts)
         pi = measured_projection_norm(lt)
         q = measured_q_norm(lt)
         gmax, gmin = gamma_svd_bounds(lt)
@@ -287,7 +283,7 @@ def cmd_converge(cfg):
     rows = []
     for r in sw["rows"]:
         ev_bound = np.sqrt(2.0) * 4.0 * c * C * np.exp(
-            -0.9 * consts.sigma * r["T"]) * 1.2
+            -consts.epsilon * r["T"]) * 1.2
         rows.append([r["T"], r["preglue_resid"], r["np_iters"],
                      r["corr_norm"], r["bound_2cF"], r["ev_error"],
                      float(ev_bound)])
@@ -309,14 +305,12 @@ def cmd_converge(cfg):
 def cmd_tangent(cfg):
     model = cfg.model
     consts = cfg.constants()
-    t_seed_p = [1.0] * model.n_stable
-    t_seed_m = [1.0] * model.index
     rows = []
     for m in (0, 1):
         sw = tangent_convergence_sweep(
             model, cfg.cutoff, (cfg.seed_plus, cfg.seed_minus),
-            (t_seed_p, t_seed_m), cfg.T_list, order_m=m, h_max=cfg.h,
-            S=cfg.S, constants=consts)
+            ([1.0] * model.n_stable, [1.0] * model.index), cfg.T_list,
+            order_m=m, h_max=cfg.h, S=cfg.S, constants=consts)
         for r in sw["rows"]:
             rows.append([float(m), r["T"], r["ev_error"],
                          r.get("tangent_ev_error", r["ev_error"]),
@@ -328,7 +322,7 @@ def cmd_tangent(cfg):
     # diagonal with kernel-projection blocks, so its measured norm is the
     # projection norm for every m, and since d >= sqrt(8) > 1 the bound d
     # lies below d^(2^m).  One row per T therefore covers every order.
-    slack = 1.0 + 5.0 * cfg.grid_h
+    slack = measurement_slack(cfg.grid_h)
     brows = []
     for T in cfg.T_list:
         lt = LinearTheory(model, T, cfg.h, consts)
@@ -428,13 +422,13 @@ def _verify_checks(cfg):
     check("C1 contraction ratio", repc.contraction_ratio_max, 0.55)
     fit = decay_fit(wpc, (2.0, wpc.S - 2.0))
     check("C1 stable-trajectory decay rate >= 0.9 sigma",
-          fit.rate, 0.9 * cc.sigma, at_least=True)
+          fit.rate, cc.epsilon, at_least=True)
 
     check("C1 projection norm (exact) <= d (1+5h)",
           measured_projection_norm(ltc),
-          cc.d_proj * (1.0 + 5.0 * cfg.grid_h))
+          cc.d_proj * measurement_slack(cfg.grid_h))
     check("C1 Duhamel Q norm (Lanczos, lower bound) <= c (1+5h)",
-          measured_q_norm(ltc), cc.c_rightinv * (1.0 + 5.0 * cfg.grid_h))
+          measured_q_norm(ltc), cc.c_rightinv * measurement_slack(cfg.grid_h))
 
     check("digit set of 9 is {1,4}", 0.0, 0.0,
           ok=digit_map(9) == {1, 4})
@@ -487,8 +481,7 @@ def main(argv=None):
     except SystemExit as e:
         return 1 if e.code not in (0, None) else 0
     try:
-        cfg = load_config(args.config, out_override=args.out,
-                          seed_override=args.seed)
+        cfg = load_config(args.config, out_override=args.out)
     except (ConfigError, OSError, ValueError) as e:
         print("error: %s" % e, file=sys.stderr)
         return 1

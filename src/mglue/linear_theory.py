@@ -22,17 +22,22 @@ on a seed.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, eigsh
 
-from .morse_model import MorseModel
+from .morse_model import MIN_GLUING_T, MorseModel
 from .path_space import (DiagonalFlowLU, DiscretePath, grid_unit, kt_rows,
                          l2_weights, on_grid, stencil_derivative,
                          symmetric_grid, w12_gram)
+
+
+def measurement_slack(h):
+    """1 + 5h: a norm measured at grid spacing h meets its bound times this."""
+    return 1.0 + 5.0 * h
 
 
 @dataclass(frozen=True)
@@ -174,8 +179,8 @@ def gamma_weights(lt):
 def gamma_svd_bounds(lt):
     """(op_norm, min_singular) of the infinitesimal gluing map in the exact
     weighted coefficient inner products (diagonal, so closed form)."""
-    if lt.T < 3:
-        raise ValueError("need T >= 3")
+    if lt.T < MIN_GLUING_T:
+        raise ValueError("need T >= %d" % MIN_GLUING_T)
     dom, img = gamma_weights(lt)
     sv = np.sqrt(img / dom)
     return float(np.max(sv)), float(np.min(sv))
@@ -275,9 +280,6 @@ def q_matrix(lt):
     ns = lt.model.n_stable
     _, r0, r1 = lt._duhamel_lu
 
-    def matvec(v):
-        return apply_Q(lt, v)
-
     def rmatvec(v):
         w = _duhamel_solve(lt, np.reshape(v, (-1, n)).T, "T")
         # R^T reads nothing from the K_T row, which R leaves at 0
@@ -289,8 +291,8 @@ def q_matrix(lt):
         return out.T.ravel()
 
     size = lt.grid.n_nodes * n
-    return LinearOperator((size, size), dtype=float, matvec=matvec,
-                          rmatvec=rmatvec)
+    return LinearOperator((size, size), dtype=float,
+                          matvec=partial(apply_Q, lt), rmatvec=rmatvec)
 
 
 def measured_q_norm(lt):

@@ -27,6 +27,9 @@ import numpy as np
 # the highest order of the coded derivative tensors of the gradient
 TENSOR_ORDER = 3
 
+# shortest gluing length: the pre-gluing cutoffs at s = +-2 need T >= 3
+MIN_GLUING_T = 3.0
+
 
 # one token of polynomial text: a number, a name x<k> or an operator
 _TOKEN = re.compile(r"\s*(\d+\.?\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?"
@@ -479,11 +482,11 @@ def compute_constants(model, epsilon=None, C_decay=1.0, delta_max=1.0,
                                                 2.0 * delta_max)
     delta4 = delta_mu[4.0]
     thresh = delta4 / (4.0 * c)
-    if C_decay < thresh * exp(-epsilon * 3.0):
-        T0 = 3.0
+    if C_decay < thresh * exp(-epsilon * MIN_GLUING_T):
+        T0 = MIN_GLUING_T
     else:
         # nudge above the equality point so the decay bound holds strictly
-        T0 = max(3.0, log(C_decay / thresh) / epsilon * (1.0 + 1e-9))
+        T0 = max(MIN_GLUING_T, log(C_decay / thresh) / epsilon * (1.0 + 1e-9))
     return ModelConstants(sigma=sigma, c_rightinv=c, d_proj=d, k_gamma_inv=k,
                           delta_mu=delta_mu, T0=T0, epsilon=epsilon,
                           mu_star=mu_star, C_decay=C_decay)

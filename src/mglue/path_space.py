@@ -328,8 +328,6 @@ def stencil_derivative(w, h):
 
 def differentiate(p):
     """d/ds by second-order stencils (central inside, one-sided at the ends)."""
-    if p.grid.n_nodes < 3:
-        raise ValueError("grid too small to differentiate")
     return DiscretePath(p.grid, stencil_derivative(p.samples, p.grid.h))
 
 

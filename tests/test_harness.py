@@ -4,9 +4,13 @@ import os
 import numpy as np
 import pytest
 
-from mglue import harness, invariant_manifolds
+from mglue import gluing, harness, invariant_manifolds
+from mglue.gluing import (half_trajectory_length, preglue, quintic_cutoff,
+                          shoot_halves, tangent_convergence_sweep)
 from mglue.harness import (ConfigError, ExperimentConfig, load_config, main,
                            write_csv)
+from mglue.linear_theory import LinearTheory
+from mglue.morse_model import MIN_GLUING_T
 
 from test_morse_model import TEXT_QUARTIC
 
@@ -26,7 +30,9 @@ class TestConfig:
         cfg = load_config(write_cfg(tmp_path))
         assert cfg.model.dim == 2
         assert cfg.T_list == [3.0, 4.0]
-        assert cfg.rng_seed == 11
+        # the seed reaches no output, but a non-integer one is an error
+        assert main(["constants", "--config",
+                     write_cfg(tmp_path, name="bad.cfg", seed="1.5")]) == 1
 
     def test_unsorted_t_list_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
@@ -184,9 +190,8 @@ class TestConfig:
             == 0.5
 
     def test_overrides(self, tmp_path):
-        cfg = load_config(write_cfg(tmp_path), out_override="/tmp/x",
-                          seed_override=99)
-        assert cfg.out == "/tmp/x" and cfg.rng_seed == 99
+        cfg = load_config(write_cfg(tmp_path), out_override="/tmp/x")
+        assert cfg.out == "/tmp/x"
 
 
 def strict_json_load(path):
@@ -450,6 +455,23 @@ class TestCommands:
     def test_bad_usage_exits_nonzero(self, capsys):
         assert main(["frobnicate", "--config", "x"]) == 1
 
+    @pytest.mark.parametrize("index,eig,seeds", [
+        ("0", "2,1", {"seed_plus": "0.3,0.3", "seed_minus": ""}),
+        ("2", "-1,-2", {"seed_plus": "", "seed_minus": "0.3,0.3"}),
+    ])
+    def test_one_sided_model(self, tmp_path, capsys, index, eig, seeds):
+        # the side without directions takes an empty seed list
+        (tmp_path / "mdl.cfg").write_text(
+            "dim = 2\nindex = %s\neig = %s\n" % (index, eig))
+        cfg = write_cfg(tmp_path, model="mdl.cfg", T_list="3", **seeds)
+        for command in ("constants", "glue", "converge", "tangent"):
+            assert main([command, "--config", cfg,
+                         "--out", str(tmp_path / command)]) == 0
+        # the empty side's half trajectory is 0: no decay to fit
+        assert main(["decay", "--config", cfg,
+                     "--out", str(tmp_path / "decay")]) == 2
+        assert "no decay to fit" in capsys.readouterr().err
+
 
 class TestCoarseGrid:
     """A grid [-T, T] of fewer than 9 nodes is a config error: exit 1 with
@@ -478,3 +500,69 @@ class TestCoarseGrid:
         assert capsys.readouterr().err == (
             "error: h = 1.0 gives 7 nodes on [-3, 3], fewer than 9\n")
         assert not out.exists()
+
+
+def recorded_lengths(monkeypatch, module):
+    """The list that collects the S of each shoot_stable call made through
+    module, which still shoots."""
+    seen = []
+    shoot = invariant_manifolds.shoot_stable
+
+    def recording(model, seed, S, **kwargs):
+        seen.append(S)
+        return shoot(model, seed, S, **kwargs)
+
+    monkeypatch.setattr(module, "shoot_stable", recording)
+    return seen
+
+
+class TestRunRules:
+    """Each rule of a gluing run has one definition that every site reads:
+    the half-trajectory length, the shortest gluing length and the decay
+    rate epsilon."""
+
+    def test_half_trajectory_length(self):
+        assert half_trajectory_length(4.0) == 14.0
+
+    def test_config_default_s(self, tmp_path, capsys, monkeypatch):
+        seen = recorded_lengths(monkeypatch, harness)
+        assert main(["glue", "--config", write_cfg(tmp_path, T_list="3,4"),
+                     "--out", str(tmp_path / "out")]) == 0
+        assert seen == [half_trajectory_length(4.0)]
+
+    def test_shoot_halves_and_sweeps(self, c1, cc, monkeypatch):
+        seen = recorded_lengths(monkeypatch, gluing)
+        shoot_halves(LinearTheory(c1, 4.0, 0.02, cc), [0.3], [0.3])
+        # order 0 is convergence_sweep, with its own default S
+        for order_m in (0, 1):
+            tangent_convergence_sweep(c1, quintic_cutoff(), ([0.3], [0.3]),
+                                      ([1.0], [1.0]), [3.0, 4.0],
+                                      constants=cc, order_m=order_m)
+        assert seen == [half_trajectory_length(4.0)] * 3
+
+    def test_t_just_below_min_gluing_t_rejected(self, tmp_path, c1):
+        T = MIN_GLUING_T - 0.02
+        with pytest.raises(ConfigError, match="min >= 3"):
+            load_config(write_cfg(tmp_path, T_list="%r,4" % T))
+        wp = invariant_manifolds.shoot_stable(c1, [0.3], 12.0)
+        wm = invariant_manifolds.shoot_unstable(c1, [0.3], 12.0)
+        with pytest.raises(ValueError, match="need T >= 3"):
+            preglue(quintic_cutoff(), wp, wm, T)
+
+    def test_model_file_epsilon_sets_ev_bound_rate(self, tmp_path, capsys):
+        model = "dim = 2\nindex = 1\neig = 1,-1\nnonlinearity = 0.1*x1^2*x2\n"
+        runs = {}
+        for name, extra in (("default", ""), ("eps", "epsilon = 0.5\n")):
+            (tmp_path / (name + ".mdl")).write_text(model + extra)
+            cfg = write_cfg(tmp_path, name=name + ".cfg",
+                            model=name + ".mdl", T_list="3,4")
+            out = tmp_path / name
+            assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+            runs[name] = [row.split(",") for row in (out / "converge.csv")
+                          .read_bytes().decode().split("\r\n")[1:-1]]
+        # every column but ev_bound keeps its bytes
+        assert [r[:-1] for r in runs["eps"]] == \
+            [r[:-1] for r in runs["default"]]
+        for name, rate in (("default", 0.9), ("eps", 0.5)):
+            b3, b4 = (float(r[-1]) for r in runs[name])
+            assert b4 / b3 == pytest.approx(np.exp(-rate), rel=1e-12)
