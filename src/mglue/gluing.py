@@ -437,12 +437,12 @@ def theta_defect_norm(cutoff, lt, seed_radius):
         diffs[k] = DiscretePath(half.grid, xi_lin - xi_pull.samples)
         outs.append(preglue(cutoff, *diffs, lt.T))
     # operator norm: Gram H = X G X^T of the outputs (the rows of X) in
-    # W^{1,2} against the diagonal domain weights of the kernel coefficient
-    # basis
+    # W^{1,2} against the diagonal domain weights W of the kernel
+    # coefficient basis, the top eigenvalue of W^{-1/2} H W^{-1/2}
     X = np.stack([out.samples.reshape(-1) for out in outs])
     H = X @ (w12_gram(lt.grid, n) @ X.T)
-    W = np.diag(dom_w)
-    M = np.linalg.solve(np.sqrt(W), np.linalg.solve(np.sqrt(W), H).T)
+    root = np.sqrt(dom_w)
+    M = H / np.outer(root, root)
     return float(np.sqrt(max(np.max(np.linalg.eigvalsh(M)), 0.0)))
 
 
@@ -453,14 +453,13 @@ def tangent_convergence_sweep(model, cutoff, seeds, tangent_seeds, T_list,
                               constants, order_m=1, h_max=0.02, S=None):
     """Pre-glue the tangent lifts componentwise, correct the base path with
     np_solve and its tangent with the Newton-Picard differential at the
-    glued path (np_tangent_solve), and record the tangent evaluation errors
-    over T; np_iters counts the tangent solve's iterations.  The base path
-    is pre-glued under glue's hypothesis (_preglue_in_ball)."""
-    if order_m == 0:
-        return convergence_sweep(model, cutoff, seeds, T_list, constants,
-                                 h_max=h_max, S=S)
+    glued path (np_tangent_solve), and record both evaluation errors over
+    T: ev_error and base_np_iters from the base solve, which is glue's,
+    tangent_ev_error and np_iters from the tangent solve.  The base path is
+    pre-glued under glue's hypothesis (_preglue_in_ball).  order_m must be
+    1."""
     if order_m != 1:
-        raise ValueError("sweep supports m in {0, 1}")
+        raise ValueError("sweep supports m = 1 only")
     seed_p, seed_m = seeds
     tseed_p, tseed_m = tangent_seeds
     if S is None:
@@ -476,14 +475,14 @@ def tangent_convergence_sweep(model, cutoff, seeds, tangent_seeds, T_list,
         grid = lt.grid
         wt = _preglue_in_ball(cutoff, wp, wm, lt)
         xt = preglue(cutoff, lift_p, lift_m, T)
-        prob = flow_problem(lt)
-        (x, xi), res = np_tangent_solve(prob, wt.samples.reshape(-1),
-                                        xt.samples.reshape(-1))
-        gamma = DiscretePath(grid, x.reshape(-1, model.dim))
-        tgamma = DiscretePath(grid, xi.reshape(-1, model.dim))
-        base_ev = ev_error(gamma, wp, wm)
-        rows.append({"T": float(T), "ev_error": base_ev,
+        res, tres = np_tangent_solve(flow_problem(lt),
+                                     wt.samples.reshape(-1),
+                                     xt.samples.reshape(-1))
+        gamma = DiscretePath(grid, res.x.reshape(-1, model.dim))
+        tgamma = DiscretePath(grid, tres.x.reshape(-1, model.dim))
+        rows.append({"T": float(T), "ev_error": ev_error(gamma, wp, wm),
                      "tangent_ev_error": ev_error(tgamma, lift_p, lift_m),
-                     "np_iters": res.iterations})
+                     "np_iters": tres.iterations,
+                     "base_np_iters": res.iterations})
     rate_fit, _, _ = _rate_over_T(rows, "tangent_ev_error")
     return {"rows": rows, "rate_fit": rate_fit}

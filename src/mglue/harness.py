@@ -20,7 +20,7 @@ from .linear_theory import (LinearTheory, euclidean_gluing_reference,
                             measured_q_norm, measurement_slack)
 from .invariant_manifolds import (FitError, decay_fit, digit_map,
                                   partitions, shoot_stable, shoot_unstable)
-from .gluing import (convergence_sweep, cubic_cutoff,
+from .gluing import (_rate_over_T, convergence_sweep, cubic_cutoff,
                      estimate_decay_constant, glue, half_trajectory_length,
                      preglue, quintic_cutoff, shoot_halves,
                      tangent_convergence_sweep)
@@ -305,17 +305,17 @@ def cmd_converge(cfg):
 def cmd_tangent(cfg):
     model = cfg.model
     consts = cfg.constants()
-    rows = []
-    for m in (0, 1):
-        sw = tangent_convergence_sweep(
-            model, cfg.cutoff, (cfg.seed_plus, cfg.seed_minus),
-            ([1.0] * model.n_stable, [1.0] * model.index), cfg.T_list,
-            order_m=m, h_max=cfg.h, S=cfg.S, constants=consts)
-        for r in sw["rows"]:
-            rows.append([float(m), r["T"], r["ev_error"],
-                         r.get("tangent_ev_error", r["ev_error"]),
-                         r["np_iters"]])
-        print("m=%d sweep: rate %.4f" % (m, sw["rate_fit"]))
+    sw = tangent_convergence_sweep(
+        model, cfg.cutoff, (cfg.seed_plus, cfg.seed_minus),
+        ([1.0] * model.n_stable, [1.0] * model.index), cfg.T_list,
+        h_max=cfg.h, S=cfg.S, constants=consts)
+    # the m = 0 rows are the base solves, which are glue's
+    rows = [[0.0, r["T"], r["ev_error"], r["ev_error"], r["base_np_iters"]]
+            for r in sw["rows"]]
+    print("m=0 sweep: rate %.4f" % _rate_over_T(sw["rows"], "ev_error")[0])
+    rows += [[1.0, r["T"], r["ev_error"], r["tangent_ev_error"],
+              r["np_iters"]] for r in sw["rows"]]
+    print("m=1 sweep: rate %.4f" % sw["rate_fit"])
     write_csv(os.path.join(cfg.out, "tangent_sweep.csv"),
               ["m", "T", "ev_error", "tangent_ev_error", "np_iters"], rows)
     # The differential of the m-th tangent gluing map at the origin is block
@@ -335,11 +335,13 @@ def cmd_tangent(cfg):
 
 
 def cmd_decay(cfg):
-    # both sides are shot and fitted before either is written, so a failed
-    # fit leaves no decay file behind
+    # the sides with seeds (a side of no directions has none) are shot and
+    # fitted before either is written, so a failed fit leaves no file
     fits = []
     for side, seed, shoot in (("stable", cfg.seed_plus, shoot_stable),
                               ("unstable", cfg.seed_minus, shoot_unstable)):
+        if not seed:
+            continue
         half = shoot(cfg.model, seed, cfg.S, h_max=cfg.h)
         window = (2.0, cfg.S - 2.0) if side == "stable" \
             else (-(cfg.S - 2.0), -2.0)

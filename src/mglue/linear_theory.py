@@ -21,7 +21,6 @@ by the L^2 weights, from a fixed start vector, so no measured norm depends
 on a seed.
 """
 
-from dataclasses import dataclass
 from functools import cached_property, partial
 
 import numpy as np
@@ -29,6 +28,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs, dtbtrs
 from scipy.sparse import csr_matrix
 from scipy.sparse.linalg import LinearOperator, eigsh
 
+from .invariant_manifolds import linear_half_path
 from .morse_model import MIN_GLUING_T, MorseModel
 from .path_space import (DiagonalFlowLU, DiscretePath, grid_unit, kt_rows,
                          l2_weights, on_grid, stencil_derivative,
@@ -38,13 +38,6 @@ from .path_space import (DiagonalFlowLU, DiscretePath, grid_unit, kt_rows,
 def measurement_slack(h):
     """1 + 5h: a norm measured at grid spacing h meets its bound times this."""
     return 1.0 + 5.0 * h
-
-
-@dataclass(frozen=True)
-class KernelElement:
-    """Kernel coefficients: v_plus at s = -T (stable), v_minus at s = +T."""
-    v_plus: np.ndarray
-    v_minus: np.ndarray
 
 
 class LinearTheory:
@@ -109,13 +102,15 @@ def apply_D(lt, zeta):
     return out.reshape(zeta.shape)
 
 
-def kernel_path(lt, ke):
-    """Realize kernel coefficients as the explicit exponential path."""
+def kernel_path(lt, v_plus, v_minus):
+    """The kernel path of v_plus at s = -T (stable) and v_minus at s = +T
+    (unstable): linear_half_path of v_plus at s + T and of v_minus at s - T."""
     s = lt.grid.nodes
     m = lt.model
-    plus = np.exp(-np.outer(s + lt.T, m.a_plus)) * np.asarray(ke.v_plus)
-    minus = np.exp(np.outer(s - lt.T, m.a_minus)) * np.asarray(ke.v_minus)
-    return DiscretePath(lt.grid, np.concatenate([plus, minus], axis=1))
+    samples = linear_half_path(m, "stable", v_plus, s + lt.T)
+    samples[:, m.n_stable:] = linear_half_path(m, "unstable", v_minus,
+                                               s - lt.T)[:, m.n_stable:]
+    return DiscretePath(lt.grid, samples)
 
 
 def _duhamel_solve(lt, rhs, trans):
@@ -194,8 +189,7 @@ def euclidean_gluing_reference(lt, w_plus_0, w_minus_0):
     m = lt.model
     if m.nonlinearity:
         raise ValueError("reference requires the Euclidean (linear) model")
-    return kernel_path(lt, KernelElement(v_plus=m.p_plus(w_plus_0),
-                                         v_minus=m.p_minus(w_minus_0)))
+    return kernel_path(lt, m.p_plus(w_plus_0), m.p_minus(w_minus_0))
 
 
 # ---------------------------------------------------------------------------
@@ -230,8 +224,8 @@ def projection_matrix(lt):
     matrix of rank n: S selects the kt_rows, and column kt_rows[c] of Pi is
     column c of E, the kernel basis path of component c."""
     m = lt.model
-    E = kernel_path(lt, KernelElement(np.ones(m.n_stable),
-                                      np.ones(m.dim - m.n_stable))).samples
+    E = kernel_path(lt, np.ones(m.n_stable),
+                    np.ones(m.dim - m.n_stable)).samples
     cols = np.tile(lt._kt_rows, lt.grid.n_nodes)
     return csr_matrix((E.ravel(), (np.arange(E.size), cols)),
                       shape=(E.size, E.size))

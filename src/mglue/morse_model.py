@@ -18,7 +18,7 @@ resulting polynomial in the radius.  No constant depends on a seed.
 import re
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from math import exp, factorial, inf, isfinite, log, prod, sqrt
+from math import exp, factorial, inf, isfinite, log, prod, sqrt, ulp
 from operator import add, index
 
 import numpy as np
@@ -454,8 +454,8 @@ def _admissible_radius(slopes, target, cap):
 def compute_constants(model, epsilon=None, C_decay=1.0, delta_max=1.0,
                       rng=None):
     """All model-derived constants: c, d and k from their formulas, delta_mu
-    from the certified deviation bound, T0 from the decay prefactor.  `rng`
-    is accepted and unread; no constant depends on a seed.
+    from the certified deviation bound, T0 from the decay prefactor
+    C_decay > 0.  `rng` is accepted and unread; no constant depends on a seed.
 
     delta_mu = rho_mu / 2, where rho_mu is the largest rho <= 2 delta_max
     with phi(rho) <= 1/(mu c) (deviation_slopes).  For |z| <= rho_mu,
@@ -471,6 +471,8 @@ def compute_constants(model, epsilon=None, C_decay=1.0, delta_max=1.0,
         epsilon = 0.9 * sigma
     if not 0.0 < epsilon < sigma:
         raise ValueError("need 0 < epsilon < sigma")
+    if not C_decay > 0.0:
+        raise ValueError("need C_decay > 0")
     c = c_rightinv_formula(model)
     d = d_proj_formula(model)
     k = k_gamma_formula(model)
@@ -482,11 +484,10 @@ def compute_constants(model, epsilon=None, C_decay=1.0, delta_max=1.0,
                                                 2.0 * delta_max)
     delta4 = delta_mu[4.0]
     thresh = delta4 / (4.0 * c)
-    if C_decay < thresh * exp(-epsilon * MIN_GLUING_T):
-        T0 = MIN_GLUING_T
-    else:
-        # nudge above the equality point so the decay bound holds strictly
-        T0 = max(MIN_GLUING_T, log(C_decay / thresh) / epsilon * (1.0 + 1e-9))
+    # nudge above the equality point so the decay bound holds strictly; a
+    # ratio that underflows to 0 is taken as the least positive float
+    T0 = max(MIN_GLUING_T, log(max(C_decay / thresh, ulp(0.0))) / epsilon
+             * (1.0 + 1e-9))
     return ModelConstants(sigma=sigma, c_rightinv=c, d_proj=d, k_gamma_inv=k,
                           delta_mu=delta_mu, T0=T0, epsilon=epsilon,
                           mu_star=mu_star, C_decay=C_decay)

@@ -219,13 +219,13 @@ def np_differential(p, x1, v):
 
 
 def np_tangent_solve(p, x1, xi1):
-    """Tangent-map solve: the glued path x = np_solve(p, x1).x, then its
-    tangent xi = np_differential(p, x, xi1).x, since differentiating
+    """Tangent-map solve: the glued path res = np_solve(p, x1), then its
+    tangent tres = np_differential(p, res.x, xi1), since differentiating
     x = x1 - Q(N(x) + D x1) along xi1 gives xi = xi1 - Q(dN(x) xi + D xi1).
-    Returns ((x, xi), the tangent solve's NPResult)."""
+    Returns the two NPResults (res, tres): the path is res.x and the
+    tangent tres.x."""
     res = np_solve(p, x1)
-    tres = np_differential(p, res.x, xi1)
-    return (res.x, tres.x), tres
+    return res, np_differential(p, res.x, xi1)
 
 
 def _unit(rng, n):
@@ -290,23 +290,23 @@ def _ball_point(rng, delta, n):
 def ift_certificate(F, delta, k, sample_count, rng, dim, fd_eps=1e-6,
                     slack=1.0, n_pairs=200, n_preimages=20, dF=None):
     """Check the quantitative-IFT hypotheses for F on the delta-ball around 0
-    (F(0) = 0): ||dF(0)^{-1}|| <= k and ||dF(x) - dF(0)|| <= 1/(2k) on
-    samples; on success spot-verify injectivity on random pairs and Newton
-    preimage solves (to a residual of 1e-10) for targets in the
-    delta/(2k)-ball.  `slack` is a multiplicative measurement cushion on the
-    two hypothesis bounds.  dF(0) is computed once: the variation samples
-    compare against it, and each preimage solve starts at x = 0 with it as
-    its first Newton step's Jacobian (2 dim evaluations of F fewer per
-    preimage for finite differences).
+    (F(0) = 0): ||dF(0)^{-1}|| <= k and ||dF(x) - dF(0)|| <= 1/(2k), the
+    differential taken at 0 and at the variation samples only; `slack` is a
+    multiplicative measurement cushion on both bounds.  On success
+    spot-verify injectivity on random pairs, and find preimages of targets
+    y in the delta/(2k)-ball by the chord map x -> x - dF(0)^{-1}(F(x) - y)
+    from x = 0, where F(x) - y = -y: the hypotheses make it a contraction
+    of ratio 1/2 (Kelley, Iterative Methods for Linear and Nonlinear
+    Equations, SIAM 1995, ch. 5).  A preimage is found at |F(x) - y| <=
+    1e-10; an iterate outside the ball, or none found in 50 steps, fails.
 
     F maps a point of shape (dim,), or a (m, dim) block of points row by
     row (a block of another shape raises ValueError).  The 2 dim points of
-    each finite-difference Jacobian are one block, and the injectivity
-    pairs go to F in blocks of PAIR_BLOCK pairs: all pairs are drawn
-    first, and the pairs closer than 1e-12, which are skipped, are left
-    out of the blocks and of injectivity_checked.  The preimage Newton
-    solves evaluate F one point at a time."""
-    newton_tol = 1e-10
+    each finite-difference Jacobian are one block.  All pairs are drawn
+    first and go to F in blocks of PAIR_BLOCK pairs (pairs closer than
+    1e-12 are skipped, and left out of injectivity_checked); then all
+    targets are drawn and iterated in blocks of at most 2 PAIR_BLOCK, a row
+    leaving its block once it is found or fails."""
     jac = (lambda x: dF(x)) if dF is not None else (
         lambda x: _fd_jacobian(F, x, fd_eps))
     n = dim
@@ -342,24 +342,26 @@ def ift_certificate(F, delta, k, sample_count, rng, dim, fd_eps=1e-6,
             lhs = np.linalg.norm(fx - fy)
             if lhs < np.linalg.norm(x - y) / (2.0 * k) * (1 - 1e-6):
                 inj_fail += 1
+    targets = np.array([_ball_point(rng, delta / (2.0 * k), n)
+                        for _ in range(n_preimages)]).reshape(-1, n)
     pre_fail = 0
-    for _ in range(n_preimages):
-        y = _ball_point(rng, delta / (2.0 * k), n)
-        x = np.zeros(n)
-        ok = False
-        for step in range(50):
-            r = F(x) - y
-            if np.linalg.norm(r) <= newton_tol:
-                ok = True
+    for i in range(0, n_preimages, 2 * PAIR_BLOCK):
+        Y = targets[i:i + 2 * PAIR_BLOCK]
+        X, R = np.zeros(Y.shape), -Y        # x = 0, where F(x) - y = -y
+        for _ in range(50):
+            X = X - np.linalg.solve(J0, R.T).T
+            # a nan is neither inside nor found: it fails at the next step
+            inside = np.linalg.norm(X, axis=1) <= delta * (1 + 1e-9)
+            pre_fail += int(np.count_nonzero(~inside))
+            X, Y = X[inside], Y[inside]
+            if not len(X):
                 break
-            # the first step is taken at x = 0
-            x = x - np.linalg.solve(J0 if step == 0 else jac(x), r)
-            if np.linalg.norm(x) > delta * (1 + 1e-9):
+            R = _map_block(F, X) - Y
+            still = ~(np.linalg.norm(R, axis=1) <= 1e-10)
+            X, Y, R = X[still], Y[still], R[still]
+            if not len(X):
                 break
-        else:
-            ok = np.linalg.norm(F(x) - y) <= newton_tol
-        if not (ok and np.linalg.norm(x) <= delta * (1 + 1e-9)):
-            pre_fail += 1
+        pre_fail += len(X)
     return IFTCertificate(
         ok=(inj_fail == 0 and pre_fail == 0),
         inv_norm_at_0=inv0, k_bound=float(k),

@@ -8,7 +8,7 @@ import numpy as np
 from mglue.gluing import (certify_approx_zero, convergence_sweep,
                           cubic_cutoff, diffeo_criterion,
                           estimate_decay_constant, flow_problem, glue,
-                          preglue, quintic_cutoff)
+                          half_trajectory_length, preglue, quintic_cutoff)
 from mglue.harness import main
 from mglue.invariant_manifolds import (build_tangent_system, decay_fit,
                                        digit_inverse, digit_map, partitions,
@@ -132,19 +132,19 @@ def test_criterion_06_evaluation_convergence(c1, cc):
     box = np.linspace(-0.3, 0.3, 5)
     C = estimate_decay_constant(c1, BETA, [([xp], [ym]) for xp in box
                                            for ym in box],
-                                T_list, 2.0 * max(T_list) + 6.0, 0.02)
+                                T_list, half_trajectory_length(max(T_list)),
+                                0.02)
     sw = convergence_sweep(c1, BETA, ([0.3], [0.3]), T_list, constants=cc)
     c = cc.c_rightinv
     over = 0
     for r in sw["rows"]:
-        bound = np.sqrt(2) * 4 * c * C * np.exp(
-            -0.9 * cc.sigma * r["T"]) * 1.2
+        bound = np.sqrt(2) * 4 * c * C * np.exp(-cc.epsilon * r["T"]) * 1.2
         if r["ev_error"] > bound:
             over += 1
-    ok = (sw["rate_fit"] >= 0.9 * cc.sigma and sw["r2"] >= 0.99
+    ok = (sw["rate_fit"] >= cc.epsilon and sw["r2"] >= 0.99
           and over == 0)
     report(6, ok, "rate %.4f >= %.2f, r2 %.5f, %d/%d points above bound "
-           "(C = %.3f)" % (sw["rate_fit"], 0.9 * cc.sigma, sw["r2"], over,
+           "(C = %.3f)" % (sw["rate_fit"], cc.epsilon, sw["r2"], over,
                            len(sw["rows"]), C))
 
 
@@ -237,8 +237,8 @@ def test_criterion_09_tangent_machinery(c1, cc):
                   solve_tangent_lift(c1, wm, build_tangent_system(1),
                                      [[1.0]])[0],
                   T).samples.reshape(-1)
-    (x, _), _ = np_tangent_solve(prob, x1, xi1)
-    base_gap = float(np.max(np.abs(x - np_solve(prob, x1).x)))
+    base, _ = np_tangent_solve(prob, x1, xi1)
+    base_gap = float(np.max(np.abs(base.x - np_solve(prob, x1).x)))
 
     # differential norms of the corrected gluing at the origin: the
     # differential of every order is block diagonal with projection blocks,

@@ -569,15 +569,23 @@ class TestDiffeo:
 
 
 class TestTangentSweep:
-    def test_m0_reduces_to_convergence(self, c1, cc):
+    def test_base_rows_are_convergence_rows(self, c1, cc):
+        # the base solve of each T is glue's: the ev error and iteration
+        # count of convergence_sweep's row, bit for bit
         kwargs = dict(constants=cc, h_max=0.02)
         a = tangent_convergence_sweep(c1, BETA, ([0.3], [0.3]),
-                                      ([1.0], [1.0]), [3.0, 4.0],
-                                      order_m=0, **kwargs)
+                                      ([1.0], [1.0]), [3.0, 4.0], **kwargs)
         b = convergence_sweep(c1, BETA, ([0.3], [0.3]), [3.0, 4.0],
                               **kwargs)
-        assert [r["ev_error"] for r in a["rows"]] == \
-            [r["ev_error"] for r in b["rows"]]
+        assert [(r["ev_error"], r["base_np_iters"]) for r in a["rows"]] == \
+            [(r["ev_error"], r["np_iters"]) for r in b["rows"]]
+
+    @pytest.mark.parametrize("order_m", [0, 2])
+    def test_only_order_1(self, c1, cc, order_m):
+        with pytest.raises(ValueError, match="m = 1 only"):
+            tangent_convergence_sweep(c1, BETA, ([0.3], [0.3]),
+                                      ([1.0], [1.0]), [3.0], constants=cc,
+                                      order_m=order_m)
 
     def test_euclidean_m1_rate(self, e1, ce):
         sw = tangent_convergence_sweep(e1, BETA, ([0.5], [0.4]),

@@ -4,9 +4,10 @@ import os
 import numpy as np
 import pytest
 
-from mglue import gluing, harness, invariant_manifolds
-from mglue.gluing import (half_trajectory_length, preglue, quintic_cutoff,
-                          shoot_halves, tangent_convergence_sweep)
+from mglue import gluing, harness, invariant_manifolds, newton_picard
+from mglue.gluing import (convergence_sweep, half_trajectory_length, preglue,
+                          quintic_cutoff, shoot_halves,
+                          tangent_convergence_sweep)
 from mglue.harness import (ConfigError, ExperimentConfig, load_config, main,
                            write_csv)
 from mglue.linear_theory import LinearTheory
@@ -312,6 +313,43 @@ class TestCommands:
         assert lines[0] == "T,norm_measured,bound"
         assert [line.split(",")[0] for line in lines[1:-1]] == ["3", "4"]
 
+    def test_tangent_shoots_once_and_solves_each_t_once(self, tmp_path,
+                                                       capsys, monkeypatch):
+        # one m = 1 sweep: the two halves, and per T the base solve and the
+        # tangent solve (the m = 0 sweep shot and solved again before)
+        calls = {"shoot": 0, "np_solve": 0}
+
+        def counting(name, f):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return f(*args, **kwargs)
+            return counted
+
+        for shoot in ("shoot_stable", "shoot_unstable"):
+            monkeypatch.setattr(gluing, shoot,
+                                counting("shoot", getattr(gluing, shoot)))
+        solve = counting("np_solve", newton_picard.np_solve)
+        monkeypatch.setattr(newton_picard, "np_solve", solve)
+        monkeypatch.setattr(gluing, "np_solve", solve)
+        cfg = write_cfg(tmp_path, T_list="3,4,5")
+        assert main(["tangent", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        assert calls == {"shoot": 2, "np_solve": 2 * 3}
+
+    def test_tangent_m0_rows_are_converge_rows(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, T_list="3,4")
+        out = str(tmp_path / "out")
+        for command in ("converge", "tangent"):
+            assert main([command, "--config", cfg, "--out", out]) == 0
+        converge, tangent = (
+            [line.split(",") for line in open(os.path.join(out, name),
+                                              newline="").read()
+             .split("\r\n")[1:-1]]
+            for name in ("converge.csv", "tangent_sweep.csv"))
+        # m, T, ev_error, tangent_ev_error = ev_error, np_iters
+        assert [r[1:] for r in tangent if r[0] == "0"] == \
+            [[r[0], r[5], r[5], r[2]] for r in converge]
+
     def test_decay_sidecar(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, T_list="3", S="12")
         out = str(tmp_path / "out")
@@ -455,22 +493,28 @@ class TestCommands:
     def test_bad_usage_exits_nonzero(self, capsys):
         assert main(["frobnicate", "--config", "x"]) == 1
 
-    @pytest.mark.parametrize("index,eig,seeds", [
-        ("0", "2,1", {"seed_plus": "0.3,0.3", "seed_minus": ""}),
-        ("2", "-1,-2", {"seed_plus": "", "seed_minus": "0.3,0.3"}),
+    @pytest.mark.parametrize("index,eig,seeds,side", [
+        ("0", "2,1", {"seed_plus": "0.3,0.3", "seed_minus": ""}, "stable"),
+        ("2", "-1,-2", {"seed_plus": "", "seed_minus": "0.3,0.3"},
+         "unstable"),
     ])
-    def test_one_sided_model(self, tmp_path, capsys, index, eig, seeds):
+    def test_one_sided_model(self, tmp_path, capsys, index, eig, seeds,
+                             side):
         # the side without directions takes an empty seed list
         (tmp_path / "mdl.cfg").write_text(
             "dim = 2\nindex = %s\neig = %s\n" % (index, eig))
         cfg = write_cfg(tmp_path, model="mdl.cfg", T_list="3", **seeds)
-        for command in ("constants", "glue", "converge", "tangent"):
+        for command in ("constants", "glue", "converge", "tangent", "decay"):
             assert main([command, "--config", cfg,
                          "--out", str(tmp_path / command)]) == 0
-        # the empty side's half trajectory is 0: no decay to fit
-        assert main(["decay", "--config", cfg,
-                     "--out", str(tmp_path / "decay")]) == 2
-        assert "no decay to fit" in capsys.readouterr().err
+        # decay shoots and fits only the side with seeds, whose rate has
+        # the size of the slower eigenvalue
+        out = tmp_path / "decay"
+        assert sorted(os.listdir(out)) == ["decay_%s.%s" % (side, ext)
+                                           for ext in ("csv", "json")]
+        rep = json.loads((out / ("decay_%s.json" % side)).read_text())
+        assert abs(rep["decay_rate"]) == pytest.approx(1.0, abs=1e-3)
+        assert capsys.readouterr().out.splitlines()[-1].startswith(side)
 
 
 class TestCoarseGrid:
@@ -533,11 +577,10 @@ class TestRunRules:
     def test_shoot_halves_and_sweeps(self, c1, cc, monkeypatch):
         seen = recorded_lengths(monkeypatch, gluing)
         shoot_halves(LinearTheory(c1, 4.0, 0.02, cc), [0.3], [0.3])
-        # order 0 is convergence_sweep, with its own default S
-        for order_m in (0, 1):
-            tangent_convergence_sweep(c1, quintic_cutoff(), ([0.3], [0.3]),
-                                      ([1.0], [1.0]), [3.0, 4.0],
-                                      constants=cc, order_m=order_m)
+        convergence_sweep(c1, quintic_cutoff(), ([0.3], [0.3]), [3.0, 4.0],
+                          constants=cc)
+        tangent_convergence_sweep(c1, quintic_cutoff(), ([0.3], [0.3]),
+                                  ([1.0], [1.0]), [3.0, 4.0], constants=cc)
         assert seen == [half_trajectory_length(4.0)] * 3
 
     def test_t_just_below_min_gluing_t_rejected(self, tmp_path, c1):

@@ -4,7 +4,7 @@ from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
 from scipy.sparse import csr_matrix, diags, identity, issparse, kron
 
 from mglue import linear_theory
-from mglue.linear_theory import (KernelElement, LinearTheory, apply_D,
+from mglue.linear_theory import (LinearTheory, apply_D,
                                  apply_Q, apply_Q_exact,
                                  euclidean_gluing_reference, gamma_svd_bounds,
                                  kernel_path, measured_opnorm,
@@ -26,8 +26,7 @@ def gamma_infinitesimal(lt, xi0, eta0):
     kernel elements, realized as the explicit glued kernel path."""
     if lt.T < 3:
         raise ValueError("need T >= 3")
-    return kernel_path(lt, KernelElement(v_plus=np.atleast_1d(xi0),
-                                         v_minus=np.atleast_1d(eta0)))
+    return kernel_path(lt, np.atleast_1d(xi0), np.atleast_1d(eta0))
 
 
 def interior_sup(p):
@@ -49,8 +48,7 @@ def Q_path(lt, p):
 class TestApplyD:
     def test_kernel_element_residual_fine_grid(self, e1, ce):
         lt = LinearTheory(e1, 3.0, 2e-4, ce)
-        kp = kernel_path(lt, KernelElement(v_plus=np.array([1.0]),
-                                           v_minus=np.array([1.0])))
+        kp = kernel_path(lt, np.array([1.0]), np.array([1.0]))
         res = D_path(lt, kp)
         assert interior_sup(res) <= 1e-8
 
@@ -376,10 +374,8 @@ def projection_matrix_dense_reference(lt):
     N = lt.grid.n_nodes
     cols = []
     for i in range(n):
-        ke = KernelElement(
-            v_plus=np.eye(n)[i][: m.n_stable],
-            v_minus=np.eye(n)[i][m.n_stable:])
-        cols.append(kernel_path(lt, ke).samples.reshape(-1))
+        cols.append(kernel_path(lt, np.eye(n)[i][:m.n_stable],
+                                np.eye(n)[i][m.n_stable:]).samples.reshape(-1))
     K = np.stack(cols, axis=1)  # (N*n, n)
     B = np.zeros((n, N * n))
     for i in range(m.n_stable):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -101,6 +103,41 @@ class TestConstants:
         assert 1.0 * np.exp(-cc.epsilon * cc.T0) < cc.delta4 / (
             4 * cc.c_rightinv)
         assert cc.T0 >= 3.0
+
+    @pytest.mark.parametrize("name", ["e1", "c1", "3d"])
+    def test_t0_one_rule_keeps_bits(self, request, name):
+        # the former two branches: T0 = 3 for C below thresh e^{-3 eps},
+        # else the nudged log, floored at 3; over C on both sides of that
+        # switch and of thresh e^{+3 eps}, where the bound starts to bite
+        model = model_3d() if name == "3d" else request.getfixturevalue(name)
+        cc = compute_constants(model)
+        thresh = cc.delta4 / (4.0 * cc.c_rightinv)
+        eps = cc.epsilon
+
+        def two_branches(C):
+            if C < thresh * math.exp(-eps * 3.0):
+                return 3.0
+            return max(3.0, math.log(C / thresh) / eps * (1.0 + 1e-9))
+
+        edges = [thresh * math.exp(-eps * 3.0), thresh,
+                 thresh * math.exp(eps * 3.0)]
+        Cs = [5e-324, 1e-300, 1e-9, 0.5, 1.0, 3.476, 1e9, 1e300]
+        Cs += [np.nextafter(e, d) for e in edges for d in (0.0, np.inf)]
+        Cs += edges
+        for C in Cs:
+            T0 = compute_constants(model, C_decay=float(C)).T0
+            assert T0.hex() == float(two_branches(float(C))).hex(), C
+
+    def test_t0_where_c_over_thresh_underflows(self, e1):
+        # a linear model's thresh grows with delta_max: 5e-324 / thresh is 0
+        cc = compute_constants(e1, C_decay=5e-324, delta_max=1e300)
+        assert 5e-324 / (cc.delta4 / (4.0 * cc.c_rightinv)) == 0.0
+        assert cc.T0 == 3.0
+
+    @pytest.mark.parametrize("C", [0.0, -1.0, np.nan])
+    def test_c_decay_not_positive_rejected(self, c1, C):
+        with pytest.raises(ValueError, match="C_decay > 0"):
+            compute_constants(c1, C_decay=C)
 
     def test_epsilon_in_range(self, cc):
         assert 0 < cc.epsilon < cc.sigma

@@ -281,18 +281,18 @@ class TestSavedWork:
                              "Q": ref.iterations}
 
     def check_tangent(self, p, x1, xi1, monkeypatch):
-        (x, xi), res = np_tangent_solve(p, x1, xi1)
+        base, res = np_tangent_solve(p, x1, xi1)
         with monkeypatch.context() as m:
             m.setattr(newton_picard, "np_solve", np_solve_remainder_reference)
-            (x_plain, xi_plain), plain = np_tangent_solve(p, x1, xi1)
+            base_plain, plain = np_tangent_solve(p, x1, xi1)
             m.setattr(newton_picard, "np_solve", np_solve_reference)
-            (x_ref, xi_ref), ref = np_tangent_solve(p, x1, xi1)
-        assert_same_bits(x, x_plain)
-        assert_same_bits(xi, xi_plain)
+            base_ref, ref = np_tangent_solve(p, x1, xi1)
+        assert_same_result(base, base_plain)
         assert_same_result(res, plain)
+        assert base.iterations == base_ref.iterations
         assert res.iterations == ref.iterations
-        assert_close(p.norm_dom, x, x_ref)
-        assert_close(p.norm_dom, xi, xi_ref)
+        assert_close(p.norm_dom, base.x, base_ref.x)
+        assert_close(p.norm_dom, res.x, ref.x)
 
     def test_flow_problem_np_solve(self, flow_case, monkeypatch):
         p, x1, _ = flow_case
@@ -336,9 +336,9 @@ class TestSavedWork:
             cp, apply_Q=lambda v: shapes.append(v.shape) or apply_Q(v),
             dN=counting_dN)
         seen = count_apply_F(monkeypatch)
-        _, res = np_tangent_solve(cp, x1, xi1)
+        base, res = np_tangent_solve(cp, x1, xi1)
         # 6 base and 7 tangent iterations
-        assert res.iterations == 7
+        assert (base.iterations, res.iterations) == (6, 7)
         assert calls == {"N": 6, "dN": 1, "D": 2, "Q": 6 + 7}
         assert len(applied) == 7
         assert shapes == [x1.shape] * (6 + 7)
@@ -685,32 +685,31 @@ class TestNeumannDefect:
 class TestTangentSolve:
     def test_zero_fiber(self):
         p = xy2_problem()
-        (x, xi), res = np_tangent_solve(p, np.array([0.1, 0.0]),
-                                        np.zeros(2))
-        assert np.allclose(xi, 0.0, atol=1e-12)
-        assert np.allclose(x, np_solve(p, np.array([0.1, 0.0])).x,
+        base, res = np_tangent_solve(p, np.array([0.1, 0.0]), np.zeros(2))
+        assert np.allclose(res.x, 0.0, atol=1e-12)
+        assert np.allclose(base.x, np_solve(p, np.array([0.1, 0.0])).x,
                            atol=1e-12)
 
     def test_xy2_fiber_by_hand(self):
         p = xy2_problem()
-        (x, xi), _ = np_tangent_solve(p, np.array([0.1, 0.0]),
-                                      np.array([0.0, 1.0]))
-        assert np.allclose(x, [0.0, 0.0], atol=1e-10)
-        assert np.allclose(xi, [0.0, 1.0], atol=1e-10)
+        base, res = np_tangent_solve(p, np.array([0.1, 0.0]),
+                                     np.array([0.0, 1.0]))
+        assert np.allclose(base.x, [0.0, 0.0], atol=1e-10)
+        assert np.allclose(res.x, [0.0, 1.0], atol=1e-10)
 
     def test_base_matches_np_solve(self):
         p = xy2_problem()
         x1 = np.array([0.08, 0.05])
-        (x, _), _ = np_tangent_solve(p, x1, np.array([0.0, 0.3]))
-        assert np.max(np.abs(x - np_solve(p, x1).x)) <= 1e-10
+        base, _ = np_tangent_solve(p, x1, np.array([0.0, 0.3]))
+        assert np.max(np.abs(base.x - np_solve(p, x1).x)) <= 1e-10
 
     def test_fiber_solves_linearized_equation(self):
         p = xy2_problem()
         x1 = np.array([0.08, 0.05])
         xi1 = np.array([0.0, 0.3])
-        (x, xi), _ = np_tangent_solve(p, x1, xi1)
-        assert abs(p.dF(x)(xi)[0]) <= 1e-9
-        assert abs((xi - xi1)[1]) <= 1e-12    # xi - xi1 in im Q
+        base, res = np_tangent_solve(p, x1, xi1)
+        assert abs(p.dF(base.x)(res.x)[0]) <= 1e-9
+        assert abs((res.x - xi1)[1]) <= 1e-12    # xi - xi1 in im Q
 
 
 def flow_cases_c1(c1, cc):
@@ -745,7 +744,8 @@ class TestFormerSolvers:
     solve, to 1e-11 relative."""
 
     def check(self, p, x1, xi1):
-        (x, xi), _ = np_tangent_solve(p, x1, xi1)
+        base, res = np_tangent_solve(p, x1, xi1)
+        x, xi = base.x, res.x
         (x_ref, xi_ref), _ = np_tangent_solve_reference(p, x1, xi1)
         assert_rel(p.norm_dom, x, x_ref, x1, 1e-12)
         assert_rel(p.norm_dom, xi, xi_ref, xi1, 1e-12)
@@ -847,8 +847,10 @@ class TestIFT:
         kwargs = dict(dim=2, n_pairs=n_pairs, n_preimages=2, dF=dF)
         cert = ift_certificate(F, 0.5, 2.0, 2, np.random.default_rng(9),
                                **kwargs)
-        blocks = [s for s in shapes if s != (2,)]
-        assert blocks == [(2 * newton_picard.PAIR_BLOCK, 2)] * 2 + [(6, 2)]
+        # then the 2 preimage targets, as one block while both are open
+        assert shapes[:3] == [(2 * newton_picard.PAIR_BLOCK, 2)] * 2 + [(6, 2)]
+        assert shapes[3] == (2, 2)
+        assert all(s[0] <= 2 for s in shapes[3:])
         ref = ift_certificate_reference(F, 0.5, 2.0, 2,
                                         np.random.default_rng(9), **kwargs)
         assert cert.ok and cert.injectivity_checked == n_pairs
@@ -882,9 +884,9 @@ def ift_certificate_reference(F, delta, k, sample_count, rng, dim,
                               fd_eps=1e-6, slack=1.0, n_pairs=200,
                               n_preimages=20, dF=None):
     """The former ift_certificate, which evaluated F one point at a time
-    (fd_jacobian_per_point) and whose preimage solves evaluate the Jacobian
-    at x = 0 again on their first Newton step; it counts the pairs it
-    compares."""
+    (fd_jacobian_per_point) and found each preimage by Newton's method, with
+    the Jacobian evaluated at every step; it counts the pairs it compares.
+    Its fields are the chord map's whenever both find every preimage."""
     jac = (lambda x: dF(x)) if dF is not None else (
         lambda x: fd_jacobian_per_point(F, x, fd_eps))
     n = dim
@@ -977,24 +979,51 @@ class TestIFTSavedWork:
     @pytest.mark.parametrize("dim", [1, 2, 3])
     def test_blocks_of_points(self, dim):
         # dF(0) and each of the 3 variation samples are one block of 2 dim
-        # points, the 5 pairs one block of 10; the preimage solves then
-        # evaluate F at single points and their Jacobians as blocks
+        # points, the 5 pairs one block of 10; the chord steps of the 4
+        # preimages then evaluate F on the block of the targets still open,
+        # and take no Jacobian
         F, _, _ = self.counted_maps(dim)
         shapes = []
         ift_certificate(lambda x: shapes.append(np.shape(x)) or F(x), 0.5,
                         2.0, 3, np.random.default_rng(8), dim=dim,
                         fd_eps=1e-5, n_pairs=5, n_preimages=4)
         assert shapes[:5] == [(2 * dim, dim)] * 4 + [(10, dim)]
-        assert set(shapes[5:]) <= {(dim,), (2 * dim, dim)}
+        assert shapes[5] == (4, dim)
+        assert all(len(s) == 2 and s[0] <= 4 and s[1] == dim
+                   for s in shapes[5:])
 
     @pytest.mark.parametrize("dim", [1, 2, 3])
-    def test_one_jacobian_at_zero(self, dim):
-        # each of the 4 preimage solves reuses dF(0): 2 dim evaluations of
-        # F fewer with finite differences, one call of dF fewer without
-        _, calls, _ = self.run(ift_certificate, dim, False)
-        _, ref_calls, _ = self.run(ift_certificate_reference, dim, False)
-        assert ref_calls["F"] - calls["F"] == 4 * 2 * dim
+    def test_differential_only_at_zero_and_samples(self, dim):
+        # dF runs at 0 and at the 3 variation samples, and finite
+        # differences take 2 dim evaluations of F at each of those points;
+        # the preimages evaluate the same points either way
+        _, fd_calls, _ = self.run(ift_certificate, dim, False)
         _, calls, _ = self.run(ift_certificate, dim, True)
-        _, ref_calls, _ = self.run(ift_certificate_reference, dim, True)
-        assert ref_calls["dF"] - calls["dF"] == 4
-        assert ref_calls["F"] == calls["F"]
+        assert calls["dF"] == 1 + 3
+        assert fd_calls["F"] - calls["F"] == (1 + 3) * 2 * dim
+
+    def test_chord_steps_leaving_the_ball_fail(self):
+        # F = id with the differential given as 0.4 id: the chord map is
+        # x -> x - 2.5 (x - y), whose error grows by 1.5 a step
+        cert = ift_certificate(lambda x: x, 1.0, 2.5, 2,
+                               np.random.default_rng(8), dim=2, n_pairs=4,
+                               n_preimages=5,
+                               dF=lambda x: 0.4 * np.eye(2))
+        assert cert.injectivity_failures == 0
+        assert cert.preimage_failures == 5 and not cert.ok
+
+    def test_preimages_open_after_50_steps_fail(self):
+        # with the differential 0.5 id the chord map x -> 2 y - x swaps 2 y
+        # and 0 inside the ball: each target is open after 50 steps, each
+        # one of them a block row at every step
+        shapes = []
+
+        def F(x):
+            shapes.append(np.shape(x))
+            return x
+
+        cert = ift_certificate(F, 1.0, 2.0, 2, np.random.default_rng(8),
+                               dim=2, n_pairs=4, n_preimages=3,
+                               dF=lambda x: 0.5 * np.eye(2))
+        assert cert.preimage_failures == 3 and not cert.ok
+        assert shapes[1:] == [(3, 2)] * 50
