@@ -218,8 +218,7 @@ def flow_problem(lt):
 
     consts = lt.constants
     return NPProblem(N=N, apply_D=partial(apply_D, lt),
-                     apply_Q=partial(apply_Q_exact, lt),
-                     x0=np.zeros(grid.n_nodes * n), c=consts.c_rightinv,
+                     apply_Q=partial(apply_Q_exact, lt), c=consts.c_rightinv,
                      delta=consts.delta4, norm_dom=norm_dom,
                      norm_cod=norm_cod, dN=dN)
 
@@ -270,12 +269,12 @@ def _preglue_in_ball(cutoff, w_plus, w_minus, lt):
 
 
 def glue(model, cutoff, w_plus, w_minus, T, lt):
-    """Glued flow line: Newton-Picard correction of the pre-glued path,
-    with x0 = 0_T, D the linearization at 0_T and the exact discrete right
-    inverse with K_T boundary structure.
+    """Glued flow line: Newton-Picard correction of the pre-glued path x1,
+    with D the linearization at 0_T and the exact discrete right inverse
+    with K_T boundary structure.
 
     The one hypothesis checked is that of _preglue_in_ball.  The paper's
-    bounds ||x1 - x0|| < delta/8 and ||F(x1)|| < delta/(4c) are measured and
+    bounds ||x1|| < delta/8 and ||F(x1)|| < delta/(4c) are measured and
     reported in `precond`, not enforced.
 
     w_plus and w_minus are two halves, or two equal-length lists of halves:
@@ -293,7 +292,7 @@ def glue(model, cutoff, w_plus, w_minus, T, lt):
            for wp, wm in pairs]
     prob = flow_problem(lt)
     res = np_solve(prob, x1s[0] if single else np.stack(x1s, axis=1))
-    cols = [res] if single else map(res.column, range(len(pairs)))
+    cols = [res] if single else res.columns
     reps = [_glue_report(prob, lt, r, x1, wp, wm)
             for r, x1, (wp, wm) in zip(cols, x1s, pairs)]
     return reps[0] if single else reps
@@ -362,27 +361,23 @@ def glue_coordinate_rep(cutoff, lt, scale=1.0):
     to the same zero: the glued line with that K_T data.  The value equals
     the shot-halves value up to the rounding of the correction.
 
-    The map takes a point of shape (n,) or a (k, n) block of points, whose
-    rows are glued by one call of glue on lists; each row's value has the
-    bits of that point alone."""
+    The map takes a (k, n) block of points, whose rows are glued by one call
+    of glue on lists; each row's value has the bits of that point alone."""
     model = lt.model
     ns = model.n_stable
     dom_w, img_w = gamma_weights(lt)
     sd = np.sqrt(dom_w)
     si = np.sqrt(img_w)
 
-    def F(u):
-        u = np.asarray(u, dtype=float)
-        U = np.atleast_2d(u) * scale
+    def F(U):
         halves = [linear_halves(lt, v[:ns] / sd[:ns], v[ns:] / sd[ns:])
-                  for v in U]
+                  for v in np.asarray(U, dtype=float) * scale]
         reps = glue(model, cutoff, [wp for wp, _ in halves],
                     [wm for _, wm in halves], lt.T, lt)
-        out = np.array([np.concatenate([
+        return np.array([np.concatenate([
             model.p_plus(rep.path.samples[0]) * si[:ns],
             model.p_minus(rep.path.samples[-1]) * si[ns:]]) / scale
             for rep in reps])
-        return out.reshape(u.shape[:-1] + out.shape[-1:])
 
     return F
 

@@ -302,6 +302,13 @@ def cmd_converge(cfg):
     return 0
 
 
+def _rate_words(rate, T_list):
+    """A sweep's fitted rate as cmd_converge prints it: the rate, or that
+    none was fitted (_rate_over_T's inf)."""
+    return ("rate %.4f" % rate if np.isfinite(rate)
+            else "no rate fitted over T in %s" % T_list)
+
+
 def cmd_tangent(cfg):
     model = cfg.model
     consts = cfg.constants()
@@ -312,10 +319,11 @@ def cmd_tangent(cfg):
     # the m = 0 rows are the base solves, which are glue's
     rows = [[0.0, r["T"], r["ev_error"], r["ev_error"], r["base_np_iters"]]
             for r in sw["rows"]]
-    print("m=0 sweep: rate %.4f" % _rate_over_T(sw["rows"], "ev_error")[0])
+    print("m=0 sweep: %s" % _rate_words(
+        _rate_over_T(sw["rows"], "ev_error")[0], cfg.T_list))
     rows += [[1.0, r["T"], r["ev_error"], r["tangent_ev_error"],
               r["np_iters"]] for r in sw["rows"]]
-    print("m=1 sweep: rate %.4f" % sw["rate_fit"])
+    print("m=1 sweep: %s" % _rate_words(sw["rate_fit"], cfg.T_list))
     write_csv(os.path.join(cfg.out, "tangent_sweep.csv"),
               ["m", "T", "ev_error", "tangent_ev_error", "np_iters"], rows)
     # The differential of the m-th tangent gluing map at the origin is block

@@ -1,7 +1,7 @@
 """Quadratic-estimate-free Newton-Picard machinery over finite-dimensional
 discretizations, plus a quantitative inverse-function-theorem certificate.
 
-A problem is a map F = D + N, held as its linearization D at a base point x0
+A problem is a map F = D + N, held as its linearization D at the base point 0
 and its nonlinear remainder N = F - D, with a right inverse Q of D
 (DQ = Id).  The correction iterates the contraction
     Phi(x) = x1 - Q(F(x) - D(x - x1)) = x1 - Q(N(x) + D x1),
@@ -33,53 +33,42 @@ class NPProblem:
     N: callable                 # the remainder F - D
     apply_D: callable           # linear
     apply_Q: callable           # a right inverse of D
-    x0: np.ndarray
     c: float                    # bound for ||Q||
     delta: float                # admissible-ball radius
     norm_dom: callable          # domain norm
     norm_cod: callable          # codomain norm
     dN: callable = None         # x -> (v -> dN(x) v), analytic
 
-    def F(self, x):
-        """The map itself, D x + N(x)."""
-        return self.apply_D(x) + self.N(x)
-
-    def dF(self, x):
-        """Its differential at x, v -> D v + dN(x) v."""
-        dN = self.dN(x)
-        return lambda v: self.apply_D(v) + dN(v)
-
 
 @dataclass(frozen=True)
 class NPResult:
-    """The result of np_solve.  For a (size, k) block of start points, x is
-    the block of zeros, iterations the sum of the columns' steps, and the
-    other fields hold one entry per column, column_iterations the steps;
-    column(j) is the result of column j alone, and contraction_ratio_max
-    the largest ratio over all columns."""
+    """The result of np_solve from one start point."""
     x: np.ndarray
     iterations: int
     correction_norm: float
     contraction_ratios: tuple
     precond: dict
-    column_iterations: tuple = None
 
     @property
     def contraction_ratio_max(self):
-        """The largest contraction ratio; for a block, over all columns."""
-        ratios = self.contraction_ratios
-        if self.column_iterations is not None:
-            ratios = [r for col in ratios for r in col]
-        return max(ratios) if ratios else 0.0
+        return max(self.contraction_ratios, default=0.0)
 
-    def column(self, j):
-        """Column j of a block result, as np_solve returns it for that
-        column's start point alone."""
-        return NPResult(x=self.x[:, j].copy(),
-                        iterations=self.column_iterations[j],
-                        correction_norm=self.correction_norm[j],
-                        contraction_ratios=self.contraction_ratios[j],
-                        precond=self.precond[j])
+
+@dataclass(frozen=True)
+class NPBlockResult:
+    """The result of np_solve from a (size, k) block of start points: x is
+    the block of zeros and columns the NPResult of each column, as np_solve
+    returns it for that column's start point alone."""
+    x: np.ndarray
+    columns: tuple
+
+    @property
+    def iterations(self):
+        return sum(r.iterations for r in self.columns)
+
+    @property
+    def contraction_ratio_max(self):
+        return max(r.contraction_ratio_max for r in self.columns)
 
 
 # stopping rule: the Newton-Picard step is small relative to
@@ -95,32 +84,32 @@ def _columns(a):
 
 
 def precondition_check(p, x1):
-    """Measure the two admissibility bounds ||x1 - x0|| < delta/8 and
-    ||F(x1)|| < delta/(4c): (record, F(x1), D x1), with
-    F(x1) = D x1 + N(x1).  For a (size, k) block x1 the record is a tuple
-    of one record per column, and F(x1) and D x1 are blocks."""
+    """Measure the two admissibility bounds ||x1|| < delta/8 (the distance
+    from the base point 0) and ||F(x1)|| < delta/(4c): (records, F(x1),
+    D x1), with F(x1) = D x1 + N(x1) and one record for a vector x1, or per
+    column of a (size, k) block x1, whose F(x1) and D x1 are blocks."""
     x1 = np.asarray(x1, dtype=float)
-    dx = [p.norm_dom(c) for c in _columns((x1.T - p.x0).T)]
+    dx = [p.norm_dom(c) for c in _columns(x1)]
     d1 = p.apply_D(x1)
     f1 = d1 + p.N(x1)
     fx = [p.norm_cod(c) for c in _columns(f1)]
-    records = tuple({
+    return [{
         "dx_norm": float(a), "dx_bound": p.delta / 8.0,
         "dx_ok": bool(a < p.delta / 8.0),
         "fx_norm": float(b), "fx_bound": p.delta / (4.0 * p.c),
         "fx_ok": bool(b < p.delta / (4.0 * p.c)),
-    } for a, b in zip(dx, fx))
-    return (records[0] if x1.ndim == 1 else records), f1, d1
+    } for a, b in zip(dx, fx)], f1, d1
 
 
 def np_solve(p, x1):
-    """Newton-Picard correction from the approximate zero x1, a vector or a
-    (size, k) block of start points.
+    """Newton-Picard correction from the approximate zero x1: the NPResult
+    of a vector x1, or the NPBlockResult of a (size, k) block of start
+    points.
 
     Iterates Phi(x) = x1 - Q(N(x) + D x1) until the step norm drops below
     TOL_ZERO * max(1, ||x1||); step-size stopping bounds the distance to the
     fixed point through the geometric tail.  Each step costs one N, one Q
-    and one norm; D x1 comes from the precondition record.  A start point
+    and one norm; D x1 and ||x1|| come from the precondition.  A start point
     x1 or a step of non-finite norm (from a non-finite x1 or an overflow)
     raises ContractionError at once.  The admissibility bounds of
     precondition_check are measured and returned in `precond`, not
@@ -129,25 +118,21 @@ def np_solve(p, x1):
     A block is iterated in the same loop: N and Q act on the block of the
     columns still iterating, each column is measured by norm_dom on its
     own, and a column stops at its own stopping step.  So each column has
-    the steps, norms, ratios and bits of its own solve (NPResult.column),
-    and the block fails with the exception of its first failing column.
-    A vector is a block of one whose column the callables see as a
-    vector.  A block result's `iterations` is the sum over the columns."""
+    the NPResult of its own solve, bit for bit (NPBlockResult.columns), and
+    the block fails with the exception of its first failing column.  A
+    vector is a block of one whose column the callables see as a vector."""
     x1 = np.asarray(x1, dtype=float)
     pre, f1, d1 = precondition_check(p, x1)
-    vector = x1.ndim == 1
-    pre = (pre,) if vector else pre
     starts = _columns(x1)
     k = len(starts)
     tols = []
-    for c, rec in zip(starts, pre):
-        x1_norm = p.norm_dom(c)
-        if not (np.isfinite(x1_norm) and np.isfinite(rec["fx_norm"])):
+    for rec in pre:
+        if not (np.isfinite(rec["dx_norm"]) and np.isfinite(rec["fx_norm"])):
             # an infinite tolerance would accept x1 as an exact zero
             raise ContractionError("start point has non-finite norms: "
                                    "||x1|| = %r, ||F(x1)|| = %r"
-                                   % (x1_norm, rec["fx_norm"]))
-        tols.append(TOL_ZERO * max(1.0, x1_norm))
+                                   % (rec["dx_norm"], rec["fx_norm"]))
+        tols.append(TOL_ZERO * max(1.0, rec["dx_norm"]))
     iters = [0] * k
     ratios = [[] for _ in range(k)]
     prev_step = [None] * k
@@ -196,16 +181,14 @@ def np_solve(p, x1):
             if act:
                 x1a, d1a, x = (a[:, keep] for a in (x1a, d1a, x))
     xs = [s.copy() if xj is None else xj for s, xj in zip(starts, xs)]
-    corr = tuple(float(p.norm_dom(xj - s)) if n else 0.0
-                 for s, xj, n in zip(starts, xs, iters))
-    if vector:
-        return NPResult(x=xs[0], iterations=iters[0],
-                        correction_norm=corr[0],
-                        contraction_ratios=tuple(ratios[0]), precond=pre[0])
-    return NPResult(x=np.stack(xs, axis=1), iterations=sum(iters),
-                    correction_norm=corr,
-                    contraction_ratios=tuple(map(tuple, ratios)),
-                    precond=pre, column_iterations=tuple(iters))
+    cols = tuple(NPResult(x=xj, iterations=n,
+                          correction_norm=float(p.norm_dom(xj - s)) if n
+                          else 0.0,
+                          contraction_ratios=tuple(r), precond=rec)
+                 for s, xj, n, r, rec in zip(starts, xs, iters, ratios, pre))
+    if x1.ndim == 1:
+        return cols[0]
+    return NPBlockResult(x=np.stack(xs, axis=1), columns=cols)
 
 
 def np_differential(p, x1, v):
@@ -300,8 +283,8 @@ def ift_certificate(F, delta, k, sample_count, rng, dim, fd_eps=1e-6,
     Equations, SIAM 1995, ch. 5).  A preimage is found at |F(x) - y| <=
     1e-10; an iterate outside the ball, or none found in 50 steps, fails.
 
-    F maps a point of shape (dim,), or a (m, dim) block of points row by
-    row (a block of another shape raises ValueError).  The 2 dim points of
+    F maps a (m, dim) block of points row by row (a block of another shape
+    raises ValueError).  The 2 dim points of
     each finite-difference Jacobian are one block.  All pairs are drawn
     first and go to F in blocks of PAIR_BLOCK pairs (pairs closer than
     1e-12 are skipped, and left out of injectivity_checked); then all

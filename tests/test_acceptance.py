@@ -18,7 +18,7 @@ from mglue.linear_theory import (LinearTheory, euclidean_gluing_reference,
                                  gamma_svd_bounds, measured_projection_norm,
                                  measured_q_norm)
 from mglue.newton_picard import np_solve, np_tangent_solve
-from mglue.path_space import make_grid, norms, sup_norm
+from mglue.path_space import DiscretePath, make_grid, norms, sup_norm, w12_gram
 
 from test_gluing import linearized_glue_check
 from test_invariant_manifolds import stirling2
@@ -125,6 +125,23 @@ def test_criterion_05_sobolev_constant():
             if sup_norm(p) > 2 * norms(p).w12 * slack:
                 violations += 1
     report(5, violations == 0, "%d violations in 3000 paths" % violations)
+
+
+def test_criterion_05_sobolev_constant_exact():
+    # for the one-component Gram G1 of the W^{1,2} norm,
+    # sup_z |z_j| / ||z|| = sqrt((G1^-1)_jj), attained by z = G1^-1 e_j, so
+    # K_h = max_j sqrt((G1^-1)_jj) is the exact constant of the sampled
+    # check above, and a vector path has the same one
+    for T in (1.0, 3.0, 8.0):
+        g = make_grid(-T, T, 0.02)
+        G1inv = np.linalg.inv(w12_gram(g, 1).toarray())
+        j = int(np.argmax(np.diag(G1inv)))
+        K = float(np.sqrt(G1inv[j, j]))
+        z = DiscretePath(g, G1inv[:, j:j + 1].copy())
+        print("criterion 05 by computation: K_h %.5f at T = %g, node %d"
+              % (K, T, j))
+        assert abs(sup_norm(z) / norms(z).w12 - K) <= 1e-12 * K
+        assert K <= 2 * (1 + 5 * g.h)
 
 
 def test_criterion_06_evaluation_convergence(c1, cc):

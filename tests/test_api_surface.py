@@ -14,9 +14,10 @@ every parameter.
 
 A third rule holds for every public module-level function and public method
 of a public class: its name is used under src/ or perfbench/ outside its own
-body (as a bare name, an attribute or the last part of a dotted string, the
-way perfbench names the layers it wraps).  A function that only tests use
-belongs in tests/.
+body.  A function counts a bare name, an attribute or the last part of a
+dotted string (the way perfbench names the layers it wraps); a method counts
+only an attribute, such as ``.F``, since a bare name like ``F`` is as often
+a variable.  A function that only tests use belongs in tests/.
 
 The exceptions are kept on purpose and listed in ALLOWED: keys
 (module, function, parameter) for the first two rules, (module, function)
@@ -144,18 +145,20 @@ def unpassed_defaults():
 def _uncalled():
     """(module, qualified name) of each public module-level function and
     public method of a public class whose name is used under src/ and
-    perfbench/ only inside its own body."""
+    perfbench/ only inside its own body: for a method, as an attribute."""
     trees = {path: ast.parse(path.read_text(encoding="utf-8"))
              for d in ("src", "perfbench")
              for path in sorted((ROOT / d).rglob("*.py"))}
     # the trees stay alive, so node ids are unique across them
     uses = defaultdict(set)
+    attr_uses = defaultdict(set)
     for tree in trees.values():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
                 uses[node.id].add(id(node))
             elif isinstance(node, ast.Attribute):
                 uses[node.attr].add(id(node))
+                attr_uses[node.attr].add(id(node))
             elif isinstance(node, ast.Constant) and \
                     isinstance(node.value, str):
                 uses[node.value.rsplit(".", 1)[-1]].add(id(node))
@@ -163,14 +166,14 @@ def _uncalled():
     for path, tree in trees.items():
         if path.parent != SRC:
             continue
-        defs = [(n.name, n) for n in tree.body
+        defs = [(n.name, n, uses) for n in tree.body
                 if isinstance(n, ast.FunctionDef)]
-        defs += [(c.name + "." + n.name, n) for c in tree.body
+        defs += [(c.name + "." + n.name, n, attr_uses) for c in tree.body
                  if isinstance(c, ast.ClassDef) and not c.name.startswith("_")
                  for n in c.body if isinstance(n, ast.FunctionDef)]
-        for qual, fn in defs:
+        for qual, fn, used in defs:
             inside = {id(n) for n in ast.walk(fn)}
-            if not fn.name.startswith("_") and not uses[fn.name] - inside:
+            if not fn.name.startswith("_") and not used[fn.name] - inside:
                 out.append((path.stem, qual))
     return out
 

@@ -297,6 +297,17 @@ class TestCommands:
         assert fit["C_decay"] > 0
         assert "no rate fitted" in capsys.readouterr().out
 
+    def test_tangent_one_t_fits_no_rate(self, tmp_path, capsys):
+        # one T gives no rate for either sweep: the words of converge, not
+        # the fit's inf sentinel
+        cfg = write_cfg(tmp_path, T_list="3")
+        assert main(["tangent", "--config", cfg,
+                     "--out", str(tmp_path / "out")]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[:2] == [
+            "m=%d sweep: no rate fitted over T in [3.0]" % m for m in (0, 1)]
+        assert "inf" not in out
+
     def test_tangent_one_norm_row_per_t_and_deterministic(self, tmp_path,
                                                           capsys):
         cfg = write_cfg(tmp_path, T_list="3,4")
@@ -312,6 +323,11 @@ class TestCommands:
         lines = runs[0][1].decode().split("\r\n")
         assert lines[0] == "T,norm_measured,bound"
         assert [line.split(",")[0] for line in lines[1:-1]] == ["3", "4"]
+        # two T fit a rate for each sweep
+        printed = capsys.readouterr().out.splitlines()
+        for m, line in enumerate(printed[:2]):
+            assert line.startswith("m=%d sweep: rate " % m)
+            assert np.isfinite(float(line.rsplit(" ", 1)[1]))
 
     def test_tangent_shoots_once_and_solves_each_t_once(self, tmp_path,
                                                        capsys, monkeypatch):
