@@ -11,10 +11,10 @@ import numpy as np
 from .path_space import (STENCIL_CACHE_SIZE, DiscretePath, differentiate,
                          l2_norm, make_grid, norms, sup_norm, symmetric_grid,
                          w12_gram, zero_path)
-from .invariant_manifolds import (build_tangent_system, linear_half_path,
-                                  log_linear_fit, shoot_stable,
-                                  shoot_unstable, solve_tangent_lift,
-                                  theta_inverse)
+from .invariant_manifolds import (FitError, build_tangent_system,
+                                  linear_half_path, log_linear_fit,
+                                  shoot_stable, shoot_unstable,
+                                  solve_tangent_lift, theta_inverse)
 from .linear_theory import (LinearTheory, apply_D, apply_Q_exact,
                             gamma_weights, measurement_slack)
 from .morse_model import MIN_GLUING_T
@@ -145,13 +145,18 @@ def estimate_decay_constant(model, cutoff, seed_pairs, T_list, S, h_max):
     """C(K+, K-) realized as the max over the (stable seed, unstable seed)
     pairs of the prefactors fitted to the pre-glued residual over T_list,
     with the halves shot to S at spacing h_max, times a safety factor of
-    1.2."""
-    return 1.2 * max(
-        certify_approx_zero(model, cutoff,
-                            shoot_stable(model, sp, S, h_max=h_max),
-                            shoot_unstable(model, sm, S, h_max=h_max),
-                            T_list)["C_fit"]
-        for sp, sm in seed_pairs)
+    1.2.  FitError when no pair yields a prefactor (_rate_over_T's C = 0):
+    zero seeds pre-glue the zero path, whose residual has no decay."""
+    C = max(certify_approx_zero(model, cutoff,
+                                shoot_stable(model, sp, S, h_max=h_max),
+                                shoot_unstable(model, sm, S, h_max=h_max),
+                                T_list)["C_fit"]
+            for sp, sm in seed_pairs)
+    if C == 0.0:
+        raise FitError("no decay prefactor to fit over T in %s: fewer than "
+                       "two pre-glued residuals above 1e-14 for every seed "
+                       "pair" % list(T_list))
+    return 1.2 * C
 
 
 # ---------------------------------------------------------------------------

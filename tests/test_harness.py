@@ -297,6 +297,25 @@ class TestCommands:
         assert fit["C_decay"] > 0
         assert "no rate fitted" in capsys.readouterr().out
 
+    def test_converge_zero_seeds_exits_2(self, tmp_path, capsys):
+        # zero seeds pre-glue the zero path: no residual decays, so no
+        # prefactor C_decay is fitted; one error line, exit 2, no file
+        cfg = write_cfg(tmp_path, seed_plus="0", seed_minus="0")
+        out = tmp_path / "out"
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(
+            "error: no decay prefactor to fit over T in [3.0, 4.0]")
+        assert captured.err.count("\n") == 1
+        assert captured.out == ""
+        assert not list(out.glob("converge*"))
+        # a configured C_decay skips the fit
+        cfg = write_cfg(tmp_path, seed_plus="0", seed_minus="0",
+                        C_decay="1.0")
+        assert main(["converge", "--config", cfg, "--out", str(out)]) == 0
+        fit = strict_json_load(str(out / "converge_fit.json"))
+        assert fit["C_decay"] == 1.0
+
     def test_tangent_one_t_fits_no_rate(self, tmp_path, capsys):
         # one T gives no rate for either sweep: the words of converge, not
         # the fit's inf sentinel

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cholesky, eigh, solve_triangular, svdvals
 from scipy.sparse import csr_matrix, diags, identity, issparse, kron
+from scipy.sparse.linalg import LinearOperator, eigsh
 
 from mglue import linear_theory
 from mglue.linear_theory import (LinearTheory, apply_D,
@@ -626,6 +627,56 @@ def test_decoupled_norms_match_the_coupled_dense_references(
     assert measured_projection_norm(lt) == pytest.approx(
         dense_opnorm_reference(projection_matrix_dense_reference(lt), Gw, Gw),
         rel=1e-12)
+
+
+def opnorm_tol0_reference(M, gram_out, w_in):
+    """measured_opnorm's whitened eigenproblem by eigsh with its default
+    tol = 0, which iterates until the Ritz vector is at machine precision,
+    from the same start vector."""
+    root = np.sqrt(w_in)
+    n = root.size
+
+    def matvec(x):
+        return M.T @ (gram_out @ (M @ (np.ravel(x) / root))) / root
+
+    lam = eigsh(LinearOperator((n, n), dtype=float, matvec=matvec), k=1,
+                which="LA", v0=np.cos(np.arange(n)),
+                return_eigenvectors=False)
+    return float(np.sqrt(lam[0]))
+
+
+@pytest.mark.parametrize("T", [3.0, 12.0])
+def test_lanczos_stops_at_the_ritz_value_accuracy(c1, cc, monkeypatch, T):
+    # each Lanczos product is one apply_Q (q_matrix's matvec); eigsh with
+    # tol = 0 takes 111 products on c1 at h = 0.02, LANCZOS_TOL 71
+    calls = []
+
+    def counted(lt, eta):
+        calls.append(1)
+        return apply_Q(lt, eta)
+
+    monkeypatch.setattr(linear_theory, "apply_Q", counted)
+    measured_q_norm(LinearTheory(c1, T, 0.02, cc))
+    assert 0 < len(calls) <= 85
+
+
+@pytest.mark.parametrize("T", [3.0, 12.0])
+@pytest.mark.parametrize("name", ["c1", "model_3d", "mirrored"])
+def test_lanczos_tol_keeps_the_tol0_value(request, monkeypatch, name, T):
+    # the Ritz value's error is quadratic in its residual, so stopping at
+    # LANCZOS_TOL moves no digit that tol = 0 fixes; the reference runs on
+    # the operator and the norms that measured_q_norm hands measured_opnorm
+    args = []
+
+    def spy(M, gram_out, w_in):
+        args.append((M, gram_out, w_in))
+        return measured_opnorm(M, gram_out, w_in)
+
+    monkeypatch.setattr(linear_theory, "measured_opnorm", spy)
+    q = measured_q_norm(bundle(name, request, T=T, h=0.02))
+    (M, gram_out, w_in), = args
+    assert q == pytest.approx(opnorm_tol0_reference(M, gram_out, w_in),
+                              rel=1e-13)
 
 
 @pytest.mark.parametrize("name", ["c1", "e1", "model_3d"])

@@ -15,18 +15,24 @@ from scipy.integrate import solve_bvp
 
 from mglue.gluing import glue, quintic_cutoff, shoot_halves
 from mglue.linear_theory import LinearTheory
-from mglue.morse_model import compute_constants, model_c1
+from mglue.morse_model import (MorseModel, compute_constants, model_c1,
+                               model_e1)
 
 from test_morse_model import model_3d
 
-# model -> (stable seeds, unstable seeds)
-CASES = {"c1": ([0.3], [0.3]), "model_3d": ([0.2, 0.2], [0.2])}
+# name -> (model maker, stable seeds, unstable seeds)
+CASES = {"e1": (model_e1, [0.3], [0.3]), "c1": (model_c1, [0.3], [0.3]),
+         "model_3d": (model_3d, [0.2, 0.2], [0.2]),
+         "quartic": (lambda: MorseModel(
+             dim=2, index=1, eig=(1.0, -1.0),
+             nonlinearity="0.05*x1^4 - 0.05*x2^4 + 0.1*x1^2*x2^2"),
+             [0.3], [0.3])}
 H_LIST = (0.04, 0.02, 0.01)
 
 
 @lru_cache(maxsize=None)
 def model_of(name):
-    model = model_c1() if name == "c1" else model_3d()
+    model = CASES[name][0]()
     return model, compute_constants(model)
 
 
@@ -34,7 +40,7 @@ def model_of(name):
 def glued_path(name, T, h):
     model, consts = model_of(name)
     lt = LinearTheory(model, T, h, consts)
-    wp, wm = shoot_halves(lt, *CASES[name])
+    wp, wm = shoot_halves(lt, *CASES[name][1:])
     return glue(model, quintic_cutoff(), wp, wm, T, lt).path
 
 
