@@ -9,8 +9,8 @@ from functools import lru_cache, partial
 import numpy as np
 
 from .path_space import (STENCIL_CACHE_SIZE, DiscretePath, differentiate,
-                         l2_norm, make_grid, norms, sup_norm, symmetric_grid,
-                         w12_gram, zero_path)
+                         half_line_grid, l2_norm, norms, sup_norm,
+                         symmetric_grid, w12_gram, zero_path)
 from .invariant_manifolds import (FitError, build_tangent_system,
                                   linear_half_path, log_linear_fit,
                                   shoot_stable, shoot_unstable,
@@ -246,13 +246,12 @@ def linear_halves(lt, seed_p, seed_m):
     (linear_half_path), on [0, 2T] and [-2T, 0] at the spacing of lt's
     grid: the range that preglue reads.  They carry the seeds as their K_T
     data, as the shot halves do."""
-    T, h = lt.T, lt.grid.h
-    gp = make_grid(0.0, 2.0 * T, h)
-    gm = make_grid(-2.0 * T, 0.0, h)
-    return (DiscretePath(gp, linear_half_path(lt.model, "stable", seed_p,
-                                              gp.nodes)),
-            DiscretePath(gm, linear_half_path(lt.model, "unstable", seed_m,
-                                              gm.nodes)))
+    halves = []
+    for side, seed in (("stable", seed_p), ("unstable", seed_m)):
+        g = half_line_grid(side, 2.0 * lt.T, lt.grid.h)
+        halves.append(DiscretePath(g, linear_half_path(lt.model, side, seed,
+                                                       g.nodes)))
+    return tuple(halves)
 
 
 def _preglue_in_ball(cutoff, w_plus, w_minus, lt):

@@ -25,7 +25,7 @@ from .gluing import (_rate_over_T, convergence_sweep, cubic_cutoff,
                      preglue, quintic_cutoff, shoot_halves,
                      tangent_convergence_sweep)
 from .newton_picard import TOL_ZERO, ContractionError, PreconditionError
-from .path_space import MIN_NODES, grid_unit, on_grid
+from .path_space import grid_unit, make_grid
 
 FMT = "%.17g"
 
@@ -49,13 +49,13 @@ _CONFIG_KEYS = ("model", "cutoff", "seed_plus", "seed_minus", "T_list", "h",
                 "out", "seed", "S", "C_decay")
 
 
-def _check_grid_nodes(T, h):
-    """ConfigError when the grid [-T, T] of spacing 1/grid_unit(h) has fewer
-    than MIN_NODES nodes."""
-    nodes = round(2.0 * T * grid_unit(h)) + 1
-    if nodes < MIN_NODES:
-        raise ConfigError("h = %r gives %d nodes on [-%g, %g], fewer than %d"
-                          % (h, nodes, T, T, MIN_NODES))
+def _config_grid(what, t_min, t_max, h):
+    """make_grid(t_min, t_max, h), whose ValueError is a ConfigError that
+    names what the grid is for."""
+    try:
+        return make_grid(t_min, t_max, h)
+    except ValueError as exc:
+        raise ConfigError("%s at h = %r: %s" % (what, h, exc)) from exc
 
 
 def _read_flat_config(path):
@@ -72,9 +72,9 @@ class ExperimentConfig:
     output), S (default half_trajectory_length(max(T_list))), C_decay.
     Any other key is a ConfigError, and so is a non-finite number, a
     T_list that is not strictly increasing or starts below MIN_GLUING_T, a
-    C_decay <= 0, a bad model file, a T or S off the grid of the paths,
-    S < 2 max(T_list), a grid [0, S] of more than MAX_GRID_NODES nodes, or
-    a grid [-T, T] or [0, S] of fewer than MIN_NODES nodes."""
+    C_decay <= 0, a bad model file, S < 2 max(T_list), a T or S whose grid
+    [-T, T] or [0, S] make_grid rejects at h, or a grid [0, S] of more than
+    MAX_GRID_NODES nodes."""
 
     def __init__(self, raw, base_dir="."):
         unknown = sorted(set(raw) - set(_CONFIG_KEYS))
@@ -125,26 +125,19 @@ class ExperimentConfig:
             if len(getattr(self, k)) != want:
                 raise ConfigError("%s needs %d value(s) for this model"
                                   % (k, want))
-        # the paths live on the grid of spacing 1/m <= h: [-T, T] needs its
-        # ends on nodes, and the half-trajectory grid [0, S] also an odd
-        # node count, so S is a multiple of 2/m
-        m = grid_unit(self.h)
-        self.grid_h = 1.0 / m
-        nodes = round(self.S * m) + 1
+        # the paths live on grids of spacing 1/m <= h; each [-T, T] and
+        # [0, S] is built here, so that make_grid's rule is a config rule
+        self.grid_h = 1.0 / grid_unit(self.h)
+        if self.S < 2.0 * max(self.T_list):
+            raise ConfigError("S = %r is below 2 max(T_list) = %r"
+                              % (self.S, 2.0 * max(self.T_list)))
+        for T in self.T_list:
+            _config_grid("T = %r" % T, -T, T, self.h)
+        nodes = _config_grid("S = %r" % self.S, 0.0, self.S, self.h).n_nodes
         if nodes > MAX_GRID_NODES:
             raise ConfigError("h = %r and S = %r give %d nodes on [0, S], "
                               "above %d" % (self.h, self.S, nodes,
                                             MAX_GRID_NODES))
-        for key, t, step in [("T", T, 1) for T in self.T_list] \
-                + [("S", self.S, 2)]:
-            if not on_grid(t, self.h, step):
-                raise ConfigError("%s = %r is not a multiple of %d/%d"
-                                  % (key, t, step, m))
-        if self.S < 2.0 * max(self.T_list):
-            raise ConfigError("S = %r is below 2 max(T_list) = %r"
-                              % (self.S, 2.0 * max(self.T_list)))
-        # the least T has the fewest nodes, and [0, S] more than any [-T, T]
-        _check_grid_nodes(self.T_list[0], self.h)
 
     def constants(self):
         """The model's constants; a model without them (no positive
@@ -264,6 +257,8 @@ def _decay_prefactor(cfg):
     if cfg.C_decay is not None:
         return cfg.C_decay
     T_fit = cfg.T_list if len(cfg.T_list) >= 2 else [3.0, 5.0, 7.0]
+    for T in T_fit:
+        _config_grid("T = %r of the C_decay fit" % T, -T, T, cfg.h)
     S = max(cfg.S, 2.0 * max(T_fit) + 2.0)
     return estimate_decay_constant(cfg.model, cfg.cutoff,
                                    [(cfg.seed_plus, cfg.seed_minus)], T_fit,
@@ -449,7 +444,7 @@ def _verify_checks(cfg):
 
 
 def cmd_verify(cfg):
-    _check_grid_nodes(VERIFY_T, cfg.h)
+    _config_grid("verify's T = %r" % VERIFY_T, -VERIFY_T, VERIFY_T, cfg.h)
     checks = _verify_checks(cfg)
     lines = []
     all_ok = True

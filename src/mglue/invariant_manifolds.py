@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .newton_picard import ContractionError
-from .path_space import (DiscretePath, FlowLU, differentiate, kt_rows,
-                         kt_values, make_grid, stencil_derivative)
+from .path_space import (DiscretePath, FlowLU, differentiate, half_line_grid,
+                         kt_rows, kt_values, stencil_derivative)
 
 TOL_FLOW = 1e-9
 MAX_ITER = 50
@@ -119,12 +119,6 @@ class ShootError(ContractionError):
     The message names the side and the seed."""
 
 
-def _half_grid(side, S, h_max):
-    if side == "stable":
-        return make_grid(0.0, S, h_max)
-    return make_grid(-S, 0.0, h_max)
-
-
 def _seed_values(model, side, seed):
     """Boundary data of a half-line system: the seed is the stable data at
     the s = 0 end of a stable half, the unstable data at the s = 0 end of an
@@ -161,7 +155,7 @@ def _shoot(model, seed, S, side, h_max):
     seed = np.atleast_1d(np.asarray(seed, dtype=float))
     n = model.dim
     ns = model.n_stable
-    grid = _half_grid(side, S, h_max)
+    grid = half_line_grid(side, S, h_max)
     N = grid.n_nodes
     bc_rows = kt_rows(N, n, ns)
 

@@ -33,9 +33,8 @@ from scipy.sparse.linalg import LinearOperator, aslinearoperator, eigsh
 
 from .invariant_manifolds import linear_half_path
 from .morse_model import MIN_GLUING_T, MorseModel
-from .path_space import (DiagonalFlowLU, DiscretePath, grid_unit, kt_rows,
-                         l2_weights, on_grid, stencil_derivative,
-                         symmetric_grid, w12_gram)
+from .path_space import (DiagonalFlowLU, DiscretePath, kt_rows, l2_weights,
+                         stencil_derivative, symmetric_grid, w12_gram)
 
 
 def measurement_slack(h):
@@ -49,9 +48,6 @@ class LinearTheory:
     def __init__(self, model, T, h_max, constants):
         if T < 1:
             raise ValueError("need T >= 1")
-        if not on_grid(T, h_max):
-            raise ValueError("T = %r is not a node of the grid of spacing "
-                             "1/%d" % (T, grid_unit(h_max)))
         self.model = model
         self.T = float(T)
         self.grid = symmetric_grid(T, h_max)

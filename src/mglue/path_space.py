@@ -13,7 +13,7 @@ one nodewise sup.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import ceil
+from math import ceil, isfinite
 
 import numpy as np
 from scipy.linalg.lapack import dgbtrf, dgbtrs, dgttrf, dgttrs
@@ -37,7 +37,9 @@ class Grid:
         if not self.t_min < self.t_max:
             raise ValueError("need t_min < t_max")
         if self.n_nodes < MIN_NODES:
-            raise ValueError("need at least %d nodes" % MIN_NODES)
+            raise ValueError("%d nodes on [%g, %g], fewer than %d"
+                             % (self.n_nodes, self.t_min, self.t_max,
+                                MIN_NODES))
         if self.n_nodes % 2 == 0:
             raise ValueError("n_nodes must be odd")
         object.__setattr__(self, "_hash",
@@ -58,36 +60,44 @@ class Grid:
 def grid_unit(h_max):
     """The least m with grid spacing 1/m <= h_max, to a relative 1e-12, so
     that the spacing of any grid gives back its own m (1 / grid.h is m only
-    up to a few ulps, more than 1e-12 once m is in the tens of thousands)."""
-    return ceil(1.0 / h_max * (1.0 - 1e-12))
-
-
-def on_grid(t, h_max, step=1):
-    """Whether t is a multiple of step/m, m = grid_unit(h_max), to 1e-9 in
-    units of step/m."""
-    x = t * grid_unit(h_max) / step
-    return abs(x - round(x)) <= 1e-9
+    up to a few ulps, more than 1e-12 once m is in the tens of thousands).
+    ValueError when 1 / h_max is not finite."""
+    inv = 1.0 / h_max
+    if not isfinite(inv):
+        raise ValueError("1/h is not finite for h = %r" % h_max)
+    return ceil(inv * (1.0 - 1e-12))
 
 
 def make_grid(t_min, t_max, h_max=0.02):
-    """Uniform grid with spacing h = 1/m <= h_max so that integer breakpoints
-    (in particular +-1, +-3) land on nodes whenever the endpoints are
-    multiples of 1/m.  Endpoints must be (near-)multiples of the unit 1/m."""
+    """The grid of spacing 1/m, m = grid_unit(h_max), on [t_min, t_max], and
+    the one rule of which ends make a grid: each must be a multiple of 1/m
+    to within 1e-9 units of 1/m, so that the breakpoints +-1, +-3 are nodes,
+    and the node count must be odd (0 is a node of [-T, T]) and at least
+    MIN_NODES.  ValueError otherwise: an end is never moved to a node."""
     m = grid_unit(h_max)
-    h = 1.0 / m
-    lo = round(t_min * m)
-    hi = round(t_max * m)
-    if abs(lo / m - t_min) > h / 2 or abs(hi / m - t_max) > h / 2:
-        raise ValueError("endpoints not resolvable at spacing 1/%d" % m)
+    lo, hi = round(t_min * m), round(t_max * m)
+    for t, k in ((t_max, hi), (t_min, lo)):
+        if abs(t * m - k) > 1e-9:
+            raise ValueError("%r is not a node of the grid of spacing 1/%d"
+                             % (t, m))
     n = hi - lo + 1
     if n % 2 == 0:
-        raise ValueError("endpoints give an even node count at spacing 1/%d" % m)
+        raise ValueError("[%r, %r] gives an even node count at spacing 1/%d"
+                         % (t_min, t_max, m))
     return Grid(lo / m, hi / m, n)
 
 
 def symmetric_grid(T, h_max=0.02):
     """Grid on [-T, T] resolving 0, +-1, +-3 as nodes."""
     return make_grid(-T, T, h_max)
+
+
+def half_line_grid(side, S, h_max):
+    """Grid of a half trajectory of length S: [0, S] on the stable side,
+    [-S, 0] on the unstable one."""
+    if side == "stable":
+        return make_grid(0.0, S, h_max)
+    return make_grid(-S, 0.0, h_max)
 
 
 @dataclass(frozen=True)

@@ -563,21 +563,44 @@ class TestCoarseGrid:
         out = tmp_path / "out"
         assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: h = 1.0 gives 7 nodes on [-3, 3], fewer than 9\n")
+            "error: T = 3.0 at h = 1.0: 7 nodes on [-3, 3], fewer than 9\n")
         assert not out.exists()
 
     def test_nine_nodes_accepted(self, tmp_path):
         cfg = load_config(write_cfg(tmp_path, h="1", T_list="4"))
         assert cfg.T_list == [4.0]
 
-    def test_verify_checks_its_own_grid(self, tmp_path, capsys):
-        # T_list = 4 passes at h = 1, but the check matrix builds its
-        # bundles on [-3, 3]
+    @pytest.mark.parametrize("command,what", [
+        # the check matrix builds its bundles on [-3, 3]
+        ("verify", "verify's T = 3.0"),
+        # with no C_decay and one T, converge fits the prefactor over
+        # T = 3, 5, 7
+        ("converge", "T = 3.0 of the C_decay fit"),
+    ])
+    def test_command_checks_its_own_grids(self, tmp_path, capsys, command,
+                                          what):
+        # T_list = 4 passes at h = 1, but [-3, 3] has 7 nodes
         cfg = write_cfg(tmp_path, h="1", T_list="4")
         out = tmp_path / "out"
-        assert main(["verify", "--config", cfg, "--out", str(out)]) == 1
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
         assert capsys.readouterr().err == (
-            "error: h = 1.0 gives 7 nodes on [-3, 3], fewer than 9\n")
+            "error: %s at h = 1.0: 7 nodes on [-3, 3], fewer than 9\n"
+            % what)
+        assert not out.exists()
+
+
+class TestTinyStep:
+    """An h whose reciprocal overflows has no grid: exit 1 with one error
+    line and no output file, not an OverflowError from grid_unit."""
+
+    def test_h_1e_320_exits_1(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, h="1e-320")
+        with pytest.raises(ValueError, match="1/h is not finite"):
+            load_config(cfg)
+        out = tmp_path / "out"
+        assert main(["constants", "--config", cfg, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: 1/h is not finite for h = 1e-320\n")
         assert not out.exists()
 
 

@@ -9,7 +9,7 @@ from scipy.sparse import block_diag, csr_matrix, identity, kron
 from mglue.gluing import ev_error, preglue, quintic_cutoff
 from mglue.invariant_manifolds import (MAX_ITER, TOL_FLOW, HalfTrajectory,
                                        ShootError, _flow_res_with_bc,
-                                       _half_grid, _interior_residual,
+                                       _interior_residual,
                                        _seed_values, _tensor_forcing,
                                        build_tangent_system, decay_fit,
                                        digit_inverse, digit_map,
@@ -21,7 +21,8 @@ from mglue.invariant_manifolds import (MAX_ITER, TOL_FLOW, HalfTrajectory,
 from mglue import path_space
 from mglue.morse_model import model_c1
 from mglue.path_space import (DiscretePath, FlowLU, _flow_band, diff_matrix,
-                              make_grid, symmetric_grid, zero_path)
+                              half_line_grid, make_grid, symmetric_grid,
+                              zero_path)
 
 from test_morse_model import model_3d, model_quartic
 from test_path_space import (assert_same_band, assert_same_bits,
@@ -185,7 +186,7 @@ def shoot_damped_reference(model, seed, S, side, h_max):
     seed = np.atleast_1d(np.asarray(seed, dtype=float))
     n = model.dim
     ns = model.n_stable
-    grid = _half_grid(side, S, h_max)
+    grid = half_line_grid(side, S, h_max)
     N = grid.n_nodes
     bc_rows = path_space.kt_rows(N, n, ns)
     bc_vals = _seed_values(model, side, seed)

@@ -11,11 +11,12 @@ from mglue.linear_theory import (LinearTheory, apply_D,
                                  kernel_path, measured_opnorm,
                                  measured_projection_norm, measured_q_norm,
                                  projection_matrix, q_matrix)
+from mglue.gluing import half_trajectory_length, preglue, quintic_cutoff
 from mglue.invariant_manifolds import shoot_stable, shoot_unstable
 from mglue.morse_model import MorseModel, compute_constants
 from mglue.path_space import (DiscretePath, _flow_band, diff_matrix, kt_rows,
-                              l2_norm, l2_weights, norms, sup_norm, w12_gram,
-                              zero_path)
+                              l2_norm, l2_weights, make_grid, norms,
+                              sup_norm, symmetric_grid, w12_gram, zero_path)
 
 from test_morse_model import model_3d
 from test_path_space import (assert_same_band, fourier_path,
@@ -742,12 +743,28 @@ def test_apply_Q_exact_rejects_bad_samples(c1, cc):
 
 
 def test_off_grid_T_rejected(c1, cc):
-    # 3.01 is not a multiple of h = 1/50: the grid would be [-3, 3] while
-    # glue pre-glues with the shift 3.01
+    # 3.01 and 12.01 are not multiples of h = 1/50: rounded, the grids would
+    # be [-3, 3] and [0, 12], while preglue reads the halves at the shift
+    # 3.01 and a half records S = 12.01
     with pytest.raises(ValueError, match="not a node"):
         LinearTheory(c1, 3.01, 0.02, cc)
-    # ceil(T0 / h) h and twice it, as criterion 08 and its benchmark use
+    with pytest.raises(ValueError, match="not a node"):
+        symmetric_grid(3.01, 0.02)
+    with pytest.raises(ValueError, match="not a node"):
+        make_grid(0.0, 12.01, 0.02)
+    for shoot in (shoot_stable, shoot_unstable):
+        with pytest.raises(ValueError, match="not a node"):
+            shoot(c1, [0.3], 12.01)
+    wp, wm = shoot_stable(c1, [0.3], 14.0), shoot_unstable(c1, [0.3], 14.0)
+    with pytest.raises(ValueError, match="not a node"):
+        preglue(quintic_cutoff(), wp, wm, 3.01)
+    # ceil(T0 / h) h and twice it, as criterion 08 and its benchmark use,
+    # and their half-trajectory lengths 2T + 6, carry float noise
     T0 = np.ceil(cc.T0 / 0.02) * 0.02
     for T in (T0, 2 * T0):
         lt = LinearTheory(c1, T, 0.02, cc)
         assert lt.grid.t_max == pytest.approx(T, abs=1e-12)
+        S = half_trajectory_length(T)
+        halves = shoot_stable(c1, [0.3], S), shoot_unstable(c1, [0.3], S)
+        assert halves[0].grid.t_max == pytest.approx(S, abs=1e-12)
+        assert preglue(quintic_cutoff(), *halves, T).grid == lt.grid

@@ -66,7 +66,8 @@ class TestGrid:
         assert grid_unit(h) == m
 
     def test_too_few_nodes_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^5 nodes on \[-1, 1\], fewer than 9$"):
             Grid(-1.0, 1.0, 5)
 
     def test_even_node_count_rejected(self):
